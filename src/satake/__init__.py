@@ -10,25 +10,18 @@ that verifies the defining character-sum identity by direct enumeration.
 
 from .grassmannian import CohomologyPrediction, Grassmannian, MVBound
 from .hecke import A_BASIS, C_BASIS, PHI_BASIS, BasisElement, HeckeAlgebra
-from .laurent import LaurentPoly, ONE, Q, V, ZERO, poly_arith
-from .rank1_oracle import (
-    Cyclotomic,
-    Eq2Record,
-    Eq2Report,
-    HalfPower,
-    Rank1Cell,
-    Rank1Oracle,
-    cell,
-)
+from .laurent import LaurentPoly, ONE, Q, V, VMonomial, ZERO
+from .rank1_oracle import Cyclotomic, Eq2Record, Eq2Report, Rank1Cell, Rank1Oracle
 from .rep_ring import RepRing, gamma_power, torus_point
 from .root_datum import (
     DomRep,
     HalfWeight,
+    InvariantError,
     PRESETS,
     RootDatum,
     build_root_datum,
 )
-from .whittaker import WhitValue, WhittakerModule
+from .whittaker import WhittakerModule
 
 __all__ = [
     "A_BASIS",
@@ -40,9 +33,9 @@ __all__ = [
     "Eq2Record",
     "Eq2Report",
     "Grassmannian",
-    "HalfPower",
     "HalfWeight",
     "HeckeAlgebra",
+    "InvariantError",
     "LaurentPoly",
     "MVBound",
     "ONE",
@@ -54,13 +47,11 @@ __all__ = [
     "RepRing",
     "RootDatum",
     "V",
-    "WhitValue",
+    "VMonomial",
     "WhittakerModule",
     "ZERO",
     "build_root_datum",
-    "cell",
     "gamma_power",
-    "poly_arith",
     "torus_point",
 ]
 

@@ -15,31 +15,19 @@ import math
 import os
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .grassmannian import Grassmannian
-from .hecke import A_BASIS, HeckeAlgebra
+from .hecke import A_BASIS, BasisElement, HeckeAlgebra
 from .rank1_oracle import Rank1Oracle, is_prime
 from .rep_ring import RepRing, torus_point
 from .root_datum import PRESETS, RootDatum, build_root_datum
 from .whittaker import WhittakerModule
 
-JOB_CAP = 16
-
 
 class UsageError(Exception):
     pass
-
-
-@dataclass
-class CliConfig:
-    datum: RootDatum
-    output_format: Optional[str]
-    v_value: Optional[Fraction]  # chosen square root of q, when q is rational
-    jobs: int
-    out_path: Optional[str]
 
 
 def _load_datum(spec: str) -> RootDatum:
@@ -78,44 +66,19 @@ def _parse_gamma(text: str, datum: RootDatum):
         raise UsageError(str(exc))
 
 
-def _exact_sqrt(q: Fraction) -> Fraction:
+def _parse_v(text: str) -> Fraction:
+    """The square root v of a rational q given on the command line."""
+    try:
+        q = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError("cannot parse q value %r" % text)
+    if q <= 0:
+        raise UsageError("q must be a positive rational")
     n = math.isqrt(q.numerator)
     d = math.isqrt(q.denominator)
     if n * n != q.numerator or d * d != q.denominator:
         raise UsageError("q = %s is not a perfect rational square; pass a square value" % q)
     return Fraction(n, d)
-
-
-def _config(args) -> CliConfig:
-    datum = _load_datum(args.datum)
-    v_value = None
-    if getattr(args, "q", None) is not None:
-        try:
-            q = Fraction(args.q)
-        except (ValueError, ZeroDivisionError):
-            raise UsageError("cannot parse q value %r" % args.q)
-        if q <= 0:
-            raise UsageError("q must be a positive rational")
-        v_value = _exact_sqrt(q)
-    jobs = getattr(args, "jobs", 1)
-    if jobs < 0:
-        raise UsageError("--jobs must be nonnegative")
-    jobs = min(jobs, JOB_CAP) if jobs else 0
-    return CliConfig(
-        datum=datum,
-        output_format=getattr(args, "format", None),
-        v_value=v_value,
-        jobs=jobs,
-        out_path=getattr(args, "out", None),
-    )
-
-
-def _emit(text: str, config: CliConfig) -> None:
-    if config.out_path:
-        with open(config.out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _json_dump(obj) -> str:
@@ -126,242 +89,252 @@ def _coweight_key(cw: Sequence[int]) -> str:
     return ",".join(str(x) for x in cw)
 
 
-def _mult_map_output(mapping, config: CliConfig) -> str:
-    items = sorted(mapping.items())
-    fmt = config.output_format or "json"
-    if fmt == "json":
-        return _json_dump({_coweight_key(cw): mult for cw, mult in items})
-    if fmt == "csv":
+def _emit(args, payload=None, header=(), rows=(), lines=()) -> None:
+    """Write a command's result in the format chosen by --format.
+
+    payload is the JSON value, header and rows the CSV table, lines the pretty
+    text; a command fills in the forms that its --format choices allow.
+    """
+    if args.format == "json":
+        text = _json_dump(payload)
+    elif args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
-        writer.writerow(["coweight", "multiplicity"])
-        for cw, mult in items:
-            writer.writerow([_coweight_key(cw), mult])
-        return buf.getvalue()
-    return "".join("%s: %d\n" % (_coweight_key(cw), mult) for cw, mult in items)
+        writer.writerow(header)
+        writer.writerows(rows)
+        text = buf.getvalue()
+    else:
+        text = "".join(line + "\n" for line in lines)
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _emit_mult_map(args, mapping: Dict[Tuple[int, ...], int]) -> None:
+    items = [(_coweight_key(cw), mult) for cw, mult in sorted(mapping.items())]
+    _emit(
+        args,
+        payload=dict(items),
+        header=["coweight", "multiplicity"],
+        rows=items,
+        lines=["%s: %d" % item for item in items],
+    )
 
 
 # -- subcommands ---------------------------------------------------------------
 
 
 def _cmd_tensor(args) -> int:
-    config = _config(args)
-    rep = RepRing(config.datum)
-    lam = _parse_coweight(args.lam, config.datum)
-    mu = _parse_coweight(args.mu, config.datum)
-    _emit(_mult_map_output(rep.tensor_decompose(lam, mu), config), config)
+    datum = _load_datum(args.datum)
+    lam = _parse_coweight(args.lam, datum)
+    mu = _parse_coweight(args.mu, datum)
+    _emit_mult_map(args, RepRing(datum).tensor_decompose(lam, mu))
     return 0
 
 
 def _cmd_weights(args) -> int:
-    config = _config(args)
-    rep = RepRing(config.datum)
-    lam = _parse_coweight(args.lam, config.datum)
-    _emit(_mult_map_output(rep.weight_table(lam), config), config)
+    datum = _load_datum(args.datum)
+    lam = _parse_coweight(args.lam, datum)
+    _emit_mult_map(args, RepRing(datum).weight_table(lam))
     return 0
 
 
 def _cmd_satake(args) -> int:
-    config = _config(args)
-    algebra = HeckeAlgebra(config.datum)
-    lam = _parse_coweight(args.lam, config.datum)
+    datum = _load_datum(args.datum)
+    algebra = HeckeAlgebra(datum)
+    lam = _parse_coweight(args.lam, datum)
     element = algebra.satake_to_c(algebra.monomial(A_BASIS, lam))
-    fmt = config.output_format or "json"
-    if fmt == "pretty":
-        lines = [
-            "c_%s: %s" % (_coweight_key(cw), coeff) for cw, coeff in element.sorted_terms()
-        ]
-        lines.append("(q = v^2)")
-        _emit("\n".join(lines) + "\n", config)
-    else:
-        _emit(_json_dump(element.to_json()), config)
+    lines = ["c_%s: %s" % (_coweight_key(cw), coeff) for cw, coeff in element.sorted_terms()]
+    _emit(args, payload=element.to_json(), lines=lines + ["(q = v^2)"])
     return 0
 
 
 def _cmd_hecke_mul(args) -> int:
-    config = _config(args)
-    algebra = HeckeAlgebra(config.datum)
-    lam = _parse_coweight(args.lam, config.datum)
-    mu = _parse_coweight(args.mu, config.datum)
+    datum = _load_datum(args.datum)
+    algebra = HeckeAlgebra(datum)
+    lam = _parse_coweight(args.lam, datum)
+    mu = _parse_coweight(args.mu, datum)
     product = algebra.mul(algebra.monomial(A_BASIS, lam), algebra.monomial(A_BASIS, mu))
-    _emit(_json_dump(product.to_json()), config)
+    _emit(args, payload=product.to_json())
     return 0
 
 
 def _cmd_whittaker_eval(args) -> int:
-    config = _config(args)
-    module = WhittakerModule(HeckeAlgebra(config.datum))
-    gamma = _parse_gamma(args.gamma, config.datum)
+    datum = _load_datum(args.datum)
+    v_value = None if args.q is None else _parse_v(args.q)
+    module = WhittakerModule(HeckeAlgebra(datum))
+    gamma = _parse_gamma(args.gamma, datum)
     rows = []
-    for lam in config.datum.dominant_box(args.cutoff):
+    for lam in datum.dominant_box(args.cutoff):
         value = module.whittaker_value(gamma, lam)
-        if config.v_value is not None:
-            folded = value.evaluate(config.v_value)
-            rows.append((lam, folded.numerator, folded.denominator, 0))
-        else:
-            rows.append((lam, value.coeff.numerator, value.coeff.denominator, value.v_power))
-    fmt = config.output_format or "csv"
-    if fmt == "json":
-        payload = {
-            _coweight_key(lam): {"num": num, "den": den, "v_power": power}
-            for lam, num, den, power in rows
-        }
-        _emit(_json_dump(payload), config)
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["lambda", "numerator", "denominator", "v_power"])
-        for lam, num, den, power in rows:
-            writer.writerow([_coweight_key(lam), num, den, power])
-        _emit(buf.getvalue(), config)
+        coeff, power = value if v_value is None else (value.evaluate(v_value), 0)
+        rows.append((_coweight_key(lam), coeff.numerator, coeff.denominator, power))
+    _emit(
+        args,
+        payload={key: {"num": num, "den": den, "v_power": power} for key, num, den, power in rows},
+        header=["lambda", "numerator", "denominator", "v_power"],
+        rows=rows,
+    )
     return 0
 
 
 def _cmd_predict(args) -> int:
-    config = _config(args)
-    geometry = Grassmannian(RepRing(config.datum))
-    lam = _parse_coweight(args.lam, config.datum)
-    mu = _parse_coweight(args.mu, config.datum)
-    nu = _parse_coweight(args.nu, config.datum)
+    datum = _load_datum(args.datum)
+    geometry = Grassmannian(RepRing(datum))
+    lam = _parse_coweight(args.lam, datum)
+    mu = _parse_coweight(args.mu, datum)
+    nu = _parse_coweight(args.nu, datum)
     try:
         prediction = geometry.predicted_cohomology(lam, mu, nu)
     except ValueError as exc:
         raise UsageError(str(exc))
-    fmt = config.output_format or "json"
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["lambda", "mu", "nu", "vanishes", "k", "dim", "frob_weight"])
-        writer.writerow(
-            [
-                _coweight_key(lam),
-                _coweight_key(mu),
-                _coweight_key(nu),
-                prediction.vanishes,
-                "" if prediction.degree is None else prediction.degree,
-                prediction.dimension,
-                "" if prediction.frobenius_weight is None else prediction.frobenius_weight,
-            ]
-        )
-        _emit(buf.getvalue(), config)
-    else:
-        _emit(_json_dump(prediction.to_json()), config)
+    row = [
+        _coweight_key(lam),
+        _coweight_key(mu),
+        _coweight_key(nu),
+        prediction.vanishes,
+        "" if prediction.degree is None else prediction.degree,
+        prediction.dimension,
+        "" if prediction.frobenius_weight is None else prediction.frobenius_weight,
+    ]
+    _emit(
+        args,
+        payload=prediction.to_json(),
+        header=["lambda", "mu", "nu", "vanishes", "k", "dim", "frob_weight"],
+        rows=[row],
+    )
     return 0
 
 
 def _cmd_strata(args) -> int:
-    config = _config(args)
-    geometry = Grassmannian(RepRing(config.datum))
-    strata = geometry.drinfeld_strata(args.bound)
-    fmt = config.output_format or "json"
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["gamma", "codim"])
-        for gamma, codim in strata:
-            writer.writerow([_coweight_key(gamma), codim])
-        _emit(buf.getvalue(), config)
-    else:
-        _emit(
-            _json_dump([{"gamma": list(gamma), "codim": codim} for gamma, codim in strata]),
-            config,
-        )
+    strata = Grassmannian(RepRing(_load_datum(args.datum))).drinfeld_strata(args.bound)
+    _emit(
+        args,
+        payload=[{"gamma": list(gamma), "codim": codim} for gamma, codim in strata],
+        header=["gamma", "codim"],
+        rows=[(_coweight_key(gamma), codim) for gamma, codim in strata],
+    )
     return 0
 
 
+def _element_text(element: BasisElement) -> str:
+    terms = "; ".join("%s: %s" % (_coweight_key(cw), c) for cw, c in element.sorted_terms())
+    return "%s{%s}" % (element.basis, terms)
+
+
+def _failure(inputs: Dict[str, str], lhs, rhs) -> Optional[dict]:
+    """None when the two sides agree, else the failing case with both sides as text."""
+    if lhs == rhs:
+        return None
+    if isinstance(lhs, BasisElement):
+        lhs, rhs = _element_text(lhs), _element_text(rhs)
+    return {"inputs": inputs, "lhs": str(lhs), "rhs": str(rhs)}
+
+
 def _cmd_verify_cs(args) -> int:
-    config = _config(args)
-    algebra = HeckeAlgebra(config.datum)
+    datum = _load_datum(args.datum)
+    algebra = HeckeAlgebra(datum)
     module = WhittakerModule(algebra)
-    datum = config.datum
     box = datum.dominant_box(args.cutoff)
-    checks = []
-
     phi0 = module.phi_zero()
-    basis_fail = 0
-    for lam in box:
-        element = algebra.monomial(A_BASIS, lam)
-        if module.act(phi0, element) != module.f_transform(element):
-            basis_fail += 1
-    checks.append(("basis-compatibility", len(box), basis_fail))
 
-    module_fail = 0
-    for lam in box:
-        for mu in box:
-            h1 = algebra.monomial(A_BASIS, lam)
-            h2 = algebra.monomial(A_BASIS, mu)
-            lhs = module.f_transform(algebra.mul(h1, h2))
-            rhs = module.act(module.f_transform(h1), h2)
-            if lhs != rhs:
-                module_fail += 1
-    checks.append(("module-axiom", len(box) * len(box), module_fail))
+    def basis_case(lam):
+        element = algebra.monomial(A_BASIS, lam)
+        return _failure(
+            {"lambda": _coweight_key(lam)}, module.act(phi0, element), module.f_transform(element)
+        )
+
+    def module_case(lam, mu):
+        h1 = algebra.monomial(A_BASIS, lam)
+        h2 = algebra.monomial(A_BASIS, mu)
+        return _failure(
+            {"lambda": _coweight_key(lam), "mu": _coweight_key(mu)},
+            module.f_transform(algebra.mul(h1, h2)),
+            module.act(module.f_transform(h1), h2),
+        )
+
+    def eigen_case(gamma, lam_act):
+        residual = module.eigen_residual(gamma, lam_act, args.cutoff)
+        nu = next((nu for nu, value in sorted(residual.items()) if value != 0), None)
+        if nu is None:
+            return None
+        # the two sides at ν, with the common power of v divided out
+        rhs = module.rep.character_eval(lam_act, gamma) * module.rep.dual_character_eval(nu, gamma)
+        inputs = {
+            "gamma": ",".join(str(g) for g in gamma),
+            "lambda": _coweight_key(lam_act),
+            "nu": _coweight_key(nu),
+        }
+        return _failure(inputs, residual[nu] + rhs, rhs)
 
     rng = random.Random(args.seed)
-    actions = [lam for lam in box if 0 < datum.pairing_2rho(lam) <= 4] or box[:1]
-    eigen_fail = 0
-    for _ in range(args.gammas):
-        gamma = tuple(
+    gammas = [
+        tuple(
             Fraction(rng.choice([k for k in range(-9, 10) if k]), rng.randint(1, 9))
             for _ in range(datum.lattice_rank)
         )
-        for lam_act in actions:
-            residual = module.eigen_residual(gamma, lam_act, args.cutoff)
-            if any(value != 0 for value in residual.values()):
-                eigen_fail += 1
-    checks.append(("eigenfunction", args.gammas * len(actions), eigen_fail))
+        for _ in range(args.gammas)
+    ]
+    actions = [lam for lam in box if 0 < datum.pairing_2rho(lam) <= 4] or box[:1]
+    checks = [
+        ("basis-compatibility", [basis_case(lam) for lam in box]),
+        ("module-axiom", [module_case(lam, mu) for lam in box for mu in box]),
+        ("eigenfunction", [eigen_case(gamma, lam) for gamma in gammas for lam in actions]),
+    ]
 
-    ok = all(fail == 0 for _, _, fail in checks)
-    fmt = config.output_format or "pretty"
-    if fmt == "json":
-        payload = {
-            "checks": [
-                {"name": name, "cases": cases, "failures": fail} for name, cases, fail in checks
-            ],
-            "pass": ok,
-        }
-        _emit(_json_dump(payload), config)
-    else:
-        lines = [
-            "%s: %s (%d cases)" % (name, "PASS" if fail == 0 else "FAIL %d" % fail, cases)
-            for name, cases, fail in checks
-        ]
-        _emit("\n".join(lines) + "\n", config)
+    entries, lines = [], []
+    for name, outcomes in checks:
+        failures = [f for f in outcomes if f is not None]
+        entry = {"name": name, "cases": len(outcomes), "failures": len(failures)}
+        status = "FAIL %d" % len(failures) if failures else "PASS"
+        lines.append("%s: %s (%d cases)" % (name, status, len(outcomes)))
+        if failures:
+            first = failures[0]
+            entry["first_failure"] = first
+            inputs = " ".join("%s=%s" % item for item in first["inputs"].items())
+            lines.append("  first failure %s: lhs=%s rhs=%s" % (inputs, first["lhs"], first["rhs"]))
+        entries.append(entry)
+    ok = all(entry["failures"] == 0 for entry in entries)
+    _emit(args, payload={"checks": entries, "pass": ok}, lines=lines)
     return 0 if ok else 1
 
 
 def _cmd_verify_eq2(args) -> int:
-    config = _config(args)
+    datum = _load_datum(args.datum)
     for q in args.primes:
         if not is_prime(q):
             raise UsageError("q values must be primes; got %d" % q)
     try:
-        oracle = Rank1Oracle(config.datum)
+        oracle = Rank1Oracle(datum)
     except ValueError as exc:
         raise UsageError(str(exc))
-    report = oracle.verify_eq2(args.m_max, args.primes, jobs=config.jobs or 0)
-    fmt = config.output_format or "pretty"
-    if fmt == "json":
-        _emit(_json_dump(report.to_json()), config)
-    else:
-        lines = [report.summary()]
-        for record in report.failures():
-            lines.append(
-                "FAIL lambda=%d mu=%d nu=%d q=%d: lhs=%s rhs=%s"
-                % (record.lam, record.mu, record.nu, record.q, record.lhs, record.rhs)
-            )
-        _emit("\n".join(lines) + "\n", config)
+    report = oracle.verify_eq2(args.m_max, args.primes)
+    lines = [report.summary()] + [
+        "FAIL lambda=%d mu=%d nu=%d q=%d: lhs=%s rhs=%s"
+        % (record.lam, record.mu, record.nu, record.q, record.lhs, record.rhs)
+        for record in report.failures()
+    ]
+    _emit(args, payload=report.to_json(), lines=lines)
     return 0 if report.all_pass else 1
 
 
 # -- parser ---------------------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--datum", default="PGL2", help="preset name or datum JSON file")
-    parser.add_argument("--format", choices=["json", "csv", "pretty"], default=None)
-    parser.add_argument("--q", default=None, help="rational value of q (perfect square)")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel workers (0 = auto)")
-    parser.add_argument("--out", default=None, help="write output to a file")
+def _subcommand(sub, name: str, func, help_text: str, formats: Sequence[str], *positionals: str):
+    """A subparser with its positionals and the common flags; formats[0] is the default."""
+    p = sub.add_parser(name, help=help_text)
+    for positional in positionals:
+        p.add_argument(positional)
+    p.add_argument("--datum", default="PGL2", help="preset name or datum JSON file")
+    p.add_argument(
+        "--format", choices=formats, default=formats[0], help="default: %s" % formats[0]
+    )
+    p.add_argument("--out", default=None, help="write output to a file")
+    p.set_defaults(func=func)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -370,60 +343,41 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact spherical Hecke algebra and Whittaker-module calculator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    tables = ("json", "csv", "pretty")
 
-    p = sub.add_parser("tensor", help="decompose a tensor product of dual irreducibles")
-    p.add_argument("lam")
-    p.add_argument("mu")
-    _add_common(p)
-    p.set_defaults(func=_cmd_tensor)
+    _subcommand(sub, "tensor", _cmd_tensor,
+                "decompose a tensor product of dual irreducibles", tables, "lam", "mu")
+    _subcommand(sub, "weights", _cmd_weights,
+                "weight multiplicity table of a dual irreducible", tables, "lam")
+    _subcommand(sub, "satake", _cmd_satake,
+                "base change of an A-basis element to the c-basis", ("json", "pretty"), "lam")
+    _subcommand(sub, "hecke-mul", _cmd_hecke_mul,
+                "multiply two A-basis elements", ("json",), "lam", "mu")
 
-    p = sub.add_parser("weights", help="weight multiplicity table of a dual irreducible")
-    p.add_argument("lam")
-    _add_common(p)
-    p.set_defaults(func=_cmd_weights)
-
-    p = sub.add_parser("satake", help="base change of an A-basis element to the c-basis")
-    p.add_argument("lam")
-    _add_common(p)
-    p.set_defaults(func=_cmd_satake)
-
-    p = sub.add_parser("hecke-mul", help="multiply two A-basis elements")
-    p.add_argument("lam")
-    p.add_argument("mu")
-    _add_common(p)
-    p.set_defaults(func=_cmd_hecke_mul)
-
-    p = sub.add_parser("whittaker-eval", help="table of Whittaker values at a torus point")
+    p = _subcommand(sub, "whittaker-eval", _cmd_whittaker_eval,
+                    "table of Whittaker values at a torus point", ("csv", "json"))
     p.add_argument("--gamma", required=True, help="comma-separated rationals, e.g. 2/1,3/1")
     p.add_argument("--cutoff", type=int, default=6, help="bound on the pairing with 2*rho-check")
-    _add_common(p)
-    p.set_defaults(func=_cmd_whittaker_eval)
+    p.add_argument("--q", default=None, help="rational value of q (perfect square)")
 
-    p = sub.add_parser("predict", help="predicted twisted cohomology for (lambda, mu, nu)")
-    p.add_argument("lam")
-    p.add_argument("mu")
-    p.add_argument("nu")
-    _add_common(p)
-    p.set_defaults(func=_cmd_predict)
+    _subcommand(sub, "predict", _cmd_predict,
+                "predicted twisted cohomology for (lambda, mu, nu)", ("json", "csv"),
+                "lam", "mu", "nu")
 
-    p = sub.add_parser("strata", help="compactification strata up to a defect bound")
+    p = _subcommand(sub, "strata", _cmd_strata,
+                    "compactification strata up to a defect bound", ("json", "csv"))
     p.add_argument("bound", type=int)
-    _add_common(p)
-    p.set_defaults(func=_cmd_strata)
 
-    p = sub.add_parser("verify-cs", help="basis / module-axiom / eigenfunction battery")
+    p = _subcommand(sub, "verify-cs", _cmd_verify_cs,
+                    "basis / module-axiom / eigenfunction battery", ("pretty", "json"))
     p.add_argument("cutoff", type=int)
     p.add_argument("--gammas", type=int, default=5, help="random torus points to test")
     p.add_argument("--seed", type=int, default=20240601)
-    _add_common(p)
-    p.set_defaults(func=_cmd_verify_cs)
 
-    p = sub.add_parser("verify-eq2", help="finite-field character-sum battery (rank 1)")
+    p = _subcommand(sub, "verify-eq2", _cmd_verify_eq2,
+                    "finite-field character-sum battery (rank 1)", ("pretty", "json"))
     p.add_argument("m_max", type=int)
     p.add_argument("primes", metavar="q", type=int, nargs="+", help="prime field sizes")
-    _add_common(p)
-    p.set_defaults(func=_cmd_verify_eq2)
-
     return parser
 
 
@@ -435,11 +389,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except UsageError as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        sys.stderr.write("run with --help for usage\n")
-        return 2
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         sys.stderr.write("run with --help for usage\n")
         return 2

@@ -16,6 +16,7 @@ from itertools import product as iter_product
 from typing import Dict, List, Optional, Tuple
 
 from .rep_ring import RepRing
+from .root_datum import InvariantError
 
 Coweight = Tuple[int, ...]
 
@@ -88,7 +89,8 @@ class Grassmannian:
             return MVBound(True, None, None)
         total = tuple(a + b for a, b in zip(lam, nu))
         bound = self.datum.pairing(total, self.datum.rho_check)
-        assert bound.denominator == 1
+        if bound.denominator != 1:
+            raise InvariantError("MV bound ⟨λ+ν, ρ̌⟩ = %s is not an integer" % bound)
         flag = None
         if nu == self.datum.apply_w0(lam):
             flag = "point"

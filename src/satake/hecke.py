@@ -113,6 +113,19 @@ class BasisElement:
         )
 
 
+def structure_product(
+    rep: RepRing, left: Mapping[Coweight, LaurentPoly], right: Mapping[Coweight, LaurentPoly]
+) -> Dict[Coweight, LaurentPoly]:
+    """The bilinear product Σ_{λ,μ} left_λ · right_μ · Σ_ν C^ν_{λμ} e_ν."""
+    acc: Dict[Coweight, LaurentPoly] = {}
+    for lam, c1 in left.items():
+        for mu, c2 in right.items():
+            coeff = c1 * c2
+            for nu, mult in rep.tensor_decompose(lam, mu).items():
+                acc[nu] = acc.get(nu, LaurentPoly()) + coeff * mult
+    return acc
+
+
 class HeckeAlgebra:
     """The spherical Hecke algebra attached to a root datum."""
 
@@ -145,13 +158,7 @@ class HeckeAlgebra:
         """A_λ ⋆ A_μ = Σ_ν C^ν_{λμ} A_ν, extended bilinearly."""
         if h1.basis != A_BASIS or h2.basis != A_BASIS:
             raise ValueError("hecke_mul needs A-basis operands")
-        acc: Dict[Coweight, LaurentPoly] = {}
-        for lam, c1 in h1.terms.items():
-            for mu, c2 in h2.terms.items():
-                coeff = c1 * c2
-                for nu, mult in self.rep.tensor_decompose(lam, mu).items():
-                    acc[nu] = acc.get(nu, LaurentPoly()) + coeff * mult
-        return BasisElement(A_BASIS, acc)
+        return BasisElement(A_BASIS, structure_product(self.rep, h1.terms, h2.terms))
 
     # -- Satake base change -------------------------------------------------------
 

@@ -12,7 +12,7 @@ the coroot lattice; every honest q-power is an even v-power.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Mapping, NamedTuple, Tuple
 
 
 class LaurentPoly:
@@ -210,15 +210,25 @@ V = LaurentPoly({1: 1})
 Q = LaurentPoly({2: 1})
 
 
-def poly_arith(a: LaurentPoly, b: LaurentPoly, op: str) -> LaurentPoly:
-    """Dispatch-style ring arithmetic: op is one of 'add', 'sub', 'mul'."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError("unknown operation %r" % op)
+class VMonomial(NamedTuple):
+    """An exact value: a rational coefficient times v^{v_power}."""
+
+    coeff: Fraction
+    v_power: int
+
+    @property
+    def odd(self) -> bool:
+        return self.v_power % 2 == 1
+
+    def evaluate(self, v0) -> Fraction:
+        return self.coeff * Fraction(v0) ** self.v_power
+
+    def __str__(self) -> str:
+        if self.coeff == 0 or self.v_power == 0:
+            return str(self.coeff)
+        if self.v_power == 1:
+            return "%s*v" % (self.coeff,)
+        return "%s*v^%d" % (self.coeff, self.v_power)
 
 
 def as_poly(x) -> LaurentPoly:

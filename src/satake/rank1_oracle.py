@@ -27,16 +27,14 @@ is the identity.
 
 from __future__ import annotations
 
-import concurrent.futures
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .hecke import HeckeAlgebra
-from .laurent import LaurentPoly
-from .root_datum import RootDatum, build_root_datum
+from .laurent import LaurentPoly, VMonomial
+from .root_datum import InvariantError, RootDatum, build_root_datum
 
 
 def is_prime(n: int) -> bool:
@@ -154,30 +152,15 @@ class Rank1Cell:
             return None
         dim = (n + m) // 2
         coords = tuple(range((n - m) // 2, n))
-        assert len(coords) == dim
+        if len(coords) != dim:
+            raise InvariantError("cell (%d,%d) has %d coordinates" % (m, n, len(coords)))
         return cls(m=m, n=n, dim=dim, coordinates=coords)
 
 
-def cell(m: int, n: int) -> Optional[Rank1Cell]:
-    """The cell descriptor, or None when the intersection is empty."""
-    return Rank1Cell.build(m, n)
-
-
-class HalfPower(NamedTuple):
-    """An exact value c · v^ε with ε ∈ {0,1}, after folding q = v² into c."""
-
-    coeff: Fraction
-    odd: bool
-
-    def __str__(self) -> str:
-        if self.coeff == 0 or not self.odd:
-            return str(self.coeff)
-        return "%s*v" % (self.coeff,)
-
-
-def half_power(coeff, odd: bool) -> HalfPower:
+def half_power(coeff, odd: bool) -> VMonomial:
+    """The value c · v^ε with ε ∈ {0,1}, after folding q = v² into c; zero has ε = 0."""
     coeff = Fraction(coeff)
-    return HalfPower(coeff, bool(odd) if coeff else False)
+    return VMonomial(coeff, 1 if odd and coeff else 0)
 
 
 @dataclass(frozen=True)
@@ -186,8 +169,8 @@ class Eq2Record:
     mu: int
     nu: int
     q: int
-    lhs: HalfPower
-    rhs: HalfPower
+    lhs: VMonomial
+    rhs: VMonomial
     passed: bool
 
     def to_json(self) -> dict:
@@ -276,10 +259,11 @@ class Rank1Oracle:
         enum_value = self._closed_sums[key]
         if method == "both":
             closed_value = 0 if present else q ** c.dim
-            assert enum_value == closed_value, (
-                "evaluation paths disagree on cell (%d,%d): %d vs %d"
-                % (mprime, n, enum_value, closed_value)
-            )
+            if enum_value != closed_value:
+                raise InvariantError(
+                    "evaluation paths disagree on cell (%d,%d): %d vs %d"
+                    % (mprime, n, enum_value, closed_value)
+                )
         elif method != "enumerate":
             raise ValueError("unknown method %r" % method)
         return enum_value
@@ -308,7 +292,7 @@ class Rank1Oracle:
         q: int,
         method: str = "both",
         ic_override: Optional[Dict[Tuple[int, int], LaurentPoly]] = None,
-    ) -> HalfPower:
+    ) -> VMonomial:
         """The orbit integral as an exact value c · v^ε.
 
         Sums the stalk weight of A_λ against the ψ(a_{−1−μ}) character sum
@@ -335,14 +319,15 @@ class Rank1Oracle:
         if not total:
             return half_power(0, False)
         parities = {e % 2 for e in total.exponents()}
-        assert len(parities) == 1
+        if len(parities) != 1:
+            raise InvariantError("orbit integral %s mixes v-parities" % total)
         odd = parities.pop() == 1
         coeff = Fraction(0)
         for e, cf in total.items():
             coeff += cf * Fraction(q) ** ((e - (1 if odd else 0)) // 2)
         return half_power(coeff, odd)
 
-    def eq2_rhs(self, lam: int, mu: int, nu: int, q: int) -> HalfPower:
+    def eq2_rhs(self, lam: int, mu: int, nu: int, q: int) -> VMonomial:
         """q^{−⟨ν,ρ̌⟩} · C^{μ+ν}_{λμ}, zero for non-dominant μ."""
         m, mu, n = int(lam), int(mu), int(nu)
         if mu + n < 0:
@@ -381,45 +366,14 @@ class Rank1Oracle:
         self,
         m_max: int,
         q_list: Sequence[int],
-        jobs: int = 1,
         ic_override: Optional[Dict[Tuple[int, int], LaurentPoly]] = None,
         method: str = "both",
     ) -> Eq2Report:
         """Run the whole battery; failures become report entries, not exceptions."""
-        work = [(q, m, n, mu) for q in q_list for (m, n, mu) in self.triples(m_max)]
-        if ic_override is not None:
-            jobs = 1  # the corruption hook stays in-process
-        if jobs != 1 and len(work) > 1:
-            records = _run_parallel(self.datum, work, jobs, method)
-        else:
-            records = [
-                self.check_triple(m, mu, n, q, method=method, ic_override=ic_override)
-                for (q, m, n, mu) in work
-            ]
+        records = [
+            self.check_triple(m, mu, n, q, method=method, ic_override=ic_override)
+            for q in q_list
+            for (m, n, mu) in self.triples(m_max)
+        ]
         records.sort(key=lambda r: (r.q, r.lam, r.nu, r.mu))
         return Eq2Report(tuple(records))
-
-
-_worker_oracles: Dict[str, Rank1Oracle] = {}
-
-
-def _eq2_task(args) -> Eq2Record:
-    datum_json, q, m, n, mu, method = args
-    oracle = _worker_oracles.get(datum_json)
-    if oracle is None:
-        oracle = Rank1Oracle(json.loads(datum_json))
-        _worker_oracles[datum_json] = oracle
-    return oracle.check_triple(m, mu, n, q, method=method)
-
-
-def _run_parallel(datum: RootDatum, work, jobs: int, method: str) -> List[Eq2Record]:
-    import os
-
-    cap = 16
-    if jobs <= 0:
-        jobs = min(os.cpu_count() or 1, cap)
-    jobs = min(jobs, cap, len(work))
-    datum_json = json.dumps(datum.to_json(), sort_keys=True)
-    tasks = [(datum_json, q, m, n, mu, method) for (q, m, n, mu) in work]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_eq2_task, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .laurent import LaurentPoly, ONE, ZERO
-from .root_datum import RootDatum, build_root_datum
+from .root_datum import InvariantError, RootDatum, build_root_datum
 
 Coweight = Tuple[int, ...]
 TorusPoint = Tuple[Fraction, ...]
@@ -84,7 +84,8 @@ class RepRing:
         dim = Fraction(1)
         for root in datum.positive_roots:
             dim *= datum.pairing(shifted, root) / datum.pairing(rho, root)
-        assert dim.denominator == 1 and dim > 0
+        if dim.denominator != 1 or dim <= 0:
+            raise InvariantError("Weyl dimension of %r is %s" % (lam, dim))
         self._dims[lam] = int(dim)
         return int(dim)
 
@@ -139,7 +140,8 @@ class RepRing:
             )
             denominator = self._form(lam_mu_sum, coords)
             value = 2 * numerator / denominator
-            assert value.denominator == 1 and value > 0, "Freudenthal gave %s" % value
+            if value.denominator != 1 or value <= 0:
+                raise InvariantError("Freudenthal gave %s" % value)
             table[mu] = int(value)
         self._dominant_tables[lam] = table
         return dict(table)
@@ -154,22 +156,7 @@ class RepRing:
     def kostant_multiplicity(self, lam, nu) -> int:
         """The same multiplicity by the alternating Kostant sum (independent route)."""
         lam = self._require_dominant(lam)
-        nu = self.datum.coweight(nu)
-        datum = self.datum
-        rho = datum.rho_dual_fractions
-        target = tuple(Fraction(x) + r for x, r in zip(nu, rho))
-        shifted = tuple(Fraction(x) + r for x, r in zip(lam, rho))
-        n = datum.lattice_rank
-        total = 0
-        for matrix, length in datum.weyl_elements:
-            image = tuple(
-                sum(Fraction(matrix[r][c]) * shifted[c] for c in range(n)) for r in range(n)
-            )
-            arg = tuple(a - b for a, b in zip(image, target))
-            part = self.q_kostant_partition(arg).eval_q(1)
-            if part:
-                total += (-1) ** length * int(part)
-        return total
+        return int(self._alternating_sum(lam, self.datum.coweight(nu)).eval_q(1))
 
     def weight_table(self, lam) -> Dict[Coweight, int]:
         """The full (Weyl-invariant) weight multiplicity table of V^λ."""
@@ -213,11 +200,13 @@ class RepRing:
             if any(datum.pairing(dom, root) == 0 for root in datum.simple_roots):
                 continue
             nu_frac = tuple(d - r for d, r in zip(dom, rho))
-            assert all(Fraction(x).denominator == 1 for x in nu_frac)
+            if any(Fraction(x).denominator != 1 for x in nu_frac):
+                raise InvariantError("Brauer–Klimyk gave the non-integral weight %r" % (nu_frac,))
             nu = tuple(int(x) for x in nu_frac)
             acc[nu] = acc.get(nu, 0) + sign * mult
         result = {nu: c for nu, c in acc.items() if c}
-        assert all(c > 0 for c in result.values()), "negative tensor multiplicity"
+        if any(c < 0 for c in result.values()):
+            raise InvariantError("negative tensor multiplicity")
         self._tensor[key] = result
         self._tensor[(mu, lam)] = result
         return dict(result)
@@ -299,10 +288,19 @@ class RepRing:
         key = (lam, mu)
         if key in self._lusztig:
             return self._lusztig[key]
+        result = self._alternating_sum(lam, mu)
+        self._lusztig[key] = result
+        return result
+
+    def _alternating_sum(self, lam: Coweight, nu: Coweight) -> LaurentPoly:
+        """The alternating Weyl sum Σ_w (−1)^{ℓ(w)} P_q(w(λ+ρ) − (ν+ρ)).
+
+        P_q is the q-Kostant partition function; λ must be dominant, ν need not be.
+        """
         datum = self.datum
         rho = datum.rho_dual_fractions
         shifted = tuple(Fraction(x) + r for x, r in zip(lam, rho))
-        target = tuple(Fraction(x) + r for x, r in zip(mu, rho))
+        target = tuple(Fraction(x) + r for x, r in zip(nu, rho))
         total = ZERO
         n = datum.lattice_rank
         for matrix, length in datum.weyl_elements:
@@ -313,5 +311,4 @@ class RepRing:
             part = self.q_kostant_partition(arg)
             if part:
                 total = total + part if length % 2 == 0 else total - part
-        self._lusztig[key] = total
         return total

@@ -15,16 +15,24 @@ concurrent reads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product as iter_product
+from itertools import combinations, product as iter_product
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 Vector = Tuple[int, ...]
 Matrix = Tuple[Tuple[int, ...], ...]
 
 _WEYL_ORDER_CAP = 1_000_000
+
+
+class InvariantError(AssertionError):
+    """A mathematical contract of the library failed: a bug, not bad input.
+
+    Raised explicitly, so the check also runs under ``python -O``.
+    """
 
 
 class HalfWeight(NamedTuple):
@@ -59,8 +67,46 @@ def _dot(a: Sequence, b: Sequence) -> Fraction:
     return sum((Fraction(x) * Fraction(y) for x, y in zip(a, b)), Fraction(0))
 
 
-def _mat_vec(m: Matrix, v: Sequence) -> Tuple:
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
+def _reflect(vec: Sequence, pair_with: Sequence, along: Sequence) -> Tuple:
+    """vec − ⟨vec, pair_with⟩ · along, with integer entries when they are integral."""
+    c = _dot(vec, pair_with)
+    out = tuple(x - c * a for x, a in zip(vec, along))
+    if all(Fraction(x).denominator == 1 for x in out):
+        return tuple(int(x) for x in out)
+    return out
+
+
+def _positive_system(
+    simples: Sequence[Vector], duals: Sequence[Vector]
+) -> List[Tuple[Vector, Vector]]:
+    """Positive roots generated by the reflections x ↦ x − ⟨x, duals_i⟩ simples_i.
+
+    Each entry is (vector, coordinates in the simples), sorted by height and
+    then lexicographically.
+    """
+    rank = len(simples)
+    seen: Dict[Vector, Vector] = {}
+    frontier = [
+        (tuple(v), tuple(1 if k == i else 0 for k in range(rank))) for i, v in enumerate(simples)
+    ]
+    for v, coords in frontier:
+        seen[v] = coords
+    while frontier:
+        nxt = []
+        for v, coords in frontier:
+            for i in range(rank):
+                c = _dot(v, duals[i])
+                if c.denominator != 1:
+                    raise InvariantError("non-integral root pairing %s" % c)
+                w = _reflect(v, duals[i], simples[i])
+                wc = tuple(coords[k] - (int(c) if k == i else 0) for k in range(rank))
+                if w not in seen:
+                    seen[w] = wc
+                    nxt.append((w, wc))
+        frontier = nxt
+    positive = [(v, c) for v, c in seen.items() if all(x >= 0 for x in c)]
+    positive.sort(key=lambda vc: (sum(vc[1]), vc[0]))
+    return positive
 
 
 def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -163,24 +209,17 @@ class RootDatum:
     def pairing_2rho(self, lam: Sequence) -> int:
         """⟨λ, 2ρ̌⟩, always an integer."""
         val = _dot(lam, self.two_rho_check)
-        assert val.denominator == 1
+        if val.denominator != 1:
+            raise InvariantError("⟨%r, 2ρ̌⟩ = %s is not an integer" % (tuple(lam), val))
         return int(val)
 
     def reflect(self, i: int, lam: Sequence) -> Tuple:
         """Simple reflection s_i(λ) = λ − ⟨λ, α̌_i⟩ α_i on the coweight side."""
-        c = _dot(lam, self.simple_roots[i])
-        out = tuple(x - c * a for x, a in zip(lam, self.simple_coroots[i]))
-        if all(Fraction(x).denominator == 1 for x in out):
-            return tuple(int(x) for x in out)
-        return out
+        return _reflect(lam, self.simple_roots[i], self.simple_coroots[i])
 
     def dual_reflect(self, i: int, x: Sequence) -> Tuple:
         """Simple reflection on the dual lattice: x − ⟨α_i, x⟩ α̌_i."""
-        c = _dot(self.simple_coroots[i], x)
-        out = tuple(y - c * a for y, a in zip(x, self.simple_roots[i]))
-        if all(Fraction(y).denominator == 1 for y in out):
-            return tuple(int(y) for y in out)
-        return out
+        return _reflect(x, self.simple_coroots[i], self.simple_roots[i])
 
     def is_dominant(self, lam: Sequence) -> bool:
         return all(_dot(lam, root) >= 0 for root in self.simple_roots)
@@ -209,8 +248,22 @@ class RootDatum:
         dom = self.dominant_representative(lam).coweight
         return any(_dot(dom, root) == 0 for root in self.simple_roots)
 
+    @cached_property
+    def _w0_word(self) -> Tuple[int, ...]:
+        """A reduced word for the longest element w₀, in application order.
+
+        ρ of the dual group is strictly dominant, so −ρ is strictly
+        antidominant, and w₀ is the unique element carrying it into the
+        dominant chamber.
+        """
+        return self.dominant_representative(tuple(-x for x in self.rho_dual_fractions)).word
+
     def apply_w0(self, lam: Sequence) -> Tuple:
-        return _mat_vec(self.w0_matrix, tuple(lam))
+        """w₀λ, by applying a reduced word for w₀ (the Weyl group is not built)."""
+        out = tuple(lam)
+        for i in self._w0_word:
+            out = self.reflect(i, out)
+        return out
 
     def coroot_coordinates(self, vec: Sequence) -> Optional[Tuple[Fraction, ...]]:
         """Coordinates of vec in the simple coroots, or None if vec is outside their span."""
@@ -255,58 +308,12 @@ class RootDatum:
         Each entry is (vector in Λ, coordinates in the simple coroots),
         sorted by height and then lexicographically.
         """
-        seen: Dict[Vector, Vector] = {}
-        frontier = [
-            (tuple(c), tuple(1 if k == i else 0 for k in range(self.rank)))
-            for i, c in enumerate(self.simple_coroots)
-        ]
-        for v, coords in frontier:
-            seen[v] = coords
-        while frontier:
-            nxt = []
-            for v, coords in frontier:
-                for i in range(self.rank):
-                    c = _dot(v, self.simple_roots[i])
-                    assert c.denominator == 1
-                    w = self.reflect(i, v)
-                    wc = tuple(
-                        coords[k] - (int(c) if k == i else 0) for k in range(self.rank)
-                    )
-                    if w not in seen:
-                        seen[w] = wc
-                        nxt.append((w, wc))
-            frontier = nxt
-        positive = [(v, c) for v, c in seen.items() if all(x >= 0 for x in c)]
-        positive.sort(key=lambda vc: (sum(vc[1]), vc[0]))
-        return tuple(positive)
+        return tuple(_positive_system(self.simple_coroots, self.simple_roots))
 
     @cached_property
     def positive_roots(self) -> Tuple[Vector, ...]:
         """Positive roots of the group, as vectors in the dual lattice."""
-        seen: Dict[Vector, Vector] = {}
-        frontier = [
-            (tuple(r), tuple(1 if k == i else 0 for k in range(self.rank)))
-            for i, r in enumerate(self.simple_roots)
-        ]
-        for v, coords in frontier:
-            seen[v] = coords
-        while frontier:
-            nxt = []
-            for v, coords in frontier:
-                for i in range(self.rank):
-                    c = _dot(self.simple_coroots[i], v)
-                    assert c.denominator == 1
-                    w = self.dual_reflect(i, v)
-                    wc = tuple(
-                        coords[k] - (int(c) if k == i else 0) for k in range(self.rank)
-                    )
-                    if w not in seen:
-                        seen[w] = wc
-                        nxt.append((w, wc))
-            frontier = nxt
-        positive = [(v, c) for v, c in seen.items() if all(x >= 0 for x in c)]
-        positive.sort(key=lambda vc: (sum(vc[1]), vc[0]))
-        return tuple(v for v, _ in positive)
+        return tuple(v for v, _ in _positive_system(self.simple_roots, self.simple_coroots))
 
     @cached_property
     def two_rho_check(self) -> Vector:
@@ -357,14 +364,9 @@ class RootDatum:
                         # symmetry constraint d_i C_ij = d_j C_ji
                         d[j] = d[i] * Fraction(C[i][j], C[j][i])
                         stack.append(j)
-        denoms = [x.denominator for x in d]  # type: ignore[union-attr]
-        scale = 1
-        for den in denoms:
-            scale = scale * den // _gcd(scale, den)
+        scale = math.lcm(*(x.denominator for x in d))  # type: ignore[union-attr]
         ints = [int(x * scale) for x in d]  # type: ignore[arg-type]
-        g = 0
-        for x in ints:
-            g = _gcd(g, x)
+        g = math.gcd(*ints)
         return tuple(x // g for x in ints)
 
     @cached_property
@@ -399,15 +401,6 @@ class RootDatum:
     @cached_property
     def weyl_order(self) -> int:
         return len(self.weyl_elements)
-
-    @cached_property
-    def w0_matrix(self) -> Matrix:
-        """The longest element, as a matrix on Λ."""
-        elements = self.weyl_elements
-        top = max(length for _, length in elements)
-        longest = [m for m, length in elements if length == top]
-        assert len(longest) == 1
-        return longest[0]
 
     def weyl_orbit(self, lam: Sequence) -> Tuple[Tuple, ...]:
         """The Weyl orbit of a lattice vector, sorted."""
@@ -447,13 +440,6 @@ class RootDatum:
             "coroots": [list(v) for v in self.simple_coroots],
             "roots": [list(v) for v in self.simple_roots],
         }
-
-
-def _gcd(a: int, b: int) -> int:
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # Preset lattices.  Coordinates:
@@ -507,23 +493,10 @@ def _validate_cartan(cartan: Sequence[Sequence[int]]) -> None:
                     raise ValueError("Cartan zero pattern must be symmetric")
     # Finite type iff every principal minor is positive.
     for size in range(1, r + 1):
-        for subset in _subsets(r, size):
+        for subset in combinations(range(r), size):
             minor = [[Fraction(cartan[i][j]) for j in subset] for i in subset]
             if _det(minor) <= 0:
                 raise ValueError("Cartan matrix is not of finite type")
-
-
-def _subsets(n: int, size: int):
-    def rec(start: int, chosen: List[int]):
-        if len(chosen) == size:
-            yield tuple(chosen)
-            return
-        for k in range(start, n):
-            chosen.append(k)
-            yield from rec(k + 1, chosen)
-            chosen.pop()
-
-    yield from rec(0, [])
 
 
 def build_root_datum(spec) -> RootDatum:

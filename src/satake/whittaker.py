@@ -19,28 +19,13 @@ eigenvalue failures.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, NamedTuple, Tuple
+from typing import Dict, Tuple
 
-from .hecke import A_BASIS, PHI_BASIS, BasisElement, HeckeAlgebra
-from .laurent import LaurentPoly, ONE
+from .hecke import A_BASIS, PHI_BASIS, BasisElement, HeckeAlgebra, structure_product
+from .laurent import ONE, VMonomial
 from .rep_ring import TorusPoint
 
 Coweight = Tuple[int, ...]
-
-
-class WhitValue(NamedTuple):
-    """A Whittaker value: an exact rational coefficient times v^{v_power}."""
-
-    coeff: Fraction
-    v_power: int
-
-    def evaluate(self, v0) -> Fraction:
-        return self.coeff * Fraction(v0) ** self.v_power
-
-    def __str__(self) -> str:
-        if self.coeff == 0 or self.v_power == 0:
-            return str(self.coeff)
-        return "%s*v^%d" % (self.coeff, self.v_power)
 
 
 class WhittakerModule:
@@ -66,13 +51,7 @@ class WhittakerModule:
             raise ValueError("whit_act needs a PHI-basis module element")
         if h.basis != A_BASIS:
             raise ValueError("whit_act needs an A-basis algebra element")
-        acc: Dict[Coweight, LaurentPoly] = {}
-        for mu, wc in w.terms.items():
-            for lam, hc in h.terms.items():
-                coeff = wc * hc
-                for nu, mult in self.rep.tensor_decompose(lam, mu).items():
-                    acc[nu] = acc.get(nu, LaurentPoly()) + coeff * mult
-        return BasisElement(PHI_BASIS, acc)
+        return BasisElement(PHI_BASIS, structure_product(self.rep, h.terms, w.terms))
 
     def f_transform(self, h: BasisElement) -> BasisElement:
         """The module isomorphism h ↦ φ_0 ⋆ h; on the A-basis it relabels A_λ ↦ φ_λ.
@@ -84,16 +63,16 @@ class WhittakerModule:
             raise ValueError("f_transform needs an A-basis element")
         return BasisElement(PHI_BASIS, dict(h.terms))
 
-    def whittaker_value(self, gamma: TorusPoint, lam) -> WhitValue:
+    def whittaker_value(self, gamma: TorusPoint, lam) -> VMonomial:
         """Value of W_γ at the coweight λ: Tr(γ, V^{−w₀λ}) · v^{−⟨λ,2ρ̌⟩}.
 
         Zero off the dominant cone.
         """
         lam = self.datum.coweight(lam)
         if not self.datum.is_dominant(lam):
-            return WhitValue(Fraction(0), 0)
+            return VMonomial(Fraction(0), 0)
         trace = self.rep.dual_character_eval(lam, gamma)
-        return WhitValue(trace, -self.datum.pairing_2rho(lam))
+        return VMonomial(trace, -self.datum.pairing_2rho(lam))
 
     def eigen_residual(self, gamma: TorusPoint, lam_act, cutoff: int) -> Dict[Coweight, Fraction]:
         """Coefficients of (W_γ|trunc ⋆ A_λ) − Tr(γ,V^λ)·(W_γ|trunc) on the safe window.

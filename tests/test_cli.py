@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -159,6 +160,7 @@ def test_verify_cs_json(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["pass"] is True
+    assert all(check.keys() == {"name", "cases", "failures"} for check in payload["checks"])
 
 
 def test_unknown_datum_is_usage_error(capsys):
@@ -204,10 +206,83 @@ def test_explicit_datum_file(tmp_path, capsys):
     assert out == '{"0":1,"2":1}\n'
 
 
-def test_jobs_flag_runs_parallel_battery(capsys):
-    code, out, _ = run(capsys, "verify-eq2", "--datum", "PGL2", "2", "3", "--jobs", "2")
-    assert code == 0
-    assert out.startswith("PASS")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("satake", "--datum", "PGL2", "2", "--format", "csv"),
+        ("hecke-mul", "--datum", "PGL2", "1", "1", "--format", "pretty"),
+        ("whittaker-eval", "--datum", "PGL2", "--gamma", "2", "--format", "pretty"),
+        ("strata", "--datum", "SL3", "1", "--format", "pretty"),
+        ("verify-cs", "--datum", "PGL2", "2", "--format", "csv"),
+        ("verify-eq2", "--datum", "PGL2", "1", "3", "--format", "csv"),
+    ],
+)
+def test_unsupported_format_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "invalid choice" in err
+
+
+@pytest.mark.parametrize(
+    "command", [("tensor", "1", "1"), ("satake", "2"), ("verify-eq2", "1", "3")]
+)
+def test_q_is_only_accepted_by_whittaker_eval(capsys, command):
+    code, out, err = run(capsys, *command, "--datum", "PGL2", "--q", "9")
+    assert code == 2
+    assert out == ""
+    assert "--q" in err
+
+
+def test_jobs_flag_is_gone(capsys):
+    code, _, err = run(capsys, "verify-eq2", "--datum", "PGL2", "2", "3", "--jobs", "2")
+    assert code == 2
+    assert "--jobs" in err
+
+
+def test_verify_cs_names_its_first_counterexample(capsys, monkeypatch):
+    from satake.laurent import LaurentPoly
+    from satake.whittaker import WhittakerModule
+
+    honest_act = WhittakerModule.act
+    honest_residual = WhittakerModule.eigen_residual
+
+    def act(self, w, h):
+        out = honest_act(self, w, h)
+        if h.support() == ((2,),):  # corrupt every action of A_2
+            out = out.plus(self.phi((0,), LaurentPoly.const(1)))
+        return out
+
+    def eigen_residual(self, gamma, lam_act, cutoff):
+        residual = honest_residual(self, gamma, lam_act, cutoff)
+        residual[(2,)] += 1
+        return residual
+
+    monkeypatch.setattr(WhittakerModule, "act", act)
+    monkeypatch.setattr(WhittakerModule, "eigen_residual", eigen_residual)
+    code, out, _ = run(capsys, "verify-cs", "--datum", "PGL2", "2", "--gammas", "1")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == "basis-compatibility: FAIL 1 (3 cases)"
+    assert lines[1] == "  first failure lambda=2: lhs=PHI{0: 1; 2: 1} rhs=PHI{2: 1}"
+    assert lines[2] == "module-axiom: FAIL 3 (9 cases)"
+    assert lines[3].startswith("  first failure lambda=0 mu=2: lhs=PHI{2: 1} rhs=PHI{0: 1; 2: 1}")
+    assert lines[5].startswith("  first failure gamma=")
+    assert " lambda=1 nu=2: lhs=" in lines[5]
+
+    code, out, _ = run(
+        capsys, "verify-cs", "--datum", "PGL2", "2", "--gammas", "1", "--format", "json"
+    )
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    assert checks[0]["first_failure"] == {
+        "inputs": {"lambda": "2"},
+        "lhs": "PHI{0: 1; 2: 1}",
+        "rhs": "PHI{2: 1}",
+    }
+    eigen = checks[2]["first_failure"]
+    assert eigen["inputs"]["nu"] == "2"
+    assert Fraction(eigen["lhs"]) - Fraction(eigen["rhs"]) == 1
 
 
 def test_internal_invariant_violation_is_exit_3(capsys, monkeypatch):

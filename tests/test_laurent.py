@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from satake.laurent import LaurentPoly, ONE, Q, V, ZERO, as_poly, poly_arith
+from satake.laurent import LaurentPoly, ONE, Q, V, VMonomial, ZERO, as_poly
 
 
 def rand_poly(rng, max_terms=4, max_exp=5, max_coeff=9):
@@ -31,13 +31,14 @@ def test_one_plus_q_squared():
     assert (p * p).q_coefficients() == {0: 1, 1: 2, 2: 1}
 
 
-def test_poly_arith_dispatch():
-    a, b = LaurentPoly({1: 2}), LaurentPoly({0: 3, 1: -2})
-    assert poly_arith(a, b, "add") == LaurentPoly({0: 3})
-    assert poly_arith(a, b, "sub") == LaurentPoly({0: -3, 1: 4})
-    assert poly_arith(a, b, "mul") == a * b
-    with pytest.raises(ValueError):
-        poly_arith(a, b, "div")
+def test_v_monomial_renders_and_evaluates():
+    assert str(VMonomial(Fraction(2, 3), 0)) == "2/3"
+    assert str(VMonomial(Fraction(2, 3), 1)) == "2/3*v"
+    assert str(VMonomial(Fraction(-5), -2)) == "-5*v^-2"
+    assert str(VMonomial(Fraction(0), -2)) == "0"
+    assert VMonomial(Fraction(0), -2).v_power == -2  # zero is not normalized here
+    assert VMonomial(Fraction(3), -3).odd and not VMonomial(Fraction(3), 2).odd
+    assert VMonomial(Fraction(5, 2), -1).evaluate(3) == Fraction(5, 6)
 
 
 def test_eval_q_plus_one_at_three():

@@ -1,16 +1,13 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from satake.laurent import LaurentPoly, ONE
-from satake.rank1_oracle import (
-    Cyclotomic,
-    HalfPower,
-    Rank1Oracle,
-    cell,
-    half_power,
-    is_prime,
-)
+from satake.laurent import LaurentPoly, ONE, VMonomial
+from satake.rank1_oracle import Cyclotomic, Rank1Cell, Rank1Oracle, half_power, is_prime
 
 
 @pytest.fixture(scope="module")
@@ -55,16 +52,16 @@ def test_to_integer_guards():
 
 
 def test_cell_examples():
-    c = cell(2, 0)
+    c = Rank1Cell.build(2, 0)
     assert c.dim == 1 and c.coordinates == (-1,)
-    assert cell(1, 0) is None  # parity
-    assert cell(3, 5) is None  # outside the closure
-    point = cell(2, -2)
+    assert Rank1Cell.build(1, 0) is None  # parity
+    assert Rank1Cell.build(3, 5) is None  # outside the closure
+    point = Rank1Cell.build(2, -2)
     assert point.dim == 0 and point.coordinates == ()
-    top = cell(4, 4)
+    top = Rank1Cell.build(4, 4)
     assert top.dim == 4 and top.coordinates == (0, 1, 2, 3)
     with pytest.raises(ValueError):
-        cell(-1, 1)
+        Rank1Cell.build(-1, 1)
 
 
 def test_point_counts_are_full_affine_spaces(oracle):
@@ -188,7 +185,7 @@ def test_absent_coordinate_reduces_to_weighted_point_count(oracle):
 def test_residue_coordinate_is_top_cell_coordinate_for_opposite_conductor():
     for m in range(1, 6):
         for n in range(1, m + 1):
-            c = cell(m, n)
+            c = Rank1Cell.build(m, n)
             if c is None:
                 continue
             j = -1 - (-n)  # conductor mu = -n
@@ -205,10 +202,28 @@ def test_mutation_of_base_change_is_detected(oracle):
     assert any(r.lam == 2 for r in failing)
 
 
-def test_parallel_and_serial_agree(oracle):
-    serial = oracle.verify_eq2(2, [3], jobs=1)
-    parallel = oracle.verify_eq2(2, [3], jobs=2)
-    assert serial == parallel
+def test_corrupted_enumeration_raises_under_optimize():
+    script = (
+        "from satake.rank1_oracle import Rank1Oracle\n"
+        "from satake.root_datum import InvariantError\n"
+        "assert False, 'asserts must be stripped under -O'\n"
+        "oracle = Rank1Oracle('PGL2')\n"
+        "oracle._closed_sums[(1, True, 3)] = 28\n"  # cell (2, 0), ψ-coordinate live: 0
+        "try:\n"
+        "    value = oracle.closed_cell_charsum(2, 0, -1, 3, 'both')\n"
+        "except InvariantError as exc:\n"
+        "    print('raised:', exc)\n"
+        "else:\n"
+        "    print('returned:', value)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("raised: evaluation paths disagree"), done.stdout
 
 
 def test_oracle_requires_adjoint_rank1_datum():
@@ -219,7 +234,9 @@ def test_oracle_requires_adjoint_rank1_datum():
 
 
 def test_half_power_normalizes_zero():
-    assert half_power(0, True) == HalfPower(Fraction(0), False)
+    assert half_power(0, True) == VMonomial(Fraction(0), 0)
+    assert not half_power(0, True).odd
+    assert half_power(Fraction(2, 3), True) == VMonomial(Fraction(2, 3), 1)
     assert str(half_power(Fraction(2, 3), True)) == "2/3*v"
 
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product as iter_product
 
 import pytest
 
@@ -103,6 +104,32 @@ def test_apply_w0():
     assert tuple(-x for x in sl3.apply_w0((1, 0))) == (0, 1)
     assert tuple(-x for x in sl3.apply_w0((2, 5))) == (5, 2)
     assert sl3.apply_w0((0, 0)) == (0, 0)
+
+
+def test_apply_w0_is_the_longest_weyl_element():
+    for name in PRESETS:
+        d = build_root_datum(name)
+        top = max(length for _, length in d.weyl_elements)
+        longest = [m for m, length in d.weyl_elements if length == top]
+        assert len(longest) == 1
+        assert top == len(d.positive_roots)
+        (w0,) = longest
+        for lam in iter_product(range(-4, 5), repeat=d.lattice_rank):
+            image = tuple(sum(row[j] * lam[j] for j in range(len(lam))) for row in w0)
+            assert d.apply_w0(lam) == image
+
+
+def test_w0_consumers_do_not_build_the_weyl_group():
+    from satake.grassmannian import Grassmannian
+    from satake.hecke import A_BASIS, HeckeAlgebra
+    from satake.rep_ring import RepRing
+
+    d = build_root_datum("G2")
+    algebra = HeckeAlgebra(d)
+    assert algebra.star_involution(algebra.monomial(A_BASIS, (1, 2))).support() == ((1, 2),)
+    assert RepRing(d).dual_character_eval((1, 0), (Fraction(2), Fraction(3))) > 0
+    assert Grassmannian(RepRing(d)).mv_dim_bound((1, 0), (-1, 0)).flag == "point"
+    assert "weyl_elements" not in d.__dict__
 
 
 def test_w0_is_an_involution_sending_dominant_to_antidominant():
