@@ -237,6 +237,14 @@ def _cmd_verify_cs(args) -> int:
     datum = _load_datum(args.datum)
     algebra = HeckeAlgebra(datum)
     module = WhittakerModule(algebra)
+    # a battery that checks nothing, or whose eigenfunction check cannot run, is refused
+    # before any work
+    try:
+        module.require_window(args.cutoff)
+    except ValueError as exc:
+        raise UsageError(str(exc))
+    if args.gammas < 1:
+        raise UsageError("--gammas must be at least 1; got %d" % args.gammas)
     box = datum.dominant_box(args.cutoff)
     phi0 = module.phi_zero()
 
@@ -303,6 +311,9 @@ def _cmd_verify_cs(args) -> int:
 
 def _cmd_verify_eq2(args) -> int:
     datum = _load_datum(args.datum)
+    if args.m_max < 0:
+        raise UsageError("m_max must be nonnegative (the battery would be empty); got %d"
+                         % args.m_max)
     for q in args.primes:
         if not is_prime(q):
             raise UsageError("q values must be primes; got %d" % q)

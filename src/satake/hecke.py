@@ -18,10 +18,7 @@ the oracle test battery fails for any other twist.
 
 from __future__ import annotations
 
-import json
-import os
 from fractions import Fraction
-from pathlib import Path
 from typing import Dict, Mapping, Optional, Tuple
 
 from .laurent import LaurentPoly, ONE, as_poly
@@ -32,8 +29,6 @@ A_BASIS = "A"
 C_BASIS = "C"
 PHI_BASIS = "PHI"
 _BASES = (A_BASIS, C_BASIS, PHI_BASIS)
-
-CACHE_ENV = "SATAKE_CACHE_DIR"
 
 Coweight = Tuple[int, ...]
 
@@ -133,7 +128,6 @@ class HeckeAlgebra:
         self.datum = build_root_datum(datum)
         self.rep = rep if rep is not None else RepRing(self.datum)
         self._satake_rows: Dict[Coweight, Dict[Coweight, LaurentPoly]] = {}
-        self._disk_cache_loaded = False
 
     # -- element construction ------------------------------------------------
 
@@ -173,9 +167,6 @@ class HeckeAlgebra:
             raise ValueError("coweight %r is not dominant" % (lam,))
         if lam in self._satake_rows:
             return dict(self._satake_rows[lam])
-        self._load_disk_cache()
-        if lam in self._satake_rows:
-            return dict(self._satake_rows[lam])
         prefactor = -self.datum.pairing_2rho(lam)
         row: Dict[Coweight, LaurentPoly] = {}
         for depth, mu, _ in self.rep.dominant_weights_below(lam):
@@ -187,7 +178,6 @@ class HeckeAlgebra:
             p = analog.subst_v_inverse().shift(2 * depth)
             row[mu] = p.shift(prefactor)
         self._satake_rows[lam] = row
-        self._store_disk_cache()
         return dict(row)
 
     def satake_to_c(self, h: BasisElement) -> BasisElement:
@@ -250,48 +240,3 @@ class HeckeAlgebra:
                 scalar = coeff.eval_v(v)
             total += scalar * self.rep.character_eval(lam, gamma)
         return total
-
-    # -- optional on-disk cache for base-change rows -----------------------------------
-
-    def _cache_path(self) -> Optional[Path]:
-        cache_dir = os.environ.get(CACHE_ENV)
-        if not cache_dir or self.datum.preset_name is None:
-            return None
-        return Path(cache_dir) / ("satake_rows_%s.json" % self.datum.preset_name)
-
-    def _load_disk_cache(self) -> None:
-        if self._disk_cache_loaded:
-            return
-        self._disk_cache_loaded = True
-        path = self._cache_path()
-        if path is None or not path.exists():
-            return
-        try:
-            data = json.loads(path.read_text())
-        except (OSError, ValueError):
-            return
-        for lam_key, row in data.items():
-            lam = tuple(int(x) for x in lam_key.split(","))
-            self._satake_rows.setdefault(
-                lam,
-                {
-                    tuple(int(x) for x in mu_key.split(",")): LaurentPoly.from_json(poly)
-                    for mu_key, poly in row.items()
-                },
-            )
-
-    def _store_disk_cache(self) -> None:
-        path = self._cache_path()
-        if path is None:
-            return
-        payload = {
-            ",".join(map(str, lam)): {
-                ",".join(map(str, mu)): poly.to_json() for mu, poly in sorted(row.items())
-            }
-            for lam, row in sorted(self._satake_rows.items())
-        }
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(json.dumps(payload, sort_keys=True))
-        except OSError:
-            pass  # cache is best-effort

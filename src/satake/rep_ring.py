@@ -4,17 +4,20 @@ Weight multiplicities come from the Freudenthal recursion (with the
 alternating Kostant sum kept alongside as an independent cross-check),
 tensor products from the Brauer–Klimyk ρ-shift algorithm, characters by
 direct exact summation over weight tables, and the q-side from the
-q-deformed Kostant partition function and the Lusztig q-analog of weight
-multiplicity.  All values are exact (integers / Fractions / integer Laurent
-polynomials); per-instance memo dictionaries make repeated queries cheap.
+q-deformed Kostant partition function (one coin-change table per instance,
+in integers) and the Lusztig q-analog of weight multiplicity.  All values
+are exact (integers / Fractions / integer Laurent polynomials); per-instance
+memo dictionaries make repeated queries cheap.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import product as iter_product
+from operator import mul
+from typing import Dict, List, Sequence, Tuple
 
-from .laurent import LaurentPoly, ONE, ZERO
+from .laurent import LaurentPoly, ZERO
 from .root_datum import InvariantError, RootDatum, build_root_datum
 
 Coweight = Tuple[int, ...]
@@ -49,8 +52,8 @@ class RepRing:
         self._dominant_tables: Dict[Coweight, Dict[Coweight, int]] = {}
         self._full_weights: Dict[Coweight, Tuple[Tuple[Coweight, int], ...]] = {}
         self._tensor: Dict[Tuple[Coweight, Coweight], Dict[Coweight, int]] = {}
-        self._qkostant: Dict[Tuple[Fraction, ...], LaurentPoly] = {}
-        self._lusztig: Dict[Tuple[Coweight, Coweight], LaurentPoly] = {}
+        self._partition_table: Dict[Coweight, Tuple[Dict[int, int], ...]] = {}
+        self._partition_box: Coweight = (0,) * self.datum.rank
         self._dims: Dict[Coweight, int] = {}
 
     # -- helpers -----------------------------------------------------------
@@ -247,35 +250,39 @@ class RepRing:
         coords = self.datum.coroot_coordinates(beta)
         if coords is None or any(c.denominator != 1 or c < 0 for c in coords):
             return ZERO
-        key = tuple(coords)
-        if key in self._qkostant:
-            return self._qkostant[key]
-        target = tuple(int(c) for c in coords)
+        key = tuple(int(c) for c in coords)
+        self._grow_partition_table(key)
+        return LaurentPoly({2 * k: c for k, c in self._partition_table[key][0].items()})
+
+    def _grow_partition_table(self, target: Coweight) -> None:
+        """Extend the coin-change table of the q-Kostant partition function to cover target.
+
+        With α_0, …, α_{N−1} the positive coroots in coroot coordinates and
+        P_N = δ_0, the table holds P_i[β] = P_{i+1}[β] + q·P_i[β − α_i] for
+        every i and every β in a box [0, b_1] × … × [0, b_r]; P_0 is the
+        partition function.  The box grows to the coordinatewise maximum of
+        itself and target, and the new points are filled in lexicographic
+        order, which puts β − α_i before β.  Values are {q-power: count} maps.
+        """
+        table = self._partition_table
+        if target in table:
+            return
+        box = tuple(max(b, t) for b, t in zip(self._partition_box, target))
         roots = [c for _, c in self.datum.positive_coroots]
-        memo: Dict[Tuple[int, Tuple[int, ...]], LaurentPoly] = {}
-
-        def count(idx: int, remaining: Tuple[int, ...]) -> LaurentPoly:
-            if not any(remaining):
-                return ONE
-            if idx == len(roots):
-                return ZERO
-            state = (idx, remaining)
-            if state in memo:
-                return memo[state]
-            total = ZERO
-            r = roots[idx]
-            k = 0
-            rem = remaining
-            while all(x >= 0 for x in rem):
-                total = total + LaurentPoly.q_power(k) * count(idx + 1, rem)
-                k += 1
-                rem = tuple(x - y for x, y in zip(rem, r))
-            memo[state] = total
-            return total
-
-        result = count(0, target)
-        self._qkostant[key] = result
-        return result
+        for point in iter_product(*(range(b + 1) for b in box)):
+            if point in table:
+                continue
+            value: Dict[int, int] = {} if any(point) else {0: 1}
+            layers: List[Dict[int, int]] = [value] * len(roots)
+            for i in reversed(range(len(roots))):
+                prev = tuple(p - a for p, a in zip(point, roots[i]))
+                if min(prev) >= 0:
+                    value = dict(value)
+                    for k, c in table[prev][i].items():
+                        value[k + 1] = value.get(k + 1, 0) + c
+                layers[i] = value
+            table[point] = tuple(layers)
+        self._partition_box = box
 
     def lusztig_q_analog(self, lam, mu) -> LaurentPoly:
         """Lusztig's q-analog of the weight multiplicity dim V^λ(μ).
@@ -283,32 +290,25 @@ class RepRing:
         The alternating Weyl sum of the q-Kostant partition function at
         w(λ+ρ) − (μ+ρ); its value at q = 1 is the weight multiplicity.
         """
-        lam = self._require_dominant(lam)
-        mu = self._require_dominant(mu)
-        key = (lam, mu)
-        if key in self._lusztig:
-            return self._lusztig[key]
-        result = self._alternating_sum(lam, mu)
-        self._lusztig[key] = result
-        return result
+        return self._alternating_sum(self._require_dominant(lam), self._require_dominant(mu))
 
     def _alternating_sum(self, lam: Coweight, nu: Coweight) -> LaurentPoly:
         """The alternating Weyl sum Σ_w (−1)^{ℓ(w)} P_q(w(λ+ρ) − (ν+ρ)).
 
         P_q is the q-Kostant partition function; λ must be dominant, ν need not be.
+        The arguments are formed from 2(λ+ρ) and 2(ν+ρ) with the integer Weyl
+        matrices; an argument with an odd entry is off the lattice and adds 0.
         """
         datum = self.datum
-        rho = datum.rho_dual_fractions
-        shifted = tuple(Fraction(x) + r for x, r in zip(lam, rho))
-        target = tuple(Fraction(x) + r for x, r in zip(nu, rho))
+        two_rho = datum.two_rho_dual
+        shifted = tuple(2 * x + r for x, r in zip(lam, two_rho))
+        target = tuple(2 * x + r for x, r in zip(nu, two_rho))
         total = ZERO
-        n = datum.lattice_rank
         for matrix, length in datum.weyl_elements:
-            image = tuple(
-                sum(Fraction(matrix[r][c]) * shifted[c] for c in range(n)) for r in range(n)
-            )
-            arg = tuple(a - b for a, b in zip(image, target))
-            part = self.q_kostant_partition(arg)
+            doubled = [sum(map(mul, row, shifted)) - t for row, t in zip(matrix, target)]
+            if any(x % 2 for x in doubled):
+                continue
+            part = self.q_kostant_partition(tuple(x // 2 for x in doubled))
             if part:
                 total = total + part if length % 2 == 0 else total - part
         return total

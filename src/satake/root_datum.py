@@ -62,16 +62,19 @@ class DomRep(NamedTuple):
 
 
 def _dot(a: Sequence, b: Sequence) -> Fraction:
+    """The pairing Σ a_i b_i; integer vectors are summed in ints, one Fraction at the end."""
     if len(a) != len(b):
         raise ValueError("dimension mismatch: %d vs %d" % (len(a), len(b)))
-    return sum((Fraction(x) * Fraction(y) for x, y in zip(a, b)), Fraction(0))
+    return Fraction(sum(x * y for x, y in zip(a, b)))
 
 
 def _reflect(vec: Sequence, pair_with: Sequence, along: Sequence) -> Tuple:
     """vec − ⟨vec, pair_with⟩ · along, with integer entries when they are integral."""
     c = _dot(vec, pair_with)
+    if c.denominator == 1:
+        c = c.numerator
     out = tuple(x - c * a for x, a in zip(vec, along))
-    if all(Fraction(x).denominator == 1 for x in out):
+    if all(x.denominator == 1 for x in out):
         return tuple(int(x) for x in out)
     return out
 
@@ -120,33 +123,6 @@ def _identity(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def _row_reduce(rows: List[List[Fraction]]) -> List[List[Fraction]]:
-    rows = [list(r) for r in rows]
-    nrows, ncols = len(rows), len(rows[0]) if rows else 0
-    pivot_row = 0
-    for col in range(ncols):
-        pick = next((r for r in range(pivot_row, nrows) if rows[r][col] != 0), None)
-        if pick is None:
-            continue
-        rows[pivot_row], rows[pick] = rows[pick], rows[pivot_row]
-        inv = Fraction(1) / rows[pivot_row][col]
-        rows[pivot_row] = [x * inv for x in rows[pivot_row]]
-        for r in range(nrows):
-            if r != pivot_row and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[pivot_row])]
-        pivot_row += 1
-        if pivot_row == nrows:
-            break
-    return rows
-
-
-def _matrix_rank(vectors: Sequence[Sequence[int]]) -> int:
-    rows = [[Fraction(x) for x in v] for v in vectors]
-    reduced = _row_reduce(rows)
-    return sum(1 for row in reduced if any(row))
-
-
 def _det(matrix: List[List[Fraction]]) -> Fraction:
     n = len(matrix)
     m = [list(row) for row in matrix]
@@ -165,6 +141,17 @@ def _det(matrix: List[List[Fraction]]) -> Fraction:
                 factor = m[r][col] * inv
                 m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
     return det
+
+
+def _invertible_minor(vectors: Sequence[Sequence[int]]):
+    """(rows, minor, det) for the first invertible square minor of the matrix with columns
+    `vectors`, where minor[k][j] = vectors[j][rows[k]]; None if the vectors are dependent."""
+    for rows in combinations(range(len(vectors[0])), len(vectors)):
+        minor = [[Fraction(v[row]) for v in vectors] for row in rows]
+        det = _det(minor)
+        if det != 0:
+            return rows, minor, int(det)
+    return None
 
 
 @dataclass(frozen=True)
@@ -265,27 +252,37 @@ class RootDatum:
             out = self.reflect(i, out)
         return out
 
+    @cached_property
+    def _coroot_solver(self) -> Tuple[Tuple[int, ...], Matrix, int]:
+        """(rows, adjugate, determinant) of an invertible rank×rank minor of the coroot matrix.
+
+        The minor's inverse is adjugate / determinant, with the determinant made
+        positive, so the coroot coordinates of a vector in the span are the
+        adjugate applied to its `rows` entries, over one common denominator.
+        """
+        rows, minor, det = _invertible_minor(self.simple_coroots)
+        sign = 1 if det > 0 else -1
+
+        def cofactor(k: int, j: int) -> int:
+            """(−1)^{j+k} times the determinant of the minor without row k and column j."""
+            rest = [[x for c, x in enumerate(line) if c != j]
+                    for m, line in enumerate(minor) if m != k]
+            return (-1) ** (j + k) * int(_det(rest))
+
+        r = self.rank
+        adjugate = tuple(tuple(sign * cofactor(k, j) for k in range(r)) for j in range(r))
+        return rows, adjugate, abs(det)
+
     def coroot_coordinates(self, vec: Sequence) -> Optional[Tuple[Fraction, ...]]:
         """Coordinates of vec in the simple coroots, or None if vec is outside their span."""
-        cols = self.simple_coroots
-        rows = [
-            [Fraction(cols[j][r]) for j in range(len(cols))] + [Fraction(vec[r])]
-            for r in range(self.lattice_rank)
-        ]
-        reduced = _row_reduce(rows)
-        solution: List[Fraction] = [Fraction(0)] * len(cols)
-        for row in reduced:
-            lead = next((j for j in range(len(cols)) if row[j] != 0), None)
-            if lead is None:
-                if row[-1] != 0:
-                    return None
-                continue
-            solution[lead] = row[-1]
-        # verify (guards against underdetermined corner cases)
+        rows, adjugate, det = self._coroot_solver
+        sub = [vec[row] for row in rows]
+        numerators = [sum(a * x for a, x in zip(line, sub)) for line in adjugate]
+        # the minor fixes the solution; every lattice coordinate must agree with it
         for r in range(self.lattice_rank):
-            if sum(solution[j] * cols[j][r] for j in range(len(cols))) != Fraction(vec[r]):
+            if sum(n * v[r] for n, v in zip(numerators, self.simple_coroots)) != det * vec[r]:
                 return None
-        return tuple(solution)
+        return tuple(Fraction(n, det) for n in numerators)
 
     def dominance_leq(self, mu: Sequence, lam: Sequence) -> bool:
         """μ ≤ λ in the dominance order: λ − μ is a Z≥0-combination of simple coroots.
@@ -330,13 +327,18 @@ class RootDatum:
         return HalfWeight.half_of(self.two_rho_check)
 
     @cached_property
-    def rho_dual(self) -> HalfWeight:
-        """ρ of the dual group: half the sum of the positive coroots."""
+    def two_rho_dual(self) -> Vector:
+        """2ρ of the dual group: the sum of the positive coroots, a vector in Λ."""
         total = [0] * self.lattice_rank
         for v, _ in self.positive_coroots:
             for k, x in enumerate(v):
                 total[k] += x
-        return HalfWeight.half_of(total)
+        return tuple(total)
+
+    @cached_property
+    def rho_dual(self) -> HalfWeight:
+        """ρ of the dual group: half the sum of the positive coroots."""
+        return HalfWeight.half_of(self.two_rho_dual)
 
     @cached_property
     def rho_dual_fractions(self) -> Tuple[Fraction, ...]:
@@ -532,9 +534,9 @@ def build_root_datum(spec) -> RootDatum:
                     "pairing ⟨coroot_%d, root_%d⟩ = %s disagrees with Cartan entry %d"
                     % (j, i, _dot(coroots[j], roots[i]), cartan[i][j])
                 )
-    if _matrix_rank(coroots) != len(coroots):
+    if _invertible_minor(coroots) is None:
         raise ValueError("simple coroots must be linearly independent")
-    if _matrix_rank(roots) != len(roots):
+    if _invertible_minor(roots) is None:
         raise ValueError("simple roots must be linearly independent")
     return RootDatum(
         lattice_rank=lattice_rank,

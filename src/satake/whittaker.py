@@ -74,6 +74,15 @@ class WhittakerModule:
         trace = self.rep.dual_character_eval(lam, gamma)
         return VMonomial(trace, -self.datum.pairing_2rho(lam))
 
+    def require_window(self, cutoff: int) -> None:
+        """Raise ValueError unless the eigen-residual window for cutoff is finite and nonempty."""
+        if cutoff < 0:
+            raise ValueError("cutoff too small: the safe window would be empty")
+        if self.datum.rank != self.datum.lattice_rank:
+            raise ValueError(
+                "datum has central torus directions; the truncation window is infinite"
+            )
+
     def eigen_residual(self, gamma: TorusPoint, lam_act, cutoff: int) -> Dict[Coweight, Fraction]:
         """Coefficients of (W_γ|trunc ⋆ A_λ) − Tr(γ,V^λ)·(W_γ|trunc) on the safe window.
 
@@ -81,12 +90,7 @@ class WhittakerModule:
         window is ⟨ν,2ρ̌⟩ ≤ cutoff, where every tensor contribution is inside
         the truncation, so the contract is an exact zero map.
         """
-        if cutoff < 0:
-            raise ValueError("cutoff too small: the safe window would be empty")
-        if self.datum.rank != self.datum.lattice_rank:
-            raise ValueError(
-                "datum has central torus directions; the truncation window is infinite"
-            )
+        self.require_window(cutoff)
         lam_act = self.datum.coweight(lam_act)
         if not self.datum.is_dominant(lam_act):
             raise ValueError("acting coweight %r is not dominant" % (lam_act,))

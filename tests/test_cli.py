@@ -295,3 +295,44 @@ def test_internal_invariant_violation_is_exit_3(capsys, monkeypatch):
     code, _, err = run(capsys, "tensor", "--datum", "PGL2", "1", "1")
     assert code == 3
     assert "internal invariant" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("verify-eq2", "--datum", "PGL2", "-1", "3"), "m_max"),
+        (("verify-eq2", "--datum", "PGL2", "3", "--"), "required: q"),
+        (("verify-cs", "--datum", "PGL2", "--", "-1"), "window would be empty"),
+        (("verify-cs", "--datum", "PGL2", "2", "--gammas", "0"), "--gammas"),
+    ],
+)
+def test_empty_battery_is_usage_error(capsys, monkeypatch, argv, message):
+    from satake.rank1_oracle import Rank1Oracle
+    from satake.whittaker import WhittakerModule
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the battery ran")
+
+    monkeypatch.setattr(Rank1Oracle, "verify_eq2", no_work)
+    monkeypatch.setattr(WhittakerModule, "act", no_work)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("datum, lam", [("GL2", "2"), ("GL3", "2")])
+def test_verify_cs_refuses_central_torus_before_any_check(capsys, monkeypatch, datum, lam):
+    from satake.hecke import HeckeAlgebra
+    from satake.whittaker import WhittakerModule
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a check ran before the datum was refused")
+
+    monkeypatch.setattr(WhittakerModule, "act", no_work)
+    monkeypatch.setattr(WhittakerModule, "eigen_residual", no_work)
+    monkeypatch.setattr(HeckeAlgebra, "mul", no_work)
+    code, out, err = run(capsys, "verify-cs", "--datum", datum, lam)
+    assert code == 2
+    assert out == ""
+    assert "central torus" in err

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -243,13 +244,41 @@ def test_element_json_round_trip():
     assert data["terms"][0]["coeff"] == {"v": {"0": 1}}
 
 
-def test_disk_cache_round_trip(tmp_path, monkeypatch):
-    monkeypatch.setenv("SATAKE_CACHE_DIR", str(tmp_path))
-    first = HeckeAlgebra("PGL2")
-    row = first.satake_row((4,))
-    cache_files = list(tmp_path.glob("satake_rows_PGL2.json"))
-    assert cache_files
-    payload = json.loads(cache_files[0].read_text())
-    assert "4" in payload
-    second = HeckeAlgebra("PGL2")
-    assert second.satake_row((4,)) == row
+# -- pinned outputs ------------------------------------------------------------------
+
+# sha256 of each preset's rows A_λ (satake_row) and inverse rows c_λ (c_to_satake)
+# over the λ below, recorded from the recursive q-Kostant partition function with
+# Fraction pairings: a change to the q-side must reproduce them exactly.
+PINNED_ROWS = {
+    "PGL2": ([(1,), (6,)],
+             "ab6dc3c03f0103e5cddaf0f86de11c35e5ca3368968f8aa88b450c5ceaf06bbe"),
+    "SL2": ([(1,), (5,)],
+            "d53e013073a62e0db8cfb80e2dd95c5880bd1c154ae75c2b1b279d7f63a55849"),
+    "GL2": ([(1, 0), (3, -1)],
+            "0bbfa58402cf875f39da3c857788116fe441f8dda82345fdb91cba9edfa62cbf"),
+    "SL3": ([(1, 1), (3, 0), (6, 6)],
+            "5662e9c5dff8ec16f88d4f9c2143c6573baff2fc0e67725c8d145d1e43db7866"),
+    "GL3": ([(1, 0, -1), (2, 1, 0)],
+            "2500d430f7574ffaebf3d502818abf634e03475fa8b59991e4d54c94238864c1"),
+    "Sp4": ([(1, 1), (4, 4)],
+            "b907df5e3c2f536af75cc53633838032c1938d03650ca72941dcc577b4cfc2d6"),
+    "G2": ([(1, 0), (2, 1), (5, 5)],
+           "4423a4bf8ed51b6c0c8c7c0b08ea9455c284734922eb3a34831d0669b5dd102e"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_ROWS))
+def test_satake_rows_match_pinned_digests(name):
+    lams, digest = PINNED_ROWS[name]
+    algebra = HeckeAlgebra(name)
+    payload = []
+    for lam in lams:
+        row = algebra.satake_row(lam)
+        inverse = algebra.c_to_satake(algebra.monomial(C_BASIS, lam))
+        payload.append([
+            list(lam),
+            [[list(mu), coeff.to_json()] for mu, coeff in sorted(row.items())],
+            inverse.to_json(),
+        ])
+    text = json.dumps(payload, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -1,11 +1,14 @@
+import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from satake.laurent import LaurentPoly, ONE
 from satake.rep_ring import RepRing, gamma_power, torus_point
-from satake.root_datum import build_root_datum
+from satake.root_datum import PRESETS, build_root_datum
 
 
 def char_product_decompose(rep, lam, mu):
@@ -241,6 +244,83 @@ def test_q_kostant_base_cases():
     # alpha_1 + alpha_2 = (1,1): one highest root or two simple roots
     assert rep.q_kostant_partition((1, 1)) == LaurentPoly({2: 1, 4: 1})
     assert rep.q_kostant_partition((1, 0)) == LaurentPoly()  # off the coroot lattice
+
+
+def _combination(datum, coeffs):
+    """Σ coeffs_j · (simple coroot j), as a lattice vector."""
+    return tuple(
+        sum(c * v[r] for c, v in zip(coeffs, datum.simple_coroots))
+        for r in range(datum.lattice_rank)
+    )
+
+
+def _positive_coroots_by_orbit(datum):
+    """Positive coroots as lattice vectors: the Weyl orbits of the simple coroots, by
+    integer reflections x ↦ x − ⟨x, α_i⟩ α̌_i, kept when their coordinates are ≥ 0."""
+    orbit = set(datum.simple_coroots)
+    frontier = list(orbit)
+    while frontier:
+        x = frontier.pop()
+        for root, coroot in zip(datum.simple_roots, datum.simple_coroots):
+            pairing = sum(a * b for a, b in zip(x, root))
+            y = tuple(a - pairing * b for a, b in zip(x, coroot))
+            if y not in orbit:
+                orbit.add(y)
+                frontier.append(y)
+    cone = {_combination(datum, c) for c in itertools.product(range(4), repeat=datum.rank)}
+    return sorted(v for v in orbit if v in cone)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_q_kostant_matches_multiset_enumeration(name):
+    """Each multiset of n positive coroots summing to β adds q^n; all β of coordinate sum ≤ 6."""
+    bound = 6
+    datum = build_root_datum(name)
+    positive = _positive_coroots_by_orbit(datum)
+    assert len(positive) == {"SL3": 3, "GL3": 3, "Sp4": 4, "G2": 6}.get(name, 1)
+    counts = {}
+    for n in range(bound + 1):
+        for parts in itertools.combinations_with_replacement(positive, n):
+            beta = tuple(sum(col) for col in zip(*parts)) if parts else (0,) * datum.lattice_rank
+            counts.setdefault(beta, {})
+            counts[beta][2 * n] = counts[beta].get(2 * n, 0) + 1
+    rep = RepRing(name)
+    for coeffs in itertools.product(range(bound + 1), repeat=datum.rank):
+        if sum(coeffs) <= bound:
+            beta = _combination(datum, coeffs)
+            assert rep.q_kostant_partition(beta) == LaurentPoly(counts.get(beta, {})), beta
+
+
+def test_q_kostant_cold_call_far_out_needs_no_deep_recursion():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert RepRing("PGL2").q_kostant_partition((4000,)) == LaurentPoly.q_power(2000)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(sorted(PRESETS)),
+       coeffs=st.lists(st.integers(-60, 60), min_size=2, max_size=2))
+def test_coroot_coordinates_recover_coefficients(name, coeffs):
+    datum = build_root_datum(name)
+    coeffs = tuple(coeffs[: datum.rank])
+    assert datum.coroot_coordinates(_combination(datum, coeffs)) == coeffs
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(["GL2", "GL3"]),
+       vec=st.lists(st.integers(-60, 60), min_size=3, max_size=3))
+def test_coroot_coordinates_reject_vectors_off_the_span(name, vec):
+    # the simple coroots of GL(n) span the vectors with coordinate sum 0
+    datum = build_root_datum(name)
+    vec = tuple(vec[: datum.lattice_rank])
+    coords = datum.coroot_coordinates(vec)
+    if sum(vec) != 0:
+        assert coords is None
+    else:
+        assert coords is not None and _combination(datum, coords) == vec
 
 
 def test_lusztig_diagonal_is_one():
