@@ -15,7 +15,6 @@ from .rank1_oracle import Cyclotomic, Eq2Record, Eq2Report, Rank1Cell, Rank1Orac
 from .rep_ring import RepRing, gamma_power, torus_point
 from .root_datum import (
     DomRep,
-    HalfWeight,
     InvariantError,
     PRESETS,
     RootDatum,
@@ -33,7 +32,6 @@ __all__ = [
     "Eq2Record",
     "Eq2Report",
     "Grassmannian",
-    "HalfWeight",
     "HeckeAlgebra",
     "InvariantError",
     "LaurentPoly",

@@ -2,7 +2,8 @@
 
 Every subcommand produces deterministic output for fixed inputs (sorted keys,
 canonical polynomial printing).  Exit status: 0 success, 1 verification
-failure, 2 usage error, 3 internal invariant violation.
+failure, 2 usage error (input rejected while it is parsed), 3 internal error
+(a broken invariant, or a ValueError from the library on validated input).
 """
 
 from __future__ import annotations
@@ -30,16 +31,36 @@ class UsageError(Exception):
     pass
 
 
+def _integer_rows(value) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(row, list) and all(type(x) is int for x in row) for row in value
+    )
+
+
 def _load_datum(spec: str) -> RootDatum:
     if spec in PRESETS:
         return build_root_datum(spec)
-    if os.path.isfile(spec):
+    if not os.path.isfile(spec):
+        raise UsageError(
+            "unknown datum %r: expected a preset (%s) or a JSON file path"
+            % (spec, ", ".join(sorted(PRESETS)))
+        )
+    try:
         with open(spec) as fh:
-            return build_root_datum(json.load(fh))
-    raise UsageError(
-        "unknown datum %r: expected a preset (%s) or a JSON file path"
-        % (spec, ", ".join(sorted(PRESETS)))
-    )
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise UsageError("cannot read datum file %r: %s" % (spec, exc))
+    if not isinstance(data, dict) or not all(
+        _integer_rows(data.get(key)) for key in ("cartan", "coroots", "roots")
+    ):
+        raise UsageError(
+            "datum file %r must hold a JSON object whose cartan, coroots and roots "
+            "are lists of integer lists" % spec
+        )
+    try:
+        return build_root_datum(data)
+    except ValueError as exc:
+        raise UsageError("invalid datum in %r: %s" % (spec, exc))
 
 
 def _parse_coweight(text: str, datum: RootDatum) -> Tuple[int, ...]:
@@ -52,6 +73,13 @@ def _parse_coweight(text: str, datum: RootDatum) -> Tuple[int, ...]:
             "coweight %r has %d coordinates; datum needs %d"
             % (text, len(coords), datum.lattice_rank)
         )
+    return coords
+
+
+def _parse_dominant(text: str, datum: RootDatum) -> Tuple[int, ...]:
+    coords = _parse_coweight(text, datum)
+    if not datum.is_dominant(coords):
+        raise UsageError("coweight %r is not dominant" % (coords,))
     return coords
 
 
@@ -128,15 +156,15 @@ def _emit_mult_map(args, mapping: Dict[Tuple[int, ...], int]) -> None:
 
 def _cmd_tensor(args) -> int:
     datum = _load_datum(args.datum)
-    lam = _parse_coweight(args.lam, datum)
-    mu = _parse_coweight(args.mu, datum)
+    lam = _parse_dominant(args.lam, datum)
+    mu = _parse_dominant(args.mu, datum)
     _emit_mult_map(args, RepRing(datum).tensor_decompose(lam, mu))
     return 0
 
 
 def _cmd_weights(args) -> int:
     datum = _load_datum(args.datum)
-    lam = _parse_coweight(args.lam, datum)
+    lam = _parse_dominant(args.lam, datum)
     _emit_mult_map(args, RepRing(datum).weight_table(lam))
     return 0
 
@@ -144,7 +172,7 @@ def _cmd_weights(args) -> int:
 def _cmd_satake(args) -> int:
     datum = _load_datum(args.datum)
     algebra = HeckeAlgebra(datum)
-    lam = _parse_coweight(args.lam, datum)
+    lam = _parse_dominant(args.lam, datum)
     element = algebra.satake_to_c(algebra.monomial(A_BASIS, lam))
     lines = ["c_%s: %s" % (_coweight_key(cw), coeff) for cw, coeff in element.sorted_terms()]
     _emit(args, payload=element.to_json(), lines=lines + ["(q = v^2)"])
@@ -154,8 +182,8 @@ def _cmd_satake(args) -> int:
 def _cmd_hecke_mul(args) -> int:
     datum = _load_datum(args.datum)
     algebra = HeckeAlgebra(datum)
-    lam = _parse_coweight(args.lam, datum)
-    mu = _parse_coweight(args.mu, datum)
+    lam = _parse_dominant(args.lam, datum)
+    mu = _parse_dominant(args.mu, datum)
     product = algebra.mul(algebra.monomial(A_BASIS, lam), algebra.monomial(A_BASIS, mu))
     _emit(args, payload=product.to_json())
     return 0
@@ -183,13 +211,13 @@ def _cmd_whittaker_eval(args) -> int:
 def _cmd_predict(args) -> int:
     datum = _load_datum(args.datum)
     geometry = Grassmannian(RepRing(datum))
-    lam = _parse_coweight(args.lam, datum)
+    lam = _parse_dominant(args.lam, datum)
     mu = _parse_coweight(args.mu, datum)
     nu = _parse_coweight(args.nu, datum)
-    try:
-        prediction = geometry.predicted_cohomology(lam, mu, nu)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    target = tuple(a + b for a, b in zip(mu, nu))
+    if not datum.is_dominant(target):
+        raise UsageError("hypothesis violated: μ+ν = %r is not dominant" % (target,))
+    prediction = geometry.predicted_cohomology(lam, mu, nu)
     row = [
         _coweight_key(lam),
         _coweight_key(mu),
@@ -209,7 +237,10 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_strata(args) -> int:
-    strata = Grassmannian(RepRing(_load_datum(args.datum))).drinfeld_strata(args.bound)
+    datum = _load_datum(args.datum)
+    if args.bound < 0:
+        raise UsageError("the defect bound must be nonnegative; got %d" % args.bound)
+    strata = Grassmannian(RepRing(datum)).drinfeld_strata(args.bound)
     _emit(
         args,
         payload=[{"gamma": list(gamma), "codim": codim} for gamma, codim in strata],
@@ -400,12 +431,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (UsageError, ValueError) as exc:
+    except UsageError as exc:
         sys.stderr.write("error: %s\n" % exc)
         sys.stderr.write("run with --help for usage\n")
         return 2
     except AssertionError as exc:
         sys.stderr.write("internal invariant violation: %s\n" % exc)
+        return 3
+    except ValueError as exc:
+        # input is validated while it is parsed, so a ValueError here is a library bug
+        sys.stderr.write("internal error: %s\n" % exc)
         return 3
 
 

@@ -88,15 +88,15 @@ class Grassmannian:
         if self.rep.weight_multiplicity(lam, nu) == 0:
             return MVBound(True, None, None)
         total = tuple(a + b for a, b in zip(lam, nu))
-        bound = self.datum.pairing(total, self.datum.rho_check)
-        if bound.denominator != 1:
-            raise InvariantError("MV bound ⟨λ+ν, ρ̌⟩ = %s is not an integer" % bound)
+        bound, odd = divmod(self.datum.pairing_2rho(total), 2)
+        if odd:
+            raise InvariantError("MV bound ⟨λ+ν, ρ̌⟩ = %d + 1/2 is not an integer" % bound)
         flag = None
         if nu == self.datum.apply_w0(lam):
             flag = "point"
         elif nu == lam:
             flag = "open dense"
-        return MVBound(False, int(bound), flag)
+        return MVBound(False, bound, flag)
 
     def chi_admissible(self, mu, nu) -> bool:
         """The character of conductor μ restricts to the orbit S^ν iff μ+ν is dominant."""

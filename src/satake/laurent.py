@@ -46,9 +46,6 @@ class LaurentPoly:
 
     # -- inspection --------------------------------------------------------
 
-    def coeff(self, exp: int) -> int:
-        return self._coeffs.get(exp, 0)
-
     def items(self) -> Tuple[Tuple[int, int], ...]:
         """Terms as (exponent, coefficient), ascending in the exponent."""
         return tuple(sorted(self._coeffs.items()))
@@ -73,16 +70,6 @@ class LaurentPoly:
         if any(e % 2 for e in self._coeffs):
             raise ValueError("polynomial %s has odd v-powers" % self)
         return {e // 2: c for e, c in self._coeffs.items()}
-
-    def min_exponent(self) -> int:
-        if not self._coeffs:
-            raise ValueError("zero polynomial has no exponents")
-        return min(self._coeffs)
-
-    def max_exponent(self) -> int:
-        if not self._coeffs:
-            raise ValueError("zero polynomial has no exponents")
-        return max(self._coeffs)
 
     # -- ring operations ---------------------------------------------------
 

@@ -234,12 +234,13 @@ class Rank1Oracle:
 
     # -- character sums over cells ---------------------------------------------
 
-    def closed_cell_charsum(self, mprime: int, n: int, j: int, q: int, method: str) -> int:
+    def closed_cell_charsum(self, mprime: int, n: int, j: int, q: int) -> int:
         """Σ over F_q-points of the closed cell of ψ(a_j); exact integer.
 
-        method: "enumerate" (literal points, cyclotomic ψ-values),
-        "closed" (free ψ-coordinate ⇒ 0, absent ⇒ q^dim), or "both"
-        (compute both ways and insist they agree).
+        Computed both ways, which must agree: by literal enumeration with
+        cyclotomic ψ-values (memoized per cell dimension, ψ-coordinate
+        presence and q), and in closed form (free ψ-coordinate ⇒ 0,
+        absent ⇒ q^dim).
         """
         if not is_prime(q):
             raise ValueError("the oracle works over prime fields; got q = %d" % q)
@@ -247,8 +248,6 @@ class Rank1Oracle:
         if c is None:
             raise ValueError("empty cell (m = %d, n = %d)" % (mprime, n))
         present = j in c.coordinates
-        if method == "closed":
-            return 0 if present else q ** c.dim
         key = (c.dim, present, q)
         if key not in self._closed_sums:
             pos = c.coordinates.index(j) if present else None
@@ -257,22 +256,19 @@ class Rank1Oracle:
                 total = total + Cyclotomic.zeta(q, point[pos] if pos is not None else 0)
             self._closed_sums[key] = total.to_integer()
         enum_value = self._closed_sums[key]
-        if method == "both":
-            closed_value = 0 if present else q ** c.dim
-            if enum_value != closed_value:
-                raise InvariantError(
-                    "evaluation paths disagree on cell (%d,%d): %d vs %d"
-                    % (mprime, n, enum_value, closed_value)
-                )
-        elif method != "enumerate":
-            raise ValueError("unknown method %r" % method)
+        closed_value = 0 if present else q ** c.dim
+        if enum_value != closed_value:
+            raise InvariantError(
+                "evaluation paths disagree on cell (%d,%d): %d vs %d"
+                % (mprime, n, enum_value, closed_value)
+            )
         return enum_value
 
-    def stratum_charsum(self, mprime: int, n: int, j: int, q: int, method: str) -> int:
+    def stratum_charsum(self, mprime: int, n: int, j: int, q: int) -> int:
         """ψ-sum over the locally closed stratum, by peeling the next closed cell."""
-        total = self.closed_cell_charsum(mprime, n, j, q, method)
+        total = self.closed_cell_charsum(mprime, n, j, q)
         if mprime - 2 >= abs(n):
-            total -= self.closed_cell_charsum(mprime - 2, n, j, q, method)
+            total -= self.closed_cell_charsum(mprime - 2, n, j, q)
         return total
 
     def point_count(self, m: int, n: int, q: int) -> int:
@@ -290,7 +286,6 @@ class Rank1Oracle:
         mu: int,
         nu: int,
         q: int,
-        method: str = "both",
         ic_override: Optional[Dict[Tuple[int, int], LaurentPoly]] = None,
     ) -> VMonomial:
         """The orbit integral as an exact value c · v^ε.
@@ -314,7 +309,7 @@ class Rank1Oracle:
                     weight = ic_override[(m, mprime)]
                 else:
                     weight = self.ic_weight(m, mprime)
-                total = total + weight * self.stratum_charsum(mprime, n, j, q, method)
+                total = total + weight * self.stratum_charsum(mprime, n, j, q)
         total = total.shift(-2 * n)  # measure of the stabilizer of ν(t): q^{−ν}
         if not total:
             return half_power(0, False)
@@ -346,10 +341,9 @@ class Rank1Oracle:
         mu: int,
         nu: int,
         q: int,
-        method: str = "both",
         ic_override: Optional[Dict[Tuple[int, int], LaurentPoly]] = None,
     ) -> Eq2Record:
-        lhs = self.eq2_lhs(lam, mu, nu, q, method=method, ic_override=ic_override)
+        lhs = self.eq2_lhs(lam, mu, nu, q, ic_override=ic_override)
         rhs = self.eq2_rhs(lam, mu, nu, q)
         return Eq2Record(lam, mu, nu, q, lhs, rhs, lhs == rhs)
 
@@ -367,11 +361,10 @@ class Rank1Oracle:
         m_max: int,
         q_list: Sequence[int],
         ic_override: Optional[Dict[Tuple[int, int], LaurentPoly]] = None,
-        method: str = "both",
     ) -> Eq2Report:
         """Run the whole battery; failures become report entries, not exceptions."""
         records = [
-            self.check_triple(m, mu, n, q, method=method, ic_override=ic_override)
+            self.check_triple(m, mu, n, q, ic_override=ic_override)
             for q in q_list
             for (m, n, mu) in self.triples(m_max)
         ]

@@ -64,39 +64,44 @@ class RepRing:
             raise ValueError("coweight %r is not dominant" % (lam,))
         return lam
 
-    def _form(self, x: Sequence, coords: Sequence) -> Fraction:
-        """Weyl-invariant form (x, β) where β = Σ coords_j · coroot_j."""
+    def _form(self, x: Sequence, coords: Sequence) -> int:
+        """Weyl-invariant form (x, β) where β = Σ coords_j · coroot_j, in integers."""
         datum = self.datum
         d = datum.symmetrizer
-        total = Fraction(0)
+        total = 0
         for j, c in enumerate(coords):
             if c:
-                total += Fraction(c) * d[j] * datum.pairing(x, datum.simple_roots[j])
+                total += c * d[j] * datum.pairing(x, datum.simple_roots[j])
         return total
 
     # -- dimensions and weights ---------------------------------------------
 
     def weyl_dim(self, lam) -> int:
-        """Dimension of the dual-group irreducible with highest weight λ (Weyl formula)."""
+        """Dimension of the dual-group irreducible with highest weight λ (Weyl formula).
+
+        The product of ⟨2λ+2ρ, α⟩ over the product of ⟨2ρ, α⟩, α > 0, in integers.
+        """
         lam = self._require_dominant(lam)
         if lam in self._dims:
             return self._dims[lam]
         datum = self.datum
-        rho = datum.rho_dual_fractions
-        shifted = tuple(Fraction(a) + b for a, b in zip(lam, rho))
-        dim = Fraction(1)
+        two_rho = datum.two_rho_dual
+        shifted = tuple(2 * a + r for a, r in zip(lam, two_rho))
+        numerator = denominator = 1
         for root in datum.positive_roots:
-            dim *= datum.pairing(shifted, root) / datum.pairing(rho, root)
-        if dim.denominator != 1 or dim <= 0:
-            raise InvariantError("Weyl dimension of %r is %s" % (lam, dim))
-        self._dims[lam] = int(dim)
-        return int(dim)
+            numerator *= datum.pairing(shifted, root)
+            denominator *= datum.pairing(two_rho, root)
+        dim, rem = divmod(numerator, denominator)
+        if rem or dim <= 0:
+            raise InvariantError("Weyl dimension of %r is %d/%d" % (lam, numerator, denominator))
+        self._dims[lam] = dim
+        return dim
 
     def dominant_weights_below(self, lam) -> List[Tuple[int, Coweight, Coweight]]:
         """All dominant μ ≤ λ as (depth, μ, coroot-coordinates of λ−μ), depth-sorted."""
         lam = self._require_dominant(lam)
         datum = self.datum
-        max_depth = int(datum.pairing(lam, datum.rho_check))
+        max_depth = datum.pairing_2rho(lam) // 2
         out = []
         rank = datum.rank
 
@@ -121,13 +126,13 @@ class RepRing:
         if lam in self._dominant_tables:
             return dict(self._dominant_tables[lam])
         datum = self.datum
-        rho = datum.rho_dual_fractions
+        two_rho = datum.two_rho_dual
         table: Dict[Coweight, int] = {}
         for depth, mu, coords in self.dominant_weights_below(lam):
             if depth == 0:
                 table[mu] = 1
                 continue
-            numerator = Fraction(0)
+            numerator = 0
             for alpha, acoords in datum.positive_coroots:
                 k = 1
                 while True:
@@ -138,14 +143,12 @@ class RepRing:
                         break  # weights along a root string are contiguous
                     numerator += mult * self._form(nu, acoords)
                     k += 1
-            lam_mu_sum = tuple(
-                Fraction(a) + Fraction(b) + 2 * r for a, b, r in zip(lam, mu, rho)
-            )
+            lam_mu_sum = tuple(a + b + r for a, b, r in zip(lam, mu, two_rho))
             denominator = self._form(lam_mu_sum, coords)
-            value = 2 * numerator / denominator
-            if value.denominator != 1 or value <= 0:
-                raise InvariantError("Freudenthal gave %s" % value)
-            table[mu] = int(value)
+            value, rem = divmod(2 * numerator, denominator)
+            if rem or value <= 0:
+                raise InvariantError("Freudenthal gave %d/%d" % (2 * numerator, denominator))
+            table[mu] = value
         self._dominant_tables[lam] = table
         return dict(table)
 
@@ -183,7 +186,8 @@ class RepRing:
 
         ρ-shift each weight of the smaller factor against the other highest
         weight, drop the singular ones, and accumulate signs at the dominant
-        representative minus ρ.
+        representative minus ρ.  The shifted weights are held doubled,
+        2(λ+τ)+2ρ, so they stay on the lattice.
         """
         lam = self._require_dominant(lam)
         mu = self._require_dominant(mu)
@@ -191,21 +195,21 @@ class RepRing:
         if key in self._tensor:
             return dict(self._tensor[key])
         datum = self.datum
-        rho = datum.rho_dual_fractions
+        two_rho = datum.two_rho_dual
         if self.weyl_dim(mu) <= self.weyl_dim(lam):
             iter_weight, fixed = mu, lam
         else:
             iter_weight, fixed = lam, mu
         acc: Dict[Coweight, int] = {}
         for tau, mult in self.weights_with_multiplicity(iter_weight):
-            shifted = tuple(Fraction(f) + Fraction(t) + r for f, t, r in zip(fixed, tau, rho))
+            shifted = tuple(2 * (f + t) + r for f, t, r in zip(fixed, tau, two_rho))
             dom, word, sign = datum.dominant_representative(shifted)
             if any(datum.pairing(dom, root) == 0 for root in datum.simple_roots):
                 continue
-            nu_frac = tuple(d - r for d, r in zip(dom, rho))
-            if any(Fraction(x).denominator != 1 for x in nu_frac):
-                raise InvariantError("Brauer–Klimyk gave the non-integral weight %r" % (nu_frac,))
-            nu = tuple(int(x) for x in nu_frac)
+            doubled = tuple(d - r for d, r in zip(dom, two_rho))
+            if any(x % 2 for x in doubled):
+                raise InvariantError("Brauer–Klimyk gave the non-integral weight %r/2" % (doubled,))
+            nu = tuple(x // 2 for x in doubled)
             acc[nu] = acc.get(nu, 0) + sign * mult
         result = {nu: c for nu, c in acc.items() if c}
         if any(c < 0 for c in result.values()):

@@ -7,9 +7,11 @@ orbit combinatorics — is parameterized by one of these objects.
 
 Weyl group elements are handled as integer matrices acting on Λ, generated by
 breadth-first closure from the simple reflections; the BFS depth is the
-Coxeter length.  All arithmetic is exact: integers, Fractions, and the
-{numerators, denominator ∈ {1,2}} representation for half-integral vectors
-such as ρ̌.  Instances are immutable after construction and safe for
+Coxeter length.  All arithmetic is exact.  Every lattice vector is a tuple
+of ints; a half-integral vector such as ρ̌ or ρ of the dual group is only
+ever held doubled (two_rho_check, two_rho_dual), and callers halve a result
+after a parity check.  Fractions appear only in coroot coordinates and in
+determinants.  Instances are immutable after construction and safe for
 concurrent reads.
 """
 
@@ -35,24 +37,6 @@ class InvariantError(AssertionError):
     """
 
 
-class HalfWeight(NamedTuple):
-    """An element of (Λ or Λ̌) ⊗ ½Z: integer numerators over denominator 1 or 2."""
-
-    numerators: Tuple[int, ...]
-    denominator: int
-
-    @classmethod
-    def half_of(cls, doubled: Sequence[int]) -> "HalfWeight":
-        """The vector (doubled)/2, reduced to denominator 1 when possible."""
-        doubled = tuple(int(x) for x in doubled)
-        if all(x % 2 == 0 for x in doubled):
-            return cls(tuple(x // 2 for x in doubled), 1)
-        return cls(doubled, 2)
-
-    def fractions(self) -> Tuple[Fraction, ...]:
-        return tuple(Fraction(n, self.denominator) for n in self.numerators)
-
-
 class DomRep(NamedTuple):
     """Result of reducing a lattice vector into the dominant Weyl chamber."""
 
@@ -61,22 +45,17 @@ class DomRep(NamedTuple):
     sign: int
 
 
-def _dot(a: Sequence, b: Sequence) -> Fraction:
-    """The pairing Σ a_i b_i; integer vectors are summed in ints, one Fraction at the end."""
+def _dot(a: Sequence, b: Sequence):
+    """The pairing Σ a_i b_i: an int for integer vectors."""
     if len(a) != len(b):
         raise ValueError("dimension mismatch: %d vs %d" % (len(a), len(b)))
-    return Fraction(sum(x * y for x, y in zip(a, b)))
+    return sum(x * y for x, y in zip(a, b))
 
 
 def _reflect(vec: Sequence, pair_with: Sequence, along: Sequence) -> Tuple:
-    """vec − ⟨vec, pair_with⟩ · along, with integer entries when they are integral."""
+    """vec − ⟨vec, pair_with⟩ · along."""
     c = _dot(vec, pair_with)
-    if c.denominator == 1:
-        c = c.numerator
-    out = tuple(x - c * a for x, a in zip(vec, along))
-    if all(x.denominator == 1 for x in out):
-        return tuple(int(x) for x in out)
-    return out
+    return tuple(x - c * a for x, a in zip(vec, along))
 
 
 def _positive_system(
@@ -188,25 +167,20 @@ class RootDatum:
             )
         return t
 
-    def pairing(self, lam: Sequence, x) -> Fraction:
-        """The canonical pairing of a coweight with a dual vector or HalfWeight."""
-        xs = x.fractions() if isinstance(x, HalfWeight) else x
-        return _dot(lam, xs)
+    def pairing(self, lam: Sequence, x: Sequence):
+        """The canonical pairing of a coweight with a dual-lattice vector."""
+        return _dot(lam, x)
 
     def pairing_2rho(self, lam: Sequence) -> int:
         """⟨λ, 2ρ̌⟩, always an integer."""
         val = _dot(lam, self.two_rho_check)
-        if val.denominator != 1:
+        if val != int(val):
             raise InvariantError("⟨%r, 2ρ̌⟩ = %s is not an integer" % (tuple(lam), val))
         return int(val)
 
     def reflect(self, i: int, lam: Sequence) -> Tuple:
         """Simple reflection s_i(λ) = λ − ⟨λ, α̌_i⟩ α_i on the coweight side."""
         return _reflect(lam, self.simple_roots[i], self.simple_coroots[i])
-
-    def dual_reflect(self, i: int, x: Sequence) -> Tuple:
-        """Simple reflection on the dual lattice: x − ⟨α_i, x⟩ α̌_i."""
-        return _reflect(x, self.simple_coroots[i], self.simple_roots[i])
 
     def is_dominant(self, lam: Sequence) -> bool:
         return all(_dot(lam, root) >= 0 for root in self.simple_roots)
@@ -239,11 +213,11 @@ class RootDatum:
     def _w0_word(self) -> Tuple[int, ...]:
         """A reduced word for the longest element w₀, in application order.
 
-        ρ of the dual group is strictly dominant, so −ρ is strictly
+        2ρ of the dual group is strictly dominant, so −2ρ is strictly
         antidominant, and w₀ is the unique element carrying it into the
         dominant chamber.
         """
-        return self.dominant_representative(tuple(-x for x in self.rho_dual_fractions)).word
+        return self.dominant_representative(tuple(-x for x in self.two_rho_dual)).word
 
     def apply_w0(self, lam: Sequence) -> Tuple:
         """w₀λ, by applying a reduced word for w₀ (the Weyl group is not built)."""
@@ -322,11 +296,6 @@ class RootDatum:
         return tuple(total)
 
     @cached_property
-    def rho_check(self) -> HalfWeight:
-        """ρ̌: half the sum of the positive roots."""
-        return HalfWeight.half_of(self.two_rho_check)
-
-    @cached_property
     def two_rho_dual(self) -> Vector:
         """2ρ of the dual group: the sum of the positive coroots, a vector in Λ."""
         total = [0] * self.lattice_rank
@@ -334,15 +303,6 @@ class RootDatum:
             for k, x in enumerate(v):
                 total[k] += x
         return tuple(total)
-
-    @cached_property
-    def rho_dual(self) -> HalfWeight:
-        """ρ of the dual group: half the sum of the positive coroots."""
-        return HalfWeight.half_of(self.two_rho_dual)
-
-    @cached_property
-    def rho_dual_fractions(self) -> Tuple[Fraction, ...]:
-        return self.rho_dual.fractions()
 
     @cached_property
     def symmetrizer(self) -> Tuple[int, ...]:

@@ -79,7 +79,7 @@ def test_criterion_2_eigenfunction_identity():
 def test_criterion_3_finite_field_oracle():
     start = time.monotonic()
     oracle = Rank1Oracle("PGL2")
-    report = oracle.verify_eq2(4, [3, 5], method="both")
+    report = oracle.verify_eq2(4, [3, 5])
     assert report.all_pass, report.failures()
     mus = [record.mu for record in report.records]
     assert min(mus) == -4 and max(mus) == 4

@@ -336,3 +336,71 @@ def test_verify_cs_refuses_central_torus_before_any_check(capsys, monkeypatch, d
     assert code == 2
     assert out == ""
     assert "central torus" in err
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        '{"coroots": [[2]], "roots": [[1]]}',  # no Cartan matrix
+        '[[2]]',
+        '"PGL2"',
+        '{"cartan": 5, "coroots": [[2]], "roots": [[1]]}',
+        '{"cartan": [[2]], "coroots": [[2.5]], "roots": [[1]]}',
+        '{"cartan": [[2]], "coroots": [[null]], "roots": [[1]]}',
+        '{"cartan": [[2, -2], [-2, 2]], "coroots": [[2, -2], [-2, 2]], "roots": [[1, 0], [0, 1]]}',
+        '{nope',
+    ],
+)
+def test_malformed_datum_file_is_usage_error(tmp_path, capsys, content):
+    datum_file = tmp_path / "datum.json"
+    datum_file.write_text(content)
+    code, out, err = run(capsys, "tensor", "--datum", str(datum_file), "1", "1")
+    assert code == 2 and out == ""
+    assert "datum" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("tensor", "--datum", "SL3", "--", "1,1", "-1,2"),
+        ("tensor", "--datum", "SL3", "--", "-1,2", "1,1"),
+        ("weights", "--datum", "G2", "--", "1,-1"),
+        ("satake", "--datum", "GL2", "--", "0,1"),
+        ("hecke-mul", "--datum", "PGL2", "--", "2", "-1"),
+        ("predict", "--datum", "PGL2", "--", "-1", "2", "2"),
+    ],
+)
+def test_non_dominant_coweight_is_rejected_while_parsing(capsys, monkeypatch, argv):
+    from satake.hecke import HeckeAlgebra
+    from satake.rep_ring import RepRing
+
+    def reached(*args, **kwargs):
+        raise AssertionError("the computation ran on unchecked input")
+
+    for cls, name in [(RepRing, "tensor_decompose"), (RepRing, "weight_table"),
+                      (HeckeAlgebra, "satake_to_c"), (HeckeAlgebra, "mul")]:
+        monkeypatch.setattr(cls, name, reached)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "is not dominant" in err
+
+
+def test_negative_strata_bound_is_usage_error(capsys, monkeypatch):
+    from satake.grassmannian import Grassmannian
+
+    monkeypatch.setattr(Grassmannian, "drinfeld_strata", lambda self, bound: [][bound])
+    code, out, err = run(capsys, "strata", "--datum", "SL3", "--", "-1")
+    assert code == 2 and out == ""
+    assert "nonnegative" in err
+
+
+def test_library_value_error_is_exit_3(capsys, monkeypatch):
+    from satake import rep_ring
+
+    def broken(self, lam, mu):
+        raise ValueError("library bug")
+
+    monkeypatch.setattr(rep_ring.RepRing, "tensor_decompose", broken)
+    code, _, err = run(capsys, "tensor", "--datum", "PGL2", "1", "1")
+    assert code == 3
+    assert "internal error: library bug" in err

@@ -87,21 +87,23 @@ def test_ic_weight_examples(oracle):
 # -- character sums over cells ----------------------------------------------------------------
 
 
-def test_evaluation_paths_agree_on_all_cells(oracle):
+def test_evaluation_paths_agree_on_all_cells():
+    oracle = Rank1Oracle("PGL2")
     for q in (3, 5):
         for m in range(6):
             for n in range(-m, m + 1, 2):
+                cell = Rank1Cell.build(m, n)
                 for j in range((n - m) // 2 - 1, n + 1):
-                    enum = oracle.closed_cell_charsum(m, n, j, q, "enumerate")
-                    closed = oracle.closed_cell_charsum(m, n, j, q, "closed")
-                    assert enum == closed
-                    both = oracle.closed_cell_charsum(m, n, j, q, "both")
-                    assert both == closed
+                    present = j in cell.coordinates
+                    closed = 0 if present else q ** cell.dim
+                    assert oracle.closed_cell_charsum(m, n, j, q) == closed
+                    # the enumeration ran too, and its memoized value is the closed form
+                    assert oracle._closed_sums[(cell.dim, present, q)] == closed
 
 
 def test_free_psi_coordinate_collapses_to_zero(oracle):
-    assert oracle.closed_cell_charsum(4, 2, 0, 3, "both") == 0
-    assert oracle.closed_cell_charsum(4, 2, -5, 3, "both") == 3 ** 3
+    assert oracle.closed_cell_charsum(4, 2, 0, 3) == 0
+    assert oracle.closed_cell_charsum(4, 2, -5, 3) == 3 ** 3
 
 
 def test_character_sum_is_coordinate_scale_invariant():
@@ -210,7 +212,7 @@ def test_corrupted_enumeration_raises_under_optimize():
         "oracle = Rank1Oracle('PGL2')\n"
         "oracle._closed_sums[(1, True, 3)] = 28\n"  # cell (2, 0), ψ-coordinate live: 0
         "try:\n"
-        "    value = oracle.closed_cell_charsum(2, 0, -1, 3, 'both')\n"
+        "    value = oracle.closed_cell_charsum(2, 0, -1, 3)\n"
         "except InvariantError as exc:\n"
         "    print('raised:', exc)\n"
         "else:\n"

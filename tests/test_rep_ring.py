@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 import sys
 from fractions import Fraction
@@ -6,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from satake.grassmannian import Grassmannian
 from satake.laurent import LaurentPoly, ONE
 from satake.rep_ring import RepRing, gamma_power, torus_point
 from satake.root_datum import PRESETS, build_root_datum
@@ -383,3 +386,59 @@ def test_multiplicity_table_is_not_aliased():
     table = rep.dominant_multiplicity_table((4,))
     table[(0,)] = 99
     assert rep.weight_multiplicity((4,), (0,)) == 1
+
+
+# -- pinned outputs ------------------------------------------------------------------
+
+# sha256 of each preset's Weyl dimensions, dominant and full weight tables, tensor
+# products over every pair, and MV bounds over the weights of each λ plus points
+# outside the hull, for the λ below; recorded with the ρ-shifts held as Fractions,
+# so the doubled-integer ρ-shifts must reproduce them exactly.
+PINNED_REP_RING = {
+    "PGL2": ([(1,), (4,), (7,)],
+             "9e0d5c2d80b5efb14f5ed1d25e6d0a5ced62972e9e462b3766b90f00d687a603"),
+    "SL2": ([(1,), (3,), (6,)],
+            "fa7029392b3d6d3c2108407f537b20b91beacbe2f47d150fb8ad7492a44eecf9"),
+    "GL2": ([(1, 0), (3, -1), (2, 2)],
+            "8e73d80b1b0e337e9742bfb101b51cdf1c674aa8d5f5d7214db5767a0ad8320b"),
+    "SL3": ([(1, 0), (1, 1), (3, 2), (4, 0)],
+            "59549460563280f1352d610bebc65930f93ec67994166c8c51ee264568f26d39"),
+    "GL3": ([(1, 0, 0), (1, 0, -1), (2, 1, 0)],
+            "eea03f6810d818b724bf2f8ad53d279838a3c4114b1c93fc57a0874013b48bd7"),
+    "Sp4": ([(1, 0), (0, 1), (2, 1), (3, 3)],
+            "0fa7e70ed363cb4330d5515f59b56802086bf060be72df84f248844f807f1285"),
+    "G2": ([(1, 0), (0, 1), (2, 1), (3, 2)],
+           "9055138fff6ba461938dd6c73a3b37b478b10d9856faabcbcc7b1633da771317"),
+}
+
+
+def _rep_ring_payload(name, lams):
+    rep = RepRing(name)
+    datum = rep.datum
+    geometry = Grassmannian(rep)
+    payload = []
+    for lam in lams:
+        weights = rep.weight_table(lam)
+        outside = [tuple(x + a for x, a in zip(lam, alpha)) for alpha in datum.simple_coroots]
+        outside.append((lam[0] + 1,) + lam[1:])
+        bounds = []
+        for nu in sorted(weights) + outside:
+            b = geometry.mv_dim_bound(lam, nu)
+            bounds.append([list(nu), b.empty, b.bound, b.flag])
+        payload.append([
+            list(lam),
+            rep.weyl_dim(lam),
+            sorted([list(mu), m] for mu, m in rep.dominant_multiplicity_table(lam).items()),
+            sorted([list(nu), m] for nu, m in weights.items()),
+            [[list(mu), sorted([list(nu), c] for nu, c in rep.tensor_decompose(lam, mu).items())]
+             for mu in lams],
+            bounds,
+        ])
+    return json.dumps(payload, sort_keys=True)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REP_RING))
+def test_outputs_match_pinned_digests(name):
+    lams, digest = PINNED_REP_RING[name]
+    text = _rep_ring_payload(name, lams)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -4,7 +4,7 @@ from itertools import product as iter_product
 
 import pytest
 
-from satake.root_datum import HalfWeight, PRESETS, build_root_datum
+from satake.root_datum import PRESETS, build_root_datum
 
 
 def test_pgl2_preset():
@@ -35,18 +35,20 @@ def test_preset_weyl_orders():
 
 def test_pairing_with_rho_check():
     d = build_root_datum("PGL2")
-    assert d.pairing((1,), d.rho_check) == Fraction(1, 2)
+    assert d.two_rho_check == (1,)
+    assert d.pairing((1,), d.two_rho_check) == 1
     for n in range(-4, 5):
         assert d.pairing_2rho((n,)) == n
     g = build_root_datum("GL2")
-    assert g.rho_check == HalfWeight((1, -1), 2)
-    assert g.pairing((1, 0), g.rho_check) == Fraction(1, 2)
+    assert g.two_rho_check == (1, -1)
+    value = g.pairing((1, 0), g.two_rho_check)
+    assert value == 1 and type(value) is int  # integer vectors pair in ints
 
 
 def test_pairing_dimension_mismatch():
     d = build_root_datum("GL2")
     with pytest.raises(ValueError):
-        d.pairing((1,), d.rho_check)
+        d.pairing((1,), d.two_rho_check)
 
 
 def test_is_dominant():
@@ -158,7 +160,7 @@ def test_rho_check_pairs_to_one_with_simple_coroots():
     for name in PRESETS:
         d = build_root_datum(name)
         for alpha in d.simple_coroots:
-            assert d.pairing(alpha, d.rho_check) == 1
+            assert d.pairing(alpha, d.two_rho_check) == 2
 
 
 def test_dominance_is_a_partial_order():
