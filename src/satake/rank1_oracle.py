@@ -52,7 +52,9 @@ class Cyclotomic:
     """Exact arithmetic in Z[ζ_p], p prime; basis 1, ζ, …, ζ^{p−2}.
 
     The relation Σ_{a ∈ F_p} ζ^a = 0 holds identically in this
-    representation.
+    representation.  The public constructor checks p and the length of the
+    vector; results of arithmetic are built by ``_result`` without the
+    checks, since their operands passed them.
     """
 
     __slots__ = ("p", "vec")
@@ -64,6 +66,13 @@ class Cyclotomic:
         self.vec = tuple(vec) if vec is not None else (0,) * (p - 1)
         if len(self.vec) != p - 1:
             raise ValueError("coordinate vector must have length p-1")
+
+    @classmethod
+    def _result(cls, p: int, vec: Tuple[int, ...]) -> "Cyclotomic":
+        out = cls.__new__(cls)
+        out.p = p
+        out.vec = vec
+        return out
 
     @classmethod
     def integer(cls, p: int, n: int) -> "Cyclotomic":
@@ -83,18 +92,18 @@ class Cyclotomic:
 
     def __add__(self, other: "Cyclotomic") -> "Cyclotomic":
         self._check(other)
-        return Cyclotomic(self.p, tuple(a + b for a, b in zip(self.vec, other.vec)))
+        return Cyclotomic._result(self.p, tuple(a + b for a, b in zip(self.vec, other.vec)))
 
     def __sub__(self, other: "Cyclotomic") -> "Cyclotomic":
         self._check(other)
-        return Cyclotomic(self.p, tuple(a - b for a, b in zip(self.vec, other.vec)))
+        return Cyclotomic._result(self.p, tuple(a - b for a, b in zip(self.vec, other.vec)))
 
     def __neg__(self) -> "Cyclotomic":
-        return Cyclotomic(self.p, tuple(-a for a in self.vec))
+        return Cyclotomic._result(self.p, tuple(-a for a in self.vec))
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return Cyclotomic(self.p, tuple(a * other for a in self.vec))
+            return Cyclotomic._result(self.p, tuple(a * other for a in self.vec))
         self._check(other)
         p = self.p
         acc = [0] * p
@@ -105,7 +114,7 @@ class Cyclotomic:
                 if b:
                     acc[(i + j) % p] += a * b
         top = acc[p - 1]
-        return Cyclotomic(p, tuple(acc[i] - top for i in range(p - 1)))
+        return Cyclotomic._result(p, tuple(acc[i] - top for i in range(p - 1)))
 
     __rmul__ = __mul__
 

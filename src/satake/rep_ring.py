@@ -3,11 +3,12 @@
 Weight multiplicities come from the Freudenthal recursion (with the
 alternating Kostant sum kept alongside as an independent cross-check),
 tensor products from the Brauer–Klimyk ρ-shift algorithm, characters by
-direct exact summation over weight tables, and the q-side from the
-q-deformed Kostant partition function (one coin-change table per instance,
-in integers) and the Lusztig q-analog of weight multiplicity.  All values
-are exact (integers / Fractions / integer Laurent polynomials); per-instance
-memo dictionaries make repeated queries cheap.
+summing integer numerators over the memoized weight table with one
+denominator per trace, and the q-side from the q-deformed Kostant partition
+function (one coin-change table per instance, in integers) and the Lusztig
+q-analog of weight multiplicity.  All values are exact (integers / Fractions
+/ integer Laurent polynomials); per-instance memo dictionaries make repeated
+queries cheap.
 """
 
 from __future__ import annotations
@@ -37,10 +38,13 @@ def torus_point(values, datum: RootDatum) -> TorusPoint:
 
 
 def gamma_power(gamma: TorusPoint, nu: Sequence[int]) -> Fraction:
-    """γ^ν = Π γ_i^{ν_i}, exact."""
+    """γ^ν = Π γ_i^{ν_i}, exact: the plain reference for one weight.
+
+    A negative exponent divides by γ_i^{−ν_i}, so integer coordinates stay exact.
+    """
     out = Fraction(1)
     for g, n in zip(gamma, nu):
-        out *= Fraction(g) ** int(n)
+        out = out * g ** n if n >= 0 else out / g ** -n
     return out
 
 
@@ -226,13 +230,29 @@ class RepRing:
     # -- characters ------------------------------------------------------------
 
     def character_eval(self, lam, gamma: TorusPoint) -> Fraction:
-        """Tr(γ, V^λ) = Σ_ν mult(ν) γ^ν, exact."""
-        lam = self._require_dominant(lam)
-        total = Fraction(0)
-        for mu, mult in self.dominant_multiplicity_table(lam).items():
-            orbit_sum = sum((gamma_power(gamma, nu) for nu in self.datum.weyl_orbit(mu)), Fraction(0))
-            total += mult * orbit_sum
-        return total
+        """Tr(γ, V^λ) = Σ_ν mult(ν) γ^ν, exact, over one common denominator.
+
+        With γ_i = a_i/b_i and lo_i, hi_i the least and greatest i-th
+        coordinate of a weight, γ^ν = Π a_i^{lo_i} b_i^{−hi_i} · Π a_i^{ν_i−lo_i}
+        b_i^{hi_i−ν_i}.  The second product is an integer read from one power
+        list per coordinate, so the weights of the memoized table are summed in
+        integers and the first product is applied once, as a single Fraction.
+        """
+        weights = self.weights_with_multiplicity(lam)
+        rows = []
+        num = den = 1
+        for g, column in zip(gamma, zip(*(nu for nu, _ in weights))):
+            a, b = g.numerator, g.denominator
+            lo, hi = min(column), max(column)
+            rows.append({x: a ** (x - lo) * b ** (hi - x) for x in range(lo, hi + 1)})
+            num *= a ** max(lo, 0) * b ** max(-hi, 0)
+            den *= a ** max(-lo, 0) * b ** max(hi, 0)
+        total = 0
+        for nu, mult in weights:
+            for row, x in zip(rows, nu):
+                mult *= row[x]
+            total += mult
+        return Fraction(total * num, den)
 
     def dual_character_eval(self, lam, gamma: TorusPoint) -> Fraction:
         """Tr(γ, (V^λ)*), computed as the character of V^{−w₀λ}."""

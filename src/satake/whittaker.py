@@ -97,17 +97,15 @@ class WhittakerModule:
         pad = self.datum.pairing_2rho(lam_act)
         truncation = self.datum.dominant_box(cutoff + pad)
         eigenvalue = self.rep.character_eval(lam_act, gamma)
+        traces = {mu: self.rep.dual_character_eval(mu, gamma) for mu in truncation}
         acted: Dict[Coweight, Fraction] = {}
-        for mu in truncation:
-            t_mu = self.rep.dual_character_eval(mu, gamma)
+        for mu, t_mu in traces.items():
             if t_mu == 0:
                 continue
             for nu, mult in self.rep.tensor_decompose(lam_act, mu).items():
                 acted[nu] = acted.get(nu, Fraction(0)) + t_mu * mult
-        residual: Dict[Coweight, Fraction] = {}
-        for nu in truncation:
-            if self.datum.pairing_2rho(nu) > cutoff:
-                continue
-            t_nu = self.rep.dual_character_eval(nu, gamma)
-            residual[nu] = acted.get(nu, Fraction(0)) - eigenvalue * t_nu
-        return residual
+        return {
+            nu: acted.get(nu, Fraction(0)) - eigenvalue * traces[nu]
+            for nu in truncation
+            if self.datum.pairing_2rho(nu) <= cutoff
+        }

@@ -36,6 +36,21 @@ def test_zeta_relations():
     assert (z + Cyclotomic.integer(5, 1)) * (z - Cyclotomic.integer(5, 1)) == z * z - Cyclotomic.integer(5, 1)
 
 
+def test_arithmetic_results_skip_the_primality_check(monkeypatch):
+    import satake.rank1_oracle as rank1_oracle
+
+    z, one = Cyclotomic.zeta(5, 1), Cyclotomic.integer(5, 1)
+
+    def refuse(n):
+        raise AssertionError("is_prime ran on an arithmetic result")
+
+    monkeypatch.setattr(rank1_oracle, "is_prime", refuse)
+    assert (z + one) * (z - one) == z * z + (-one)
+    assert (3 * z).vec == (0, 3, 0, 0)
+    with pytest.raises(ValueError, match="mixed"):
+        z + Cyclotomic._result(3, (0, 1))
+
+
 def test_to_integer_guards():
     z = Cyclotomic.zeta(3, 1)
     with pytest.raises(ValueError):

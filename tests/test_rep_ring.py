@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from satake.grassmannian import Grassmannian
 from satake.laurent import LaurentPoly, ONE
 from satake.rep_ring import RepRing, gamma_power, torus_point
-from satake.root_datum import PRESETS, build_root_datum
+from satake.root_datum import PRESETS, RootDatum, build_root_datum
 
 
 def char_product_decompose(rep, lam, mu):
@@ -225,6 +225,45 @@ def test_dual_character_is_character_at_minus_w0():
     rep = RepRing("SL3")
     gamma = torus_point([2, 3], rep.datum)
     assert rep.dual_character_eval((1, 0), gamma) == rep.character_eval((0, 1), gamma)
+
+
+_nonzero = st.integers(-50, 50).filter(bool)
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(sorted(PRESETS)),
+       index=st.integers(0, 10 ** 6),
+       coords=st.lists(st.tuples(_nonzero, st.integers(1, 50)), min_size=3, max_size=3))
+def test_character_eval_matches_weight_by_weight_sum(name, index, coords):
+    # second route: one gamma_power per weight of the full table, summed as Fractions
+    rep = RepRing(name)
+    box = rep.datum.dominant_box(6, coord_bound=3)
+    lam = box[index % len(box)]
+    gamma = torus_point([Fraction(a, b) for a, b in coords[: rep.datum.lattice_rank]], rep.datum)
+    table = rep.weight_table(lam)
+    naive = sum((m * gamma_power(gamma, nu) for nu, m in table.items()), Fraction(0))
+    dual = sum((m * gamma_power(gamma, [-x for x in nu]) for nu, m in table.items()), Fraction(0))
+    assert rep.character_eval(lam, gamma) == naive
+    assert rep.dual_character_eval(lam, gamma) == dual
+
+
+def test_gamma_power_is_exact_for_integer_coordinates():
+    assert gamma_power((2, -3), (-2, 3)) == Fraction(-27, 4)
+    assert gamma_power((Fraction(-2, 5),), (-1,)) == Fraction(-5, 2)
+
+
+def test_character_eval_reads_the_memoized_weight_table(monkeypatch):
+    rep = RepRing("SL3")
+    gamma = torus_point([Fraction(-5, 13), Fraction(11, 7)], rep.datum)
+    lams = [(1, 0), (2, 1), (4, 0)]
+    before = [(rep.character_eval(lam, gamma), rep.dual_character_eval(lam, gamma)) for lam in lams]
+
+    def refuse(self, lam):
+        raise AssertionError("character_eval rebuilt a Weyl orbit")
+
+    monkeypatch.setattr(RootDatum, "weyl_orbit", refuse)
+    after = [(rep.character_eval(lam, gamma), rep.dual_character_eval(lam, gamma)) for lam in lams]
+    assert after == before
 
 
 def test_torus_point_validation():
@@ -441,4 +480,64 @@ def _rep_ring_payload(name, lams):
 def test_outputs_match_pinned_digests(name):
     lams, digest = PINNED_REP_RING[name]
     text = _rep_ring_payload(name, lams)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# sha256 of Tr(γ, V^λ), Tr(γ, (V^λ)*) and the Whittaker value W_γ(±λ) for each
+# preset's λ below and fixed torus points with signed, integer and fractional
+# coordinates (the weights of GL2 (3, 1), (2, 2) and GL3 (2, 1, 1), (3, 2, 1)
+# have only positive coordinates, those of GL2 (−1, −3) and GL3 (−1, −2, −2)
+# only negative ones); recorded with the traces summed one Fraction per weight,
+# so any other way of summing them must reproduce them exactly.
+PINNED_CHARACTERS = {
+    "PGL2": ([(0,), (1,), (4,), (7,)],
+             "2a931db3b67b0a290d7ce2f987d09b701e6e812cb0f4b5786d882978eee83fd0"),
+    "SL2": ([(0,), (1,), (3,), (6,)],
+            "f6919bb16dcc40448ee115ec80486c6cf8fdaa00641d157e6c3270d6e69c2637"),
+    "GL2": ([(1, 0), (3, -1), (2, 2), (3, 1), (0, -2), (-1, -3)],
+            "8323a7a4d659bdef535b563e526c83e4fec9d750a95299d8d5908d57d57bd7f3"),
+    "SL3": ([(0, 0), (1, 0), (1, 1), (3, 2), (4, 0)],
+            "7b8684a964136e4a0dd8e8b1d02d1961f098291a32f3c545a9656c2f96489095"),
+    "GL3": ([(1, 0, 0), (1, 0, -1), (2, 1, 1), (3, 2, 1), (0, -1, -3), (-1, -2, -2)],
+            "55746c21d04e6c290a782e812deb1a1d6f504d5f01901c93c3df73b8eaf1f397"),
+    "Sp4": ([(1, 0), (0, 1), (2, 1), (3, 3)],
+            "733a2f27377f1970d7f5dc1e346534932634d9b10debf07fdf1083d6712205d0"),
+    "G2": ([(1, 0), (0, 1), (2, 1), (3, 2)],
+           "ac4d4afdbed567667dea518d40892ff7a8f213f78bd16be1881ece0aae491187"),
+}
+PINNED_GAMMAS = (
+    (Fraction(-5, 13), Fraction(11, 7), Fraction(-2, 9)),
+    (2, -3, 5),
+    (Fraction(-1, 2), 3, Fraction(7, 4)),
+    (1, -1, 1),
+    (Fraction(9, 2), Fraction(1, 3), Fraction(6, 5)),
+)
+
+
+def _character_payload(name, lams):
+    from satake.hecke import HeckeAlgebra
+    from satake.whittaker import WhittakerModule
+
+    module = WhittakerModule(HeckeAlgebra(name))
+    rep, datum = module.rep, module.datum
+    payload = []
+    for values in PINNED_GAMMAS:
+        gamma = torus_point(values[:datum.lattice_rank], datum)
+        for lam in lams:
+            payload.append([
+                [str(g) for g in gamma],
+                list(lam),
+                str(rep.character_eval(lam, gamma)),
+                str(rep.dual_character_eval(lam, gamma)),
+                [[str(w.coeff), w.v_power]
+                 for w in (module.whittaker_value(gamma, lam),
+                           module.whittaker_value(gamma, tuple(-x for x in lam)))],
+            ])
+    return json.dumps(payload, sort_keys=True)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CHARACTERS))
+def test_characters_match_pinned_digests(name):
+    lams, digest = PINNED_CHARACTERS[name]
+    text = _character_payload(name, lams)
     assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -5,7 +5,7 @@ import pytest
 
 from satake.hecke import A_BASIS, HeckeAlgebra
 from satake.laurent import LaurentPoly, ONE
-from satake.rep_ring import torus_point
+from satake.rep_ring import gamma_power, torus_point
 from satake.whittaker import WhittakerModule
 
 
@@ -130,20 +130,28 @@ def test_value_matches_dual_character():
 # -- the eigenfunction identity ----------------------------------------------------------
 
 
+def naive_trace(rep, lam, gamma, sign=1):
+    """Tr(γ, V^λ) (sign −1: of its dual), one gamma_power per weight of the full table."""
+    return sum(
+        (m * gamma_power(gamma, [sign * x for x in nu]) for nu, m in rep.weight_table(lam).items()),
+        Fraction(0),
+    )
+
+
 def brute_force_residual(module, gamma, lam_act, cutoff):
-    """Recompute the windowed residual directly from characters and tensor data."""
+    """Recompute the windowed residual from weight-by-weight traces and tensor data."""
     rep = module.rep
     datum = module.datum
     pad = datum.pairing_2rho(lam_act)
-    eigenvalue = rep.character_eval(lam_act, gamma)
+    eigenvalue = naive_trace(rep, lam_act, gamma)
     out = {}
     for nu in datum.dominant_box(cutoff):
         total = Fraction(0)
         for mu in datum.dominant_box(cutoff + pad):
             mult = rep.tensor_decompose(lam_act, mu).get(nu, 0)
             if mult:
-                total += mult * rep.dual_character_eval(mu, gamma)
-        out[nu] = total - eigenvalue * rep.dual_character_eval(nu, gamma)
+                total += mult * naive_trace(rep, mu, gamma, -1)
+        out[nu] = total - eigenvalue * naive_trace(rep, nu, gamma, -1)
     return out
 
 
