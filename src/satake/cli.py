@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -191,6 +192,8 @@ def _cmd_hecke_mul(args) -> int:
 
 def _cmd_whittaker_eval(args) -> int:
     datum = _load_datum(args.datum)
+    if args.cutoff < 0:
+        raise UsageError("--cutoff must be nonnegative; got %d" % args.cutoff)
     v_value = None if args.q is None else _parse_v(args.q)
     module = WhittakerModule(HeckeAlgebra(datum))
     gamma = _parse_gamma(args.gamma, datum)
@@ -423,10 +426,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main parses with: built on the first call, then reused.
+
+    Sharing one is safe because parse_args leaves the parser as it was, every
+    default is immutable, and usage and help text look up sys.stdout, sys.stderr
+    and the terminal width only when they are written.
+    """
+    return build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -18,6 +18,7 @@ concurrent reads.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -137,7 +138,7 @@ def _invertible_minor(vectors: Sequence[Sequence[int]]):
 class RootDatum:
     """A finite-type root datum on a concrete lattice Λ = Z^lattice_rank.
 
-    cartan_matrix[i][j] = ⟨α_j, α̌_i⟩, so rows index the simple roots and
+    cartan_matrix[i][j] = ⟨α̌_j, α_i⟩, so rows index the simple roots and
     columns the simple coroots.  Construct through build_root_datum, which
     validates finite type and pairing consistency.
     """
@@ -179,11 +180,17 @@ class RootDatum:
         return int(val)
 
     def reflect(self, i: int, lam: Sequence) -> Tuple:
-        """Simple reflection s_i(λ) = λ − ⟨λ, α̌_i⟩ α_i on the coweight side."""
+        """Simple reflection s_i(λ) = λ − ⟨λ, α_i⟩ α̌_i on the coweight side."""
         return _reflect(lam, self.simple_roots[i], self.simple_coroots[i])
 
+    def _simple_pairings(self, lam: Sequence) -> List:
+        """⟨λ, α_i⟩ for every simple root α_i."""
+        if len(lam) != self.lattice_rank:
+            raise ValueError("dimension mismatch: %d vs %d" % (len(lam), self.lattice_rank))
+        return [sum(map(operator.mul, lam, root)) for root in self.simple_roots]
+
     def is_dominant(self, lam: Sequence) -> bool:
-        return all(_dot(lam, root) >= 0 for root in self.simple_roots)
+        return min(self._simple_pairings(lam)) >= 0
 
     def dominant_representative(self, lam: Sequence) -> DomRep:
         """The dominant Weyl-orbit representative, with a word mapping λ to it.
@@ -193,16 +200,20 @@ class RootDatum:
         The sign is (−1)^{#word}, which is the sign of the reducing Weyl
         element (word length has well-defined parity).
         """
+        # the simple-root pairings p are computed once; s_i(λ) = λ − p_i α̌_i changes
+        # them by p_j ← p_j − p_i ⟨α̌_i, α_j⟩, and ⟨α̌_i, α_j⟩ = cartan_matrix[j][i]
+        pairings = self._simple_pairings(lam)
         cur = tuple(lam)
         word: List[int] = []
         while True:
-            neg = next(
-                (i for i, root in enumerate(self.simple_roots) if _dot(cur, root) < 0), None
-            )
-            if neg is None:
+            for i, p in enumerate(pairings):
+                if p < 0:
+                    break
+            else:
                 return DomRep(cur, tuple(word), -1 if len(word) % 2 else 1)
-            cur = self.reflect(neg, cur)
-            word.append(neg)
+            cur = tuple(x - p * a for x, a in zip(cur, self.simple_coroots[i]))
+            pairings = [q - p * row[i] for q, row in zip(pairings, self.cartan_matrix)]
+            word.append(i)
 
     def is_singular(self, lam: Sequence) -> bool:
         """True when some Weyl reflection fixes λ (a pairing vanishes on the orbit)."""

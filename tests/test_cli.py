@@ -1,8 +1,12 @@
+import argparse
+import contextlib
+import io
 import json
 from fractions import Fraction
 
 import pytest
 
+from satake import cli
 from satake.cli import main
 
 
@@ -198,6 +202,93 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert target.read_text() == '{"0":1,"2":1}\n'
 
 
+# success in every output format, --out, nargs="+", argparse and command usage errors
+# and --help; "OUT" stands for a file path
+_PARSER_ARGVS = [
+    ("tensor", "--datum", "SL3", "1,0", "0,1"),
+    ("weights", "--datum", "G2", "--format", "csv", "1,0"),
+    ("satake", "--datum", "PGL2", "--format", "pretty", "2"),
+    ("whittaker-eval", "--datum", "SL3", "--gamma=2,3", "--cutoff", "2"),
+    ("verify-eq2", "--datum", "PGL2", "--format", "json", "2", "3", "5"),
+    ("verify-eq2", "--datum", "PGL2", "1", "7"),
+    ("predict", "--datum", "PGL2", "--out", "OUT", "2", "0", "2"),
+    ("strata", "--datum", "SL3", "--format", "csv", "--out", "OUT", "1"),
+    ("tensor", "--datum", "SL3", "1,0"),
+    ("tensor", "--format", "xml", "1", "1"),
+    ("frobnicate",),
+    (),
+    ("satake", "--datum", "SL3", "--", "-1,2"),
+    ("--help",),
+    ("verify-eq2", "--help"),
+]
+
+
+def _run_parser_argvs(capsys, out_path):
+    """(exit code, stdout, stderr, text written to --out) for each of _PARSER_ARGVS."""
+    results = []
+    for argv in _PARSER_ARGVS:
+        code = main([str(out_path) if arg == "OUT" else arg for arg in argv])
+        captured = capsys.readouterr()
+        written = out_path.read_text() if out_path.exists() else None
+        out_path.unlink(missing_ok=True)
+        results.append((code, captured.out, captured.err, written))
+    return results
+
+
+def test_main_reuses_one_parser_with_unchanged_output(tmp_path, capsys, monkeypatch):
+    out_path = tmp_path / "out.txt"
+    monkeypatch.setenv("COLUMNS", "60")
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_parser", cli.build_parser)  # a fresh parser for every call
+        fresh = _run_parser_argvs(capsys, out_path)
+    assert {code for code, *_ in fresh} == {0, 2}
+    assert sum(written is not None for *_, written in fresh) == 2
+
+    # build the shared parser under another terminal width and other streams: help and
+    # usage text must follow the width and streams in force when they are written
+    build_parser, builds = cli.build_parser, []
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build_parser())
+    cli._parser.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setenv("COLUMNS", "200")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            cli._parser()
+        wide_help = run(capsys, "--help")
+    assert wide_help[1] != fresh[_PARSER_ARGVS.index(("--help",))][1]
+
+    assert [_run_parser_argvs(capsys, out_path) for _ in range(2)] == [fresh, fresh]
+    assert builds == [1]
+
+
+def _parser_state(parser):
+    """What parse_args could change: each parser's defaults and every action's settings."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [
+        (dict(p._defaults),
+         [(a.dest, a.option_strings, a.default, a.nargs, a.choices, a.required, a.type)
+          for a in p._actions])
+        for p in [parser, *sub.choices.values()]
+    ]
+
+
+def test_shared_parser_holds_no_state_between_parses(capsys):
+    parser = cli._parser()
+    before = _parser_state(parser)
+    defaults = [default for _, actions in before for _, _, default, *_ in actions]
+    assert all(default is None or type(default) in (str, int) for default in defaults)
+
+    first = parser.parse_args(["verify-eq2", "2", "3", "5"])
+    first.primes.append(7)
+    assert parser.parse_args(["verify-eq2", "2", "3", "5"]).primes == [3, 5]
+    for argv in _PARSER_ARGVS:
+        try:
+            parser.parse_args(list(argv))
+        except SystemExit:
+            pass
+    capsys.readouterr()
+    assert _parser_state(parser) == before
+
+
 def test_explicit_datum_file(tmp_path, capsys):
     datum_file = tmp_path / "datum.json"
     datum_file.write_text(json.dumps({"cartan": [[2]], "coroots": [[2]], "roots": [[1]]}))
@@ -385,13 +476,17 @@ def test_non_dominant_coweight_is_rejected_while_parsing(capsys, monkeypatch, ar
     assert "is not dominant" in err
 
 
-def test_negative_strata_bound_is_usage_error(capsys, monkeypatch):
+def test_negative_bound_is_usage_error(capsys, monkeypatch):
     from satake.grassmannian import Grassmannian
+    from satake.root_datum import RootDatum
 
     monkeypatch.setattr(Grassmannian, "drinfeld_strata", lambda self, bound: [][bound])
-    code, out, err = run(capsys, "strata", "--datum", "SL3", "--", "-1")
-    assert code == 2 and out == ""
-    assert "nonnegative" in err
+    monkeypatch.setattr(RootDatum, "dominant_box", lambda self, bound: [][bound])
+    for argv in [("strata", "--datum", "SL3", "--", "-1"),
+                 ("whittaker-eval", "--datum", "SL3", "--gamma=2,3", "--cutoff", "-1")]:
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "nonnegative" in err
 
 
 def test_library_value_error_is_exit_3(capsys, monkeypatch):

@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from satake.root_datum import PRESETS, build_root_datum
 
@@ -49,6 +50,10 @@ def test_pairing_dimension_mismatch():
     d = build_root_datum("GL2")
     with pytest.raises(ValueError):
         d.pairing((1,), d.two_rho_check)
+    with pytest.raises(ValueError):
+        d.is_dominant((1,))
+    with pytest.raises(ValueError):
+        d.dominant_representative((1, 0, 0))
 
 
 def test_is_dominant():
@@ -95,6 +100,31 @@ def test_dominant_representative_matches_orbit_search():
             cur = d.reflect(i, cur)
         assert cur == rep.coweight
     assert d.dominant_representative((-1, 1)).coweight == (1, 0)
+
+
+def _is_dominant(d, lam):
+    return all(sum(x * a for x, a in zip(lam, root)) >= 0 for root in d.simple_roots)
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted(PRESETS)),
+       coords=st.lists(st.integers(-40, 40), min_size=3, max_size=3))
+def test_dominant_representative_matches_weyl_group_search(name, coords):
+    # brute force: apply every element of the Weyl group and keep the dominant images
+    d = build_root_datum(name)
+    lam = tuple(coords[: d.lattice_rank])
+    orbit = {tuple(sum(m * x for m, x in zip(row, lam)) for row in matrix)
+             for matrix, _ in d.weyl_elements}
+    dominant = {v for v in orbit if _is_dominant(d, v)}
+    rep = d.dominant_representative(lam)
+    assert dominant == {rep.coweight}
+    assert d.is_dominant(lam) == (lam in dominant)
+    cur = lam
+    for i in rep.word:  # s_i(λ) = λ − ⟨λ, α_i⟩ α̌_i
+        pairing = sum(x * a for x, a in zip(cur, d.simple_roots[i]))
+        cur = tuple(x - pairing * c for x, c in zip(cur, d.simple_coroots[i]))
+    assert cur == rep.coweight
+    assert rep.sign == (-1) ** len(rep.word)
 
 
 def test_apply_w0():
