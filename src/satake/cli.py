@@ -28,6 +28,11 @@ from .root_datum import PRESETS, RootDatum, build_root_datum
 from .whittaker import WhittakerModule
 
 
+# F_q-points in the largest cell of a verify-eq2 battery, q^m_max; each point is
+# enumerated with a ψ-value of q − 1 integers, so q alone is held to it too
+_EQ2_POINT_BUDGET = 10 ** 6
+
+
 class UsageError(Exception):
     pass
 
@@ -79,9 +84,10 @@ def _parse_coweight(text: str, datum: RootDatum) -> Tuple[int, ...]:
 
 def _parse_dominant(text: str, datum: RootDatum) -> Tuple[int, ...]:
     coords = _parse_coweight(text, datum)
-    if not datum.is_dominant(coords):
-        raise UsageError("coweight %r is not dominant" % (coords,))
-    return coords
+    try:
+        return datum.dominant(coords)
+    except ValueError as exc:
+        raise UsageError(str(exc))
 
 
 def _parse_gamma(text: str, datum: RootDatum):
@@ -348,6 +354,13 @@ def _cmd_verify_eq2(args) -> int:
     if args.m_max < 0:
         raise UsageError("m_max must be nonnegative (the battery would be empty); got %d"
                          % args.m_max)
+    # checked before primality, whose trial division is slow for a huge q; q ≥ 2 passes
+    # the budget within its bit length in factors, so the power is never formed in full
+    q = max(args.primes)
+    if max(q, q ** min(args.m_max, _EQ2_POINT_BUDGET.bit_length())) > _EQ2_POINT_BUDGET:
+        raise UsageError("battery too large: its largest cell has %d^%d points, each with a "
+                         "ψ-value of %d integers; the limit is %d of either"
+                         % (q, args.m_max, q - 1, _EQ2_POINT_BUDGET))
     for q in args.primes:
         if not is_prime(q):
             raise UsageError("q values must be primes; got %d" % q)

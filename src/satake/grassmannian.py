@@ -61,18 +61,11 @@ class Grassmannian:
 
     def orbit_dim(self, lam) -> int:
         """dim Gr^λ = ⟨λ, 2ρ̌⟩."""
-        lam = self.datum.coweight(lam)
-        if not self.datum.is_dominant(lam):
-            raise ValueError("orbit_dim needs a dominant coweight")
-        return self.datum.pairing_2rho(lam)
+        return self.datum.pairing_2rho(self.datum.dominant(lam))
 
     def closure_contains(self, lam, mu) -> bool:
         """Gr^μ ⊂ closure(Gr^λ) iff μ ≤ λ in dominance order."""
-        lam = self.datum.coweight(lam)
-        mu = self.datum.coweight(mu)
-        if not (self.datum.is_dominant(lam) and self.datum.is_dominant(mu)):
-            raise ValueError("closure_contains needs dominant coweights")
-        return self.datum.dominance_leq(mu, lam)
+        return self.datum.dominance_leq(self.datum.dominant(mu), self.datum.dominant(lam))
 
     def mv_dim_bound(self, lam, nu) -> MVBound:
         """The bound dim(Gr^λ ∩ S^ν) ≤ ⟨λ+ν, ρ̌⟩ when the intersection is nonempty.
@@ -81,10 +74,8 @@ class Grassmannian:
         multiplicity positive), which also requires λ − ν in the coroot
         lattice.
         """
-        lam = self.datum.coweight(lam)
+        lam = self.datum.dominant(lam)
         nu = self.datum.coweight(nu)
-        if not self.datum.is_dominant(lam):
-            raise ValueError("mv_dim_bound needs a dominant λ")
         if self.rep.weight_multiplicity(lam, nu) == 0:
             return MVBound(True, None, None)
         total = tuple(a + b for a, b in zip(lam, nu))
@@ -112,11 +103,9 @@ class Grassmannian:
         V^{μ+ν} occurs in V^λ ⊗ V^μ; otherwise: a single degree ⟨2ν,ρ̌⟩ of
         dimension C^{μ+ν}_{λμ}, with Frobenius acting by q^{⟨ν,2ρ̌⟩}.
         """
-        lam = self.datum.coweight(lam)
+        lam = self.datum.dominant(lam)
         mu = self.datum.coweight(mu)
         nu = self.datum.coweight(nu)
-        if not self.datum.is_dominant(lam):
-            raise ValueError("predicted_cohomology needs a dominant λ")
         target = tuple(a + b for a, b in zip(mu, nu))
         if not self.datum.is_dominant(target):
             raise ValueError("hypothesis violated: μ+ν = %r is not dominant" % (target,))
@@ -134,11 +123,9 @@ class Grassmannian:
         The largeness threshold ⟨μ, α̌_i⟩ ≥ ⟨λ, 2ρ̌⟩ for every i is a
         precondition; returns the comparison of the two sides.
         """
-        lam = self.datum.coweight(lam)
+        lam = self.datum.dominant(lam)
         nu = self.datum.coweight(nu)
         mu = self.datum.coweight(mu)
-        if not self.datum.is_dominant(lam):
-            raise ValueError("mv_weight_multiplicity_check needs a dominant λ")
         threshold = self.datum.pairing_2rho(lam)
         for root in self.datum.simple_roots:
             if self.datum.pairing(mu, root) < threshold:

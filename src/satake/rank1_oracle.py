@@ -54,7 +54,8 @@ class Cyclotomic:
     The relation Σ_{a ∈ F_p} ζ^a = 0 holds identically in this
     representation.  The public constructor checks p and the length of the
     vector; results of arithmetic are built by ``_result`` without the
-    checks, since their operands passed them.
+    checks, since their operands passed them, and so is ``zeta``, which point
+    enumeration calls once per point after checking q once per cell.
     """
 
     __slots__ = ("p", "vec")
@@ -80,11 +81,11 @@ class Cyclotomic:
 
     @classmethod
     def zeta(cls, p: int, k: int) -> "Cyclotomic":
-        """ζ^k, with ζ^{p−1} rewritten as −(1 + ζ + … + ζ^{p−2})."""
+        """ζ^k, with ζ^{p−1} rewritten as −(1 + ζ + … + ζ^{p−2}); p is not checked."""
         k %= p
         if k < p - 1:
-            return cls(p, tuple(1 if i == k else 0 for i in range(p - 1)))
-        return cls(p, (-1,) * (p - 1))
+            return cls._result(p, tuple(1 if i == k else 0 for i in range(p - 1)))
+        return cls._result(p, (-1,) * (p - 1))
 
     def _check(self, other: "Cyclotomic") -> None:
         if self.p != other.p:
@@ -289,14 +290,7 @@ class Rank1Oracle:
 
     # -- the two sides of the identity ----------------------------------------
 
-    def eq2_lhs(
-        self,
-        lam: int,
-        mu: int,
-        nu: int,
-        q: int,
-        ic_override: Optional[Dict[Tuple[int, int], LaurentPoly]] = None,
-    ) -> VMonomial:
+    def eq2_lhs(self, lam: int, mu: int, nu: int, q: int) -> VMonomial:
         """The orbit integral as an exact value c · v^ε.
 
         Sums the stalk weight of A_λ against the ψ(a_{−1−μ}) character sum
@@ -314,11 +308,7 @@ class Rank1Oracle:
         total = LaurentPoly()
         if (m - n) % 2 == 0:
             for mprime in range(abs(n), m + 1, 2):
-                if ic_override and (m, mprime) in ic_override:
-                    weight = ic_override[(m, mprime)]
-                else:
-                    weight = self.ic_weight(m, mprime)
-                total = total + weight * self.stratum_charsum(mprime, n, j, q)
+                total = total + self.ic_weight(m, mprime) * self.stratum_charsum(mprime, n, j, q)
         total = total.shift(-2 * n)  # measure of the stabilizer of ν(t): q^{−ν}
         if not total:
             return half_power(0, False)
@@ -344,15 +334,8 @@ class Rank1Oracle:
         coeff = mult * Fraction(q) ** ((-n - (1 if odd else 0)) // 2)
         return half_power(coeff, odd)
 
-    def check_triple(
-        self,
-        lam: int,
-        mu: int,
-        nu: int,
-        q: int,
-        ic_override: Optional[Dict[Tuple[int, int], LaurentPoly]] = None,
-    ) -> Eq2Record:
-        lhs = self.eq2_lhs(lam, mu, nu, q, ic_override=ic_override)
+    def check_triple(self, lam: int, mu: int, nu: int, q: int) -> Eq2Record:
+        lhs = self.eq2_lhs(lam, mu, nu, q)
         rhs = self.eq2_rhs(lam, mu, nu, q)
         return Eq2Record(lam, mu, nu, q, lhs, rhs, lhs == rhs)
 
@@ -365,15 +348,10 @@ class Rank1Oracle:
                     out.append((m, n, mu))
         return out
 
-    def verify_eq2(
-        self,
-        m_max: int,
-        q_list: Sequence[int],
-        ic_override: Optional[Dict[Tuple[int, int], LaurentPoly]] = None,
-    ) -> Eq2Report:
+    def verify_eq2(self, m_max: int, q_list: Sequence[int]) -> Eq2Report:
         """Run the whole battery; failures become report entries, not exceptions."""
         records = [
-            self.check_triple(m, mu, n, q, ic_override=ic_override)
+            self.check_triple(m, mu, n, q)
             for q in q_list
             for (m, n, mu) in self.triples(m_max)
         ]

@@ -1,7 +1,8 @@
 """The representation ring of the dual group over a fixed root datum.
 
-Weight multiplicities come from the Freudenthal recursion (with the
-alternating Kostant sum kept alongside as an independent cross-check),
+Weight multiplicities come from the Freudenthal recursion in the datum's one
+W-invariant form (x, y) = Σ_{β>0} ⟨x,β⟩⟨y,β⟩ (with the alternating Kostant
+sum kept alongside as an independent cross-check),
 tensor products from the Brauer–Klimyk ρ-shift algorithm, characters by
 summing integer numerators over the memoized weight table with one
 denominator per trace, and the q-side from the q-deformed Kostant partition
@@ -60,24 +61,6 @@ class RepRing:
         self._partition_box: Coweight = (0,) * self.datum.rank
         self._dims: Dict[Coweight, int] = {}
 
-    # -- helpers -----------------------------------------------------------
-
-    def _require_dominant(self, lam) -> Coweight:
-        lam = self.datum.coweight(lam)
-        if not self.datum.is_dominant(lam):
-            raise ValueError("coweight %r is not dominant" % (lam,))
-        return lam
-
-    def _form(self, x: Sequence, coords: Sequence) -> int:
-        """Weyl-invariant form (x, β) where β = Σ coords_j · coroot_j, in integers."""
-        datum = self.datum
-        d = datum.symmetrizer
-        total = 0
-        for j, c in enumerate(coords):
-            if c:
-                total += c * d[j] * datum.pairing(x, datum.simple_roots[j])
-        return total
-
     # -- dimensions and weights ---------------------------------------------
 
     def weyl_dim(self, lam) -> int:
@@ -85,7 +68,7 @@ class RepRing:
 
         The product of ⟨2λ+2ρ, α⟩ over the product of ⟨2ρ, α⟩, α > 0, in integers.
         """
-        lam = self._require_dominant(lam)
+        lam = self.datum.dominant(lam)
         if lam in self._dims:
             return self._dims[lam]
         datum = self.datum
@@ -103,7 +86,7 @@ class RepRing:
 
     def dominant_weights_below(self, lam) -> List[Tuple[int, Coweight, Coweight]]:
         """All dominant μ ≤ λ as (depth, μ, coroot-coordinates of λ−μ), depth-sorted."""
-        lam = self._require_dominant(lam)
+        lam = self.datum.dominant(lam)
         datum = self.datum
         max_depth = datum.pairing_2rho(lam) // 2
         out = []
@@ -125,19 +108,26 @@ class RepRing:
         return out
 
     def dominant_multiplicity_table(self, lam) -> Dict[Coweight, int]:
-        """Weight multiplicities of V^λ on dominant weights, by Freudenthal recursion."""
-        lam = self._require_dominant(lam)
+        """Weight multiplicities of V^λ on dominant weights, by Freudenthal recursion.
+
+        The form is the datum's W-invariant (x, y) = Σ_{β>0} ⟨x,β⟩⟨y,β⟩;
+        Freudenthal's formula holds for any W-invariant form that is
+        nondegenerate on the span of the coroots (Humphreys, Lie Algebras, §22.3).
+        """
+        lam = self.datum.dominant(lam)
         if lam in self._dominant_tables:
             return dict(self._dominant_tables[lam])
         datum = self.datum
         two_rho = datum.two_rho_dual
+        # (x, α̌) = ⟨x, u⟩ with one covector u per positive coroot α̌
+        coroots = [(alpha, datum.form_covector(alpha)) for alpha, _ in datum.positive_coroots]
         table: Dict[Coweight, int] = {}
-        for depth, mu, coords in self.dominant_weights_below(lam):
+        for depth, mu, _ in self.dominant_weights_below(lam):
             if depth == 0:
                 table[mu] = 1
                 continue
             numerator = 0
-            for alpha, acoords in datum.positive_coroots:
+            for alpha, covector in coroots:
                 k = 1
                 while True:
                     nu = tuple(m + k * a for m, a in zip(mu, alpha))
@@ -145,10 +135,11 @@ class RepRing:
                     mult = table.get(dom, 0)
                     if mult == 0:
                         break  # weights along a root string are contiguous
-                    numerator += mult * self._form(nu, acoords)
+                    numerator += mult * datum.pairing(nu, covector)
                     k += 1
             lam_mu_sum = tuple(a + b + r for a, b, r in zip(lam, mu, two_rho))
-            denominator = self._form(lam_mu_sum, coords)
+            lam_mu_diff = tuple(a - b for a, b in zip(lam, mu))
+            denominator = datum.pairing(lam_mu_sum, datum.form_covector(lam_mu_diff))
             value, rem = divmod(2 * numerator, denominator)
             if rem or value <= 0:
                 raise InvariantError("Freudenthal gave %d/%d" % (2 * numerator, denominator))
@@ -158,19 +149,19 @@ class RepRing:
 
     def weight_multiplicity(self, lam, nu) -> int:
         """dim of the ν-weight space of V^λ (Weyl-invariant in ν)."""
-        lam = self._require_dominant(lam)
+        lam = self.datum.dominant(lam)
         nu = self.datum.coweight(nu)
         dom = self.datum.dominant_representative(nu).coweight
         return self.dominant_multiplicity_table(lam).get(dom, 0)
 
     def kostant_multiplicity(self, lam, nu) -> int:
         """The same multiplicity by the alternating Kostant sum (independent route)."""
-        lam = self._require_dominant(lam)
+        lam = self.datum.dominant(lam)
         return int(self._alternating_sum(lam, self.datum.coweight(nu)).eval_q(1))
 
     def weight_table(self, lam) -> Dict[Coweight, int]:
         """The full (Weyl-invariant) weight multiplicity table of V^λ."""
-        lam = self._require_dominant(lam)
+        lam = self.datum.dominant(lam)
         out: Dict[Coweight, int] = {}
         for mu, mult in self.dominant_multiplicity_table(lam).items():
             for nu in self.datum.weyl_orbit(mu):
@@ -178,7 +169,7 @@ class RepRing:
         return out
 
     def weights_with_multiplicity(self, lam) -> Tuple[Tuple[Coweight, int], ...]:
-        lam = self._require_dominant(lam)
+        lam = self.datum.dominant(lam)
         if lam not in self._full_weights:
             self._full_weights[lam] = tuple(sorted(self.weight_table(lam).items()))
         return self._full_weights[lam]
@@ -193,8 +184,8 @@ class RepRing:
         representative minus ρ.  The shifted weights are held doubled,
         2(λ+τ)+2ρ, so they stay on the lattice.
         """
-        lam = self._require_dominant(lam)
-        mu = self._require_dominant(mu)
+        lam = self.datum.dominant(lam)
+        mu = self.datum.dominant(mu)
         key = (lam, mu)
         if key in self._tensor:
             return dict(self._tensor[key])
@@ -224,7 +215,7 @@ class RepRing:
 
     def tensor_multiplicity(self, lam, mu, nu) -> int:
         """dim Hom(V^ν, V^λ ⊗ V^μ)."""
-        nu = self._require_dominant(nu)
+        nu = self.datum.dominant(nu)
         return self.tensor_decompose(lam, mu).get(nu, 0)
 
     # -- characters ------------------------------------------------------------
@@ -256,7 +247,7 @@ class RepRing:
 
     def dual_character_eval(self, lam, gamma: TorusPoint) -> Fraction:
         """Tr(γ, (V^λ)*), computed as the character of V^{−w₀λ}."""
-        lam = self._require_dominant(lam)
+        lam = self.datum.dominant(lam)
         dual = tuple(-x for x in self.datum.apply_w0(lam))
         return self.character_eval(dual, gamma)
 
@@ -314,7 +305,7 @@ class RepRing:
         The alternating Weyl sum of the q-Kostant partition function at
         w(λ+ρ) − (μ+ρ); its value at q = 1 is the weight multiplicity.
         """
-        return self._alternating_sum(self._require_dominant(lam), self._require_dominant(mu))
+        return self._alternating_sum(self.datum.dominant(lam), self.datum.dominant(mu))
 
     def _alternating_sum(self, lam: Coweight, nu: Coweight) -> LaurentPoly:
         """The alternating Weyl sum Σ_w (−1)^{ℓ(w)} P_q(w(λ+ρ) − (ν+ρ)).

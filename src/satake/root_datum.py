@@ -5,23 +5,25 @@ A datum fixes a concrete lattice Λ = Z^n together with the simple coroots
 downstream — the dual-group representation ring, the Hecke algebra, the
 orbit combinatorics — is parameterized by one of these objects.
 
-Weyl group elements are handled as integer matrices acting on Λ, generated by
-breadth-first closure from the simple reflections; the BFS depth is the
-Coxeter length.  All arithmetic is exact.  Every lattice vector is a tuple
-of ints; a half-integral vector such as ρ̌ or ρ of the dual group is only
-ever held doubled (two_rho_check, two_rho_dual), and callers halve a result
-after a parity check.  Fractions appear only in coroot coordinates and in
-determinants.  Instances are immutable after construction and safe for
-concurrent reads.
+One breadth-first closure under the simple reflections (_closure) yields the
+Weyl group as integer matrices on Λ (the BFS depth is the Coxeter length),
+Weyl orbits, and both positive systems, which run in simple-root coordinates
+under the Cartan matrix or its transpose.  The datum also owns the one
+W-invariant form (x, y) = Σ_{β>0} ⟨x, β⟩⟨y, β⟩ and the one dominance check
+(dominant) that callers use on coweight arguments.  All arithmetic is exact.
+Every lattice vector is a tuple of ints; a half-integral vector such as ρ̌ or
+ρ of the dual group is only ever held doubled (two_rho_check, two_rho_dual),
+and callers halve a result after a parity check.  Fractions appear only in
+coroot coordinates and in determinants.  Instances are immutable after
+construction and safe for concurrent reads.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import combinations, product as iter_product
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -59,37 +61,52 @@ def _reflect(vec: Sequence, pair_with: Sequence, along: Sequence) -> Tuple:
     return tuple(x - c * a for x, a in zip(vec, along))
 
 
-def _positive_system(
-    simples: Sequence[Vector], duals: Sequence[Vector]
-) -> List[Tuple[Vector, Vector]]:
-    """Positive roots generated by the reflections x ↦ x − ⟨x, duals_i⟩ simples_i.
+def _closure(starts: Sequence, moves: Sequence) -> Dict:
+    """Breadth-first closure of starts under moves, as {element: BFS depth}.
 
-    Each entry is (vector, coordinates in the simples), sorted by height and
-    then lexicographically.
+    Every closure here is a Weyl group, an orbit of it or a root system, so it
+    is refused once it outgrows the supported Weyl group order.
+    """
+    seen = dict.fromkeys(starts, 0)
+    frontier = list(seen)
+    depth = 0
+    while frontier:
+        depth += 1
+        nxt = []
+        for x in frontier:
+            for move in moves:
+                y = move(x)
+                if y not in seen:
+                    seen[y] = depth
+                    nxt.append(y)
+        frontier = nxt
+        if len(seen) > _WEYL_ORDER_CAP:
+            raise ValueError("Weyl group exceeds the supported size cap")
+    return seen
+
+
+def _positive_system(
+    pairings: Matrix, simples: Sequence[Vector]
+) -> Tuple[Tuple[Vector, Vector], ...]:
+    """Positive roots of the system with simple roots `simples`, as (vector, coordinates).
+
+    pairings[i][j] pairs simple root j with simple dual root i, so in simple-root
+    coordinates s_i changes only the i-th coordinate: c_i ↦ c_i − Σ_j pairings[i][j] c_j.
+    Sorted by height and then lexicographically.
     """
     rank = len(simples)
-    seen: Dict[Vector, Vector] = {}
-    frontier = [
-        (tuple(v), tuple(1 if k == i else 0 for k in range(rank))) for i, v in enumerate(simples)
+
+    def reflection(i: int):
+        return lambda c: c[:i] + (c[i] - _dot(pairings[i], c),) + c[i + 1:]
+
+    units = [tuple(int(k == i) for k in range(rank)) for i in range(rank)]
+    positive = [
+        (tuple(_dot(c, column) for column in zip(*simples)), c)
+        for c in _closure(units, [reflection(i) for i in range(rank)])
+        if min(c) >= 0
     ]
-    for v, coords in frontier:
-        seen[v] = coords
-    while frontier:
-        nxt = []
-        for v, coords in frontier:
-            for i in range(rank):
-                c = _dot(v, duals[i])
-                if c.denominator != 1:
-                    raise InvariantError("non-integral root pairing %s" % c)
-                w = _reflect(v, duals[i], simples[i])
-                wc = tuple(coords[k] - (int(c) if k == i else 0) for k in range(rank))
-                if w not in seen:
-                    seen[w] = wc
-                    nxt.append((w, wc))
-        frontier = nxt
-    positive = [(v, c) for v, c in seen.items() if all(x >= 0 for x in c)]
     positive.sort(key=lambda vc: (sum(vc[1]), vc[0]))
-    return positive
+    return tuple(positive)
 
 
 def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -97,10 +114,6 @@ def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(
         tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n)
     )
-
-
-def _identity(n: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def _det(matrix: List[List[Fraction]]) -> Fraction:
@@ -147,7 +160,6 @@ class RootDatum:
     simple_coroots: Tuple[Vector, ...]
     simple_roots: Tuple[Vector, ...]
     cartan_matrix: Matrix
-    preset_name: Optional[str] = None
 
     @property
     def rank(self) -> int:
@@ -191,6 +203,13 @@ class RootDatum:
 
     def is_dominant(self, lam: Sequence) -> bool:
         return min(self._simple_pairings(lam)) >= 0
+
+    def dominant(self, x) -> Tuple:
+        """Normalize x as coweight() does, and raise ValueError unless it is dominant."""
+        lam = self.coweight(x)
+        if not self.is_dominant(lam):
+            raise ValueError("coweight %r is not dominant" % (lam,))
+        return lam
 
     def dominant_representative(self, lam: Sequence) -> DomRep:
         """The dominant Weyl-orbit representative, with a word mapping λ to it.
@@ -290,12 +309,13 @@ class RootDatum:
         Each entry is (vector in Λ, coordinates in the simple coroots),
         sorted by height and then lexicographically.
         """
-        return tuple(_positive_system(self.simple_coroots, self.simple_roots))
+        return _positive_system(self.cartan_matrix, self.simple_coroots)
 
     @cached_property
     def positive_roots(self) -> Tuple[Vector, ...]:
         """Positive roots of the group, as vectors in the dual lattice."""
-        return tuple(v for v, _ in _positive_system(self.simple_roots, self.simple_coroots))
+        transpose = tuple(zip(*self.cartan_matrix))
+        return tuple(v for v, _ in _positive_system(transpose, self.simple_roots))
 
     @cached_property
     def two_rho_check(self) -> Vector:
@@ -315,61 +335,24 @@ class RootDatum:
                 total[k] += x
         return tuple(total)
 
-    @cached_property
-    def symmetrizer(self) -> Tuple[int, ...]:
-        """Minimal positive integers d with d_i C_ij = d_j C_ji.
+    def form_covector(self, x: Sequence) -> Vector:
+        """Σ_{β>0} ⟨x, β⟩ β: the dual-lattice vector with (x, y) = ⟨y, form_covector(x)⟩.
 
-        These normalize the Weyl-invariant symmetric form on Λ⊗Q used by the
-        Freudenthal recursion: (x, α_j) = d_j ⟨x, α̌_j⟩.
+        (x, y) = Σ_{β>0} ⟨x, β⟩⟨y, β⟩ is a W-invariant symmetric form on Λ ⊗ Q,
+        since W permutes the roots up to sign.  It vanishes on central
+        directions and is positive definite on the span of the coroots.
         """
-        C = self.cartan_matrix
-        r = self.rank
-        d: List[Optional[Fraction]] = [None] * r
-        for start in range(r):
-            if d[start] is not None:
-                continue
-            d[start] = Fraction(1)
-            stack = [start]
-            while stack:
-                i = stack.pop()
-                for j in range(r):
-                    if C[i][j] != 0 and i != j and d[j] is None:
-                        # symmetry constraint d_i C_ij = d_j C_ji
-                        d[j] = d[i] * Fraction(C[i][j], C[j][i])
-                        stack.append(j)
-        scale = math.lcm(*(x.denominator for x in d))  # type: ignore[union-attr]
-        ints = [int(x * scale) for x in d]  # type: ignore[arg-type]
-        g = math.gcd(*ints)
-        return tuple(x // g for x in ints)
+        pairs = [(_dot(x, root), root) for root in self.positive_roots]
+        return tuple(sum(c * root[k] for c, root in pairs) for k in range(self.lattice_rank))
 
     @cached_property
     def weyl_elements(self) -> Tuple[Tuple[Matrix, int], ...]:
-        """All Weyl group elements as (matrix on Λ, Coxeter length)."""
-        gens = []
+        """All Weyl group elements as (matrix on Λ, Coxeter length), by length and then matrix."""
         n = self.lattice_rank
-        for i in range(self.rank):
-            cols = []
-            for c in range(n):
-                e = tuple(1 if r == c else 0 for r in range(n))
-                cols.append(self.reflect(i, e))
-            gens.append(tuple(tuple(cols[c][r] for c in range(n)) for r in range(n)))
-        ident = _identity(n)
-        seen = {ident: 0}
-        frontier = [ident]
-        depth = 0
-        while frontier:
-            depth += 1
-            nxt = []
-            for m in frontier:
-                for g in gens:
-                    p = _mat_mul(g, m)
-                    if p not in seen:
-                        seen[p] = depth
-                        nxt.append(p)
-            frontier = nxt
-            if len(seen) > _WEYL_ORDER_CAP:
-                raise ValueError("Weyl group exceeds the supported size cap")
-        return tuple(sorted(seen.items(), key=lambda kv: (kv[1], kv[0])))
+        ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        gens = [tuple(zip(*(self.reflect(i, e) for e in ident))) for i in range(self.rank)]
+        lengths = _closure([ident], [partial(_mat_mul, g) for g in gens])
+        return tuple(sorted(lengths.items(), key=lambda kv: (kv[1], kv[0])))
 
     @cached_property
     def weyl_order(self) -> int:
@@ -377,19 +360,8 @@ class RootDatum:
 
     def weyl_orbit(self, lam: Sequence) -> Tuple[Tuple, ...]:
         """The Weyl orbit of a lattice vector, sorted."""
-        start = tuple(lam)
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for i in range(self.rank):
-                    w = self.reflect(i, v)
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        return tuple(sorted(seen))
+        reflections = [partial(self.reflect, i) for i in range(self.rank)]
+        return tuple(sorted(_closure([tuple(lam)], reflections)))
 
     def dominant_box(self, pair_bound: int, coord_bound: Optional[int] = None):
         """Dominant coweights λ with ⟨λ, 2ρ̌⟩ ≤ pair_bound inside a coordinate box.
@@ -479,7 +451,6 @@ def build_root_datum(spec) -> RootDatum:
     with cartan[i][j] = ⟨coroot_j, root_i⟩.  Rejects non-finite-type Cartan
     matrices and coroot/root vectors inconsistent with the Cartan matrix.
     """
-    preset_name = None
     if isinstance(spec, RootDatum):
         return spec
     if isinstance(spec, str):
@@ -487,7 +458,6 @@ def build_root_datum(spec) -> RootDatum:
             raise ValueError(
                 "unknown preset %r (available: %s)" % (spec, ", ".join(sorted(PRESETS)))
             )
-        preset_name = spec
         spec = PRESETS[spec]
     coroots = tuple(tuple(int(x) for x in v) for v in spec["coroots"])
     roots = tuple(tuple(int(x) for x in v) for v in spec["roots"])
@@ -514,5 +484,4 @@ def build_root_datum(spec) -> RootDatum:
         simple_coroots=coroots,
         simple_roots=roots,
         cartan_matrix=cartan,
-        preset_name=preset_name,
     )

@@ -37,10 +37,7 @@ class WhittakerModule:
         self.rep = hecke.rep
 
     def phi(self, lam, coeff=ONE) -> BasisElement:
-        lam = self.datum.coweight(lam)
-        if not self.datum.is_dominant(lam):
-            raise ValueError("phi is indexed by dominant coweights; got %r" % (lam,))
-        return BasisElement(PHI_BASIS, {lam: coeff})
+        return BasisElement(PHI_BASIS, {self.datum.dominant(lam): coeff})
 
     def phi_zero(self) -> BasisElement:
         return self.phi((0,) * self.datum.lattice_rank)
@@ -91,9 +88,7 @@ class WhittakerModule:
         the truncation, so the contract is an exact zero map.
         """
         self.require_window(cutoff)
-        lam_act = self.datum.coweight(lam_act)
-        if not self.datum.is_dominant(lam_act):
-            raise ValueError("acting coweight %r is not dominant" % (lam_act,))
+        lam_act = self.datum.dominant(lam_act)
         pad = self.datum.pairing_2rho(lam_act)
         truncation = self.datum.dominant_box(cutoff + pad)
         eigenvalue = self.rep.character_eval(lam_act, gamma)

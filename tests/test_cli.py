@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -144,6 +145,39 @@ def test_verify_eq2_rejects_composite_field_size(capsys):
     code, _, err = run(capsys, "verify-eq2", "--datum", "PGL2", "2", "4")
     assert code == 2
     assert "prime" in err
+
+
+@pytest.mark.parametrize(
+    "argv, count",
+    [
+        (("20", "7"), "7^20 points"),
+        (("8", "3", "7"), "7^8 points"),
+        (("1000000000", "3"), "3^1000000000 points"),
+        (("0", "1000003"), "1000003^0 points, each with a ψ-value of 1000002 integers"),
+    ],
+    ids=["m20-q7", "m8-q7", "huge-m", "huge-q"],
+)
+def test_oversized_eq2_battery_is_refused_while_parsing(capsys, monkeypatch, argv, count):
+    from satake.rank1_oracle import Rank1Oracle
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the battery started")
+
+    monkeypatch.setattr(cli, "is_prime", no_work)
+    monkeypatch.setattr(Rank1Oracle, "verify_eq2", no_work)
+    start = time.monotonic()
+    code, out, err = run(capsys, "verify-eq2", "--datum", "PGL2", *argv)
+    assert time.monotonic() - start < 1
+    assert code == 2 and out == ""
+    assert count in err
+
+
+@pytest.mark.parametrize("argv", [("5", "3", "5", "7"), ("8", "3")])
+def test_eq2_point_budget_admits_the_largest_batteries_in_use(capsys, monkeypatch, argv):
+    from satake.rank1_oracle import Eq2Report, Rank1Oracle
+
+    monkeypatch.setattr(Rank1Oracle, "verify_eq2", lambda self, m_max, primes: Eq2Report(()))
+    assert run(capsys, "verify-eq2", "--datum", "PGL2", *argv) == (0, "PASS 0/0\n", "")
 
 
 def test_verify_eq2_rejects_wrong_datum(capsys):

@@ -60,12 +60,20 @@ def test_sp4_second_fundamental_agrees_across_algorithms():
     assert freudenthal == kostant == 1
 
 
+# A1 × C2: reducible, so the invariant form has a separate scale on each factor
+REDUCIBLE = {"cartan": [[2, 0, 0], [0, 2, -2], [0, -1, 2]],
+             "coroots": [[2, 0, 0], [0, 2, -1], [0, -2, 2]],
+             "roots": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
+
+
 def test_freudenthal_matches_kostant_on_boxes():
-    for name, bound in [("PGL2", 6), ("SL2", 3), ("SL3", 4), ("Sp4", 6)]:
-        rep = RepRing(name)
+    for spec, bound in [("PGL2", 6), ("SL2", 3), ("SL3", 4), ("Sp4", 6), (REDUCIBLE, 10)]:
+        rep = RepRing(spec)
         for lam in rep.datum.dominant_box(bound):
             for _, mu, _ in rep.dominant_weights_below(lam):
                 assert rep.weight_multiplicity(lam, mu) == rep.kostant_multiplicity(lam, mu)
+            mass = sum(mult for _, mult in rep.weights_with_multiplicity(lam))
+            assert mass == rep.weyl_dim(lam)
 
 
 def test_weight_multiplicity_requires_dominant_highest_weight():

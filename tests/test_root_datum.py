@@ -232,9 +232,7 @@ def test_singularity_detection_on_shifted_vectors():
 def test_explicit_datum_round_trip():
     base = build_root_datum("Sp4")
     rebuilt = build_root_datum(base.to_json())
-    assert rebuilt.simple_coroots == base.simple_coroots
-    assert rebuilt.cartan_matrix == base.cartan_matrix
-    assert rebuilt.preset_name is None
+    assert rebuilt == base
     assert rebuilt.weyl_order == 8
 
 
@@ -283,6 +281,12 @@ def test_coweight_normalization():
         s.coweight(3)
     with pytest.raises(ValueError):
         s.coweight((1, 2, 3))
+    assert d.dominant(3) == (3,)
+    assert s.dominant([2, 0]) == (2, 0)
+    with pytest.raises(ValueError, match=r"coweight \(-1, 2\) is not dominant"):
+        s.dominant([-1, 2])
+    with pytest.raises(ValueError, match="length"):
+        s.dominant((1, 2, 3))
 
 
 def test_dominant_box_is_sorted_and_complete():
@@ -295,13 +299,49 @@ def test_dominant_box_is_sorted_and_complete():
     assert heights == sorted(heights)
 
 
-def test_symmetrizer_values():
-    assert build_root_datum("SL3").symmetrizer == (1, 1)
-    sp4 = build_root_datum("Sp4").symmetrizer
-    g2 = build_root_datum("G2").symmetrizer
-    # d_i C_ij must be symmetric
-    for name, d in [("Sp4", sp4), ("G2", g2)]:
-        C = build_root_datum(name).cartan_matrix
-        for i in range(2):
-            for j in range(2):
-                assert d[i] * C[i][j] == d[j] * C[j][i]
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(sorted(PRESETS)),
+       coords=st.lists(st.integers(-20, 20), min_size=6, max_size=6))
+def test_invariant_form_is_weyl_invariant(name, coords):
+    d = build_root_datum(name)
+    n = d.lattice_rank
+    x, y = tuple(coords[:n]), tuple(coords[3:3 + n])
+
+    def form(a, b):
+        value = d.pairing(b, d.form_covector(a))
+        assert type(value) is int
+        return value
+
+    assert form(x, y) == form(y, x)
+    for i in range(d.rank):
+        assert form(d.reflect(i, x), d.reflect(i, y)) == form(x, y)
+    # positive on every nonzero vector of the coroot span
+    beta = tuple(sum(c * alpha[k] for c, alpha in zip(coords, d.simple_coroots))
+                 for k in range(n))
+    assert (form(beta, beta) > 0) == any(coords[:d.rank])
+
+
+# (positive coroots as (vector, coroot coordinates), positive roots), each by height
+# and then lexicographically: the order in which the coin-change table fills its layers
+POSITIVE_SYSTEMS = {
+    "PGL2": ((((2,), (1,)),), ((1,),)),
+    "SL2": ((((1,), (1,)),), ((2,),)),
+    "GL2": ((((1, -1), (1,)),), ((1, -1),)),
+    "SL3": ((((-1, 2), (0, 1)), ((2, -1), (1, 0)), ((1, 1), (1, 1))),
+            ((0, 1), (1, 0), (1, 1))),
+    "GL3": ((((0, 1, -1), (0, 1)), ((1, -1, 0), (1, 0)), ((1, 0, -1), (1, 1))),
+            ((0, 1, -1), (1, -1, 0), (1, 0, -1))),
+    "Sp4": ((((-2, 2), (0, 1)), ((2, -1), (1, 0)), ((0, 1), (1, 1)), ((2, 0), (2, 1))),
+            ((0, 1), (1, 0), (1, 1), (1, 2))),
+    "G2": ((((-3, 2), (0, 1)), ((2, -1), (1, 0)), ((-1, 1), (1, 1)), ((1, 0), (2, 1)),
+            ((3, -1), (3, 1)), ((0, 1), (3, 2))),
+           ((0, 1), (1, 0), (1, 1), (1, 2), (1, 3), (2, 3))),
+}
+
+
+def test_positive_systems_are_pinned():
+    assert sorted(POSITIVE_SYSTEMS) == sorted(PRESETS)
+    for name, (coroots, roots) in POSITIVE_SYSTEMS.items():
+        d = build_root_datum(name)
+        assert d.positive_coroots == coroots
+        assert d.positive_roots == roots
