@@ -165,7 +165,7 @@ class HeckeAlgebra:
             return dict(self._satake_rows[lam])
         prefactor = -self.datum.pairing_2rho(lam)
         row: Dict[Coweight, LaurentPoly] = {}
-        for depth, mu, _ in self.rep.dominant_weights_below(lam):
+        for depth, mu in self.rep.dominant_weights_below(lam):
             if depth == 0:
                 row[mu] = LaurentPoly.v_power(prefactor)
                 continue

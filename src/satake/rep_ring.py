@@ -1,15 +1,16 @@
 """The representation ring of the dual group over a fixed root datum.
 
 Weight multiplicities come from the Freudenthal recursion in the datum's one
-W-invariant form (x, y) = Σ_{β>0} ⟨x,β⟩⟨y,β⟩ (with the alternating Kostant
-sum kept alongside as an independent cross-check),
-tensor products from the Brauer–Klimyk ρ-shift algorithm, characters by
-summing integer numerators over the memoized weight table with one
-denominator per trace, and the q-side from the q-deformed Kostant partition
-function (one coin-change table per instance, in integers) and the Lusztig
-q-analog of weight multiplicity.  All values are exact (integers / Fractions
-/ integer Laurent polynomials); per-instance memo dictionaries make repeated
-queries cheap.
+W-invariant form (x, y) = Σ_{β>0} ⟨x,β⟩⟨y,β⟩, one pass of which fills both the
+dominant and the full weight table of V^λ, with Weyl orbits memoized per ring
+(the alternating Kostant sum is kept as an independent cross-check); tensor
+products from the Brauer–Klimyk ρ-shift algorithm, characters by summing
+integer numerators over the memoized weight table with one denominator per
+trace, and the q-side from the q-deformed Kostant partition function (one
+coin-change table per instance, in integers) and the Lusztig q-analog of
+weight multiplicity.  All values are exact (integers / Fractions / integer
+Laurent polynomials); per-instance memo dictionaries make repeated queries
+cheap.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ class RepRing:
         self.datum = build_root_datum(datum)
         self._dominant_tables: Dict[Coweight, Dict[Coweight, int]] = {}
         self._full_weights: Dict[Coweight, Tuple[Tuple[Coweight, int], ...]] = {}
+        self._orbits: Dict[Coweight, Tuple[Coweight, ...]] = {}
         self._tensor: Dict[Tuple[Coweight, Coweight], Dict[Coweight, int]] = {}
         self._partition_table: Dict[Coweight, Tuple[Dict[int, int], ...]] = {}
         self._partition_box: Coweight = (0,) * self.datum.rank
@@ -84,26 +86,23 @@ class RepRing:
         self._dims[lam] = dim
         return dim
 
-    def dominant_weights_below(self, lam) -> List[Tuple[int, Coweight, Coweight]]:
-        """All dominant μ ≤ λ as (depth, μ, coroot-coordinates of λ−μ), depth-sorted."""
+    def dominant_weights_below(self, lam) -> List[Tuple[int, Coweight]]:
+        """All dominant μ ≤ λ as (depth, μ), depth-sorted; the depth is the height of λ − μ."""
         lam = self.datum.dominant(lam)
         datum = self.datum
         max_depth = datum.pairing_2rho(lam) // 2
         out = []
-        rank = datum.rank
 
-        def rec(idx: int, remaining: int, coords: List[int], vec: List[int]):
-            if idx == rank:
+        def rec(idx: int, remaining: int, vec: List[int]):
+            if idx == datum.rank:
                 if datum.is_dominant(vec):
-                    out.append((sum(coords), tuple(vec), tuple(coords)))
+                    out.append((max_depth - remaining, tuple(vec)))
                 return
             alpha = datum.simple_coroots[idx]
             for c in range(remaining + 1):
-                coords.append(c)
-                rec(idx + 1, remaining - c, coords, [v - c * a for v, a in zip(vec, alpha)])
-                coords.pop()
+                rec(idx + 1, remaining - c, [v - c * a for v, a in zip(vec, alpha)])
 
-        rec(0, max_depth, [], list(lam))
+        rec(0, max_depth, list(lam))
         out.sort()
         return out
 
@@ -113,6 +112,9 @@ class RepRing:
         The form is the datum's W-invariant (x, y) = Σ_{β>0} ⟨x,β⟩⟨y,β⟩;
         Freudenthal's formula holds for any W-invariant form that is
         nondegenerate on the span of the coroots (Humphreys, Lie Algebras, §22.3).
+        The same depth-ordered pass fills the full table: μ's value goes onto its
+        orbit, memoized on the ring (the datum is shared and frozen), so a root-string
+        step μ + kα̌, in the orbit of a dominant weight above μ, is a dict lookup.
         """
         lam = self.datum.dominant(lam)
         if lam in self._dominant_tables:
@@ -122,29 +124,29 @@ class RepRing:
         # (x, α̌) = ⟨x, u⟩ with one covector u per positive coroot α̌
         coroots = [(alpha, datum.form_covector(alpha)) for alpha, _ in datum.positive_coroots]
         table: Dict[Coweight, int] = {}
-        for depth, mu, _ in self.dominant_weights_below(lam):
-            if depth == 0:
-                table[mu] = 1
-                continue
+        full: Dict[Coweight, int] = {}
+        for depth, mu in self.dominant_weights_below(lam):
             numerator = 0
             for alpha, covector in coroots:
-                k = 1
-                while True:
-                    nu = tuple(m + k * a for m, a in zip(mu, alpha))
-                    dom = datum.dominant_representative(nu).coweight
-                    mult = table.get(dom, 0)
-                    if mult == 0:
-                        break  # weights along a root string are contiguous
+                nu = tuple(m + a for m, a in zip(mu, alpha))
+                mult = full.get(nu, 0)
+                while mult:  # weights along a root string are contiguous
                     numerator += mult * datum.pairing(nu, covector)
-                    k += 1
+                    nu = tuple(m + a for m, a in zip(nu, alpha))
+                    mult = full.get(nu, 0)
             lam_mu_sum = tuple(a + b + r for a, b, r in zip(lam, mu, two_rho))
             lam_mu_diff = tuple(a - b for a, b in zip(lam, mu))
             denominator = datum.pairing(lam_mu_sum, datum.form_covector(lam_mu_diff))
-            value, rem = divmod(2 * numerator, denominator)
+            value, rem = divmod(2 * numerator, denominator) if depth else (1, 0)
             if rem or value <= 0:
                 raise InvariantError("Freudenthal gave %d/%d" % (2 * numerator, denominator))
             table[mu] = value
+            orbit = self._orbits.get(mu)
+            if orbit is None:
+                orbit = self._orbits[mu] = datum.weyl_orbit(mu)
+            full.update(dict.fromkeys(orbit, value))
         self._dominant_tables[lam] = table
+        self._full_weights[lam] = tuple(sorted(full.items()))
         return dict(table)
 
     def weight_multiplicity(self, lam, nu) -> int:
@@ -160,18 +162,14 @@ class RepRing:
         return int(self._alternating_sum(lam, self.datum.coweight(nu)).eval_q(1))
 
     def weight_table(self, lam) -> Dict[Coweight, int]:
-        """The full (Weyl-invariant) weight multiplicity table of V^λ."""
-        lam = self.datum.dominant(lam)
-        out: Dict[Coweight, int] = {}
-        for mu, mult in self.dominant_multiplicity_table(lam).items():
-            for nu in self.datum.weyl_orbit(mu):
-                out[nu] = mult
-        return out
+        """The full (Weyl-invariant) weight multiplicity table of V^λ, as a fresh dict."""
+        return dict(self.weights_with_multiplicity(lam))
 
     def weights_with_multiplicity(self, lam) -> Tuple[Tuple[Coweight, int], ...]:
+        """The full weight table of V^λ as sorted (ν, multiplicity) pairs, memoized."""
         lam = self.datum.dominant(lam)
         if lam not in self._full_weights:
-            self._full_weights[lam] = tuple(sorted(self.weight_table(lam).items()))
+            self.dominant_multiplicity_table(lam)
         return self._full_weights[lam]
 
     # -- tensor products -----------------------------------------------------

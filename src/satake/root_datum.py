@@ -372,12 +372,14 @@ class RootDatum:
         """
         if coord_bound is None:
             coord_bound = pair_bound
+        roots, two_rho = self.simple_roots, self.two_rho_check
         out = []
         for coords in iter_product(range(-coord_bound, coord_bound + 1), repeat=self.lattice_rank):
-            if self.is_dominant(coords) and self.pairing_2rho(coords) <= pair_bound:
-                out.append(coords)
-        out.sort(key=lambda v: (self.pairing_2rho(v), v))
-        return out
+            level = sum(map(operator.mul, coords, two_rho))
+            if level <= pair_bound and all(sum(map(operator.mul, coords, r)) >= 0 for r in roots):
+                out.append((level, coords))
+        out.sort()
+        return [coords for _, coords in out]
 
     def to_json(self) -> dict:
         return {

@@ -70,10 +70,75 @@ def test_freudenthal_matches_kostant_on_boxes():
     for spec, bound in [("PGL2", 6), ("SL2", 3), ("SL3", 4), ("Sp4", 6), (REDUCIBLE, 10)]:
         rep = RepRing(spec)
         for lam in rep.datum.dominant_box(bound):
-            for _, mu, _ in rep.dominant_weights_below(lam):
+            for _, mu in rep.dominant_weights_below(lam):
                 assert rep.weight_multiplicity(lam, mu) == rep.kostant_multiplicity(lam, mu)
             mass = sum(mult for _, mult in rep.weights_with_multiplicity(lam))
             assert mass == rep.weyl_dim(lam)
+
+
+def _orbit_by_reflections(spec, mu):
+    """The Weyl orbit of μ under the spec's own integer reflections s_i(x) = x − ⟨x, α_i⟩ α̌_i."""
+    pairs = list(zip(spec["roots"], spec["coroots"]))
+    seen, frontier = {mu}, [mu]
+    while frontier:
+        x = frontier.pop()
+        for root, coroot in pairs:
+            c = sum(a * b for a, b in zip(x, root))
+            y = tuple(a - c * b for a, b in zip(x, coroot))
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return seen
+
+
+# ⟨λ, 2ρ̌⟩ bounds that give each datum a handful of nonzero highest weights
+_BOX_BOUNDS = {"PGL2": 8, "SL2": 8, "GL2": 6, "SL3": 12, "GL3": 4, "Sp4": 16, "G2": 20}
+
+
+@pytest.mark.parametrize("spec, bound", [(PRESETS[name], _BOX_BOUNDS[name]) for name in sorted(PRESETS)]
+                         + [(REDUCIBLE, 10)], ids=sorted(PRESETS) + ["A1xC2"])
+def test_full_table_is_the_dominant_table_over_orbits(spec, bound):
+    # one ring for the whole box, so later tables reuse the orbits of earlier ones
+    rep = RepRing(spec)
+    gamma = torus_point([Fraction(2, 3), Fraction(-5, 7), Fraction(3, 11)][: rep.datum.lattice_rank],
+                        rep.datum)
+    for lam in rep.datum.dominant_box(bound):
+        weights = rep.weights_with_multiplicity(lam)
+        dominant = rep.dominant_multiplicity_table(lam)
+        expected = {nu: m for mu, m in dominant.items() for nu in _orbit_by_reflections(spec, mu)}
+        assert list(weights) == sorted(expected.items())
+        assert sum(m for _, m in weights) == rep.weyl_dim(lam)
+        character, dominant_before = rep.character_eval(lam, gamma), dict(dominant)
+        table = rep.weight_table(lam)
+        table[lam] = 99
+        table.pop(next(iter(table)))
+        dominant[lam] = 99
+        dominant[tuple(x + 1 for x in lam)] = 1
+        assert rep.weight_table(lam) == expected
+        assert rep.dominant_multiplicity_table(lam) == dominant_before
+        assert rep.character_eval(lam, gamma) == character
+
+
+def test_tables_need_no_chamber_walk_and_one_orbit_per_dominant_weight(monkeypatch):
+    walks, orbits = [], []
+    walk, orbit = RootDatum.dominant_representative, RootDatum.weyl_orbit
+    monkeypatch.setattr(RootDatum, "dominant_representative",
+                        lambda self, lam: walks.append(lam) or walk(self, lam))
+    monkeypatch.setattr(RootDatum, "weyl_orbit",
+                        lambda self, lam: orbits.append(tuple(lam)) or orbit(self, lam))
+    for name, lam in [("SL3", (4, 4)), ("G2", (3, 3)), ("Sp4", (4, 4))]:
+        RepRing(name).dominant_multiplicity_table(lam)
+    assert walks == []
+    # a batch of overlapping tables, each asked for more than once and in both forms
+    rep = RepRing("SL3")
+    batch = rep.datum.dominant_box(8)
+    orbits.clear()
+    for lam in batch + batch[::-1]:
+        rep.weights_with_multiplicity(lam)
+        rep.dominant_multiplicity_table(lam)
+        rep.weight_table(lam)
+    distinct = {mu for lam in batch for _, mu in rep.dominant_weights_below(lam)}
+    assert sorted(orbits) == sorted(distinct)
 
 
 def test_weight_multiplicity_requires_dominant_highest_weight():
@@ -393,7 +458,7 @@ def test_lusztig_at_one_is_weight_multiplicity():
         rep = RepRing(name)
         box = rep.datum.dominant_box(bound)
         for lam in box:
-            for _, mu, _ in rep.dominant_weights_below(lam):
+            for _, mu in rep.dominant_weights_below(lam):
                 analog = rep.lusztig_q_analog(lam, mu)
                 assert analog.eval_q(1) == rep.weight_multiplicity(lam, mu)
                 assert analog.is_q_polynomial()
