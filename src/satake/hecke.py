@@ -171,8 +171,7 @@ class HeckeAlgebra:
                 continue
             analog = self.rep.lusztig_q_analog(lam, mu)
             # p(q) = q^{⟨λ−μ,ρ̌⟩} m^q(q^{-1}); the ρ̌-pairing of λ−μ equals the depth.
-            p = analog.subst_v_inverse().shift(2 * depth)
-            row[mu] = p.shift(prefactor)
+            row[mu] = analog.subst_v_inverse().shift(2 * depth + prefactor)
         self._satake_rows[lam] = row
         return dict(row)
 

@@ -1,22 +1,19 @@
 """The representation ring of the dual group over a fixed root datum.
 
-Weight multiplicities come from the Freudenthal recursion in the datum's one
-W-invariant form (x, y) = Σ_{β>0} ⟨x,β⟩⟨y,β⟩, one pass of which fills both the
-dominant and the full weight table of V^λ, with Weyl orbits memoized per ring
-(the alternating Kostant sum is kept as an independent cross-check); tensor
-products from the Brauer–Klimyk ρ-shift algorithm, characters by summing
-integer numerators over the memoized weight table with one denominator per
-trace, and the q-side from the q-deformed Kostant partition function (one
-coin-change table per instance, in integers) and the Lusztig q-analog of
-weight multiplicity.  All values are exact (integers / Fractions / integer
-Laurent polynomials); per-instance memo dictionaries make repeated queries
-cheap.
+Freudenthal's recursion in the datum's W-invariant form fills the dominant and the full
+weight table of V^λ in one pass (Weyl orbits memoized per ring); Brauer–Klimyk gives
+tensor products; characters are integer sums over that table, one denominator per trace.
+The q-side reads one integer coin-change table of the q-Kostant partition function per
+ring: a Lusztig q-analog, or the alternating Kostant sum that cross-checks Freudenthal,
+adds its entries at λ − ν plus one Weyl offset per w (memoized per λ), in coroot
+coordinates.  Values are exact (ints and Fractions).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as iter_product
+from math import prod
 from operator import mul
 from typing import Dict, List, Sequence, Tuple
 
@@ -25,6 +22,7 @@ from .root_datum import InvariantError, RootDatum, build_root_datum
 
 Coweight = Tuple[int, ...]
 TorusPoint = Tuple[Fraction, ...]
+_PARTITION_POINT_BUDGET = 10 ** 6  # the q-Kostant table's most points, as the CLI's eq2 budget
 
 
 def torus_point(values, datum: RootDatum) -> TorusPoint:
@@ -61,6 +59,7 @@ class RepRing:
         self._tensor: Dict[Tuple[Coweight, Coweight], Dict[Coweight, int]] = {}
         self._partition_table: Dict[Coweight, Tuple[Dict[int, int], ...]] = {}
         self._partition_box: Coweight = (0,) * self.datum.rank
+        self._weyl_shifts: Dict[Coweight, List[Tuple[List[int], int]]] = {}
         self._dims: Dict[Coweight, int] = {}
 
     # -- dimensions and weights ---------------------------------------------
@@ -87,24 +86,33 @@ class RepRing:
         return dim
 
     def dominant_weights_below(self, lam) -> List[Tuple[int, Coweight]]:
-        """All dominant μ ≤ λ as (depth, μ), depth-sorted; the depth is the height of λ − μ."""
+        """All dominant μ ≤ λ as (depth, μ), depth-sorted; the depth is the height of λ − μ.
+
+        Built one c_j of λ − μ = Σ c_j α̌_j at a time, carrying μ's simple-root pairings; a unit
+        of height on α̌_k, α̌_{k+1}, … lifts a pairing by ≤ lift[k], so dead branches are cut.
+        """
         lam = self.datum.dominant(lam)
         datum = self.datum
+        cartan, rank = datum.cartan_matrix, datum.rank
         max_depth = datum.pairing_2rho(lam) // 2
+        lift = [max([0] + [-x for row in cartan for x in row[k:]]) for k in range(rank + 1)]
         out = []
 
-        def rec(idx: int, remaining: int, vec: List[int]):
-            if idx == datum.rank:
-                if datum.is_dominant(vec):
-                    out.append((max_depth - remaining, tuple(vec)))
+        def rec(idx: int, remaining: int, vec: List[int], pairings: List[int]):
+            if min(pairings) + remaining * lift[idx] < 0:
                 return
-            alpha = datum.simple_coroots[idx]
+            if idx == rank:
+                out.append((max_depth - remaining, tuple(vec)))
+                return
+            alpha, column = datum.simple_coroots[idx], [row[idx] for row in cartan]
             for c in range(remaining + 1):
-                rec(idx + 1, remaining - c, [v - c * a for v, a in zip(vec, alpha)])
+                child = [p - c * k for p, k in zip(pairings, column)]
+                if child[idx] + (remaining - c) * lift[idx + 1] < 0:
+                    break  # ⟨μ, α_idx⟩ only falls as c grows
+                rec(idx + 1, remaining - c, [v - c * a for v, a in zip(vec, alpha)], child)
 
-        rec(0, max_depth, list(lam))
-        out.sort()
-        return out
+        rec(0, max_depth, list(lam), [datum.pairing(lam, root) for root in datum.simple_roots])
+        return sorted(out)
 
     def dominant_multiplicity_table(self, lam) -> Dict[Coweight, int]:
         """Weight multiplicities of V^λ on dominant weights, by Freudenthal recursion.
@@ -270,17 +278,20 @@ class RepRing:
     def _grow_partition_table(self, target: Coweight) -> None:
         """Extend the coin-change table of the q-Kostant partition function to cover target.
 
-        With α_0, …, α_{N−1} the positive coroots in coroot coordinates and
-        P_N = δ_0, the table holds P_i[β] = P_{i+1}[β] + q·P_i[β − α_i] for
-        every i and every β in a box [0, b_1] × … × [0, b_r]; P_0 is the
-        partition function.  The box grows to the coordinatewise maximum of
-        itself and target, and the new points are filled in lexicographic
-        order, which puts β − α_i before β.  Values are {q-power: count} maps.
+        With α_0, …, α_{N−1} the positive coroots in coroot coordinates and P_N = δ_0,
+        the table holds P_i[β] = P_{i+1}[β] + q·P_i[β − α_i] for every i and every β in a
+        box [0, b_1] × … × [0, b_r]; P_0 is the partition function.  The box grows to the
+        coordinatewise maximum of itself and target, and the new points are filled in
+        lexicographic order, which puts β − α_i before β.  Values are {q-power: count}
+        maps.  A box over _PARTITION_POINT_BUDGET points raises ValueError, unfilled.
         """
         table = self._partition_table
         if target in table:
             return
         box = tuple(max(b, t) for b, t in zip(self._partition_box, target))
+        if (points := prod(b + 1 for b in box)) > _PARTITION_POINT_BUDGET:
+            raise ValueError("q-Kostant table box %s would hold %d points, over the limit of %d"
+                             % (box, points, _PARTITION_POINT_BUDGET))
         roots = [c for _, c in self.datum.positive_coroots]
         for point in iter_product(*(range(b + 1) for b in box)):
             if point in table:
@@ -306,22 +317,27 @@ class RepRing:
         return self._alternating_sum(self.datum.dominant(lam), self.datum.dominant(mu))
 
     def _alternating_sum(self, lam: Coweight, nu: Coweight) -> LaurentPoly:
-        """The alternating Weyl sum Σ_w (−1)^{ℓ(w)} P_q(w(λ+ρ) − (ν+ρ)).
+        """Σ_w (−1)^{ℓ(w)} P_q(w(λ+ρ) − (ν+ρ)), P_q the q-Kostant function; λ dominant, ν any.
 
-        P_q is the q-Kostant partition function; λ must be dominant, ν need not be.
-        The arguments are formed from 2(λ+ρ) and 2(ν+ρ) with the integer Weyl
-        matrices; an argument with an odd entry is off the lattice and adds 0.
+        In coroot coordinates the argument is (w(λ+ρ) − (λ+ρ)) + (λ − ν), the first part ≤ 0,
+        solved once per λ per ring.  P_q(λ − ν) = 0 makes every term 0; else its call grows
+        the table over all other terms (each ≤ λ − ν), which are read from it in integers.
         """
+        diff = tuple(l - n for l, n in zip(lam, nu))
+        identity = self.q_kostant_partition(diff)
+        if not identity:
+            return ZERO
         datum = self.datum
-        two_rho = datum.two_rho_dual
-        shifted = tuple(2 * x + r for x, r in zip(lam, two_rho))
-        target = tuple(2 * x + r for x, r in zip(nu, two_rho))
-        total = ZERO
-        for matrix, length in datum.weyl_elements:
-            doubled = [sum(map(mul, row, shifted)) - t for row, t in zip(matrix, target)]
-            if any(x % 2 for x in doubled):
-                continue
-            part = self.q_kostant_partition(tuple(x // 2 for x in doubled))
-            if part:
-                total = total + part if length % 2 == 0 else total - part
-        return total
+        if lam not in self._weyl_shifts:  # coordinates of 2(w(λ+ρ) − (λ+ρ)), w ≠ e, halved
+            two = tuple(2 * x + r for x, r in zip(lam, datum.two_rho_dual))
+            self._weyl_shifts[lam] = [([c // 2 for c in datum.coroot_coordinates(
+                [sum(map(mul, row, two)) - t for row, t in zip(matrix, two)])], (-1) ** length)
+                for matrix, length in datum.weyl_elements[1:]]
+        key = [int(c) for c in datum.coroot_coordinates(diff)]
+        table, total = self._partition_table, dict(identity.items())  # v^{2k} is q^k
+        for shift, sign in self._weyl_shifts[lam]:
+            point = tuple(s + k for s, k in zip(shift, key))
+            if min(point) >= 0:
+                for k, c in table[point][0].items():
+                    total[2 * k] = total.get(2 * k, 0) + sign * c
+        return LaurentPoly(total)

@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -139,6 +140,21 @@ def test_tables_need_no_chamber_walk_and_one_orbit_per_dominant_weight(monkeypat
         rep.weight_table(lam)
     distinct = {mu for lam in batch for _, mu in rep.dominant_weights_below(lam)}
     assert sorted(orbits) == sorted(distinct)
+
+
+@pytest.mark.parametrize("spec, bound", [(PRESETS[name], _BOX_BOUNDS[name]) for name in sorted(PRESETS)]
+                         + [(REDUCIBLE, 10)], ids=sorted(PRESETS) + ["A1xC2"])
+def test_dominant_weights_below_is_a_filter_of_the_dominant_box(spec, bound):
+    # brute force: every dominant μ of a box that holds all of them, kept when λ − μ is a
+    # Z≥0-sum of simple coroots, with depth = height of λ − μ = (⟨λ,2ρ̌⟩ − ⟨μ,2ρ̌⟩)/2
+    datum = build_root_datum(spec)
+    rep = RepRing(datum)
+    for lam in datum.dominant_box(bound):
+        level = datum.pairing_2rho(lam)
+        box = datum.dominant_box(level, level + max(map(abs, lam)))
+        expected = sorted(((level - datum.pairing_2rho(mu)) // 2, mu)
+                          for mu in box if datum.dominance_leq(mu, lam))
+        assert rep.dominant_weights_below(lam) == expected, lam
 
 
 def test_weight_multiplicity_requires_dominant_highest_weight():
@@ -436,6 +452,93 @@ def test_coroot_coordinates_reject_vectors_off_the_span(name, vec):
         assert coords is None
     else:
         assert coords is not None and _combination(datum, coords) == vec
+
+
+def test_q_kostant_table_refuses_an_oversized_box_before_filling():
+    rep = RepRing("SL3")
+    # 3α̌_1 + 3α̌_2 with k copies of the highest coroot α̌_1 + α̌_2: 6 − k parts, k = 0…3
+    assert rep.q_kostant_partition((3, 3)) == LaurentPoly({6: 1, 8: 1, 10: 1, 12: 1})
+    box, points = rep._partition_box, len(rep._partition_table)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"box \(2000, 2000\) would hold 4004001 points"):
+        rep.q_kostant_partition((2000, 2000))
+    assert time.perf_counter() - start < 0.1
+    assert rep._partition_box == box and len(rep._partition_table) == points
+    # the same refusal reaches the q-analogs, which ask the table for λ − μ
+    with pytest.raises(ValueError, match="q-Kostant table box"):
+        rep.lusztig_q_analog((2000, 2000), (0, 0))
+    assert rep._partition_box == box
+
+
+def test_kostant_multiplicity_is_zero_off_the_coroot_lattice_coset():
+    # PGL2: the coroot is 2, so an odd λ − ν is off the lattice; in SL2 the coroot is 1
+    assert RepRing("PGL2").kostant_multiplicity((3,), (2,)) == 0
+    assert RepRing("PGL2").kostant_multiplicity((3,), (1,)) == 1
+    assert RepRing("SL2").kostant_multiplicity((3,), (2,)) == 1
+    # GL(n): the coroots span the coordinate-sum-0 vectors, so a central step is off it
+    gl2, gl3 = RepRing("GL2"), RepRing("GL3")
+    assert gl2.kostant_multiplicity((2, 0), (1, 1)) == 1
+    assert gl2.kostant_multiplicity((2, 0), (2, 1)) == 0
+    assert gl2.kostant_multiplicity((2, 0), (1, 0)) == 0
+    assert gl3.kostant_multiplicity((1, 0, -1), (0, 0, 0)) == 2
+    assert gl3.kostant_multiplicity((1, 0, -1), (1, 1, 1)) == 0
+    assert gl3.kostant_multiplicity((1, 0, -1), (0, 0, 1)) == 0
+    assert gl3.lusztig_q_analog((2, 1, 0), (1, 1, 1)) == LaurentPoly({2: 1, 4: 1})
+    assert gl3.lusztig_q_analog((2, 1, 0), (2, 1, 1)) == LaurentPoly()
+
+
+def test_kostant_multiplicity_is_zero_unless_below():
+    # λ − ν = −(coroot step): on the coroot lattice, with a negative coordinate
+    for name, lam in [("SL3", (2, 1)), ("Sp4", (1, 2)), ("G2", (2, 1))]:
+        rep = RepRing(name)
+        datum = rep.datum
+        for coeffs in [(1, 0), (0, 1), (1, -1), (-3, 1), (-1, 4)]:
+            nu = tuple(x + s for x, s in zip(lam, _combination(datum, coeffs)))
+            assert not datum.dominance_leq(nu, lam)
+            assert rep.kostant_multiplicity(lam, nu) == 0, (name, nu)
+            if datum.is_dominant(nu):
+                assert rep.lusztig_q_analog(lam, nu) == LaurentPoly()
+
+
+# small highest weights per preset, each with non-dominant weights in its full table
+_KOSTANT_CASES = {"PGL2": [(4,), (5,)], "SL2": [(3,)], "GL2": [(3, -1), (2, 2)],
+                  "SL3": [(2, 1), (3, 0)], "GL3": [(2, 0, -1), (1, 1, 0)],
+                  "Sp4": [(1, 2), (2, 1)], "G2": [(1, 1), (2, 0)]}
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_kostant_multiplicity_matches_the_full_table_off_the_dominant_chamber(name):
+    rep = RepRing(name)
+    checked = 0
+    for lam in _KOSTANT_CASES[name]:
+        for nu, mult in rep.weight_table(lam).items():
+            if not rep.datum.is_dominant(nu):
+                assert rep.kostant_multiplicity(lam, nu) == mult, (lam, nu)
+                checked += 1
+    assert checked
+
+
+def _lusztig_by_weyl_matrices(rep, lam, mu):
+    """Σ_w (−1)^ℓ(w) P_q(w(λ+ρ) − (μ+ρ)), one q_kostant_partition call per Weyl element."""
+    datum = rep.datum
+    two_rho = [sum(col) for col in zip(*(v for v, _ in datum.positive_coroots))]
+    shifted = [2 * x + r for x, r in zip(lam, two_rho)]
+    target = [2 * x + r for x, r in zip(mu, two_rho)]
+    total = LaurentPoly()
+    for matrix, length in datum.weyl_elements:
+        doubled = [sum(m * x for m, x in zip(row, shifted)) - t for row, t in zip(matrix, target)]
+        if all(x % 2 == 0 for x in doubled):
+            part = rep.q_kostant_partition(tuple(x // 2 for x in doubled))
+            total = total - part if length % 2 else total + part
+    return total
+
+
+@pytest.mark.parametrize("name", ["SL3", "Sp4", "G2"])
+def test_lusztig_matches_the_plain_weyl_matrix_sum(name):
+    rep, reference = RepRing(name), RepRing(name)
+    for lam in rep.datum.dominant_box(24):
+        for _, mu in rep.dominant_weights_below(lam):
+            assert rep.lusztig_q_analog(lam, mu) == _lusztig_by_weyl_matrices(reference, lam, mu)
 
 
 def test_lusztig_diagonal_is_one():
