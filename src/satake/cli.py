@@ -31,6 +31,7 @@ from .whittaker import WhittakerModule
 # F_q-points in the largest cell of a verify-eq2 battery, q^m_max; each point is
 # enumerated with a ψ-value of q − 1 integers, so q alone is held to it too
 _EQ2_POINT_BUDGET = 10 ** 6
+_STRATA_BUDGET = _EQ2_POINT_BUDGET  # strata one strata call lists, C(bound + rank, rank)
 
 
 class UsageError(Exception):
@@ -180,6 +181,10 @@ def _cmd_satake(args) -> int:
     datum = _load_datum(args.datum)
     algebra = HeckeAlgebra(datum)
     lam = _parse_dominant(args.lam, datum)
+    try:  # every Lusztig q-analog sums over the whole Weyl group
+        datum.weyl_elements
+    except ValueError as exc:
+        raise UsageError(str(exc))
     element = algebra.satake_to_c(algebra.monomial(A_BASIS, lam))
     lines = ["c_%s: %s" % (_coweight_key(cw), coeff) for cw, coeff in element.sorted_terms()]
     _emit(args, payload=element.to_json(), lines=lines + ["(q = v^2)"])
@@ -249,6 +254,10 @@ def _cmd_strata(args) -> int:
     datum = _load_datum(args.datum)
     if args.bound < 0:
         raise UsageError("the defect bound must be nonnegative; got %d" % args.bound)
+    count = math.comb(args.bound + datum.rank, datum.rank)
+    if count > _STRATA_BUDGET:
+        raise UsageError("bound %d gives %d strata; the limit is %d"
+                         % (args.bound, count, _STRATA_BUDGET))
     strata = Grassmannian(RepRing(datum)).drinfeld_strata(args.bound)
     _emit(
         args,

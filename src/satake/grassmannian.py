@@ -11,8 +11,9 @@ dual-group representation ring; no geometry is materialized.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from itertools import product as iter_product
+from itertools import combinations
 from typing import Dict, List, Optional, Tuple
 
 from .rep_ring import RepRing
@@ -145,15 +146,12 @@ class Grassmannian:
         """
         if degree_bound < 0:
             raise ValueError("degree bound must be nonnegative")
-        rank = self.datum.rank
+        rank, coroots = self.datum.rank, self.datum.simple_coroots
         out: List[Tuple[Coweight, int]] = []
-        for degrees in iter_product(range(degree_bound + 1), repeat=rank):
-            if sum(degrees) > degree_bound:
-                continue
-            gamma = [0] * self.datum.lattice_rank
-            for i, d in enumerate(degrees):
-                for k, a in enumerate(self.datum.simple_coroots[i]):
-                    gamma[k] -= d * a
-            out.append((tuple(gamma), 2 * sum(degrees)))
+        # stars and bars: r cut points in range(bound + r) give the r degrees between them
+        for cuts in combinations(range(degree_bound + rank), rank):
+            degrees = [b - a - 1 for a, b in zip((-1,) + cuts, cuts)]
+            gamma = tuple(-sum(map(operator.mul, degrees, column)) for column in zip(*coroots))
+            out.append((gamma, 2 * sum(degrees)))
         out.sort(key=lambda item: (item[1], item[0]))
         return out

@@ -269,11 +269,10 @@ class RepRing:
         if isinstance(beta, int):
             beta = self.datum.coweight(beta)
         coords = self.datum.coroot_coordinates(beta)
-        if coords is None or any(c.denominator != 1 or c < 0 for c in coords):
+        if coords is None or min(coords) < 0:
             return ZERO
-        key = tuple(int(c) for c in coords)
-        self._grow_partition_table(key)
-        return LaurentPoly({2 * k: c for k, c in self._partition_table[key][0].items()})
+        self._grow_partition_table(coords)
+        return LaurentPoly({2 * k: c for k, c in self._partition_table[coords][0].items()})
 
     def _grow_partition_table(self, target: Coweight) -> None:
         """Extend the coin-change table of the q-Kostant partition function to cover target.
@@ -333,7 +332,7 @@ class RepRing:
             self._weyl_shifts[lam] = [([c // 2 for c in datum.coroot_coordinates(
                 [sum(map(mul, row, two)) - t for row, t in zip(matrix, two)])], (-1) ** length)
                 for matrix, length in datum.weyl_elements[1:]]
-        key = [int(c) for c in datum.coroot_coordinates(diff)]
+        key = datum.coroot_coordinates(diff)
         table, total = self._partition_table, dict(identity.items())  # v^{2k} is q^k
         for shift, sign in self._weyl_shifts[lam]:
             point = tuple(s + k for s, k in zip(shift, key))

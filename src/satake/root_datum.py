@@ -13,18 +13,20 @@ W-invariant form (x, y) = Σ_{β>0} ⟨x, β⟩⟨y, β⟩ and the one dominance
 (dominant) that callers use on coweight arguments.  All arithmetic is exact.
 Every lattice vector is a tuple of ints; a half-integral vector such as ρ̌ or
 ρ of the dual group is only ever held doubled (two_rho_check, two_rho_dual),
-and callers halve a result after a parity check.  Fractions appear only in
-coroot coordinates and in determinants.  Instances are immutable after
-construction and safe for concurrent reads.
+and callers halve a result after a parity check.  No Fraction appears:
+coroot coordinates are solved in integers through the adjugate of the Cartan
+matrix, and determinants come from fraction-free elimination.  Instances are
+immutable after construction and safe for concurrent reads.
 """
 
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, partial
 from itertools import combinations, product as iter_product
+from math import prod
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 Vector = Tuple[int, ...]
@@ -116,35 +118,22 @@ def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-def _det(matrix: List[List[Fraction]]) -> Fraction:
-    n = len(matrix)
-    m = [list(row) for row in matrix]
-    det = Fraction(1)
-    for col in range(n):
-        pick = next((r for r in range(col, n) if m[r][col] != 0), None)
+def _det(matrix: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss) elimination.
+
+    Each division by the previous pivot is exact: the quotient is a minor (Sylvester).
+    """
+    m, sign, prev = [list(row) for row in matrix], 1, 1
+    for k in range(len(m) - 1):
+        pick = next((r for r in range(k, len(m)) if m[r][k]), None)
         if pick is None:
-            return Fraction(0)
-        if pick != col:
-            m[col], m[pick] = m[pick], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = Fraction(1) / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                factor = m[r][col] * inv
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    return det
-
-
-def _invertible_minor(vectors: Sequence[Sequence[int]]):
-    """(rows, minor, det) for the first invertible square minor of the matrix with columns
-    `vectors`, where minor[k][j] = vectors[j][rows[k]]; None if the vectors are dependent."""
-    for rows in combinations(range(len(vectors[0])), len(vectors)):
-        minor = [[Fraction(v[row]) for v in vectors] for row in rows]
-        det = _det(minor)
-        if det != 0:
-            return rows, minor, int(det)
-    return None
+            return 0
+        if pick != k:
+            m[k], m[pick], sign = m[pick], m[k], -sign
+        for i in range(k + 1, len(m)):
+            m[i] = [(x * m[k][k] - m[i][k] * y) // prev for x, y in zip(m[i], m[k])]
+        prev = m[k][k]
+    return sign * m[-1][-1] if m else 1
 
 
 @dataclass(frozen=True)
@@ -257,36 +246,30 @@ class RootDatum:
         return out
 
     @cached_property
-    def _coroot_solver(self) -> Tuple[Tuple[int, ...], Matrix, int]:
-        """(rows, adjugate, determinant) of an invertible rank×rank minor of the coroot matrix.
+    def _cartan_adjugate(self) -> Tuple[Matrix, int]:
+        """(adj C, det C) for the Cartan matrix C; det C > 0 for every finite-type datum."""
+        c, r = self.cartan_matrix, self.rank
+        adjugate = tuple(  # entry (j, k) is the cofactor of entry (k, j)
+            tuple((-1) ** (j + k) * _det([row[:j] + row[j + 1:] for row in c[:k] + c[k + 1:]])
+                  for k in range(r))
+            for j in range(r))
+        return adjugate, _det(c)
 
-        The minor's inverse is adjugate / determinant, with the determinant made
-        positive, so the coroot coordinates of a vector in the span are the
-        adjugate applied to its `rows` entries, over one common denominator.
+    def coroot_coordinates(self, vec: Sequence) -> Optional[Tuple[int, ...]]:
+        """The integers c with vec = Σ c_j α̌_j, or None when vec is not in the coroot lattice.
+
+        ⟨Σ c_j α̌_j, α_i⟩ = (C c)_i for the Cartan matrix C, so c = adj(C)·p / det C, p the
+        simple-root pairings of vec.
         """
-        rows, minor, det = _invertible_minor(self.simple_coroots)
-        sign = 1 if det > 0 else -1
-
-        def cofactor(k: int, j: int) -> int:
-            """(−1)^{j+k} times the determinant of the minor without row k and column j."""
-            rest = [[x for c, x in enumerate(line) if c != j]
-                    for m, line in enumerate(minor) if m != k]
-            return (-1) ** (j + k) * int(_det(rest))
-
-        r = self.rank
-        adjugate = tuple(tuple(sign * cofactor(k, j) for k in range(r)) for j in range(r))
-        return rows, adjugate, abs(det)
-
-    def coroot_coordinates(self, vec: Sequence) -> Optional[Tuple[Fraction, ...]]:
-        """Coordinates of vec in the simple coroots, or None if vec is outside their span."""
-        rows, adjugate, det = self._coroot_solver
-        sub = [vec[row] for row in rows]
-        numerators = [sum(a * x for a, x in zip(line, sub)) for line in adjugate]
-        # the minor fixes the solution; every lattice coordinate must agree with it
-        for r in range(self.lattice_rank):
-            if sum(n * v[r] for n, v in zip(numerators, self.simple_coroots)) != det * vec[r]:
-                return None
-        return tuple(Fraction(n, det) for n in numerators)
+        adjugate, det = self._cartan_adjugate
+        pairings = self._simple_pairings(vec)
+        coords = tuple(sum(map(operator.mul, line, pairings)) // det for line in adjugate)
+        # one check on every lattice coordinate catches both failures: a division that left
+        # a remainder (vec off the lattice) and a part of vec in the center (off the span)
+        if any(sum(c * alpha[k] for c, alpha in zip(coords, self.simple_coroots)) != x
+               for k, x in enumerate(vec)):
+            return None
+        return coords
 
     def dominance_leq(self, mu: Sequence, lam: Sequence) -> bool:
         """μ ≤ λ in the dominance order: λ − μ is a Z≥0-combination of simple coroots.
@@ -296,9 +279,7 @@ class RootDatum:
         """
         diff = tuple(l - m for l, m in zip(lam, mu))
         coords = self.coroot_coordinates(diff)
-        if coords is None:
-            return False
-        return all(c.denominator == 1 and c >= 0 for c in coords)
+        return coords is not None and min(coords) >= 0
 
     # -- derived structure (computed lazily, cached on the instance) -------
 
@@ -347,7 +328,13 @@ class RootDatum:
 
     @cached_property
     def weyl_elements(self) -> Tuple[Tuple[Matrix, int], ...]:
-        """All Weyl group elements as (matrix on Λ, Coxeter length), by length and then matrix."""
+        """All Weyl group elements as (matrix on Λ, Coxeter length), by length and then matrix.
+
+        A group of more than _WEYL_ORDER_CAP elements raises ValueError before any is built.
+        """
+        if self.weyl_order > _WEYL_ORDER_CAP:
+            raise ValueError("the Weyl group has %d elements, over the limit of %d"
+                             % (self.weyl_order, _WEYL_ORDER_CAP))
         n = self.lattice_rank
         ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
         gens = [tuple(zip(*(self.reflect(i, e) for e in ident))) for i in range(self.rank)]
@@ -356,7 +343,13 @@ class RootDatum:
 
     @cached_property
     def weyl_order(self) -> int:
-        return len(self.weyl_elements)
+        """|W| = Π (m_i + 1) over the exponents m_i, without building the group.
+
+        k is an exponent n_k − n_{k+1} times, where n_k positive coroots have height k
+        (Humphreys, Reflection Groups and Coxeter Groups, §3.20).
+        """
+        counts = Counter(sum(coords) for _, coords in self.positive_coroots)
+        return prod((k + 1) ** (counts[k] - counts[k + 1]) for k in counts)
 
     def weyl_orbit(self, lam: Sequence) -> Tuple[Tuple, ...]:
         """The Weyl orbit of a lattice vector, sorted."""
@@ -441,8 +434,7 @@ def _validate_cartan(cartan: Sequence[Sequence[int]]) -> None:
     # Finite type iff every principal minor is positive.
     for size in range(1, r + 1):
         for subset in combinations(range(r), size):
-            minor = [[Fraction(cartan[i][j]) for j in subset] for i in subset]
-            if _det(minor) <= 0:
+            if _det([[cartan[i][j] for j in subset] for i in subset]) <= 0:
                 raise ValueError("Cartan matrix is not of finite type")
 
 
@@ -477,10 +469,7 @@ def build_root_datum(spec) -> RootDatum:
                     "pairing ⟨coroot_%d, root_%d⟩ = %s disagrees with Cartan entry %d"
                     % (j, i, _dot(coroots[j], roots[i]), cartan[i][j])
                 )
-    if _invertible_minor(coroots) is None:
-        raise ValueError("simple coroots must be linearly independent")
-    if _invertible_minor(roots) is None:
-        raise ValueError("simple roots must be linearly independent")
+    # both families are independent: the pairings give C = (roots)·(coroots)ᵀ, and det C > 0
     return RootDatum(
         lattice_rank=lattice_rank,
         simple_coroots=coroots,

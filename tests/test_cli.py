@@ -523,6 +523,41 @@ def test_negative_bound_is_usage_error(capsys, monkeypatch):
         assert "nonnegative" in err
 
 
+def test_strata_budget_is_checked_while_parsing(capsys, monkeypatch):
+    from satake.grassmannian import Grassmannian
+
+    def no_work(self, bound):
+        raise AssertionError("the strata were listed")
+
+    monkeypatch.setattr(Grassmannian, "drinfeld_strata", no_work)
+    start = time.monotonic()
+    code, out, err = run(capsys, "strata", "--datum", "SL3", "1413")  # C(1415, 2) strata
+    assert time.monotonic() - start < 1
+    assert code == 2 and out == ""
+    assert "bound 1413 gives 1000405 strata; the limit is 1000000" in err
+    monkeypatch.setattr(Grassmannian, "drinfeld_strata", lambda self, bound: [])
+    assert run(capsys, "strata", "--datum", "SL3", "1412") == (0, "[]\n", "")  # 998,991
+
+
+def test_satake_refuses_an_oversized_weyl_group_while_parsing(tmp_path, capsys):
+    # E7 on Z^7 with the simple coroots as unit vectors: |W| = 2,903,040
+    cartan = [[2 * (i == j) for j in range(7)] for i in range(7)]
+    for i, j in [(0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 3)]:
+        cartan[i][j] = cartan[j][i] = -1
+    datum_file = tmp_path / "e7.json"
+    datum_file.write_text(json.dumps({
+        "cartan": cartan, "coroots": [[int(i == j) for j in range(7)] for i in range(7)],
+        "roots": cartan}))
+    highest = "2,2,3,4,3,2,1"  # the highest coroot, whose weights are the 133 of the adjoint
+    start = time.monotonic()
+    code, out, err = run(capsys, "satake", "--datum", str(datum_file), highest)
+    assert time.monotonic() - start < 1
+    assert code == 2 and out == ""
+    assert "the Weyl group has 2903040 elements, over the limit of 1000000" in err
+    code, out, _ = run(capsys, "weights", "--datum", str(datum_file), highest)
+    assert code == 0 and sum(json.loads(out).values()) == 133
+
+
 def test_library_value_error_is_exit_3(capsys, monkeypatch):
     from satake import rep_ring
 

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from satake.grassmannian import Grassmannian
@@ -222,3 +224,18 @@ def test_strata_counts_and_codims():
         assert codim == -2 * sum(coords) and codim >= 0
     with pytest.raises(ValueError):
         g.drinfeld_strata(-1)
+
+
+def test_strata_are_the_degree_vectors_of_a_box():
+    # brute force: every d in [0, bound]^r with Σ d_i ≤ bound, on a rank-3 datum (A1 × C2)
+    rep = RepRing({"cartan": [[2, 0, 0], [0, 2, -2], [0, -1, 2]],
+                   "coroots": [[2, 0, 0], [0, 2, -1], [0, -2, 2]],
+                   "roots": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]})
+    coroots = rep.datum.simple_coroots
+    for bound in range(6):
+        expected = [
+            (tuple(-sum(d * a[k] for d, a in zip(degrees, coroots)) for k in range(3)),
+             2 * sum(degrees))
+            for degrees in itertools.product(range(bound + 1), repeat=3) if sum(degrees) <= bound]
+        expected.sort(key=lambda stratum: (stratum[1], stratum[0]))
+        assert Grassmannian(rep).drinfeld_strata(bound) == expected

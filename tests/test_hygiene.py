@@ -1,5 +1,7 @@
 """Static guards on the library source: no asserts, no floats, stdlib-only imports.
 
+The lattice module (root_datum.py) also imports no fractions: it works in integers.
+
 Contracts must be raised exceptions so they hold under ``python -O``, every
 value is exact, and the runtime needs nothing beyond the standard library.
 """
@@ -11,6 +13,8 @@ from pathlib import Path
 import pytest
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "satake").glob("*.py"))
+# lattice code, whose coroot coordinates and determinants are ints: no Fraction may enter
+INTEGER_ONLY = {"root_datum.py"}
 
 
 def _violations(path):
@@ -32,6 +36,11 @@ def _violations(path):
             top = node.module.split(".")[0]
             if top != "satake" and top not in sys.stdlib_module_names:
                 yield "%s import from %s" % (where, node.module)
+        if path.name in INTEGER_ONLY and isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [node.module or ""] if isinstance(node, ast.ImportFrom) else [
+                alias.name for alias in node.names]
+            if any(name.split(".")[0] == "fractions" for name in names):
+                yield "%s import of fractions in an integer-only module" % where
 
 
 def test_every_module_is_scanned():
@@ -53,3 +62,11 @@ def test_the_guards_fire(tmp_path):
     assert found == [
         "assert statement", "float literal 0.5", "float() call", "import from scipy", "import of numpy"
     ]
+    # fractions is stdlib, so only an integer-only module is refused it
+    lattice = tmp_path / "root_datum.py"
+    lattice.write_text("from fractions import Fraction\nimport os, fractions\n")
+    assert [line.split(" ", 1)[1] for line in _violations(lattice)] == [
+        "import of fractions in an integer-only module"
+    ] * 2
+    sample.write_text(lattice.read_text())
+    assert list(_violations(sample)) == []

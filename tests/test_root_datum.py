@@ -1,11 +1,42 @@
 import random
+import time
 from fractions import Fraction
-from itertools import product as iter_product
+from itertools import permutations, product as iter_product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from satake.root_datum import PRESETS, build_root_datum
+from satake.root_datum import PRESETS, _det, build_root_datum
+
+# A1 × C2: reducible, with a rank-3 lattice
+REDUCIBLE = {"cartan": [[2, 0, 0], [0, 2, -2], [0, -1, 2]],
+             "coroots": [[2, 0, 0], [0, 2, -1], [0, -2, 2]],
+             "roots": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
+
+
+def _exceptional(cartan):
+    """The datum on Z^r with the simple coroots as unit vectors and the Cartan rows as roots."""
+    r = len(cartan)
+    return {"cartan": cartan, "coroots": [[int(i == j) for j in range(r)] for i in range(r)],
+            "roots": cartan}
+
+
+def _simply_laced(rank, edges):
+    """The Cartan matrix of a simply-laced Dynkin diagram on nodes 1..rank."""
+    cartan = [[2 * (i == j) for j in range(rank)] for i in range(rank)]
+    for i, j in edges:
+        cartan[i - 1][j - 1] = cartan[j - 1][i - 1] = -1
+    return cartan
+
+
+# Bourbaki numbering: the chain 1-3-4-…-r with node 2 on node 4
+EXCEPTIONAL = {
+    "F4": ([[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]], 1152),
+    "E6": (_simply_laced(6, [(1, 3), (3, 4), (4, 5), (5, 6), (2, 4)]), 51840),
+    "E7": (_simply_laced(7, [(1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (2, 4)]), 2903040),
+    "E8": (_simply_laced(8, [(1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (2, 4)]),
+           696729600),
+}
 
 
 def test_pgl2_preset():
@@ -261,6 +292,16 @@ def test_rejects_unknown_preset_and_bad_shapes():
         )
 
 
+def test_no_datum_with_dependent_vectors_passes_the_pairing_and_finite_type_checks():
+    # two simple coroots and two simple roots in Z are always dependent; with the Cartan
+    # matrix taken from their pairings, every such datum must still be refused
+    for a, b, c, d in iter_product(range(-3, 4), repeat=4):
+        spec = {"coroots": [[a], [b]], "roots": [[c], [d]],
+                "cartan": [[a * c, b * c], [a * d, b * d]]}
+        with pytest.raises(ValueError):
+            build_root_datum(spec)
+
+
 def test_rejects_dependent_coroots():
     # duplicated coroot vectors; rejected (the pairing check fires first)
     with pytest.raises(ValueError):
@@ -345,3 +386,84 @@ def test_positive_systems_are_pinned():
         d = build_root_datum(name)
         assert d.positive_coroots == coroots
         assert d.positive_roots == roots
+
+
+def _leibniz(matrix):
+    """Σ_σ sign(σ) Π_i m[i][σ(i)], the sign counted by inversions."""
+    n = len(matrix)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = (-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= matrix[i][j]
+        total += term
+    return total
+
+
+def test_bareiss_determinant_matches_the_leibniz_sum():
+    rng = random.Random(2024)
+    for n in range(6):
+        for trial in range(60):
+            m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+            if n >= 2 and trial % 3 == 1:  # singular: one row a combination of two others
+                k = rng.randint(-2, 2)
+                m[-1] = [x + k * y for x, y in zip(m[0], m[1])]
+            elif n >= 2 and trial % 3 == 2:  # a zero leading pivot forces a row swap
+                m[0][0] = 0
+            assert _det(m) == _leibniz(m), m
+    assert _det([[0, 1], [1, 0]]) == -1
+    assert _det([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+
+
+def _fraction_coordinates(datum, vec):
+    """Solve Σ c_j α̌_j = vec by Gaussian elimination over Q: the unique c, or None."""
+    rows = [[Fraction(alpha[k]) for alpha in datum.simple_coroots] + [Fraction(vec[k])]
+            for k in range(datum.lattice_rank)]
+    rank, pivots = datum.rank, []
+    for col in range(rank):
+        pick = next(r for r in range(len(pivots), len(rows)) if rows[r][col] != 0)
+        rows[len(pivots)], rows[pick] = rows[pick], rows[len(pivots)]
+        top = rows[len(pivots)]
+        top[:] = [x / top[col] for x in top]
+        for r, row in enumerate(rows):
+            if r != len(pivots) and row[col] != 0:
+                row[:] = [x - row[col] * y for x, y in zip(row, top)]
+        pivots.append(col)
+    if any(row[-1] != 0 for row in rows[rank:]):
+        return None  # off the span
+    return tuple(row[-1] for row in rows[:rank])
+
+
+@pytest.mark.parametrize("spec", sorted(PRESETS) + [REDUCIBLE],
+                         ids=sorted(PRESETS) + ["A1xC2"])
+def test_coroot_coordinates_are_the_integer_solutions_over_q(spec):
+    datum = build_root_datum(spec)
+    for vec in iter_product(range(-6, 7), repeat=datum.lattice_rank):
+        expected = _fraction_coordinates(datum, vec)
+        if expected is not None and any(c.denominator != 1 for c in expected):
+            expected = None  # in the span, off the lattice
+        coords = datum.coroot_coordinates(vec)
+        assert coords == expected, vec
+        assert coords is None or all(type(c) is int for c in coords)
+    # in the span but off the lattice: the SL3 fundamental coweight, and PGL2's generator
+    assert build_root_datum("SL3").coroot_coordinates((1, 0)) is None
+    assert build_root_datum("PGL2").coroot_coordinates((1,)) is None
+
+
+def test_weyl_order_formula_does_not_build_the_group():
+    for spec in sorted(PRESETS) + [REDUCIBLE]:
+        d = build_root_datum(spec)
+        order = d.weyl_order
+        assert "weyl_elements" not in d.__dict__
+        assert order == len(d.weyl_elements)
+    assert build_root_datum(REDUCIBLE).weyl_order == 16
+    for name, (cartan, order) in EXCEPTIONAL.items():
+        d = build_root_datum(_exceptional(cartan))
+        assert d.weyl_order == order, name
+    # over the cap: refused before a single element is built
+    d = build_root_datum(_exceptional(EXCEPTIONAL["E7"][0]))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="2903040 elements, over the limit of 1000000"):
+        d.weyl_elements
+    assert time.perf_counter() - start < 0.5
