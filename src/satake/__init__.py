@@ -11,7 +11,7 @@ that verifies the defining character-sum identity by direct enumeration.
 from .grassmannian import CohomologyPrediction, Grassmannian, MVBound
 from .hecke import A_BASIS, C_BASIS, PHI_BASIS, BasisElement, HeckeAlgebra
 from .laurent import LaurentPoly, ONE, Q, V, VMonomial, ZERO
-from .rank1_oracle import Cyclotomic, Eq2Record, Eq2Report, Rank1Cell, Rank1Oracle
+from .rank1_oracle import Eq2Record, Eq2Report, Rank1Oracle
 from .rep_ring import RepRing, gamma_power, torus_point
 from .root_datum import (
     DomRep,
@@ -27,7 +27,6 @@ __all__ = [
     "BasisElement",
     "C_BASIS",
     "CohomologyPrediction",
-    "Cyclotomic",
     "DomRep",
     "Eq2Record",
     "Eq2Report",
@@ -40,7 +39,6 @@ __all__ = [
     "PHI_BASIS",
     "PRESETS",
     "Q",
-    "Rank1Cell",
     "Rank1Oracle",
     "RepRing",
     "RootDatum",

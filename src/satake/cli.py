@@ -181,8 +181,9 @@ def _cmd_satake(args) -> int:
     datum = _load_datum(args.datum)
     algebra = HeckeAlgebra(datum)
     lam = _parse_dominant(args.lam, datum)
-    try:  # every Lusztig q-analog sums over the whole Weyl group
+    try:  # every Lusztig q-analog sums over the whole Weyl group and reads the q-Kostant table
         datum.weyl_elements
+        algebra.rep.check_row_budget(lam)
     except ValueError as exc:
         raise UsageError(str(exc))
     element = algebra.satake_to_c(algebra.monomial(A_BASIS, lam))

@@ -60,24 +60,6 @@ class BasisElement:
     def sorted_terms(self) -> Tuple[Tuple[Coweight, LaurentPoly], ...]:
         return tuple(sorted(self.terms.items()))
 
-    def support(self) -> Tuple[Coweight, ...]:
-        return tuple(sorted(self.terms))
-
-    def coefficient(self, cw) -> LaurentPoly:
-        return self.terms.get(tuple(cw), LaurentPoly())
-
-    def plus(self, other: "BasisElement") -> "BasisElement":
-        if self.basis != other.basis:
-            raise ValueError("basis mismatch: %s vs %s" % (self.basis, other.basis))
-        out = dict(self.terms)
-        for cw, coeff in other.terms.items():
-            out[cw] = out.get(cw, LaurentPoly()) + coeff
-        return BasisElement(self.basis, out)
-
-    def scaled(self, factor) -> "BasisElement":
-        factor = as_poly(factor)
-        return BasisElement(self.basis, {cw: coeff * factor for cw, coeff in self.terms.items()})
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, BasisElement):
             return NotImplemented
@@ -98,16 +80,6 @@ class BasisElement:
                 for cw, coeff in self.sorted_terms()
             ],
         }
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "BasisElement":
-        return cls(
-            data["basis"],
-            {
-                tuple(term["coweight"]): LaurentPoly.from_json(term["coeff"])
-                for term in data["terms"]
-            },
-        )
 
 
 def structure_product(
@@ -138,11 +110,6 @@ class HeckeAlgebra:
 
     def monomial(self, basis: str, cw, coeff=ONE) -> BasisElement:
         return self.element(basis, {self.datum.coweight(cw): coeff})
-
-    def unit(self) -> BasisElement:
-        """The unit A_0 = c_0, the characteristic function of the maximal compact."""
-        zero = (0,) * self.datum.lattice_rank
-        return BasisElement(A_BASIS, {zero: ONE})
 
     # -- multiplication --------------------------------------------------------
 

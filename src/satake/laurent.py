@@ -39,11 +39,6 @@ class LaurentPoly:
     def v_power(cls, exp: int, coeff: int = 1) -> "LaurentPoly":
         return cls({exp: coeff})
 
-    @classmethod
-    def q_power(cls, exp: int, coeff: int = 1) -> "LaurentPoly":
-        """coeff * q^exp, stored as an even v-power."""
-        return cls({2 * exp: coeff})
-
     # -- inspection --------------------------------------------------------
 
     def items(self) -> Tuple[Tuple[int, int], ...]:
@@ -60,16 +55,6 @@ class LaurentPoly:
         if not self.is_constant():
             raise ValueError("polynomial %s is not constant" % self)
         return self._coeffs.get(0, 0)
-
-    def is_q_polynomial(self) -> bool:
-        """True when every exponent is even and nonnegative (a member of Z[q])."""
-        return all(e >= 0 and e % 2 == 0 for e in self._coeffs)
-
-    def q_coefficients(self) -> Dict[int, int]:
-        """Coefficient map {k: c} of Σ c q^k; requires all v-exponents even."""
-        if any(e % 2 for e in self._coeffs):
-            raise ValueError("polynomial %s has odd v-powers" % self)
-        return {e // 2: c for e, c in self._coeffs.items()}
 
     # -- ring operations ---------------------------------------------------
 
@@ -109,18 +94,6 @@ class LaurentPoly:
             return self.__mul__(other)
         return NotImplemented
 
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            raise ValueError("negative powers of a polynomial are not defined")
-        result = ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def shift(self, exp: int) -> "LaurentPoly":
         """Multiply by v^exp."""
         return LaurentPoly({e + exp: c for e, c in self._coeffs.items()})
@@ -151,10 +124,6 @@ class LaurentPoly:
 
     def to_json(self) -> dict:
         return {"v": {str(e): c for e, c in sorted(self._coeffs.items())}}
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "LaurentPoly":
-        return cls({int(e): int(c) for e, c in data["v"].items()})
 
     def __str__(self) -> str:
         if not self._coeffs:

@@ -18,11 +18,11 @@ for non-dominant μ.  With the Haar measure giving the integral-points
 subgroup measure 1, the integral over the orbit collapses to the point sum
 times the stabilizer measure q^{−ν}; every F_q point carries weight 1.
 
-Two evaluation routes are kept: literal point enumeration with exact
-cyclotomic ψ-values, and the closed-form collapse (a free ψ-coordinate sums
-to zero; an absent one contributes the point count).  Their agreement is
-itself part of the contract.  q is restricted to primes, where the trace map
-is the identity.
+Two evaluation routes are kept: literal point enumeration, which adds exact
+ψ-values in Z[ζ_p] (sums are the only cyclotomic arithmetic it needs), and
+the closed-form collapse (a free ψ-coordinate sums to zero; an absent one
+contributes the point count).  Their agreement is itself part of the
+contract.  q is restricted to primes, where the trace map is the identity.
 """
 
 from __future__ import annotations
@@ -49,13 +49,13 @@ def is_prime(n: int) -> bool:
 
 
 class Cyclotomic:
-    """Exact arithmetic in Z[ζ_p], p prime; basis 1, ζ, …, ζ^{p−2}.
+    """Sums of p-th roots of unity in Z[ζ_p], p prime; basis 1, ζ, …, ζ^{p−2}.
 
     The relation Σ_{a ∈ F_p} ζ^a = 0 holds identically in this
     representation.  The public constructor checks p and the length of the
-    vector; results of arithmetic are built by ``_result`` without the
-    checks, since their operands passed them, and so is ``zeta``, which point
-    enumeration calls once per point after checking q once per cell.
+    vector; sums are built by ``_result`` without the checks, since their
+    operands passed them, and so is ``zeta``, which point enumeration calls
+    once per point after checking q once per cell.
     """
 
     __slots__ = ("p", "vec")
@@ -76,10 +76,6 @@ class Cyclotomic:
         return out
 
     @classmethod
-    def integer(cls, p: int, n: int) -> "Cyclotomic":
-        return cls(p, (n,) + (0,) * (p - 2))
-
-    @classmethod
     def zeta(cls, p: int, k: int) -> "Cyclotomic":
         """ζ^k, with ζ^{p−1} rewritten as −(1 + ζ + … + ζ^{p−2}); p is not checked."""
         k %= p
@@ -95,45 +91,8 @@ class Cyclotomic:
         self._check(other)
         return Cyclotomic._result(self.p, tuple(a + b for a, b in zip(self.vec, other.vec)))
 
-    def __sub__(self, other: "Cyclotomic") -> "Cyclotomic":
-        self._check(other)
-        return Cyclotomic._result(self.p, tuple(a - b for a, b in zip(self.vec, other.vec)))
-
-    def __neg__(self) -> "Cyclotomic":
-        return Cyclotomic._result(self.p, tuple(-a for a in self.vec))
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return Cyclotomic._result(self.p, tuple(a * other for a in self.vec))
-        self._check(other)
-        p = self.p
-        acc = [0] * p
-        for i, a in enumerate(self.vec):
-            if not a:
-                continue
-            for j, b in enumerate(other.vec):
-                if b:
-                    acc[(i + j) % p] += a * b
-        top = acc[p - 1]
-        return Cyclotomic._result(p, tuple(acc[i] - top for i in range(p - 1)))
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            return self.vec == Cyclotomic.integer(self.p, other).vec
-        if not isinstance(other, Cyclotomic):
-            return NotImplemented
-        return self.p == other.p and self.vec == other.vec
-
-    def __bool__(self) -> bool:
-        return any(self.vec)
-
-    def is_integer(self) -> bool:
-        return not any(self.vec[1:])
-
     def to_integer(self) -> int:
-        if not self.is_integer():
+        if any(self.vec[1:]):
             raise ValueError("cyclotomic value %r is not a rational integer" % (self.vec,))
         return self.vec[0]
 
@@ -141,30 +100,15 @@ class Cyclotomic:
         return "Cyclotomic(p=%d, %r)" % (self.p, self.vec)
 
 
-@dataclass(frozen=True)
-class Rank1Cell:
-    """The closed cell: orbit-closure m meeting stratum n, an affine space.
+def _cell_coordinates(m: int, n: int) -> Optional[Tuple[int, ...]]:
+    """The indices i of the coefficients a_i of the closed cell (m, n), or None if it is empty.
 
-    coordinates holds the live indices i of the coefficients a_i; dim is
-    (n+m)/2.  The ψ-relevant coordinate for conductor μ is index −1−μ.
+    The cell is the affine space of dimension (n+m)/2 on these coordinates; the ψ-relevant
+    coordinate for conductor μ is index −1−μ.
     """
-
-    m: int
-    n: int
-    dim: int
-    coordinates: Tuple[int, ...]
-
-    @classmethod
-    def build(cls, m: int, n: int) -> Optional["Rank1Cell"]:
-        if m < 0:
-            raise ValueError("orbit label must be nonnegative")
-        if (m - n) % 2 != 0 or abs(n) > m:
-            return None
-        dim = (n + m) // 2
-        coords = tuple(range((n - m) // 2, n))
-        if len(coords) != dim:
-            raise InvariantError("cell (%d,%d) has %d coordinates" % (m, n, len(coords)))
-        return cls(m=m, n=n, dim=dim, coordinates=coords)
+    if (m - n) % 2 != 0 or abs(n) > m:
+        return None
+    return tuple(range((n - m) // 2, n))
 
 
 def half_power(coeff, odd: bool) -> VMonomial:
@@ -254,19 +198,19 @@ class Rank1Oracle:
         """
         if not is_prime(q):
             raise ValueError("the oracle works over prime fields; got q = %d" % q)
-        c = Rank1Cell.build(mprime, n)
-        if c is None:
+        coords = _cell_coordinates(mprime, n)
+        if coords is None:
             raise ValueError("empty cell (m = %d, n = %d)" % (mprime, n))
-        present = j in c.coordinates
-        key = (c.dim, present, q)
+        present = j in coords
+        key = (len(coords), present, q)
         if key not in self._closed_sums:
-            pos = c.coordinates.index(j) if present else None
+            pos = coords.index(j) if present else None
             total = Cyclotomic(q)
-            for point in iter_product(range(q), repeat=c.dim):
+            for point in iter_product(range(q), repeat=len(coords)):
                 total = total + Cyclotomic.zeta(q, point[pos] if pos is not None else 0)
             self._closed_sums[key] = total.to_integer()
         enum_value = self._closed_sums[key]
-        closed_value = 0 if present else q ** c.dim
+        closed_value = 0 if present else q ** len(coords)
         if enum_value != closed_value:
             raise InvariantError(
                 "evaluation paths disagree on cell (%d,%d): %d vs %d"
@@ -280,13 +224,6 @@ class Rank1Oracle:
         if mprime - 2 >= abs(n):
             total -= self.closed_cell_charsum(mprime - 2, n, j, q)
         return total
-
-    def point_count(self, m: int, n: int, q: int) -> int:
-        """|closed cell(F_q)| by literal enumeration."""
-        c = Rank1Cell.build(m, n)
-        if c is None:
-            return 0
-        return sum(1 for _ in iter_product(range(q), repeat=c.dim))
 
     # -- the two sides of the identity ----------------------------------------
 

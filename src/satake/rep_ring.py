@@ -4,9 +4,9 @@ Freudenthal's recursion in the datum's W-invariant form fills the dominant and t
 weight table of V^λ in one pass (Weyl orbits memoized per ring); Brauer–Klimyk gives
 tensor products; characters are integer sums over that table, one denominator per trace.
 The q-side reads one integer coin-change table of the q-Kostant partition function per
-ring: a Lusztig q-analog, or the alternating Kostant sum that cross-checks Freudenthal,
-adds its entries at λ − ν plus one Weyl offset per w (memoized per λ), in coroot
-coordinates.  Values are exact (ints and Fractions).
+ring: a Lusztig q-analog, at dominant λ and μ, adds its entries at λ − μ plus one Weyl
+offset per w (memoized per λ), in coroot coordinates.  Values are exact (ints and
+Fractions).
 """
 
 from __future__ import annotations
@@ -35,6 +35,13 @@ def torus_point(values, datum: RootDatum) -> TorusPoint:
     if any(v == 0 for v in vals):
         raise ValueError("torus point coordinates must be nonzero")
     return vals
+
+
+def _require_box_budget(box: Coweight) -> None:
+    """Raise ValueError when a q-Kostant table over box would exceed _PARTITION_POINT_BUDGET."""
+    if (points := prod(b + 1 for b in box)) > _PARTITION_POINT_BUDGET:
+        raise ValueError("q-Kostant table box %s would hold %d points, over the limit of %d"
+                         % (box, points, _PARTITION_POINT_BUDGET))
 
 
 def gamma_power(gamma: TorusPoint, nu: Sequence[int]) -> Fraction:
@@ -164,11 +171,6 @@ class RepRing:
         dom = self.datum.dominant_representative(nu).coweight
         return self.dominant_multiplicity_table(lam).get(dom, 0)
 
-    def kostant_multiplicity(self, lam, nu) -> int:
-        """The same multiplicity by the alternating Kostant sum (independent route)."""
-        lam = self.datum.dominant(lam)
-        return int(self._alternating_sum(lam, self.datum.coweight(nu)).eval_q(1))
-
     def weight_table(self, lam) -> Dict[Coweight, int]:
         """The full (Weyl-invariant) weight multiplicity table of V^λ, as a fresh dict."""
         return dict(self.weights_with_multiplicity(lam))
@@ -288,9 +290,7 @@ class RepRing:
         if target in table:
             return
         box = tuple(max(b, t) for b, t in zip(self._partition_box, target))
-        if (points := prod(b + 1 for b in box)) > _PARTITION_POINT_BUDGET:
-            raise ValueError("q-Kostant table box %s would hold %d points, over the limit of %d"
-                             % (box, points, _PARTITION_POINT_BUDGET))
+        _require_box_budget(box)
         roots = [c for _, c in self.datum.positive_coroots]
         for point in iter_product(*(range(b + 1) for b in box)):
             if point in table:
@@ -307,26 +307,29 @@ class RepRing:
             table[point] = tuple(layers)
         self._partition_box = box
 
+    def check_row_budget(self, lam) -> None:
+        """Raise ValueError, before any work, if λ's Satake row needs an oversized q-Kostant table.
+
+        The row's q-analogs read the table at λ − μ for dominant μ ≤ λ and at points below
+        those, all inside the box datum.coroot_bound(λ).
+        """
+        _require_box_budget(self.datum.coroot_bound(self.datum.dominant(lam)))
+
     def lusztig_q_analog(self, lam, mu) -> LaurentPoly:
-        """Lusztig's q-analog of the weight multiplicity dim V^λ(μ).
+        """Lusztig's q-analog of the weight multiplicity dim V^λ(μ), λ and μ dominant.
 
-        The alternating Weyl sum of the q-Kostant partition function at
-        w(λ+ρ) − (μ+ρ); its value at q = 1 is the weight multiplicity.
+        The alternating Weyl sum Σ_w (−1)^{ℓ(w)} P_q(w(λ+ρ) − (μ+ρ)) of the q-Kostant partition
+        function P_q; its value at q = 1 is the weight multiplicity.  In coroot coordinates the
+        argument is (w(λ+ρ) − (λ+ρ)) + (λ − μ), the first part ≤ 0, solved once per λ per ring.
+        P_q(λ − μ) = 0 makes every term 0; else its call grows the table over all other terms
+        (each ≤ λ − μ), which are read from it in integers.
         """
-        return self._alternating_sum(self.datum.dominant(lam), self.datum.dominant(mu))
-
-    def _alternating_sum(self, lam: Coweight, nu: Coweight) -> LaurentPoly:
-        """Σ_w (−1)^{ℓ(w)} P_q(w(λ+ρ) − (ν+ρ)), P_q the q-Kostant function; λ dominant, ν any.
-
-        In coroot coordinates the argument is (w(λ+ρ) − (λ+ρ)) + (λ − ν), the first part ≤ 0,
-        solved once per λ per ring.  P_q(λ − ν) = 0 makes every term 0; else its call grows
-        the table over all other terms (each ≤ λ − ν), which are read from it in integers.
-        """
-        diff = tuple(l - n for l, n in zip(lam, nu))
+        datum = self.datum
+        lam, mu = datum.dominant(lam), datum.dominant(mu)
+        diff = tuple(l - m for l, m in zip(lam, mu))
         identity = self.q_kostant_partition(diff)
         if not identity:
             return ZERO
-        datum = self.datum
         if lam not in self._weyl_shifts:  # coordinates of 2(w(λ+ρ) − (λ+ρ)), w ≠ e, halved
             two = tuple(2 * x + r for x, r in zip(lam, datum.two_rho_dual))
             self._weyl_shifts[lam] = [([c // 2 for c in datum.coroot_coordinates(

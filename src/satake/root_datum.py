@@ -223,11 +223,6 @@ class RootDatum:
             pairings = [q - p * row[i] for q, row in zip(pairings, self.cartan_matrix)]
             word.append(i)
 
-    def is_singular(self, lam: Sequence) -> bool:
-        """True when some Weyl reflection fixes λ (a pairing vanishes on the orbit)."""
-        dom = self.dominant_representative(lam).coweight
-        return any(_dot(dom, root) == 0 for root in self.simple_roots)
-
     @cached_property
     def _w0_word(self) -> Tuple[int, ...]:
         """A reduced word for the longest element w₀, in application order.
@@ -255,15 +250,24 @@ class RootDatum:
             for j in range(r))
         return adjugate, _det(c)
 
+    def coroot_bound(self, vec: Sequence) -> Tuple[int, ...]:
+        """⌊C⁻¹·p⌋ for the Cartan matrix C and the simple-root pairings p of vec.
+
+        For dominant λ it bounds, coordinate by coordinate, the coroot coordinates of every
+        λ − μ with μ ≤ λ dominant: those are C⁻¹·p(λ) − C⁻¹·p(μ), and C⁻¹ of a finite-type
+        Cartan matrix has no negative entry, so C⁻¹·p(μ) ≥ 0.
+        """
+        adjugate, det = self._cartan_adjugate
+        pairings = self._simple_pairings(vec)
+        return tuple(sum(map(operator.mul, line, pairings)) // det for line in adjugate)
+
     def coroot_coordinates(self, vec: Sequence) -> Optional[Tuple[int, ...]]:
         """The integers c with vec = Σ c_j α̌_j, or None when vec is not in the coroot lattice.
 
         ⟨Σ c_j α̌_j, α_i⟩ = (C c)_i for the Cartan matrix C, so c = adj(C)·p / det C, p the
         simple-root pairings of vec.
         """
-        adjugate, det = self._cartan_adjugate
-        pairings = self._simple_pairings(vec)
-        coords = tuple(sum(map(operator.mul, line, pairings)) // det for line in adjugate)
+        coords = self.coroot_bound(vec)
         # one check on every lattice coordinate catches both failures: a division that left
         # a remainder (vec off the lattice) and a part of vec in the center (off the span)
         if any(sum(c * alpha[k] for c, alpha in zip(coords, self.simple_coroots)) != x

@@ -366,7 +366,8 @@ def test_jobs_flag_is_gone(capsys):
 
 
 def test_verify_cs_names_its_first_counterexample(capsys, monkeypatch):
-    from satake.laurent import LaurentPoly
+    from satake.hecke import BasisElement
+    from satake.laurent import ONE, ZERO
     from satake.whittaker import WhittakerModule
 
     honest_act = WhittakerModule.act
@@ -374,8 +375,8 @@ def test_verify_cs_names_its_first_counterexample(capsys, monkeypatch):
 
     def act(self, w, h):
         out = honest_act(self, w, h)
-        if h.support() == ((2,),):  # corrupt every action of A_2
-            out = out.plus(self.phi((0,), LaurentPoly.const(1)))
+        if set(h.terms) == {(2,)}:  # corrupt every action of A_2
+            out = BasisElement(out.basis, {**out.terms, (0,): out.terms.get((0,), ZERO) + ONE})
         return out
 
     def eigen_residual(self, gamma, lam_act, cutoff):
@@ -556,6 +557,24 @@ def test_satake_refuses_an_oversized_weyl_group_while_parsing(tmp_path, capsys):
     assert "the Weyl group has 2903040 elements, over the limit of 1000000" in err
     code, out, _ = run(capsys, "weights", "--datum", str(datum_file), highest)
     assert code == 0 and sum(json.loads(out).values()) == 133
+
+
+def test_satake_refuses_an_oversized_q_kostant_box_while_parsing(capsys, monkeypatch):
+    from satake.rep_ring import RepRing
+
+    def unreachable(self, lam, mu):
+        raise RuntimeError("a q-analog ran before the refusal")
+
+    # SL3 at (1001, 1001): the row's box is ⌊C⁻¹·p(λ)⌋ = (1001, 1001), 1002² points
+    monkeypatch.setattr(RepRing, "lusztig_q_analog", unreachable)
+    start = time.monotonic()
+    code, out, err = run(capsys, "satake", "--datum", "SL3", "1001,1001")
+    assert time.monotonic() - start < 1
+    assert code == 2 and out == ""
+    assert "box (1001, 1001) would hold 1004004 points, over the limit of 1000000" in err
+    monkeypatch.undo()
+    code, out, _ = run(capsys, "satake", "--datum", "SL3", "20,20", "--format", "pretty")
+    assert code == 0 and out.startswith("c_0,0: ") and out.endswith("(q = v^2)\n")
 
 
 def test_library_value_error_is_exit_3(capsys, monkeypatch):

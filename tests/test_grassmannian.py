@@ -138,7 +138,7 @@ def test_prediction_dimension_matches_whittaker_action():
                 if not g.datum.is_dominant(target):
                     continue
                 prediction = g.predicted_cohomology(lam, mu, nu)
-                coeff = acted.coefficient(target)
+                coeff = acted.terms.get(target)
                 observed = coeff.constant_value() if coeff else 0
                 assert prediction.dimension == observed
 

@@ -1,9 +1,12 @@
-"""Static guards on the library source: no asserts, no floats, stdlib-only imports.
+"""Static guards on the library source: no asserts, no floats, stdlib-only imports, no dead names.
 
 The lattice module (root_datum.py) also imports no fractions: it works in integers.
 
 Contracts must be raised exceptions so they hold under ``python -O``, every
 value is exact, and the runtime needs nothing beyond the standard library.
+Every public def and class is used by the library, the CLI or the benchmark,
+or is one of the listed reference routes; any other helper that only tests
+need belongs in the test that needs it.
 """
 
 import ast
@@ -12,7 +15,18 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "satake").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "satake").glob("*.py"))
+BENCH = sorted((ROOT / "bench").rglob("*.py"))
+# the tracer names its targets as strings; no other file's strings count as uses
+TRACER = ROOT / "bench" / "spans.py"
+# public names nothing in the library calls, kept as the reference routes tests compare against
+REFERENCE_ROUTES = (
+    ("gamma_power", "γ^ν one weight at a time, the plain sum character_eval is checked against"),
+    ("eval_gamma", "the Satake homomorphism A_λ ↦ Tr(γ, V^λ), whose multiplicativity checks mul"),
+    ("star_involution", "A_λ ↦ A_{−w₀λ}, an algebra map only if mul and apply_w0 agree"),
+    ("eval_q", "the value at q = 1, which ties every q-analog to a Freudenthal multiplicity"),
+)
 # lattice code, whose coroot coordinates and determinants are ints: no Fraction may enter
 INTEGER_ONLY = {"root_datum.py"}
 
@@ -43,6 +57,33 @@ def _violations(path):
                 yield "%s import of fractions in an integer-only module" % where
 
 
+def _used_names(paths, tracer):
+    """Every name a Name or Attribute node of paths mentions, and the strings of tracer."""
+    used = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif path == tracer and isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.add(node.value)
+    return used
+
+
+def _dead_names(paths, used):
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_") and node.name not in used):
+                yield "%s:%d %s" % (path.name, node.lineno, node.name)
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    used = _used_names(SOURCES + BENCH, TRACER) | {name for name, _ in REFERENCE_ROUTES}
+    assert list(_dead_names(SOURCES, used)) == []
+
+
 def test_every_module_is_scanned():
     assert {p.name for p in SOURCES} >= {"__init__.py", "root_datum.py", "rep_ring.py", "cli.py"}
 
@@ -70,3 +111,10 @@ def test_the_guards_fire(tmp_path):
     ] * 2
     sample.write_text(lattice.read_text())
     assert list(_violations(sample)) == []
+    # a public def nothing names is dead; a private one, or one a tracer string names, is not
+    dead = tmp_path / "dead.py"
+    dead.write_text("def used():\n    pass\n\ndef unused():\n    used()\n\ndef _private():\n    pass\n")
+    tracer = tmp_path / "tracer.py"
+    tracer.write_text('TARGETS = ("unused",)\n')
+    assert list(_dead_names([dead], _used_names([dead, tracer], None))) == ["dead.py:4 unused"]
+    assert list(_dead_names([dead], _used_names([dead, tracer], tracer))) == []

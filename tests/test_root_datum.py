@@ -189,7 +189,7 @@ def test_w0_consumers_do_not_build_the_weyl_group():
 
     d = build_root_datum("G2")
     algebra = HeckeAlgebra(d)
-    assert algebra.star_involution(algebra.monomial(A_BASIS, (1, 2))).support() == ((1, 2),)
+    assert set(algebra.star_involution(algebra.monomial(A_BASIS, (1, 2))).terms) == {(1, 2)}
     assert RepRing(d).dual_character_eval((1, 0), (Fraction(2), Fraction(3))) > 0
     assert Grassmannian(RepRing(d)).mv_dim_bound((1, 0), (-1, 0)).flag == "point"
     assert "weyl_elements" not in d.__dict__
@@ -245,19 +245,6 @@ def test_dominance_is_a_partial_order():
             assert a == b
         if d.dominance_leq(a, b) and d.dominance_leq(b, c):
             assert d.dominance_leq(a, c)
-
-
-def test_singularity_detection_on_shifted_vectors():
-    d = build_root_datum("SL3")
-    # singular = the Weyl orbit touches a wall
-    assert d.is_singular((1, 0))
-    assert d.is_singular((-1, 1))  # reflects to (1, 0)
-    assert d.is_singular((3, -3))  # reflects to (0, 3)
-    assert not d.is_singular((1, 1))
-    assert not d.is_singular((-1, -1))  # the regular orbit of (1, 1)
-    sl2 = build_root_datum("SL2")
-    assert sl2.is_singular((0,))
-    assert not sl2.is_singular((-2,))
 
 
 def test_explicit_datum_round_trip():
