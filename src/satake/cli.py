@@ -162,18 +162,28 @@ def _emit_mult_map(args, mapping: Dict[Tuple[int, ...], int]) -> None:
 # -- subcommands ---------------------------------------------------------------
 
 
+def _checked_rep(datum: RootDatum, *weights) -> RepRing:
+    """A ring for datum, after check_table_budget on the weights (a UsageError if oversized)."""
+    rep = RepRing(datum)
+    try:
+        rep.check_table_budget(*weights)
+    except ValueError as exc:
+        raise UsageError(str(exc))
+    return rep
+
+
 def _cmd_tensor(args) -> int:
     datum = _load_datum(args.datum)
     lam = _parse_dominant(args.lam, datum)
     mu = _parse_dominant(args.mu, datum)
-    _emit_mult_map(args, RepRing(datum).tensor_decompose(lam, mu))
+    _emit_mult_map(args, _checked_rep(datum, lam, mu).tensor_decompose(lam, mu))
     return 0
 
 
 def _cmd_weights(args) -> int:
     datum = _load_datum(args.datum)
     lam = _parse_dominant(args.lam, datum)
-    _emit_mult_map(args, RepRing(datum).weight_table(lam))
+    _emit_mult_map(args, _checked_rep(datum, lam).weight_table(lam))
     return 0
 
 
@@ -182,7 +192,7 @@ def _cmd_satake(args) -> int:
     algebra = HeckeAlgebra(datum)
     lam = _parse_dominant(args.lam, datum)
     try:  # every Lusztig q-analog sums over the whole Weyl group and reads the q-Kostant table
-        datum.weyl_elements
+        datum.check_weyl_order()
         algebra.rep.check_row_budget(lam)
     except ValueError as exc:
         raise UsageError(str(exc))

@@ -2,11 +2,13 @@
 
 Freudenthal's recursion in the datum's W-invariant form fills the dominant and the full
 weight table of V^λ in one pass (Weyl orbits memoized per ring); Brauer–Klimyk gives
-tensor products; characters are integer sums over that table, one denominator per trace.
+tensor products.  One memo per ring holds the signed shifts (w(λ+ρ) − (λ+ρ), (−1)^{ℓ(w)})
+of each λ, the terms of both alternating Weyl sums.  A character at a regular torus point
+is Weyl's character formula over them; at a singular point, or on a Weyl group over the
+cap, it is the sum over the weight table; both are integer sums, one denominator each.
 The q-side reads one integer coin-change table of the q-Kostant partition function per
-ring: a Lusztig q-analog, at dominant λ and μ, adds its entries at λ − μ plus one Weyl
-offset per w (memoized per λ), in coroot coordinates.  Values are exact (ints and
-Fractions).
+ring: a Lusztig q-analog, at dominant λ and μ, adds its entries at λ − μ plus one signed
+shift per w ≠ e, in coroot coordinates.  Values are exact (ints and Fractions).
 """
 
 from __future__ import annotations
@@ -14,15 +16,16 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product as iter_product
 from math import prod
-from operator import mul
+from operator import add
 from typing import Dict, List, Sequence, Tuple
 
 from .laurent import LaurentPoly, ZERO
-from .root_datum import InvariantError, RootDatum, build_root_datum
+from .root_datum import WEYL_ORDER_CAP, InvariantError, RootDatum, build_root_datum
 
 Coweight = Tuple[int, ...]
 TorusPoint = Tuple[Fraction, ...]
-_PARTITION_POINT_BUDGET = 10 ** 6  # the q-Kostant table's most points, as the CLI's eq2 budget
+# the most points of a q-Kostant table and entries of a weight table, as the CLI's eq2 budget
+_TABLE_BUDGET = 10 ** 6
 
 
 def torus_point(values, datum: RootDatum) -> TorusPoint:
@@ -38,10 +41,35 @@ def torus_point(values, datum: RootDatum) -> TorusPoint:
 
 
 def _require_box_budget(box: Coweight) -> None:
-    """Raise ValueError when a q-Kostant table over box would exceed _PARTITION_POINT_BUDGET."""
-    if (points := prod(b + 1 for b in box)) > _PARTITION_POINT_BUDGET:
+    """Raise ValueError when a q-Kostant table over box would exceed _TABLE_BUDGET."""
+    if (points := prod(b + 1 for b in box)) > _TABLE_BUDGET:
         raise ValueError("q-Kostant table box %s would hold %d points, over the limit of %d"
-                         % (box, points, _PARTITION_POINT_BUDGET))
+                         % (box, points, _TABLE_BUDGET))
+
+
+def _alternating_eval(terms: Sequence[Tuple[Sequence[int], int]], gamma: TorusPoint) -> Fraction:
+    """Σ c·γ^ν over the (ν, c) terms, exact, over one common denominator.
+
+    The terms are an alternating Weyl sum (c = ±1) or a weight table (c the multiplicity).
+    With γ_i = a_i/b_i and lo_i, hi_i the least and greatest i-th coordinate of a ν,
+    γ^ν = Π a_i^{lo_i} b_i^{−hi_i} · Π a_i^{ν_i−lo_i} b_i^{hi_i−ν_i}.  The second product
+    is an integer read from one power table per coordinate, so the terms are summed in
+    integers and the first product is applied once, as a single Fraction.
+    """
+    rows = []
+    num = den = 1
+    for g, column in zip(gamma, zip(*(nu for nu, _ in terms))):
+        a, b = g.numerator, g.denominator
+        lo, hi = min(column), max(column)
+        rows.append({x: a ** (x - lo) * b ** (hi - x) for x in set(column)})
+        num *= a ** max(lo, 0) * b ** max(-hi, 0)
+        den *= a ** max(-lo, 0) * b ** max(hi, 0)
+    total = 0
+    for nu, c in terms:
+        for row, x in zip(rows, nu):
+            c *= row[x]
+        total += c
+    return Fraction(total * num, den)
 
 
 def gamma_power(gamma: TorusPoint, nu: Sequence[int]) -> Fraction:
@@ -66,7 +94,8 @@ class RepRing:
         self._tensor: Dict[Tuple[Coweight, Coweight], Dict[Coweight, int]] = {}
         self._partition_table: Dict[Coweight, Tuple[Dict[int, int], ...]] = {}
         self._partition_box: Coweight = (0,) * self.datum.rank
-        self._weyl_shifts: Dict[Coweight, List[Tuple[List[int], int]]] = {}
+        self._shifts: Dict[Coweight, Tuple[Tuple[Coweight, int], ...]] = {}
+        self._weyl_shifts: Dict[Coweight, List[Tuple[Coweight, int]]] = {}
         self._dims: Dict[Coweight, int] = {}
 
     # -- dimensions and weights ---------------------------------------------
@@ -199,10 +228,7 @@ class RepRing:
             return dict(self._tensor[key])
         datum = self.datum
         two_rho = datum.two_rho_dual
-        if self.weyl_dim(mu) <= self.weyl_dim(lam):
-            iter_weight, fixed = mu, lam
-        else:
-            iter_weight, fixed = lam, mu
+        iter_weight, fixed = self._table_factors(lam, mu)
         acc: Dict[Coweight, int] = {}
         for tau, mult in self.weights_with_multiplicity(iter_weight):
             shifted = tuple(2 * (f + t) + r for f, t, r in zip(fixed, tau, two_rho))
@@ -221,6 +247,29 @@ class RepRing:
         self._tensor[(mu, lam)] = result
         return dict(result)
 
+    def _table_factors(self, lam: Coweight, mu: Coweight) -> Tuple[Coweight, Coweight]:
+        """(the factor whose weight table Brauer–Klimyk reads, the other): the smaller, μ on a tie."""
+        return (mu, lam) if self.weyl_dim(mu) <= self.weyl_dim(lam) else (lam, mu)
+
+    def check_table_budget(self, lam, mu=None) -> None:
+        """Raise ValueError, before any work, if the weight table of λ could be oversized.
+
+        With μ, the table is the one tensor_decompose(λ, μ) reads.  Its entries are at most
+        dim V^λ, and at most |W| per dominant μ' ≤ λ, whose λ − μ' has coroot coordinates in
+        the box datum.coroot_bound(λ); the lesser bound must stay within _TABLE_BUDGET.
+        """
+        datum = self.datum
+        lam = datum.dominant(lam)
+        if mu is not None:
+            lam = self._table_factors(lam, datum.dominant(mu))[0]
+        box, dim = datum.coroot_bound(lam), self.weyl_dim(lam)
+        orbits = datum.weyl_order * prod(b + 1 for b in box)
+        if min(dim, orbits) > _TABLE_BUDGET:
+            raise ValueError("the weight table of V^%s may hold %d entries (dim V^λ = %d; |W| = %d "
+                             "times the points of the box %s is %d), over the limit of %d"
+                             % (lam, min(dim, orbits), dim, datum.weyl_order, box, orbits,
+                                _TABLE_BUDGET))
+
     def tensor_multiplicity(self, lam, mu, nu) -> int:
         """dim Hom(V^ν, V^λ ⊗ V^μ)."""
         nu = self.datum.dominant(nu)
@@ -228,30 +277,38 @@ class RepRing:
 
     # -- characters ------------------------------------------------------------
 
-    def character_eval(self, lam, gamma: TorusPoint) -> Fraction:
-        """Tr(γ, V^λ) = Σ_ν mult(ν) γ^ν, exact, over one common denominator.
+    def _signed_shifts(self, lam: Coweight) -> Tuple[Tuple[Coweight, int], ...]:
+        """(w(λ+ρ) − (λ+ρ), (−1)^{ℓ(w)}) for every w in W, identity first, memoized per λ.
 
-        With γ_i = a_i/b_i and lo_i, hi_i the least and greatest i-th
-        coordinate of a weight, γ^ν = Π a_i^{lo_i} b_i^{−hi_i} · Π a_i^{ν_i−lo_i}
-        b_i^{hi_i−ν_i}.  The second product is an integer read from one power
-        list per coordinate, so the weights of the memoized table are summed in
-        integers and the first product is applied once, as a single Fraction.
+        The terms of both alternating Weyl sums: Weyl's character formula and Lusztig's
+        q-analog.  ρ is held doubled, so this is the signed orbit of 2(λ+ρ), halved.
         """
-        weights = self.weights_with_multiplicity(lam)
-        rows = []
-        num = den = 1
-        for g, column in zip(gamma, zip(*(nu for nu, _ in weights))):
-            a, b = g.numerator, g.denominator
-            lo, hi = min(column), max(column)
-            rows.append({x: a ** (x - lo) * b ** (hi - x) for x in range(lo, hi + 1)})
-            num *= a ** max(lo, 0) * b ** max(-hi, 0)
-            den *= a ** max(-lo, 0) * b ** max(hi, 0)
-        total = 0
-        for nu, mult in weights:
-            for row, x in zip(rows, nu):
-                mult *= row[x]
-            total += mult
-        return Fraction(total * num, den)
+        shifts = self._shifts.get(lam)
+        if shifts is None:
+            two = tuple(2 * x + r for x, r in zip(lam, self.datum.two_rho_dual))
+            shifts = self._shifts[lam] = tuple(
+                (tuple((y - t) // 2 for y, t in zip(image, two)), sign)
+                for image, sign in self.datum.signed_orbit(two))
+        return shifts
+
+    def character_eval(self, lam, gamma: TorusPoint) -> Fraction:
+        """Tr(γ, V^λ), exact.
+
+        At regular γ by Weyl's character formula: Σ_w ε(w) γ^{w(λ+ρ)−ρ} over the Weyl
+        denominator Σ_w ε(w) γ^{wρ−ρ} = Π_{α>0} (1 − γ^{−α}), which vanishes exactly at
+        singular γ (Humphreys, Lie Algebras, §24.3).  At singular γ, and on a Weyl group
+        over WEYL_ORDER_CAP, as Σ_ν mult(ν) γ^ν over the memoized weight table.
+        """
+        datum = self.datum
+        lam = datum.dominant(lam)
+        if datum.weyl_order <= WEYL_ORDER_CAP:
+            zero = (0,) * datum.lattice_rank
+            denominator = _alternating_eval(self._signed_shifts(zero), gamma)
+            if denominator:
+                terms = [(tuple(map(add, lam, shift)), sign)
+                         for shift, sign in self._signed_shifts(lam)]
+                return _alternating_eval(terms, gamma) / denominator
+        return _alternating_eval(self.weights_with_multiplicity(lam), gamma)
 
     def dual_character_eval(self, lam, gamma: TorusPoint) -> Fraction:
         """Tr(γ, (V^λ)*), computed as the character of V^{−w₀λ}."""
@@ -284,7 +341,7 @@ class RepRing:
         box [0, b_1] × … × [0, b_r]; P_0 is the partition function.  The box grows to the
         coordinatewise maximum of itself and target, and the new points are filled in
         lexicographic order, which puts β − α_i before β.  Values are {q-power: count}
-        maps.  A box over _PARTITION_POINT_BUDGET points raises ValueError, unfilled.
+        maps.  A box over _TABLE_BUDGET points raises ValueError, unfilled.
         """
         table = self._partition_table
         if target in table:
@@ -330,11 +387,9 @@ class RepRing:
         identity = self.q_kostant_partition(diff)
         if not identity:
             return ZERO
-        if lam not in self._weyl_shifts:  # coordinates of 2(w(λ+ρ) − (λ+ρ)), w ≠ e, halved
-            two = tuple(2 * x + r for x, r in zip(lam, datum.two_rho_dual))
-            self._weyl_shifts[lam] = [([c // 2 for c in datum.coroot_coordinates(
-                [sum(map(mul, row, two)) - t for row, t in zip(matrix, two)])], (-1) ** length)
-                for matrix, length in datum.weyl_elements[1:]]
+        if lam not in self._weyl_shifts:  # the shifts of w ≠ e, in coroot coordinates
+            self._weyl_shifts[lam] = [(datum.coroot_coordinates(shift), sign)
+                                      for shift, sign in self._signed_shifts(lam)[1:]]
         key = datum.coroot_coordinates(diff)
         table, total = self._partition_table, dict(identity.items())  # v^{2k} is q^k
         for shift, sign in self._weyl_shifts[lam]:

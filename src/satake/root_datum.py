@@ -32,7 +32,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 Vector = Tuple[int, ...]
 Matrix = Tuple[Tuple[int, ...], ...]
 
-_WEYL_ORDER_CAP = 1_000_000
+WEYL_ORDER_CAP = 1_000_000
 
 
 class InvariantError(AssertionError):
@@ -82,7 +82,7 @@ def _closure(starts: Sequence, moves: Sequence) -> Dict:
                     seen[y] = depth
                     nxt.append(y)
         frontier = nxt
-        if len(seen) > _WEYL_ORDER_CAP:
+        if len(seen) > WEYL_ORDER_CAP:
             raise ValueError("Weyl group exceeds the supported size cap")
     return seen
 
@@ -134,6 +134,16 @@ def _det(matrix: Sequence[Sequence[int]]) -> int:
             m[i] = [(x * m[k][k] - m[i][k] * y) // prev for x, y in zip(m[i], m[k])]
         prev = m[k][k]
     return sign * m[-1][-1] if m else 1
+
+
+def _adjugate(matrix: Sequence[Sequence[int]]) -> Tuple[Matrix, int]:
+    """(adj M, det M) for a square integer matrix M, so that M · adj M = det M · I."""
+    r = len(matrix)
+    adjugate = tuple(  # entry (j, k) is the cofactor of entry (k, j)
+        tuple((-1) ** (j + k) * _det([row[:j] + row[j + 1:] for row in matrix[:k] + matrix[k + 1:]])
+              for k in range(r))
+        for j in range(r))
+    return adjugate, _det(matrix)
 
 
 @dataclass(frozen=True)
@@ -243,12 +253,7 @@ class RootDatum:
     @cached_property
     def _cartan_adjugate(self) -> Tuple[Matrix, int]:
         """(adj C, det C) for the Cartan matrix C; det C > 0 for every finite-type datum."""
-        c, r = self.cartan_matrix, self.rank
-        adjugate = tuple(  # entry (j, k) is the cofactor of entry (k, j)
-            tuple((-1) ** (j + k) * _det([row[:j] + row[j + 1:] for row in c[:k] + c[k + 1:]])
-                  for k in range(r))
-            for j in range(r))
-        return adjugate, _det(c)
+        return _adjugate(self.cartan_matrix)
 
     def coroot_bound(self, vec: Sequence) -> Tuple[int, ...]:
         """⌊C⁻¹·p⌋ for the Cartan matrix C and the simple-root pairings p of vec.
@@ -334,11 +339,9 @@ class RootDatum:
     def weyl_elements(self) -> Tuple[Tuple[Matrix, int], ...]:
         """All Weyl group elements as (matrix on Λ, Coxeter length), by length and then matrix.
 
-        A group of more than _WEYL_ORDER_CAP elements raises ValueError before any is built.
+        A group of more than WEYL_ORDER_CAP elements raises ValueError before any is built.
         """
-        if self.weyl_order > _WEYL_ORDER_CAP:
-            raise ValueError("the Weyl group has %d elements, over the limit of %d"
-                             % (self.weyl_order, _WEYL_ORDER_CAP))
+        self.check_weyl_order()
         n = self.lattice_rank
         ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
         gens = [tuple(zip(*(self.reflect(i, e) for e in ident))) for i in range(self.rank)]
@@ -355,25 +358,57 @@ class RootDatum:
         counts = Counter(sum(coords) for _, coords in self.positive_coroots)
         return prod((k + 1) ** (counts[k] - counts[k + 1]) for k in counts)
 
+    def check_weyl_order(self) -> None:
+        """Raise ValueError when the Weyl group has more than WEYL_ORDER_CAP elements."""
+        if self.weyl_order > WEYL_ORDER_CAP:
+            raise ValueError("the Weyl group has %d elements, over the limit of %d"
+                             % (self.weyl_order, WEYL_ORDER_CAP))
+
+    def signed_orbit(self, vec: Sequence) -> Tuple[Tuple[Tuple, int], ...]:
+        """(w·vec, (−1)^{ℓ(w)}) for every w in W, vec first; vec must be strictly dominant.
+
+        A strictly dominant vector has trivial stabilizer, so w ↦ w·vec is a bijection and
+        the BFS depth of w·vec under the simple reflections is ℓ(w).  Raises ValueError
+        for a vector that is not strictly dominant, or a group over WEYL_ORDER_CAP.
+        """
+        if min(self._simple_pairings(vec)) <= 0:
+            raise ValueError("%r is not strictly dominant" % (tuple(vec),))
+        self.check_weyl_order()
+        reflections = [partial(self.reflect, i) for i in range(self.rank)]
+        return tuple((x, (-1) ** depth) for x, depth in _closure([tuple(vec)], reflections).items())
+
     def weyl_orbit(self, lam: Sequence) -> Tuple[Tuple, ...]:
         """The Weyl orbit of a lattice vector, sorted."""
         reflections = [partial(self.reflect, i) for i in range(self.rank)]
         return tuple(sorted(_closure([tuple(lam)], reflections)))
 
     def dominant_box(self, pair_bound: int, coord_bound: Optional[int] = None):
-        """Dominant coweights λ with ⟨λ, 2ρ̌⟩ ≤ pair_bound inside a coordinate box.
+        """Dominant coweights λ with ⟨λ, 2ρ̌⟩ ≤ pair_bound inside a coordinate box, sorted by level.
 
         For data with a central torus direction (GL-type presets) the pairing
         does not bound the center, so a coordinate box is always imposed;
-        coord_bound defaults to pair_bound.
+        coord_bound defaults to pair_bound.  That box is scanned only on such
+        data: otherwise the walk runs over the simple-root pairings p ≥ 0 of λ,
+        λ = adj(R)·p / det R for the matrix R of simple roots, and
+        ⟨λ, 2ρ̌⟩ = Σ k_i p_i with 2ρ̌ = Σ k_i α_i, every k_i ≥ 1.
         """
         if coord_bound is None:
             coord_bound = pair_bound
         roots, two_rho = self.simple_roots, self.two_rho_check
+        if self.rank < self.lattice_rank:
+            candidates = iter_product(range(-coord_bound, coord_bound + 1), repeat=self.lattice_rank)
+        else:
+            adjugate, det = _adjugate(roots)
+            levels = [sum(map(operator.mul, column, two_rho)) // det for column in zip(*adjugate)]
+            scaled = ([sum(map(operator.mul, row, p)) for row in adjugate]
+                      for p in iter_product(*(range(pair_bound // k + 1) for k in levels)))
+            candidates = (tuple(x // det for x in lam) for lam in scaled
+                          if all(x % det == 0 for x in lam))
         out = []
-        for coords in iter_product(range(-coord_bound, coord_bound + 1), repeat=self.lattice_rank):
+        for coords in candidates:
             level = sum(map(operator.mul, coords, two_rho))
-            if level <= pair_bound and all(sum(map(operator.mul, coords, r)) >= 0 for r in roots):
+            if (level <= pair_bound and max(map(abs, coords)) <= coord_bound
+                    and all(sum(map(operator.mul, coords, r)) >= 0 for r in roots)):
                 out.append((level, coords))
         out.sort()
         return [coords for _, coords in out]

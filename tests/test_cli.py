@@ -559,6 +559,37 @@ def test_satake_refuses_an_oversized_weyl_group_while_parsing(tmp_path, capsys):
     assert code == 0 and sum(json.loads(out).values()) == 133
 
 
+def test_weights_and_tensor_refuse_an_oversized_table_while_parsing(tmp_path, capsys, monkeypatch):
+    from satake.rep_ring import RepRing
+
+    def unreachable(self, lam):
+        raise RuntimeError("a weight table was started before the refusal")
+
+    monkeypatch.setattr(RepRing, "dominant_weights_below", unreachable)
+    # E7 on Z^7 with the simple coroots as unit vectors, at λ = 2ρ̌: |W| = 2,903,040 alone
+    cartan = [[2 * (i == j) for j in range(7)] for i in range(7)]
+    for i, j in [(0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 3)]:
+        cartan[i][j] = cartan[j][i] = -1
+    datum_file = tmp_path / "e7.json"
+    datum_file.write_text(json.dumps({
+        "cartan": cartan, "coroots": [[int(i == j) for j in range(7)] for i in range(7)],
+        "roots": cartan}))
+    cases = [
+        (("weights", "--datum", "SL3", "1001,1001"), "V^(1001, 1001) may hold 6024024 entries"),
+        (("weights", "--datum", str(datum_file), "34,49,66,96,75,52,27"), "|W| = 2903040"),
+        (("tensor", "--datum", "SL3", "1001,1001", "1001,1000"), "V^(1001, 1000) may hold"),
+    ]
+    for argv, message in cases:
+        start = time.monotonic()
+        code, out, err = run(capsys, *argv)
+        assert time.monotonic() - start < 1
+        assert code == 2 and out == "" and message in err, argv
+    monkeypatch.undo()
+    # the factor Brauer–Klimyk reads is (1, 0), so the product is admitted
+    code, out, _ = run(capsys, "tensor", "--datum", "SL3", "1001,1001", "1,0")
+    assert code == 0 and json.loads(out) == {"1002,1001": 1, "1000,1002": 1, "1001,1000": 1}
+
+
 def test_satake_refuses_an_oversized_q_kostant_box_while_parsing(capsys, monkeypatch):
     from satake.rep_ring import RepRing
 

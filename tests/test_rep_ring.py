@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 import random
 import sys
 import time
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from satake.grassmannian import Grassmannian
 from satake.laurent import LaurentPoly, ONE
-from satake.rep_ring import RepRing, gamma_power, torus_point
+from satake.rep_ring import RepRing, _alternating_eval, gamma_power, torus_point
 from satake.root_datum import PRESETS, RootDatum, build_root_datum
 
 
@@ -277,6 +278,36 @@ def test_tensor_requires_dominant_inputs():
         rep.tensor_decompose((-1,), (1,))
 
 
+@pytest.mark.parametrize("spec, bound", [(PRESETS[name], _BOX_BOUNDS[name]) for name in sorted(PRESETS)]
+                         + [(REDUCIBLE, 10)], ids=sorted(PRESETS) + ["A1xC2"])
+def test_table_budget_bounds_the_weight_table(monkeypatch, spec, bound):
+    # a budget one below the table's true size must be refused: the bound is never short
+    from satake import rep_ring
+
+    rep = RepRing(spec)
+    for lam in rep.datum.dominant_box(bound):
+        rep.check_table_budget(lam)
+        monkeypatch.setattr(rep_ring, "_TABLE_BUDGET", len(rep.weights_with_multiplicity(lam)) - 1)
+        with pytest.raises(ValueError, match="may hold"):
+            rep.check_table_budget(lam)
+        monkeypatch.undo()
+
+
+def test_table_budget_is_checked_before_any_table_is_built(monkeypatch):
+    def unreachable(self, lam):
+        raise AssertionError("a weight table was started before the budget check")
+
+    monkeypatch.setattr(RepRing, "dominant_weights_below", unreachable)
+    rep = RepRing("SL3")
+    with pytest.raises(ValueError, match="may hold 6024024 entries"):  # 6 · 1002²
+        rep.check_table_budget((1001, 1001))
+    rep.check_table_budget((100, 100))  # 6 · 101² = 61,206
+    # Brauer–Klimyk reads the table of the smaller factor, (1, 0), not of (1001, 1001)
+    rep.check_table_budget((1001, 1001), (1, 0))
+    with pytest.raises(ValueError, match=r"V\^\(1001, 1000\)"):
+        rep.check_table_budget((1001, 1001), (1001, 1000))
+
+
 # -- characters ----------------------------------------------------------------------
 
 
@@ -326,21 +357,66 @@ def test_dual_character_is_character_at_minus_w0():
 _nonzero = st.integers(-50, 50).filter(bool)
 
 
+@functools.cache
+def _one_singular_coroot(name):
+    """A torus point with γ^α̌ = 1 for exactly one positive coroot α̌, from small rationals."""
+    datum = build_root_datum(name)
+    values = [Fraction(k) for k in (2, -2, 3, -1, 1)] + [Fraction(1, k) for k in (2, -2, 3)]
+    for gamma in itertools.product(values, repeat=datum.lattice_rank):
+        if sum(gamma_power(gamma, alpha) == 1 for alpha, _ in datum.positive_coroots) == 1:
+            return gamma
+    raise LookupError(name)
+
+
 @settings(max_examples=200, deadline=None)
 @given(name=st.sampled_from(sorted(PRESETS)),
        index=st.integers(0, 10 ** 6),
-       coords=st.lists(st.tuples(_nonzero, st.integers(1, 50)), min_size=3, max_size=3))
-def test_character_eval_matches_weight_by_weight_sum(name, index, coords):
-    # second route: one gamma_power per weight of the full table, summed as Fractions
+       coords=st.lists(st.tuples(_nonzero, st.integers(1, 50)), min_size=3, max_size=3),
+       point=st.sampled_from(["drawn", "one", "minus-one", "one-coroot"]))
+def test_character_eval_matches_weight_by_weight_sum(name, index, coords, point):
+    # second route: one gamma_power per weight of the full table, summed as Fractions; a
+    # drawn γ is almost always regular (Weyl's formula), the other three are singular or
+    # may be, where the Weyl denominator vanishes and the trace is the weight-table sum
     rep = RepRing(name)
+    n = rep.datum.lattice_rank
     box = rep.datum.dominant_box(6, coord_bound=3)
     lam = box[index % len(box)]
-    gamma = torus_point([Fraction(a, b) for a, b in coords[: rep.datum.lattice_rank]], rep.datum)
+    values = {"drawn": [Fraction(a, b) for a, b in coords[:n]], "one": [1] * n,
+              "minus-one": [-1] * n, "one-coroot": _one_singular_coroot(name)}[point]
+    gamma = torus_point(values, rep.datum)
     table = rep.weight_table(lam)
     naive = sum((m * gamma_power(gamma, nu) for nu, m in table.items()), Fraction(0))
     dual = sum((m * gamma_power(gamma, [-x for x in nu]) for nu, m in table.items()), Fraction(0))
     assert rep.character_eval(lam, gamma) == naive
     assert rep.dual_character_eval(lam, gamma) == dual
+    # the Weyl denominator identity Σ_w ε(w) γ^{wρ−ρ} = Π_{α̌>0} (1 − γ^{−α̌})
+    coroots = [alpha for alpha, _ in rep.datum.positive_coroots]
+    product = math.prod(1 - gamma_power(gamma, [-x for x in alpha]) for alpha in coroots)
+    assert _alternating_eval(rep._signed_shifts((0,) * n), gamma) == product
+    assert (product == 0) == any(gamma_power(gamma, alpha) == 1 for alpha in coroots)
+    assert product == 0 or point in ("drawn", "minus-one")
+
+
+def test_a_weyl_group_over_the_cap_takes_the_table_route(monkeypatch):
+    # simply connected E7 on its fundamental coweight lattice, the roots the unit vectors:
+    # |W| = 2,903,040 is over the cap, and the last fundamental coweight is minuscule
+    cartan = [[2 * (i == j) for j in range(7)] for i in range(7)]
+    for i, j in [(0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 3)]:
+        cartan[i][j] = cartan[j][i] = -1
+    datum = build_root_datum({"cartan": cartan, "coroots": [list(c) for c in zip(*cartan)],
+                              "roots": [[int(i == j) for j in range(7)] for i in range(7)]})
+
+    def refuse(self, vec):
+        raise AssertionError("the Weyl route ran on a group over the cap")
+
+    monkeypatch.setattr(RootDatum, "signed_orbit", refuse)
+    rep = RepRing(datum)
+    lam = (0, 0, 0, 0, 0, 0, 1)
+    gamma = torus_point([2, 3, -5, Fraction(1, 2), 7, Fraction(-3, 4), 11], datum)
+    table = rep.weight_table(lam)
+    assert len(table) == rep.weyl_dim(lam) == 56 and set(table.values()) == {1}
+    assert rep.character_eval(lam, gamma) == sum(gamma_power(gamma, nu) for nu in table)
+    assert "weyl_elements" not in datum.__dict__
 
 
 def test_gamma_power_is_exact_for_integer_coordinates():
@@ -354,11 +430,17 @@ def test_character_eval_reads_the_memoized_weight_table(monkeypatch):
     lams = [(1, 0), (2, 1), (4, 0)]
     before = [(rep.character_eval(lam, gamma), rep.dual_character_eval(lam, gamma)) for lam in lams]
 
+    singular = torus_point([3, Fraction(1, 3)], rep.datum)  # γ^α̌ = 1 at α̌ = (1, 1)
+    before += [(rep.character_eval(lam, singular), rep.dual_character_eval(lam, singular))
+               for lam in lams]
+
     def refuse(self, lam):
         raise AssertionError("character_eval rebuilt a Weyl orbit")
 
     monkeypatch.setattr(RootDatum, "weyl_orbit", refuse)
-    after = [(rep.character_eval(lam, gamma), rep.dual_character_eval(lam, gamma)) for lam in lams]
+    monkeypatch.setattr(RootDatum, "signed_orbit", refuse)
+    after = [(rep.character_eval(lam, point), rep.dual_character_eval(lam, point))
+             for point in (gamma, singular) for lam in lams]
     assert after == before
 
 

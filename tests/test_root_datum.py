@@ -327,6 +327,53 @@ def test_dominant_box_is_sorted_and_complete():
     assert heights == sorted(heights)
 
 
+def _box_scan(d, pair_bound, coord_bound):
+    """Every point of the coordinate box that is dominant at level ≤ pair_bound, sorted."""
+    found = []
+    for lam in iter_product(range(-coord_bound, coord_bound + 1), repeat=d.lattice_rank):
+        level = sum(x * y for x, y in zip(lam, d.two_rho_check))
+        if level <= pair_bound and all(d.pairing(lam, root) >= 0 for root in d.simple_roots):
+            found.append((level, lam))
+    return [lam for _, lam in sorted(found)]
+
+
+@pytest.mark.parametrize("spec", sorted(PRESETS) + [REDUCIBLE], ids=sorted(PRESETS) + ["A1xC2"])
+def test_dominant_box_walk_equals_the_coordinate_box_scan(spec):
+    d = build_root_datum(spec)
+    for pair_bound, coord_bound in [(-1, 3), (0, 0), (7, 7), (12, 12), (12, 2), (9, 0), (6, 3)]:
+        expected = _box_scan(d, pair_bound, coord_bound)
+        assert d.dominant_box(pair_bound, coord_bound) == expected, (pair_bound, coord_bound)
+        if coord_bound == pair_bound:
+            assert d.dominant_box(pair_bound) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(sorted(PRESETS)),
+       coords=st.lists(st.integers(-30, 30), min_size=3, max_size=3))
+def test_minus_w0_is_the_dominant_representative_of_minus_lambda(name, coords):
+    # dual_character_eval reads the dual of V^λ as V^{−w₀λ}, which must be V^{dom(−λ)}
+    d = build_root_datum(name)
+    lam = d.dominant_representative(coords[:d.lattice_rank]).coweight
+    minus = tuple(-x for x in lam)
+    assert tuple(-x for x in d.apply_w0(lam)) == d.dominant_representative(minus).coweight
+
+
+@pytest.mark.parametrize("spec", sorted(PRESETS) + [REDUCIBLE], ids=sorted(PRESETS) + ["A1xC2"])
+def test_signed_orbit_is_the_weyl_group_with_its_signs(spec):
+    d = build_root_datum(spec)
+    vec = tuple(3 * x for x in d.two_rho_dual)  # strictly dominant
+    orbit = d.signed_orbit(vec)
+    expected = {tuple(sum(m * x for m, x in zip(row, vec)) for row in matrix): (-1) ** length
+                for matrix, length in d.weyl_elements}
+    assert orbit[0] == (vec, 1)
+    assert len(orbit) == d.weyl_order and dict(orbit) == expected
+    walls = [(0,) * d.lattice_rank, tuple(-x for x in vec)] + [
+        lam for lam in d.dominant_box(6) if 0 in (d.pairing(lam, root) for root in d.simple_roots)]
+    for lam in walls:
+        with pytest.raises(ValueError, match="strictly dominant"):
+            d.signed_orbit(lam)
+
+
 @settings(max_examples=200, deadline=None)
 @given(name=st.sampled_from(sorted(PRESETS)),
        coords=st.lists(st.integers(-20, 20), min_size=6, max_size=6))

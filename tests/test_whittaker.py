@@ -193,3 +193,41 @@ def test_phi_requires_dominant_label():
     _, module = make("PGL2")
     with pytest.raises(ValueError):
         module.phi((-2,))
+
+
+@pytest.mark.parametrize("lam_act", [(1, 0), (0, 1), (1, 1)])
+def test_eigen_residual_builds_no_weight_table_per_trace(monkeypatch, lam_act):
+    # at regular γ every trace is Weyl's formula; a table is built only for the factor
+    # Brauer–Klimyk reads, the smaller one of λ and μ, never once per μ of the truncation
+    from satake.rep_ring import RepRing
+
+    algebra, module = make("SL3")
+    rep = module.rep
+    built = []
+    table = RepRing.dominant_multiplicity_table
+
+    def counted(self, lam):
+        built.append(tuple(lam))
+        return table(self, lam)
+
+    monkeypatch.setattr(RepRing, "dominant_multiplicity_table", counted)
+    gamma = torus_point([Fraction(-5, 13), Fraction(11, 7)], algebra.datum)
+    residual = module.eigen_residual(gamma, lam_act, 20)
+    assert residual and all(value == 0 for value in residual.values())
+    assert built and len(built) == len(set(built))
+    assert all(rep.weyl_dim(lam) <= rep.weyl_dim(lam_act) for lam in built), built
+
+
+@pytest.mark.parametrize("values", [(1, 1), (-1, -1), (3, Fraction(1, 3))],
+                         ids=["one", "minus-one", "one-coroot"])
+def test_eigen_residual_is_zero_at_singular_points(values):
+    # γ^α̌ = 1 for some positive coroot α̌ (all three at γ = 1, only (1, 1) at the others),
+    # so the Weyl denominator vanishes and every trace is read from the weight table
+    algebra, module = make("SL3")
+    gamma = torus_point(values, algebra.datum)
+    singular = [a for a, _ in algebra.datum.positive_coroots if gamma_power(gamma, a) == 1]
+    assert singular
+    for lam_act in [(1, 0), (1, 1)]:
+        residual = module.eigen_residual(gamma, lam_act, 20)
+        assert len(residual) == len(algebra.datum.dominant_box(20))
+        assert all(value == 0 for value in residual.values())
