@@ -2,13 +2,13 @@
 
 Freudenthal's recursion in the datum's W-invariant form fills the dominant and the full
 weight table of V^λ in one pass (Weyl orbits memoized per ring); Brauer–Klimyk gives
-tensor products.  One memo per ring holds the signed shifts (w(λ+ρ) − (λ+ρ), (−1)^{ℓ(w)})
-of each λ, the terms of both alternating Weyl sums.  A character at a regular torus point
-is Weyl's character formula over them; at a singular point, or on a Weyl group over the
-cap, it is the sum over the weight table; both are integer sums, one denominator each.
-The q-side reads one integer coin-change table of the q-Kostant partition function per
-ring: a Lusztig q-analog, at dominant λ and μ, adds its entries at λ − μ plus one signed
-shift per w ≠ e, in coroot coordinates.  Values are exact (ints and Fractions).
+tensor products.  One memo per ring holds the signed shifts of each λ, the coroot
+coordinates of w(λ+ρ) − (λ+ρ) with (−1)^{ℓ(w)}: the terms of both alternating Weyl sums.
+A character is Weyl's character formula over them where |W| ≤ dim V^λ and the torus point
+is regular, and the sum over the weight table otherwise; both are integer sums, one
+denominator each.  The q-side reads one integer coin-change table of the q-Kostant
+partition function per ring: a Lusztig q-analog, at dominant λ and μ, adds its entries at
+λ − μ plus one signed shift per w ≠ e.  Values are exact (ints and Fractions).
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product as iter_product
 from math import prod
-from operator import add
 from typing import Dict, List, Sequence, Tuple
 
 from .laurent import LaurentPoly, ZERO
@@ -95,7 +94,8 @@ class RepRing:
         self._partition_table: Dict[Coweight, Tuple[Dict[int, int], ...]] = {}
         self._partition_box: Coweight = (0,) * self.datum.rank
         self._shifts: Dict[Coweight, Tuple[Tuple[Coweight, int], ...]] = {}
-        self._weyl_shifts: Dict[Coweight, List[Tuple[Coweight, int]]] = {}
+        # (γ, (γ^{α̌_j}) over the simple coroots, Weyl denominator) of the last regular trace
+        self._denominator: Tuple[Sequence, TorusPoint, Fraction] = ((), (), Fraction(0))
         self._dims: Dict[Coweight, int] = {}
 
     # -- dimensions and weights ---------------------------------------------
@@ -278,36 +278,37 @@ class RepRing:
     # -- characters ------------------------------------------------------------
 
     def _signed_shifts(self, lam: Coweight) -> Tuple[Tuple[Coweight, int], ...]:
-        """(w(λ+ρ) − (λ+ρ), (−1)^{ℓ(w)}) for every w in W, identity first, memoized per λ.
+        """datum.dot_orbit(λ), memoized per λ: the terms of both alternating Weyl sums.
 
-        The terms of both alternating Weyl sums: Weyl's character formula and Lusztig's
-        q-analog.  ρ is held doubled, so this is the signed orbit of 2(λ+ρ), halved.
+        Each term is the coroot coordinates of w(λ+ρ) − (λ+ρ) and (−1)^{ℓ(w)}, identity first.
         """
         shifts = self._shifts.get(lam)
         if shifts is None:
-            two = tuple(2 * x + r for x, r in zip(lam, self.datum.two_rho_dual))
-            shifts = self._shifts[lam] = tuple(
-                (tuple((y - t) // 2 for y, t in zip(image, two)), sign)
-                for image, sign in self.datum.signed_orbit(two))
+            shifts = self._shifts[lam] = self.datum.dot_orbit(lam)
         return shifts
 
     def character_eval(self, lam, gamma: TorusPoint) -> Fraction:
         """Tr(γ, V^λ), exact.
 
-        At regular γ by Weyl's character formula: Σ_w ε(w) γ^{w(λ+ρ)−ρ} over the Weyl
-        denominator Σ_w ε(w) γ^{wρ−ρ} = Π_{α>0} (1 − γ^{−α}), which vanishes exactly at
-        singular γ (Humphreys, Lie Algebras, §24.3).  At singular γ, and on a Weyl group
-        over WEYL_ORDER_CAP, as Σ_ν mult(ν) γ^ν over the memoized weight table.
+        By Weyl's character formula Σ_w ε(w) γ^{w(λ+ρ)−ρ} over the Weyl denominator
+        Σ_w ε(w) γ^{wρ−ρ} = Π_{α>0} (1 − γ^{−α}) (Humphreys, Lie Algebras, §24.3): with
+        t_j = γ^{α̌_j}, the quotient γ^λ Σ_w ε(w) t^{c_w(λ)} / Σ_w ε(w) t^{c_w(0)} over the
+        signed shifts.  That sum has |W| terms where the weight table has at most dim V^λ,
+        so it is taken only when |W| ≤ dim V^λ (and |W| within WEYL_ORDER_CAP) and γ is
+        regular, where the denominator, cached for the last γ, is nonzero.  Otherwise the
+        trace is Σ_ν mult(ν) γ^ν over the memoized weight table.
         """
         datum = self.datum
         lam = datum.dominant(lam)
-        if datum.weyl_order <= WEYL_ORDER_CAP:
-            zero = (0,) * datum.lattice_rank
-            denominator = _alternating_eval(self._signed_shifts(zero), gamma)
+        if datum.weyl_order <= min(self.weyl_dim(lam), WEYL_ORDER_CAP):
+            if self._denominator[0] != gamma:
+                values = tuple(gamma_power(gamma, alpha) for alpha in datum.simple_coroots)
+                zero = self._signed_shifts((0,) * datum.lattice_rank)
+                self._denominator = (gamma, values, _alternating_eval(zero, values))
+            _, values, denominator = self._denominator
             if denominator:
-                terms = [(tuple(map(add, lam, shift)), sign)
-                         for shift, sign in self._signed_shifts(lam)]
-                return _alternating_eval(terms, gamma) / denominator
+                return gamma_power(gamma, lam) * _alternating_eval(
+                    self._signed_shifts(lam), values) / denominator
         return _alternating_eval(self.weights_with_multiplicity(lam), gamma)
 
     def dual_character_eval(self, lam, gamma: TorusPoint) -> Fraction:
@@ -377,7 +378,7 @@ class RepRing:
 
         The alternating Weyl sum Σ_w (−1)^{ℓ(w)} P_q(w(λ+ρ) − (μ+ρ)) of the q-Kostant partition
         function P_q; its value at q = 1 is the weight multiplicity.  In coroot coordinates the
-        argument is (w(λ+ρ) − (λ+ρ)) + (λ − μ), the first part ≤ 0, solved once per λ per ring.
+        argument is (w(λ+ρ) − (λ+ρ)) + (λ − μ), the first part ≤ 0, a memoized signed shift.
         P_q(λ − μ) = 0 makes every term 0; else its call grows the table over all other terms
         (each ≤ λ − μ), which are read from it in integers.
         """
@@ -387,12 +388,9 @@ class RepRing:
         identity = self.q_kostant_partition(diff)
         if not identity:
             return ZERO
-        if lam not in self._weyl_shifts:  # the shifts of w ≠ e, in coroot coordinates
-            self._weyl_shifts[lam] = [(datum.coroot_coordinates(shift), sign)
-                                      for shift, sign in self._signed_shifts(lam)[1:]]
         key = datum.coroot_coordinates(diff)
         table, total = self._partition_table, dict(identity.items())  # v^{2k} is q^k
-        for shift, sign in self._weyl_shifts[lam]:
+        for shift, sign in self._signed_shifts(lam)[1:]:
             point = tuple(s + k for s, k in zip(shift, key))
             if min(point) >= 0:
                 for k, c in table[point][0].items():

@@ -7,8 +7,9 @@ orbit combinatorics — is parameterized by one of these objects.
 
 One breadth-first closure under the simple reflections (_closure) yields the
 Weyl group as integer matrices on Λ (the BFS depth is the Coxeter length),
-Weyl orbits, and both positive systems, which run in simple-root coordinates
-under the Cartan matrix or its transpose.  The datum also owns the one
+Weyl orbits, the ρ-shifted orbits in coroot coordinates, and both positive
+systems, which run in simple-root coordinates under the Cartan matrix or its
+transpose.  The datum also owns the one
 W-invariant form (x, y) = Σ_{β>0} ⟨x, β⟩⟨y, β⟩ and the one dominance check
 (dominant) that callers use on coweight arguments.  All arithmetic is exact.
 Every lattice vector is a tuple of ints; a half-integral vector such as ρ̌ or
@@ -364,18 +365,26 @@ class RootDatum:
             raise ValueError("the Weyl group has %d elements, over the limit of %d"
                              % (self.weyl_order, WEYL_ORDER_CAP))
 
-    def signed_orbit(self, vec: Sequence) -> Tuple[Tuple[Tuple, int], ...]:
-        """(w·vec, (−1)^{ℓ(w)}) for every w in W, vec first; vec must be strictly dominant.
+    def dot_orbit(self, lam: Sequence) -> Tuple[Tuple[Vector, int], ...]:
+        """(coroot coordinates c of w(λ+ρ) − (λ+ρ), (−1)^{ℓ(w)}) for every w in W, e first.
 
-        A strictly dominant vector has trivial stabilizer, so w ↦ w·vec is a bijection and
-        the BFS depth of w·vec under the simple reflections is ℓ(w).  Raises ValueError
-        for a vector that is not strictly dominant, or a group over WEYL_ORDER_CAP.
+        λ must be dominant.  ⟨λ+ρ, α_i⟩ = p_i + 1 for the simple-root pairings p of λ, so on
+        λ+ρ + Σ c_j α̌_j the reflection s_i changes only c_i, by −(p_i + 1 + (C c)_i) for the
+        Cartan matrix C.  λ+ρ is strictly dominant, so its stabilizer is trivial and the BFS
+        depth of w is ℓ(w).  Raises ValueError for a λ that is not dominant, or a group over
+        WEYL_ORDER_CAP.
         """
-        if min(self._simple_pairings(vec)) <= 0:
-            raise ValueError("%r is not strictly dominant" % (tuple(vec),))
+        shifted = [p + 1 for p in self._simple_pairings(lam)]
+        if min(shifted, default=1) <= 0:
+            raise ValueError("coweight %r is not dominant" % (tuple(lam),))
         self.check_weyl_order()
-        reflections = [partial(self.reflect, i) for i in range(self.rank)]
-        return tuple((x, (-1) ** depth) for x, depth in _closure([tuple(vec)], reflections).items())
+
+        def reflection(i: int):
+            row, p = self.cartan_matrix[i], shifted[i]
+            return lambda c: c[:i] + (c[i] - p - sum(map(operator.mul, row, c)),) + c[i + 1:]
+
+        orbit = _closure([(0,) * self.rank], [reflection(i) for i in range(self.rank)])
+        return tuple((c, (-1) ** depth) for c, depth in orbit.items())
 
     def weyl_orbit(self, lam: Sequence) -> Tuple[Tuple, ...]:
         """The Weyl orbit of a lattice vector, sorted."""

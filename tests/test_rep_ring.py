@@ -371,52 +371,94 @@ def _one_singular_coroot(name):
 @settings(max_examples=200, deadline=None)
 @given(name=st.sampled_from(sorted(PRESETS)),
        index=st.integers(0, 10 ** 6),
-       coords=st.lists(st.tuples(_nonzero, st.integers(1, 50)), min_size=3, max_size=3),
-       point=st.sampled_from(["drawn", "one", "minus-one", "one-coroot"]))
-def test_character_eval_matches_weight_by_weight_sum(name, index, coords, point):
+       coords=st.lists(st.tuples(_nonzero, st.integers(1, 50)), min_size=3, max_size=3))
+def test_character_eval_matches_weight_by_weight_sum(name, index, coords):
     # second route: one gamma_power per weight of the full table, summed as Fractions; a
-    # drawn γ is almost always regular (Weyl's formula), the other three are singular or
-    # may be, where the Weyl denominator vanishes and the trace is the weight-table sum
+    # drawn γ is almost always regular (Weyl's formula wherever |W| ≤ dim V^λ), the other
+    # three are singular or may be, where the Weyl denominator vanishes and the trace is
+    # the weight-table sum
     rep = RepRing(name)
-    n = rep.datum.lattice_rank
-    box = rep.datum.dominant_box(6, coord_bound=3)
+    datum = rep.datum
+    n = datum.lattice_rank
+    box = datum.dominant_box(6, coord_bound=3)
     lam = box[index % len(box)]
-    values = {"drawn": [Fraction(a, b) for a, b in coords[:n]], "one": [1] * n,
-              "minus-one": [-1] * n, "one-coroot": _one_singular_coroot(name)}[point]
-    gamma = torus_point(values, rep.datum)
     table = rep.weight_table(lam)
-    naive = sum((m * gamma_power(gamma, nu) for nu, m in table.items()), Fraction(0))
-    dual = sum((m * gamma_power(gamma, [-x for x in nu]) for nu, m in table.items()), Fraction(0))
-    assert rep.character_eval(lam, gamma) == naive
-    assert rep.dual_character_eval(lam, gamma) == dual
-    # the Weyl denominator identity Σ_w ε(w) γ^{wρ−ρ} = Π_{α̌>0} (1 − γ^{−α̌})
-    coroots = [alpha for alpha, _ in rep.datum.positive_coroots]
-    product = math.prod(1 - gamma_power(gamma, [-x for x in alpha]) for alpha in coroots)
-    assert _alternating_eval(rep._signed_shifts((0,) * n), gamma) == product
-    assert (product == 0) == any(gamma_power(gamma, alpha) == 1 for alpha in coroots)
-    assert product == 0 or point in ("drawn", "minus-one")
+    coroots = [alpha for alpha, _ in datum.positive_coroots]
+    points = [[Fraction(a, b) for a, b in coords[:n]], [1] * n, [-1] * n, _one_singular_coroot(name)]
+    for k, values in enumerate(points):
+        gamma = torus_point(values, datum)
+        naive = sum((m * gamma_power(gamma, nu) for nu, m in table.items()), Fraction(0))
+        dual = sum((m * gamma_power(gamma, [-x for x in nu]) for nu, m in table.items()),
+                   Fraction(0))
+        assert rep.character_eval(lam, gamma) == naive
+        assert rep.dual_character_eval(lam, gamma) == dual
+        # the Weyl denominator identity Σ_w ε(w) γ^{wρ−ρ} = Π_{α̌>0} (1 − γ^{−α̌}), the
+        # left side in the values γ^{α̌_j} at the simple coroots
+        product = math.prod(1 - gamma_power(gamma, [-x for x in alpha]) for alpha in coroots)
+        simple = [gamma_power(gamma, alpha) for alpha in datum.simple_coroots]
+        assert _alternating_eval(rep._signed_shifts((0,) * n), simple) == product
+        assert (product == 0) == any(gamma_power(gamma, alpha) == 1 for alpha in coroots)
+        assert product == 0 or k in (0, 2)
 
 
-def test_a_weyl_group_over_the_cap_takes_the_table_route(monkeypatch):
-    # simply connected E7 on its fundamental coweight lattice, the roots the unit vectors:
-    # |W| = 2,903,040 is over the cap, and the last fundamental coweight is minuscule
+def _simply_connected(cartan):
+    """The simply connected datum of a Cartan matrix: Λ the coweight lattice, the roots the unit vectors."""
+    rank = len(cartan)
+    return build_root_datum({"cartan": cartan, "coroots": [list(c) for c in zip(*cartan)],
+                             "roots": [[int(i == j) for j in range(rank)] for i in range(rank)]})
+
+
+def _a8():
+    return [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(8)] for i in range(8)]
+
+
+def _e7():
     cartan = [[2 * (i == j) for j in range(7)] for i in range(7)]
     for i, j in [(0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 3)]:
         cartan[i][j] = cartan[j][i] = -1
-    datum = build_root_datum({"cartan": cartan, "coroots": [list(c) for c in zip(*cartan)],
-                              "roots": [[int(i == j) for j in range(7)] for i in range(7)]})
+    return cartan
 
-    def refuse(self, vec):
-        raise AssertionError("the Weyl route ran on a group over the cap")
 
-    monkeypatch.setattr(RootDatum, "signed_orbit", refuse)
+@pytest.mark.parametrize("cartan, lam, order", [
+    (_a8(), (1,) + (0,) * 7, 362_880),        # SL9, the standard representation
+    (_e7(), (0,) * 6 + (1,), 2_903_040),      # E7, over WEYL_ORDER_CAP; the minuscule 56
+], ids=["SL9", "E7"])
+def test_a_small_lambda_on_a_large_weyl_group_takes_the_table_route(monkeypatch, cartan, lam, order):
+    # |W| > dim V^λ: Weyl's formula would sum more terms than the weight table holds
+    datum = _simply_connected(cartan)
+
+    def refuse(self, lam):
+        raise AssertionError("the Weyl route ran where |W| exceeds dim V^λ")
+
+    monkeypatch.setattr(RootDatum, "dot_orbit", refuse)
     rep = RepRing(datum)
-    lam = (0, 0, 0, 0, 0, 0, 1)
-    gamma = torus_point([2, 3, -5, Fraction(1, 2), 7, Fraction(-3, 4), 11], datum)
+    gamma = torus_point([2, 3, -5, Fraction(1, 2), 7, Fraction(-3, 4), 11, 13][:datum.rank], datum)
     table = rep.weight_table(lam)
-    assert len(table) == rep.weyl_dim(lam) == 56 and set(table.values()) == {1}
+    assert datum.weyl_order == order and len(table) == rep.weyl_dim(lam) < order
+    assert set(table.values()) == {1}
     assert rep.character_eval(lam, gamma) == sum(gamma_power(gamma, nu) for nu in table)
-    assert "weyl_elements" not in datum.__dict__
+    assert "weyl_elements" not in datum.__dict__ and not rep._shifts
+
+
+def test_weyl_denominator_is_computed_once_per_point(monkeypatch):
+    import satake.rep_ring as rep_ring
+
+    calls = []
+    evaluate = rep_ring._alternating_eval
+
+    def counted(terms, gamma):
+        calls.append(len(terms))
+        return evaluate(terms, gamma)
+
+    monkeypatch.setattr(rep_ring, "_alternating_eval", counted)
+    rep = RepRing("SL3")
+    gamma = torus_point([Fraction(-5, 13), Fraction(11, 7)], rep.datum)
+    other = torus_point([2, Fraction(1, 3)], rep.datum)
+    for point in (gamma, gamma, other, other, gamma):
+        for lam in [(1, 1), (2, 1), (3, 0)]:
+            rep.character_eval(lam, point)
+    # one denominator whenever the point changes (three times), one numerator per trace
+    assert calls == [6] * (3 + 15)
 
 
 def test_gamma_power_is_exact_for_integer_coordinates():
@@ -438,7 +480,7 @@ def test_character_eval_reads_the_memoized_weight_table(monkeypatch):
         raise AssertionError("character_eval rebuilt a Weyl orbit")
 
     monkeypatch.setattr(RootDatum, "weyl_orbit", refuse)
-    monkeypatch.setattr(RootDatum, "signed_orbit", refuse)
+    monkeypatch.setattr(RootDatum, "dot_orbit", refuse)
     after = [(rep.character_eval(lam, point), rep.dual_character_eval(lam, point))
              for point in (gamma, singular) for lam in lams]
     assert after == before

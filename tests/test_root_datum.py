@@ -359,19 +359,22 @@ def test_minus_w0_is_the_dominant_representative_of_minus_lambda(name, coords):
 
 
 @pytest.mark.parametrize("spec", sorted(PRESETS) + [REDUCIBLE], ids=sorted(PRESETS) + ["A1xC2"])
-def test_signed_orbit_is_the_weyl_group_with_its_signs(spec):
+def test_dot_orbit_is_the_weyl_group_with_its_signs(spec):
+    # against the Weyl group's matrices: w(λ+ρ) − (λ+ρ) from 2(λ+ρ), halved, in coroot coordinates
     d = build_root_datum(spec)
-    vec = tuple(3 * x for x in d.two_rho_dual)  # strictly dominant
-    orbit = d.signed_orbit(vec)
-    expected = {tuple(sum(m * x for m, x in zip(row, vec)) for row in matrix): (-1) ** length
-                for matrix, length in d.weyl_elements}
-    assert orbit[0] == (vec, 1)
-    assert len(orbit) == d.weyl_order and dict(orbit) == expected
-    walls = [(0,) * d.lattice_rank, tuple(-x for x in vec)] + [
-        lam for lam in d.dominant_box(6) if 0 in (d.pairing(lam, root) for root in d.simple_roots)]
-    for lam in walls:
-        with pytest.raises(ValueError, match="strictly dominant"):
-            d.signed_orbit(lam)
+    for lam in d.dominant_box(4, coord_bound=2):
+        two = tuple(2 * x + r for x, r in zip(lam, d.two_rho_dual))
+        expected = {d.coroot_coordinates([(sum(m * x for m, x in zip(row, two)) - t) // 2
+                                          for row, t in zip(matrix, two)]): (-1) ** length
+                    for matrix, length in d.weyl_elements}
+        orbit = d.dot_orbit(lam)
+        assert orbit[0] == ((0,) * d.rank, 1)
+        assert len(orbit) == d.weyl_order and dict(orbit) == expected
+    for lam in d.dominant_box(4, coord_bound=2)[1:]:
+        minus = tuple(-x for x in lam)
+        if not d.is_dominant(minus):
+            with pytest.raises(ValueError, match="not dominant"):
+                d.dot_orbit(minus)
 
 
 @settings(max_examples=200, deadline=None)

@@ -197,8 +197,10 @@ def test_phi_requires_dominant_label():
 
 @pytest.mark.parametrize("lam_act", [(1, 0), (0, 1), (1, 1)])
 def test_eigen_residual_builds_no_weight_table_per_trace(monkeypatch, lam_act):
-    # at regular γ every trace is Weyl's formula; a table is built only for the factor
-    # Brauer–Klimyk reads, the smaller one of λ and μ, never once per μ of the truncation
+    # at regular γ every trace with |W| ≤ dim V^λ is Weyl's formula; a table is built only
+    # for the factor Brauer–Klimyk reads, the smaller one of λ and μ, or for a trace of a
+    # λ with dim V^λ < |W| = 6 (λ = 0 and the two 3-dimensional ones), never once per μ
+    # of the truncation
     from satake.rep_ring import RepRing
 
     algebra, module = make("SL3")
@@ -215,7 +217,9 @@ def test_eigen_residual_builds_no_weight_table_per_trace(monkeypatch, lam_act):
     residual = module.eigen_residual(gamma, lam_act, 20)
     assert residual and all(value == 0 for value in residual.values())
     assert built and len(built) == len(set(built))
-    assert all(rep.weyl_dim(lam) <= rep.weyl_dim(lam_act) for lam in built), built
+    order = algebra.datum.weyl_order
+    assert all(rep.weyl_dim(lam) < order or rep.weyl_dim(lam) <= rep.weyl_dim(lam_act)
+               for lam in built), built
 
 
 @pytest.mark.parametrize("values", [(1, 1), (-1, -1), (3, Fraction(1, 3))],
