@@ -32,10 +32,19 @@ from .whittaker import WhittakerModule
 # enumerated with a ψ-value of q − 1 integers, so q alone is held to it too
 _EQ2_POINT_BUDGET = 10 ** 6
 _STRATA_BUDGET = _EQ2_POINT_BUDGET  # strata one strata call lists, C(bound + rank, rank)
+_PAIR_BUDGET = _EQ2_POINT_BUDGET  # module-axiom pairs of one verify-cs battery, |box|²
 
 
 class UsageError(Exception):
     pass
+
+
+def _refused(func, *args):
+    """func(*args), with a ValueError from it raised as a UsageError: the input is refused."""
+    try:
+        return func(*args)
+    except ValueError as exc:
+        raise UsageError(str(exc))
 
 
 def _integer_rows(value) -> bool:
@@ -84,11 +93,7 @@ def _parse_coweight(text: str, datum: RootDatum) -> Tuple[int, ...]:
 
 
 def _parse_dominant(text: str, datum: RootDatum) -> Tuple[int, ...]:
-    coords = _parse_coweight(text, datum)
-    try:
-        return datum.dominant(coords)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    return _refused(datum.dominant, _parse_coweight(text, datum))
 
 
 def _parse_gamma(text: str, datum: RootDatum):
@@ -96,10 +101,7 @@ def _parse_gamma(text: str, datum: RootDatum):
         values = [Fraction(part) for part in text.split(",")]
     except (ValueError, ZeroDivisionError):
         raise UsageError("cannot parse torus point %r (expected comma-separated rationals)" % text)
-    try:
-        return torus_point(values, datum)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    return _refused(torus_point, values, datum)
 
 
 def _parse_v(text: str) -> Fraction:
@@ -165,10 +167,7 @@ def _emit_mult_map(args, mapping: Dict[Tuple[int, ...], int]) -> None:
 def _checked_rep(datum: RootDatum, *weights) -> RepRing:
     """A ring for datum, after check_table_budget on the weights (a UsageError if oversized)."""
     rep = RepRing(datum)
-    try:
-        rep.check_table_budget(*weights)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    _refused(rep.check_table_budget, *weights)
     return rep
 
 
@@ -191,11 +190,9 @@ def _cmd_satake(args) -> int:
     datum = _load_datum(args.datum)
     algebra = HeckeAlgebra(datum)
     lam = _parse_dominant(args.lam, datum)
-    try:  # every Lusztig q-analog sums over the whole Weyl group and reads the q-Kostant table
-        datum.check_weyl_order()
-        algebra.rep.check_row_budget(lam)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    # every Lusztig q-analog sums over the whole Weyl group and reads the q-Kostant table
+    _refused(datum.check_weyl_order)
+    _refused(algebra.rep.check_row_budget, lam)
     element = algebra.satake_to_c(algebra.monomial(A_BASIS, lam))
     lines = ["c_%s: %s" % (_coweight_key(cw), coeff) for cw, coeff in element.sorted_terms()]
     _emit(args, payload=element.to_json(), lines=lines + ["(q = v^2)"])
@@ -220,7 +217,7 @@ def _cmd_whittaker_eval(args) -> int:
     module = WhittakerModule(HeckeAlgebra(datum))
     gamma = _parse_gamma(args.gamma, datum)
     rows = []
-    for lam in datum.dominant_box(args.cutoff):
+    for lam in _refused(datum.dominant_box, args.cutoff):
         value = module.whittaker_value(gamma, lam)
         coeff, power = value if v_value is None else (value.evaluate(v_value), 0)
         rows.append((_coweight_key(lam), coeff.numerator, coeff.denominator, power))
@@ -297,15 +294,15 @@ def _cmd_verify_cs(args) -> int:
     datum = _load_datum(args.datum)
     algebra = HeckeAlgebra(datum)
     module = WhittakerModule(algebra)
-    # a battery that checks nothing, or whose eigenfunction check cannot run, is refused
-    # before any work
-    try:
-        module.require_window(args.cutoff)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    # a battery that checks nothing, whose eigenfunction check cannot run, or that is
+    # oversized is refused before any work
+    _refused(module.require_window, args.cutoff)
     if args.gammas < 1:
         raise UsageError("--gammas must be at least 1; got %d" % args.gammas)
-    box = datum.dominant_box(args.cutoff)
+    box = _refused(datum.dominant_box, args.cutoff)
+    if len(box) ** 2 > _PAIR_BUDGET:
+        raise UsageError("cutoff %d gives %d module-axiom pairs; the limit is %d"
+                         % (args.cutoff, len(box) ** 2, _PAIR_BUDGET))
     phi0 = module.phi_zero()
 
     def basis_case(lam):
@@ -384,11 +381,7 @@ def _cmd_verify_eq2(args) -> int:
     for q in args.primes:
         if not is_prime(q):
             raise UsageError("q values must be primes; got %d" % q)
-    try:
-        oracle = Rank1Oracle(datum)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    report = oracle.verify_eq2(args.m_max, args.primes)
+    report = _refused(Rank1Oracle, datum).verify_eq2(args.m_max, args.primes)
     lines = [report.summary()] + [
         "FAIL lambda=%d mu=%d nu=%d q=%d: lhs=%s rhs=%s"
         % (record.lam, record.mu, record.nu, record.q, record.lhs, record.rhs)

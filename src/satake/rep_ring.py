@@ -6,9 +6,10 @@ tensor products.  One memo per ring holds the signed shifts of each λ, the coro
 coordinates of w(λ+ρ) − (λ+ρ) with (−1)^{ℓ(w)}: the terms of both alternating Weyl sums.
 A character is Weyl's character formula over them where |W| ≤ dim V^λ and the torus point
 is regular, and the sum over the weight table otherwise; both are integer sums, one
-denominator each.  The q-side reads one integer coin-change table of the q-Kostant
-partition function per ring: a Lusztig q-analog, at dominant λ and μ, adds its entries at
-λ − μ plus one signed shift per w ≠ e.  Values are exact (ints and Fractions).
+denominator each.  The traces at the last torus point are kept until a call at another
+point.  The q-side reads one integer coin-change table of the q-Kostant partition function
+per ring: a Lusztig q-analog, at dominant λ and μ, adds its entries at λ − μ plus one
+signed shift per w ≠ e.  Values are exact (ints and Fractions).
 """
 
 from __future__ import annotations
@@ -94,8 +95,9 @@ class RepRing:
         self._partition_table: Dict[Coweight, Tuple[Dict[int, int], ...]] = {}
         self._partition_box: Coweight = (0,) * self.datum.rank
         self._shifts: Dict[Coweight, Tuple[Tuple[Coweight, int], ...]] = {}
-        # (γ, (γ^{α̌_j}) over the simple coroots, Weyl denominator) of the last regular trace
-        self._denominator: Tuple[Sequence, TorusPoint, Fraction] = ((), (), Fraction(0))
+        # the last torus point γ, its traces by dominant λ, and ((γ^{α̌_j}) over the simple
+        # coroots, Weyl denominator) once Weyl's formula has run at γ
+        self._gamma, self._traces, self._denominator = None, {}, None
         self._dims: Dict[Coweight, int] = {}
 
     # -- dimensions and weights ---------------------------------------------
@@ -295,21 +297,30 @@ class RepRing:
         t_j = γ^{α̌_j}, the quotient γ^λ Σ_w ε(w) t^{c_w(λ)} / Σ_w ε(w) t^{c_w(0)} over the
         signed shifts.  That sum has |W| terms where the weight table has at most dim V^λ,
         so it is taken only when |W| ≤ dim V^λ (and |W| within WEYL_ORDER_CAP) and γ is
-        regular, where the denominator, cached for the last γ, is nonzero.  Otherwise the
-        trace is Σ_ν mult(ν) γ^ν over the memoized weight table.
+        regular, where the denominator is nonzero.  Otherwise the trace is
+        Σ_ν mult(ν) γ^ν over the memoized weight table.  Either way the trace is kept, with
+        the denominator, until a call at another γ.
         """
         datum = self.datum
         lam = datum.dominant(lam)
+        if self._gamma != gamma:
+            self._gamma, self._traces, self._denominator = tuple(gamma), {}, None
+        trace = self._traces.get(lam)
+        if trace is not None:
+            return trace
         if datum.weyl_order <= min(self.weyl_dim(lam), WEYL_ORDER_CAP):
-            if self._denominator[0] != gamma:
+            if self._denominator is None:
                 values = tuple(gamma_power(gamma, alpha) for alpha in datum.simple_coroots)
                 zero = self._signed_shifts((0,) * datum.lattice_rank)
-                self._denominator = (gamma, values, _alternating_eval(zero, values))
-            _, values, denominator = self._denominator
+                self._denominator = (values, _alternating_eval(zero, values))
+            values, denominator = self._denominator
             if denominator:
-                return gamma_power(gamma, lam) * _alternating_eval(
+                trace = gamma_power(gamma, lam) * _alternating_eval(
                     self._signed_shifts(lam), values) / denominator
-        return _alternating_eval(self.weights_with_multiplicity(lam), gamma)
+        if trace is None:
+            trace = _alternating_eval(self.weights_with_multiplicity(lam), gamma)
+        self._traces[lam] = trace
+        return trace
 
     def dual_character_eval(self, lam, gamma: TorusPoint) -> Fraction:
         """Tr(γ, (V^λ)*), computed as the character of V^{−w₀λ}."""

@@ -34,6 +34,7 @@ Vector = Tuple[int, ...]
 Matrix = Tuple[Tuple[int, ...], ...]
 
 WEYL_ORDER_CAP = 1_000_000
+BOX_SCAN_CAP = 1_000_000  # the most candidates one dominant_box call scans
 
 
 class InvariantError(AssertionError):
@@ -399,18 +400,25 @@ class RootDatum:
         coord_bound defaults to pair_bound.  That box is scanned only on such
         data: otherwise the walk runs over the simple-root pairings p ≥ 0 of λ,
         λ = adj(R)·p / det R for the matrix R of simple roots, and
-        ⟨λ, 2ρ̌⟩ = Σ k_i p_i with 2ρ̌ = Σ k_i α_i, every k_i ≥ 1.
+        ⟨λ, 2ρ̌⟩ = Σ k_i p_i with 2ρ̌ = Σ k_i α_i, every k_i ≥ 1.  A scan of more
+        than BOX_SCAN_CAP candidates raises ValueError before it starts.
         """
         if coord_bound is None:
             coord_bound = pair_bound
         roots, two_rho = self.simple_roots, self.two_rho_check
-        if self.rank < self.lattice_rank:
-            candidates = iter_product(range(-coord_bound, coord_bound + 1), repeat=self.lattice_rank)
+        central = self.rank < self.lattice_rank
+        if central:
+            ranges = [range(-coord_bound, coord_bound + 1)] * self.lattice_rank
         else:
             adjugate, det = _adjugate(roots)
             levels = [sum(map(operator.mul, column, two_rho)) // det for column in zip(*adjugate)]
-            scaled = ([sum(map(operator.mul, row, p)) for row in adjugate]
-                      for p in iter_product(*(range(pair_bound // k + 1) for k in levels)))
+            ranges = [range(pair_bound // k + 1) for k in levels]
+        if (scan := prod(max(r.stop - r.start, 0) for r in ranges)) > BOX_SCAN_CAP:
+            raise ValueError("the dominant coweights of level at most %d would take a scan of %d "
+                             "candidates, over the limit of %d" % (pair_bound, scan, BOX_SCAN_CAP))
+        candidates = iter_product(*ranges)
+        if not central:
+            scaled = ([sum(map(operator.mul, row, p)) for row in adjugate] for p in candidates)
             candidates = (tuple(x // det for x in lam) for lam in scaled
                           if all(x % det == 0 for x in lam))
         out = []

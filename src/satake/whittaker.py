@@ -13,12 +13,14 @@ involution A_λ ↦ A_{−w₀λ}.
 W_γ is an infinite formal sum; only truncations are ever materialized, with
 a safe-window contract (padding ⟨λ_act, 2ρ̌⟩) under which the eigenfunction
 residual is exactly zero — truncation artifacts can never masquerade as
-eigenvalue failures.
+eigenvalue failures.  The residual reads each trace once (the ring keeps the
+traces at γ) and sums the window in integers over one common denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Dict, Tuple
 
 from .hecke import A_BASIS, PHI_BASIS, BasisElement, HeckeAlgebra, structure_product
@@ -85,7 +87,9 @@ class WhittakerModule:
 
         The truncation keeps dominant μ with ⟨μ,2ρ̌⟩ ≤ cutoff + ⟨λ,2ρ̌⟩; the
         window is ⟨ν,2ρ̌⟩ ≤ cutoff, where every tensor contribution is inside
-        the truncation, so the contract is an exact zero map.
+        the truncation, so the contract is an exact zero map.  The traces are put
+        over one common denominator d, the sums over μ run in integers, and each
+        window entry is one Fraction over d times the eigenvalue's denominator.
         """
         self.require_window(cutoff)
         lam_act = self.datum.dominant(lam_act)
@@ -93,14 +97,16 @@ class WhittakerModule:
         truncation = self.datum.dominant_box(cutoff + pad)
         eigenvalue = self.rep.character_eval(lam_act, gamma)
         traces = {mu: self.rep.dual_character_eval(mu, gamma) for mu in truncation}
-        acted: Dict[Coweight, Fraction] = {}
-        for mu, t_mu in traces.items():
-            if t_mu == 0:
-                continue
-            for nu, mult in self.rep.tensor_decompose(lam_act, mu).items():
-                acted[nu] = acted.get(nu, Fraction(0)) + t_mu * mult
+        d = lcm(*(t.denominator for t in traces.values()))
+        scaled = {mu: t.numerator * (d // t.denominator) for mu, t in traces.items()}
+        acted: Dict[Coweight, int] = {}
+        for mu, n_mu in scaled.items():
+            if n_mu:
+                for nu, mult in self.rep.tensor_decompose(lam_act, mu).items():
+                    acted[nu] = acted.get(nu, 0) + n_mu * mult
+        e, f = eigenvalue.numerator, eigenvalue.denominator
         return {
-            nu: acted.get(nu, Fraction(0)) - eigenvalue * traces[nu]
+            nu: Fraction(acted.get(nu, 0) * f - e * scaled[nu], d * f)
             for nu in truncation
             if self.datum.pairing_2rho(nu) <= cutoff
         }

@@ -2,8 +2,12 @@ import argparse
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -522,6 +526,44 @@ def test_negative_bound_is_usage_error(capsys, monkeypatch):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert "nonnegative" in err
+
+
+@pytest.mark.parametrize("argv, scan", [
+    (("whittaker-eval", "--datum", "SL3", "--gamma=2,3", "--cutoff", "100000"), 50001 ** 2),
+    (("verify-cs", "--datum", "SL3", "100000"), 50001 ** 2),
+    (("whittaker-eval", "--datum", "GL3", "--gamma=2,3,5", "--cutoff", "100000"), 200001 ** 3),
+], ids=["whittaker-eval", "verify-cs", "whittaker-eval-central"])
+def test_a_huge_cutoff_is_refused_before_the_dominant_box_is_scanned(capsys, argv, scan):
+    start = time.monotonic()
+    code, out, err = run(capsys, *argv)
+    assert time.monotonic() - start < 1
+    assert code == 2 and out == ""
+    assert "scan of %d candidates, over the limit of 1000000" % scan in err
+
+
+def test_verify_cs_refuses_an_oversized_module_axiom_battery(capsys, monkeypatch):
+    from satake.whittaker import WhittakerModule
+
+    def unreachable(self, w, h):
+        raise AssertionError("a battery ran before the refusal")
+
+    # SL3 at cutoff 100: 1326 dominant coweights, so 1326² pairs
+    monkeypatch.setattr(WhittakerModule, "act", unreachable)
+    code, out, err = run(capsys, "verify-cs", "--datum", "SL3", "100")
+    assert code == 2 and out == ""
+    assert "cutoff 100 gives 1758276 module-axiom pairs; the limit is 1000000" in err
+
+
+def test_verify_cs_prints_the_same_under_python_O():
+    # every contract is a raised exception, so stripping asserts changes no output
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["-m", "satake.cli", "verify-cs", "--datum", "SL3", "6", "--gammas", "2", "--format", "json"]
+    outputs = [subprocess.run([sys.executable, *flags, *argv], env=env, capture_output=True,
+                              text=True, timeout=60) for flags in ([], ["-O"])]
+    assert [done.returncode for done in outputs] == [0, 0], [done.stderr for done in outputs]
+    assert outputs[0].stdout == outputs[1].stdout
+    assert json.loads(outputs[0].stdout)["pass"] is True
 
 
 def test_strata_budget_is_checked_while_parsing(capsys, monkeypatch):

@@ -458,7 +458,29 @@ def test_weyl_denominator_is_computed_once_per_point(monkeypatch):
         for lam in [(1, 1), (2, 1), (3, 0)]:
             rep.character_eval(lam, point)
     # one denominator whenever the point changes (three times), one numerator per trace
-    assert calls == [6] * (3 + 15)
+    # at each of the three visits; a trace repeated at the same point is the kept one
+    assert calls == [6] * (3 + 9)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_kept_traces_are_those_of_a_fresh_ring_when_the_point_alternates(name):
+    # γ, γ′, γ with γ first regular and then singular: a trace kept at one point must
+    # never answer at the next, where the weight-table route and the Weyl route differ
+    datum = build_root_datum(name)
+    n = datum.lattice_rank
+    regular = torus_point([Fraction(-5, 13), Fraction(11, 7), Fraction(-3, 2)][:n], datum)
+    singular = torus_point(_one_singular_coroot(name), datum)
+    coroots = [alpha for alpha, _ in datum.positive_coroots]
+    assert all(gamma_power(regular, alpha) != 1 for alpha in coroots)
+    lams = datum.dominant_box(6, coord_bound=3)
+    for first, second in [(regular, singular), (singular, regular)]:
+        rep = RepRing(name)
+        for point in (first, second, first):
+            fresh = RepRing(name)
+            for lam in lams:
+                assert rep.character_eval(lam, point) == fresh.character_eval(lam, point)
+                assert rep.dual_character_eval(lam, point) == fresh.dual_character_eval(lam, point)
+            assert set(rep._traces) == set(fresh._traces)
 
 
 def test_gamma_power_is_exact_for_integer_coordinates():

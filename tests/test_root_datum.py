@@ -327,6 +327,24 @@ def test_dominant_box_is_sorted_and_complete():
     assert heights == sorted(heights)
 
 
+def test_dominant_box_refuses_a_scan_over_the_cap(monkeypatch):
+    import satake.root_datum as root_datum
+
+    sl3, gl3 = build_root_datum("SL3"), build_root_datum("GL3")
+    # SL3 walks (⌊B/2⌋ + 1)² pairings; GL3 scans its coordinate box, (2c + 1)³ points
+    with pytest.raises(ValueError, match="scan of 1002001 candidates, over the limit of 1000000"):
+        sl3.dominant_box(2000)
+    with pytest.raises(ValueError, match="scan of 1030301 candidates"):
+        gl3.dominant_box(50)
+    with pytest.raises(ValueError, match="scan of 1030301 candidates"):
+        gl3.dominant_box(4, coord_bound=50)
+    with pytest.raises(ValueError, match="scan of %d candidates" % (5 * 10 ** 29 + 1) ** 2):
+        sl3.dominant_box(10 ** 30)  # ranges too long for len()
+    # at the cap the scan is admitted (an empty one here, so the test stays fast)
+    monkeypatch.setattr(root_datum, "iter_product", lambda *ranges, **kw: iter(()))
+    assert sl3.dominant_box(1999) == [] and gl3.dominant_box(49) == []
+
+
 def _box_scan(d, pair_bound, coord_bound):
     """Every point of the coordinate box that is dominant at level ≤ pair_bound, sorted."""
     found = []

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from satake.hecke import A_BASIS, PHI_BASIS, BasisElement, HeckeAlgebra
 from satake.laurent import LaurentPoly, ONE
@@ -177,6 +178,42 @@ def test_eigen_residual_rank2_example():
     residual = module.eigen_residual(gamma, (1, 0), 8)
     assert all(value == 0 for value in residual.values())
     assert residual == brute_force_residual(module, gamma, (1, 0), 8)
+
+
+_non_integral = st.tuples(st.integers(-40, 40).filter(bool), st.integers(2, 40)).filter(
+    lambda ab: ab[0] % ab[1])
+
+
+@pytest.mark.parametrize("name", ["PGL2", "SL2", "SL3", "Sp4", "G2"])
+@settings(max_examples=15, deadline=None)
+@given(coords=st.lists(_non_integral, min_size=2, max_size=2),
+       pick=st.integers(0, 10 ** 6), off=st.sampled_from([1, -1]))
+def test_eigen_residual_sees_one_wrong_tensor_multiplicity(name, coords, pick, off):
+    # one C^ν_{λμ} off by one must leave exactly one nonzero entry, t_μ·off at ν, and the
+    # integer sum must equal the weight-by-weight Fraction route entry for entry
+    algebra, module = make(name)
+    datum, rep = algebra.datum, algebra.rep
+    gamma = torus_point([Fraction(-abs(a), b) if i == 0 else Fraction(a, b)
+                         for i, (a, b) in enumerate(coords[:datum.lattice_rank])], datum)
+    cutoff = 8
+    window = datum.dominant_box(cutoff)
+    lam_act = window[1]
+    truncation = datum.dominant_box(cutoff + datum.pairing_2rho(lam_act))
+    live = [mu for mu in truncation if naive_trace(rep, mu, gamma, -1)]
+    bad_mu, bad_nu = live[pick % len(live)], window[pick // len(live) % len(window)]
+    true = rep.tensor_decompose
+
+    def wrong(lam, mu):
+        out = true(lam, mu)
+        if datum.dominant(mu) == bad_mu:
+            out[bad_nu] = out.get(bad_nu, 0) + off
+        return out
+
+    rep.tensor_decompose = wrong
+    residual = module.eigen_residual(gamma, lam_act, cutoff)
+    assert residual == brute_force_residual(module, gamma, lam_act, cutoff)
+    assert [nu for nu, value in residual.items() if value] == [bad_nu]
+    assert residual[bad_nu] == off * naive_trace(rep, bad_mu, gamma, -1)
 
 
 def test_eigen_residual_refuses_bad_windows():
