@@ -1,19 +1,22 @@
 """The representation ring of the dual group over a fixed root datum.
 
 Freudenthal's recursion in the datum's W-invariant form fills the dominant and the full
-weight table of V^λ in one pass (Weyl orbits memoized per ring); Brauer–Klimyk gives
-tensor products.  One memo per ring holds the signed shifts of each λ, the coroot
-coordinates of w(λ+ρ) − (λ+ρ) with (−1)^{ℓ(w)}: the terms of both alternating Weyl sums.
-A character is Weyl's character formula over them where |W| ≤ dim V^λ and the torus point
-is regular, and the sum over the weight table otherwise; both are integer sums, one
-denominator each.  The traces at the last torus point are kept until a call at another
-point.  The q-side reads one integer coin-change table of the q-Kostant partition function
-per ring: a Lusztig q-analog, at dominant λ and μ, adds its entries at λ − μ plus one
-signed shift per w ≠ e.  Values are exact (ints and Fractions).
+weight table of V^λ in one pass (Weyl orbits memoized per ring).  Brauer–Klimyk gives
+tensor products: the dot action w·x = w(x+ρ) − ρ moves each λ + τ, τ a weight of the other
+factor, into the dominant chamber by the datum's one chamber walk on the simple-root pairings
+of λ+τ+ρ (those of τ+ρ memoized per table), in integers on Λ.  One memo per ring holds the
+signed shifts of each λ, the coroot coordinates of w(λ+ρ) − (λ+ρ) with (−1)^{ℓ(w)}: the
+terms of both alternating Weyl sums.  A character is Weyl's character formula over them
+where |W| ≤ dim V^λ and the torus point is regular, and the sum over the weight table
+otherwise; both are integer sums, one denominator each.  The traces at the last torus point
+are kept until a call at another point.  The q-side reads one integer coin-change table of
+the q-Kostant partition function per ring: a Lusztig q-analog, at dominant λ and μ, adds its
+entries at λ − μ plus one signed shift per w ≠ e.  Values are exact (ints and Fractions).
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from itertools import product as iter_product
 from math import prod
@@ -90,6 +93,8 @@ class RepRing:
         self.datum = build_root_datum(datum)
         self._dominant_tables: Dict[Coweight, Dict[Coweight, int]] = {}
         self._full_weights: Dict[Coweight, Tuple[Tuple[Coweight, int], ...]] = {}
+        # the weight table of V^λ as (τ, the ⟨τ+ρ, α_i⟩ = ⟨τ, α_i⟩ + 1, multiplicity)
+        self._rho_pairings: Dict[Coweight, Tuple[Tuple[Coweight, Coweight, int], ...]] = {}
         self._orbits: Dict[Coweight, Tuple[Coweight, ...]] = {}
         self._tensor: Dict[Tuple[Coweight, Coweight], Dict[Coweight, int]] = {}
         self._partition_table: Dict[Coweight, Tuple[Dict[int, int], ...]] = {}
@@ -177,7 +182,7 @@ class RepRing:
                 nu = tuple(m + a for m, a in zip(mu, alpha))
                 mult = full.get(nu, 0)
                 while mult:  # weights along a root string are contiguous
-                    numerator += mult * datum.pairing(nu, covector)
+                    numerator += mult * sum(map(operator.mul, nu, covector))
                     nu = tuple(m + a for m, a in zip(nu, alpha))
                     mult = full.get(nu, 0)
             lam_mu_sum = tuple(a + b + r for a, b, r in zip(lam, mu, two_rho))
@@ -218,10 +223,12 @@ class RepRing:
     def tensor_decompose(self, lam, mu) -> Dict[Coweight, int]:
         """Multiplicities of irreducibles in V^λ ⊗ V^μ, by Brauer–Klimyk.
 
-        ρ-shift each weight of the smaller factor against the other highest
-        weight, drop the singular ones, and accumulate signs at the dominant
-        representative minus ρ.  The shifted weights are held doubled,
-        2(λ+τ)+2ρ, so they stay on the lattice.
+        Σ_τ mult(τ) ε(w) V^{w·(fixed+τ)} over the weights τ of the smaller factor, fixed the
+        other highest weight and w the element of the dot action w·x = w(x+ρ) − ρ that makes
+        fixed + τ + ρ dominant (Humphreys, Lie Algebras, §24 ex. 9).  The simple-root
+        pairings of fixed + τ + ρ are ⟨fixed, α_i⟩ + ⟨τ+ρ, α_i⟩, the second memoized per
+        table, and datum._chamber_walk reflects fixed + τ in place, on Λ.  A final pairing 0
+        means fixed + τ + ρ is singular and the term drops; ε(w) is (−1)^{#word}.
         """
         lam = self.datum.dominant(lam)
         mu = self.datum.dominant(mu)
@@ -229,19 +236,20 @@ class RepRing:
         if key in self._tensor:
             return dict(self._tensor[key])
         datum = self.datum
-        two_rho = datum.two_rho_dual
         iter_weight, fixed = self._table_factors(lam, mu)
+        base = datum._simple_pairings(fixed)
+        walk = datum._chamber_walk
         acc: Dict[Coweight, int] = {}
-        for tau, mult in self.weights_with_multiplicity(iter_weight):
-            shifted = tuple(2 * (f + t) + r for f, t, r in zip(fixed, tau, two_rho))
-            dom, word, sign = datum.dominant_representative(shifted)
-            if any(datum.pairing(dom, root) == 0 for root in datum.simple_roots):
-                continue
-            doubled = tuple(d - r for d, r in zip(dom, two_rho))
-            if any(x % 2 for x in doubled):
-                raise InvariantError("Brauer–Klimyk gave the non-integral weight %r/2" % (doubled,))
-            nu = tuple(x // 2 for x in doubled)
-            acc[nu] = acc.get(nu, 0) + sign * mult
+        rows = self._rho_pairings.get(iter_weight)
+        if rows is None:
+            rows = self._rho_pairings[iter_weight] = tuple(
+                (tau, tuple(p + 1 for p in datum._simple_pairings(tau)), mult)
+                for tau, mult in self.weights_with_multiplicity(iter_weight))
+        for tau, tau_pairings, mult in rows:
+            nu, pairings, word = walk(tuple(map(operator.add, fixed, tau)),
+                                      list(map(operator.add, base, tau_pairings)))
+            if 0 not in pairings:
+                acc[nu] = acc.get(nu, 0) + (-mult if len(word) % 2 else mult)
         result = {nu: c for nu, c in acc.items() if c}
         if any(c < 0 for c in result.values()):
             raise InvariantError("negative tensor multiplicity")

@@ -212,45 +212,55 @@ class RootDatum:
             raise ValueError("coweight %r is not dominant" % (lam,))
         return lam
 
-    def dominant_representative(self, lam: Sequence) -> DomRep:
-        """The dominant Weyl-orbit representative, with a word mapping λ to it.
+    def _chamber_walk(self, vec: Tuple, pairings: List[int]) -> Tuple[Tuple, List[int], List[int]]:
+        """Reflect vec into the chamber where every pairing is ≥ 0: (vector, pairings, word).
 
-        The word lists the simple reflections in application order: applying
-        s_{word[0]}, then s_{word[1]}, ... to λ yields the returned coweight.
-        The sign is (−1)^{#word}, which is the sign of the reducing Weyl
-        element (word length has well-defined parity).
+        pairings are the ⟨vec + δ, α_i⟩ for a fixed offset δ: 0 for the action on Λ, ρ for the
+        dot action w·x = w(x + ρ) − ρ.  While some p_i < 0, the first such i reflects vec + δ:
+        vec ← vec − p_i α̌_i and p_j ← p_j − p_i ⟨α̌_i, α_j⟩, where ⟨α̌_i, α_j⟩ is
+        cartan_matrix[j][i].  The word lists the reflections in application order.
         """
-        # the simple-root pairings p are computed once; s_i(λ) = λ − p_i α̌_i changes
-        # them by p_j ← p_j − p_i ⟨α̌_i, α_j⟩, and ⟨α̌_i, α_j⟩ = cartan_matrix[j][i]
-        pairings = self._simple_pairings(lam)
-        cur = tuple(lam)
         word: List[int] = []
         while True:
             for i, p in enumerate(pairings):
                 if p < 0:
                     break
             else:
-                return DomRep(cur, tuple(word), -1 if len(word) % 2 else 1)
-            cur = tuple(x - p * a for x, a in zip(cur, self.simple_coroots[i]))
+                return vec, pairings, word
+            vec = tuple(x - p * a for x, a in zip(vec, self.simple_coroots[i]))
             pairings = [q - p * row[i] for q, row in zip(pairings, self.cartan_matrix)]
             word.append(i)
 
-    @cached_property
-    def _w0_word(self) -> Tuple[int, ...]:
-        """A reduced word for the longest element w₀, in application order.
+    def dominant_representative(self, lam: Sequence) -> DomRep:
+        """The dominant Weyl-orbit representative, with a word mapping λ to it.
 
-        2ρ of the dual group is strictly dominant, so −2ρ is strictly
-        antidominant, and w₀ is the unique element carrying it into the
-        dominant chamber.
+        The word lists the simple reflections in application order: applying
+        s_{word[0]}, then s_{word[1]}, ... to λ yields the returned coweight.
+        The sign is (−1)^{#word}, which is the sign of the reducing Weyl
+        element (word length has well-defined parity).  One _chamber_walk from
+        the simple-root pairings of λ.
         """
-        return self.dominant_representative(tuple(-x for x in self.two_rho_dual)).word
+        cur, _, word = self._chamber_walk(tuple(lam), self._simple_pairings(lam))
+        return DomRep(cur, tuple(word), -1 if len(word) % 2 else 1)
+
+    @cached_property
+    def _w0_matrix(self) -> Matrix:
+        """The longest element w₀ as an integer matrix on Λ, without building the Weyl group.
+
+        2ρ of the dual group is strictly dominant, so −2ρ is strictly antidominant, and the
+        chamber walk from it spells a reduced word for w₀, the unique element carrying it
+        into the dominant chamber.  Column j is that word applied to the j-th basis vector.
+        """
+        start, n = tuple(-x for x in self.two_rho_dual), self.lattice_rank
+        columns = [tuple(int(k == j) for k in range(n)) for j in range(n)]
+        for i in self._chamber_walk(start, self._simple_pairings(start))[2]:
+            columns = [self.reflect(i, column) for column in columns]
+        return tuple(zip(*columns))
 
     def apply_w0(self, lam: Sequence) -> Tuple:
-        """w₀λ, by applying a reduced word for w₀ (the Weyl group is not built)."""
-        out = tuple(lam)
-        for i in self._w0_word:
-            out = self.reflect(i, out)
-        return out
+        """w₀λ, as one product with the cached integer matrix of w₀ on Λ."""
+        lam = self.coweight(lam)
+        return tuple(sum(map(operator.mul, row, lam)) for row in self._w0_matrix)
 
     @cached_property
     def _cartan_adjugate(self) -> Tuple[Matrix, int]:

@@ -1,16 +1,13 @@
-import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from satake.laurent import LaurentPoly, ONE, Q, V, VMonomial, ZERO, as_poly
 
-
-def rand_poly(rng, max_terms=4, max_exp=5, max_coeff=9):
-    terms = {}
-    for _ in range(rng.randint(0, max_terms)):
-        terms[rng.randint(-max_exp, max_exp)] = rng.randint(-max_coeff, max_coeff)
-    return LaurentPoly(terms)
+# up to four terms, zero coefficients included, so normalization is exercised too
+polys = st.dictionaries(st.integers(-5, 5), st.integers(-9, 9), max_size=4).map(LaurentPoly)
+nonzero_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool)
 
 
 def test_product_of_conjugates():
@@ -58,27 +55,26 @@ def test_eval_q_rejects_odd_powers():
         V.eval_q(3)
 
 
-def test_ring_axioms_randomized():
-    rng = random.Random(11235)
-    for _ in range(500):
-        a, b, c = rand_poly(rng), rand_poly(rng), rand_poly(rng)
-        assert a + b == b + a
-        assert a * b == b * a
-        assert (a + b) + c == a + (b + c)
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
-        assert a + ZERO == a
-        assert a * ONE == a
-        assert a - a == ZERO
+@settings(max_examples=300, deadline=None)
+@given(a=polys, b=polys, c=polys)
+def test_ring_axioms_randomized(a, b, c):
+    assert a + b == b + a
+    assert a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert (a + b) * c == a * c + b * c
+    assert a + ZERO == a
+    assert a * ONE == a
+    assert a - a == ZERO
 
 
-def test_evaluation_is_ring_homomorphism():
-    rng = random.Random(7411)
-    for _ in range(200):
-        a, b = rand_poly(rng), rand_poly(rng)
-        v0 = Fraction(rng.randint(1, 9), rng.randint(1, 9))
-        assert (a * b).eval_v(v0) == a.eval_v(v0) * b.eval_v(v0)
-        assert (a + b).eval_v(v0) == a.eval_v(v0) + b.eval_v(v0)
+@settings(max_examples=200, deadline=None)
+@given(a=polys, b=polys, v0=nonzero_rationals)
+def test_evaluation_is_ring_homomorphism(a, b, v0):
+    assert (a * b).eval_v(v0) == a.eval_v(v0) * b.eval_v(v0)
+    assert (a + b).eval_v(v0) == a.eval_v(v0) + b.eval_v(v0)
+    assert ONE.eval_v(v0) == 1
 
 
 def test_shift_and_inverse_substitution():
@@ -86,6 +82,24 @@ def test_shift_and_inverse_substitution():
     assert p.shift(-2) == LaurentPoly({-2: 1, 0: 3})
     assert p.subst_v_inverse() == LaurentPoly({0: 1, -2: 3})
     assert p.subst_v_inverse().subst_v_inverse() == p
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=polys, a=st.integers(-6, 6), b=st.integers(-6, 6))
+def test_shift_is_multiplication_by_a_v_power(p, a, b):
+    assert ONE.shift(a) * ONE.shift(b) == ONE.shift(a + b)
+    assert p.shift(a).shift(b) == p.shift(a + b) == p * ONE.shift(a + b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=polys, b=polys, v0=nonzero_rationals)
+def test_inverse_substitution_is_an_involutive_ring_automorphism(a, b, v0):
+    bar = LaurentPoly.subst_v_inverse
+    assert bar(a + b) == bar(a) + bar(b)
+    assert bar(a * b) == bar(a) * bar(b)
+    assert bar(ONE) == ONE
+    assert bar(bar(a)) == a
+    assert bar(a).eval_v(v0) == a.eval_v(1 / v0)
 
 
 def test_json_round_trip():

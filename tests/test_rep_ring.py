@@ -241,16 +241,73 @@ def test_sl3_adjoint_square():
     assert dec == char_product_decompose(rep, (1, 1), (1, 1))
 
 
-def test_tensor_matches_character_oracle_on_box():
-    rep = RepRing("PGL2")
-    for a in range(7):
-        for b in range(7):
-            assert rep.tensor_decompose((a,), (b,)) == char_product_decompose(rep, (a,), (b,))
-    rep3 = RepRing("SL3")
-    box = [lam for lam in rep3.datum.dominant_box(4)]
-    for lam in box:
-        for mu in box:
-            assert rep3.tensor_decompose(lam, mu) == char_product_decompose(rep3, lam, mu)
+# ⟨λ, 2ρ̌⟩ bounds of the factors drawn for the tensor oracle, every preset and A1 × C2
+_TENSOR_BOUNDS = {"PGL2": 8, "SL2": 8, "GL2": 4, "SL3": 8, "GL3": 3, "Sp4": 12, "G2": 16,
+                  "A1xC2": 8}
+
+
+def _tensor_ring(name):
+    return RepRing(REDUCIBLE if name == "A1xC2" else PRESETS[name])
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(sorted(_TENSOR_BOUNDS)), data=st.data())
+def test_tensor_matches_character_oracle_on_box(name, data):
+    rep = _tensor_ring(name)
+    box = rep.datum.dominant_box(_TENSOR_BOUNDS[name])
+    lam, mu = data.draw(st.sampled_from(box)), data.draw(st.sampled_from(box))
+    assert rep.tensor_decompose(lam, mu) == char_product_decompose(rep, lam, mu)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(["GL2", "GL3"]), shift=st.integers(-3, 3), data=st.data())
+def test_tensor_decompose_carries_the_center(name, shift, data):
+    # λ and λ + (s, …, s) have the same simple-root pairings, so the walk's pairings do not
+    # determine the coweight; V^{(s, …, s)} is a character, and the product moves by it
+    rep = _tensor_ring(name)
+    box = rep.datum.dominant_box(_TENSOR_BOUNDS[name])
+    lam, mu = data.draw(st.sampled_from(box)), data.draw(st.sampled_from(box))
+    moved = tuple(x + shift for x in lam)
+    expected = {tuple(x + shift for x in nu): m for nu, m in rep.tensor_decompose(lam, mu).items()}
+    assert rep.tensor_decompose(moved, mu) == expected == char_product_decompose(rep, moved, mu)
+
+
+def _recording_walks(monkeypatch):
+    """Patch RootDatum._chamber_walk to log each walk's (vector, pairings, word); the log."""
+    ends, walk = [], RootDatum._chamber_walk
+
+    def recording(self, vec, pairings):
+        ends.append(walk(self, vec, pairings))
+        return ends[-1]
+
+    monkeypatch.setattr(RootDatum, "_chamber_walk", recording)
+    return ends
+
+
+# equal dimensions, so the table of the second factor is read and λ + τ + ρ can lie several
+# dot steps from the dominant chamber; both pairs also have singular λ + τ + ρ
+@pytest.mark.parametrize("name, lam, mu", [("Sp4", (4, 2), (9, 0)), ("G2", (2, 3), (8, 0))])
+def test_tensor_dot_walks_of_several_steps_and_singular_weights(monkeypatch, name, lam, mu):
+    ends = _recording_walks(monkeypatch)
+    rep = RepRing(name)
+    assert rep.weyl_dim(lam) == rep.weyl_dim(mu)
+    assert rep.tensor_decompose(lam, mu) == char_product_decompose(rep, lam, mu)
+    assert len(ends) == len(rep.weights_with_multiplicity(mu))
+    assert max(len(word) for _, _, word in ends) >= 2
+    assert any(0 in pairings for _, pairings, _ in ends)
+
+
+def test_tensor_decompose_and_dominant_representative_share_one_walk(monkeypatch):
+    ends, reps = _recording_walks(monkeypatch), []
+    dominant_representative = RootDatum.dominant_representative
+    monkeypatch.setattr(RootDatum, "dominant_representative",
+                        lambda self, lam: reps.append(lam) or dominant_representative(self, lam))
+    rep = RepRing("G2")
+    rep.tensor_decompose((1, 1), (1, 0))
+    assert reps == []
+    assert len(ends) == len(rep.weights_with_multiplicity((1, 0)))
+    assert rep.datum.dominant_representative((-2, 1)).coweight == ends[-1][0]
+    assert len(reps) == 1 and len(ends) == len(rep.weights_with_multiplicity((1, 0))) + 1
 
 
 def test_tensor_total_dimension_and_symmetry():

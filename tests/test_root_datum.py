@@ -85,6 +85,8 @@ def test_pairing_dimension_mismatch():
         d.is_dominant((1,))
     with pytest.raises(ValueError):
         d.dominant_representative((1, 0, 0))
+    with pytest.raises(ValueError):
+        d.apply_w0((1,))
 
 
 def test_is_dominant():
@@ -192,6 +194,8 @@ def test_w0_consumers_do_not_build_the_weyl_group():
     assert set(algebra.star_involution(algebra.monomial(A_BASIS, (1, 2))).terms) == {(1, 2)}
     assert RepRing(d).dual_character_eval((1, 0), (Fraction(2), Fraction(3))) > 0
     assert Grassmannian(RepRing(d)).mv_dim_bound((1, 0), (-1, 0)).flag == "point"
+    # all three read one cached matrix of w₀, built from a reduced word, not from W
+    assert d.__dict__["_w0_matrix"] == ((-1, 0), (0, -1))
     assert "weyl_elements" not in d.__dict__
 
 
