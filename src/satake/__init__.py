@@ -18,6 +18,7 @@ from .root_datum import (
     InvariantError,
     PRESETS,
     RootDatum,
+    TooLarge,
     build_root_datum,
 )
 from .whittaker import WhittakerModule
@@ -42,6 +43,7 @@ __all__ = [
     "Rank1Oracle",
     "RepRing",
     "RootDatum",
+    "TooLarge",
     "V",
     "VMonomial",
     "WhittakerModule",

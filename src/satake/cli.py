@@ -2,8 +2,9 @@
 
 Every subcommand produces deterministic output for fixed inputs (sorted keys,
 canonical polynomial printing).  Exit status: 0 success, 1 verification
-failure, 2 usage error (input rejected while it is parsed), 3 internal error
-(a broken invariant, or a ValueError from the library on validated input).
+failure, 2 usage error (input rejected while it is parsed, or refused as
+TooLarge before its work starts), 3 internal error (a broken invariant, or
+another ValueError from the library on validated input).
 """
 
 from __future__ import annotations
@@ -24,15 +25,8 @@ from .grassmannian import Grassmannian
 from .hecke import A_BASIS, BasisElement, HeckeAlgebra
 from .rank1_oracle import Rank1Oracle, is_prime
 from .rep_ring import RepRing, torus_point
-from .root_datum import PRESETS, RootDatum, build_root_datum
+from .root_datum import LIMIT, PRESETS, RootDatum, TooLarge, build_root_datum
 from .whittaker import WhittakerModule
-
-
-# F_q-points in the largest cell of a verify-eq2 battery, q^m_max; each point is
-# enumerated with a ψ-value of q − 1 integers, so q alone is held to it too
-_EQ2_POINT_BUDGET = 10 ** 6
-_STRATA_BUDGET = _EQ2_POINT_BUDGET  # strata one strata call lists, C(bound + rank, rank)
-_PAIR_BUDGET = _EQ2_POINT_BUDGET  # module-axiom pairs of one verify-cs battery, |box|²
 
 
 class UsageError(Exception):
@@ -164,25 +158,18 @@ def _emit_mult_map(args, mapping: Dict[Tuple[int, ...], int]) -> None:
 # -- subcommands ---------------------------------------------------------------
 
 
-def _checked_rep(datum: RootDatum, *weights) -> RepRing:
-    """A ring for datum, after check_table_budget on the weights (a UsageError if oversized)."""
-    rep = RepRing(datum)
-    _refused(rep.check_table_budget, *weights)
-    return rep
-
-
 def _cmd_tensor(args) -> int:
     datum = _load_datum(args.datum)
     lam = _parse_dominant(args.lam, datum)
     mu = _parse_dominant(args.mu, datum)
-    _emit_mult_map(args, _checked_rep(datum, lam, mu).tensor_decompose(lam, mu))
+    _emit_mult_map(args, RepRing(datum).tensor_decompose(lam, mu))
     return 0
 
 
 def _cmd_weights(args) -> int:
     datum = _load_datum(args.datum)
     lam = _parse_dominant(args.lam, datum)
-    _emit_mult_map(args, _checked_rep(datum, lam).weight_table(lam))
+    _emit_mult_map(args, RepRing(datum).weight_table(lam))
     return 0
 
 
@@ -190,9 +177,6 @@ def _cmd_satake(args) -> int:
     datum = _load_datum(args.datum)
     algebra = HeckeAlgebra(datum)
     lam = _parse_dominant(args.lam, datum)
-    # every Lusztig q-analog sums over the whole Weyl group and reads the q-Kostant table
-    _refused(datum.check_weyl_order)
-    _refused(algebra.rep.check_row_budget, lam)
     element = algebra.satake_to_c(algebra.monomial(A_BASIS, lam))
     lines = ["c_%s: %s" % (_coweight_key(cw), coeff) for cw, coeff in element.sorted_terms()]
     _emit(args, payload=element.to_json(), lines=lines + ["(q = v^2)"])
@@ -217,7 +201,7 @@ def _cmd_whittaker_eval(args) -> int:
     module = WhittakerModule(HeckeAlgebra(datum))
     gamma = _parse_gamma(args.gamma, datum)
     rows = []
-    for lam in _refused(datum.dominant_box, args.cutoff):
+    for lam in datum.dominant_box(args.cutoff):
         value = module.whittaker_value(gamma, lam)
         coeff, power = value if v_value is None else (value.evaluate(v_value), 0)
         rows.append((_coweight_key(lam), coeff.numerator, coeff.denominator, power))
@@ -263,9 +247,8 @@ def _cmd_strata(args) -> int:
     if args.bound < 0:
         raise UsageError("the defect bound must be nonnegative; got %d" % args.bound)
     count = math.comb(args.bound + datum.rank, datum.rank)
-    if count > _STRATA_BUDGET:
-        raise UsageError("bound %d gives %d strata; the limit is %d"
-                         % (args.bound, count, _STRATA_BUDGET))
+    if count > LIMIT:
+        raise TooLarge("bound %d gives %d strata; the limit is %d" % (args.bound, count, LIMIT))
     strata = Grassmannian(RepRing(datum)).drinfeld_strata(args.bound)
     _emit(
         args,
@@ -299,10 +282,10 @@ def _cmd_verify_cs(args) -> int:
     _refused(module.require_window, args.cutoff)
     if args.gammas < 1:
         raise UsageError("--gammas must be at least 1; got %d" % args.gammas)
-    box = _refused(datum.dominant_box, args.cutoff)
-    if len(box) ** 2 > _PAIR_BUDGET:
-        raise UsageError("cutoff %d gives %d module-axiom pairs; the limit is %d"
-                         % (args.cutoff, len(box) ** 2, _PAIR_BUDGET))
+    box = datum.dominant_box(args.cutoff)
+    if len(box) ** 2 > LIMIT:
+        raise TooLarge("cutoff %d gives %d module-axiom pairs; the limit is %d"
+                       % (args.cutoff, len(box) ** 2, LIMIT))
     phi0 = module.phi_zero()
 
     def basis_case(lam):
@@ -371,13 +354,14 @@ def _cmd_verify_eq2(args) -> int:
     if args.m_max < 0:
         raise UsageError("m_max must be nonnegative (the battery would be empty); got %d"
                          % args.m_max)
-    # checked before primality, whose trial division is slow for a huge q; q ≥ 2 passes
-    # the budget within its bit length in factors, so the power is never formed in full
+    # the largest cell has q^m_max F_q-points, each enumerated with a ψ-value of q − 1
+    # integers.  Checked before primality, whose trial division is slow for a huge q; q ≥ 2
+    # passes LIMIT within its bit length in factors, so the power is never formed in full
     q = max(args.primes)
-    if max(q, q ** min(args.m_max, _EQ2_POINT_BUDGET.bit_length())) > _EQ2_POINT_BUDGET:
-        raise UsageError("battery too large: its largest cell has %d^%d points, each with a "
-                         "ψ-value of %d integers; the limit is %d of either"
-                         % (q, args.m_max, q - 1, _EQ2_POINT_BUDGET))
+    if max(q, q ** min(args.m_max, LIMIT.bit_length())) > LIMIT:
+        raise TooLarge("battery too large: its largest cell has %d^%d points, each with a "
+                       "ψ-value of %d integers; the limit is %d of either"
+                       % (q, args.m_max, q - 1, LIMIT))
     for q in args.primes:
         if not is_prime(q):
             raise UsageError("q values must be primes; got %d" % q)
@@ -470,7 +454,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, TooLarge) as exc:
         sys.stderr.write("error: %s\n" % exc)
         sys.stderr.write("run with --help for usage\n")
         return 2
@@ -478,7 +462,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         sys.stderr.write("internal invariant violation: %s\n" % exc)
         return 3
     except ValueError as exc:
-        # input is validated while it is parsed, so a ValueError here is a library bug
+        # input is validated while it is parsed, so any other ValueError is a library bug
         sys.stderr.write("internal error: %s\n" % exc)
         return 3
 

@@ -12,6 +12,8 @@ otherwise; both are integer sums, one denominator each.  The traces at the last 
 are kept until a call at another point.  The q-side reads one integer coin-change table of
 the q-Kostant partition function per ring: a Lusztig q-analog, at dominant λ and μ, adds its
 entries at λ − μ plus one signed shift per w ≠ e.  Values are exact (ints and Fractions).
+A weight table or q-Kostant table that could hold more than LIMIT entries raises TooLarge
+before it is started.
 """
 
 from __future__ import annotations
@@ -23,12 +25,10 @@ from math import prod
 from typing import Dict, List, Sequence, Tuple
 
 from .laurent import LaurentPoly, ZERO
-from .root_datum import WEYL_ORDER_CAP, InvariantError, RootDatum, build_root_datum
+from .root_datum import LIMIT, InvariantError, RootDatum, TooLarge, build_root_datum
 
 Coweight = Tuple[int, ...]
 TorusPoint = Tuple[Fraction, ...]
-# the most points of a q-Kostant table and entries of a weight table, as the CLI's eq2 budget
-_TABLE_BUDGET = 10 ** 6
 
 
 def torus_point(values, datum: RootDatum) -> TorusPoint:
@@ -44,10 +44,10 @@ def torus_point(values, datum: RootDatum) -> TorusPoint:
 
 
 def _require_box_budget(box: Coweight) -> None:
-    """Raise ValueError when a q-Kostant table over box would exceed _TABLE_BUDGET."""
-    if (points := prod(b + 1 for b in box)) > _TABLE_BUDGET:
-        raise ValueError("q-Kostant table box %s would hold %d points, over the limit of %d"
-                         % (box, points, _TABLE_BUDGET))
+    """Raise TooLarge when a q-Kostant table over box would exceed LIMIT points."""
+    if (points := prod(b + 1 for b in box)) > LIMIT:
+        raise TooLarge("q-Kostant table box %s would hold %d points, over the limit of %d"
+                       % (box, points, LIMIT))
 
 
 def _alternating_eval(terms: Sequence[Tuple[Sequence[int], int]], gamma: TorusPoint) -> Fraction:
@@ -166,11 +166,23 @@ class RepRing:
         The same depth-ordered pass fills the full table: μ's value goes onto its
         orbit, memoized on the ring (the datum is shared and frozen), so a root-string
         step μ + kα̌, in the orbit of a dominant weight above μ, is a dict lookup.
+
+        A table is refused with TooLarge before it is started when it could hold more than
+        LIMIT entries: at most dim V^λ, and at most |W| per dominant μ ≤ λ, whose λ − μ has
+        coroot coordinates in the box datum.coroot_bound(λ).  The second bound is worked
+        out only when the first is over LIMIT.
         """
         lam = self.datum.dominant(lam)
         if lam in self._dominant_tables:
             return dict(self._dominant_tables[lam])
         datum = self.datum
+        if (dim := self.weyl_dim(lam)) > LIMIT:
+            box = datum.coroot_bound(lam)
+            if (orbits := datum.weyl_order * prod(b + 1 for b in box)) > LIMIT:
+                raise TooLarge("the weight table of V^%s may hold %d entries (dim V^λ = %d; "
+                               "|W| = %d times the points of the box %s is %d), over the limit "
+                               "of %d" % (lam, min(dim, orbits), dim, datum.weyl_order, box,
+                                          orbits, LIMIT))
         two_rho = datum.two_rho_dual
         # (x, α̌) = ⟨x, u⟩ with one covector u per positive coroot α̌
         coroots = [(alpha, datum.form_covector(alpha)) for alpha, _ in datum.positive_coroots]
@@ -228,7 +240,8 @@ class RepRing:
         fixed + τ + ρ dominant (Humphreys, Lie Algebras, §24 ex. 9).  The simple-root
         pairings of fixed + τ + ρ are ⟨fixed, α_i⟩ + ⟨τ+ρ, α_i⟩, the second memoized per
         table, and datum._chamber_walk reflects fixed + τ in place, on Λ.  A final pairing 0
-        means fixed + τ + ρ is singular and the term drops; ε(w) is (−1)^{#word}.
+        means fixed + τ + ρ is singular and the term drops; ε(w) is (−1)^{#word}.  The smaller
+        factor is the one of lesser dimension, μ on a tie.
         """
         lam = self.datum.dominant(lam)
         mu = self.datum.dominant(mu)
@@ -236,7 +249,7 @@ class RepRing:
         if key in self._tensor:
             return dict(self._tensor[key])
         datum = self.datum
-        iter_weight, fixed = self._table_factors(lam, mu)
+        iter_weight, fixed = (mu, lam) if self.weyl_dim(mu) <= self.weyl_dim(lam) else (lam, mu)
         base = datum._simple_pairings(fixed)
         walk = datum._chamber_walk
         acc: Dict[Coweight, int] = {}
@@ -256,29 +269,6 @@ class RepRing:
         self._tensor[key] = result
         self._tensor[(mu, lam)] = result
         return dict(result)
-
-    def _table_factors(self, lam: Coweight, mu: Coweight) -> Tuple[Coweight, Coweight]:
-        """(the factor whose weight table Brauer–Klimyk reads, the other): the smaller, μ on a tie."""
-        return (mu, lam) if self.weyl_dim(mu) <= self.weyl_dim(lam) else (lam, mu)
-
-    def check_table_budget(self, lam, mu=None) -> None:
-        """Raise ValueError, before any work, if the weight table of λ could be oversized.
-
-        With μ, the table is the one tensor_decompose(λ, μ) reads.  Its entries are at most
-        dim V^λ, and at most |W| per dominant μ' ≤ λ, whose λ − μ' has coroot coordinates in
-        the box datum.coroot_bound(λ); the lesser bound must stay within _TABLE_BUDGET.
-        """
-        datum = self.datum
-        lam = datum.dominant(lam)
-        if mu is not None:
-            lam = self._table_factors(lam, datum.dominant(mu))[0]
-        box, dim = datum.coroot_bound(lam), self.weyl_dim(lam)
-        orbits = datum.weyl_order * prod(b + 1 for b in box)
-        if min(dim, orbits) > _TABLE_BUDGET:
-            raise ValueError("the weight table of V^%s may hold %d entries (dim V^λ = %d; |W| = %d "
-                             "times the points of the box %s is %d), over the limit of %d"
-                             % (lam, min(dim, orbits), dim, datum.weyl_order, box, orbits,
-                                _TABLE_BUDGET))
 
     def tensor_multiplicity(self, lam, mu, nu) -> int:
         """dim Hom(V^ν, V^λ ⊗ V^μ)."""
@@ -304,7 +294,7 @@ class RepRing:
         Σ_w ε(w) γ^{wρ−ρ} = Π_{α>0} (1 − γ^{−α}) (Humphreys, Lie Algebras, §24.3): with
         t_j = γ^{α̌_j}, the quotient γ^λ Σ_w ε(w) t^{c_w(λ)} / Σ_w ε(w) t^{c_w(0)} over the
         signed shifts.  That sum has |W| terms where the weight table has at most dim V^λ,
-        so it is taken only when |W| ≤ dim V^λ (and |W| within WEYL_ORDER_CAP) and γ is
+        so it is taken only when |W| ≤ dim V^λ (and |W| within LIMIT) and γ is
         regular, where the denominator is nonzero.  Otherwise the trace is
         Σ_ν mult(ν) γ^ν over the memoized weight table.  Either way the trace is kept, with
         the denominator, until a call at another γ.
@@ -316,7 +306,7 @@ class RepRing:
         trace = self._traces.get(lam)
         if trace is not None:
             return trace
-        if datum.weyl_order <= min(self.weyl_dim(lam), WEYL_ORDER_CAP):
+        if datum.weyl_order <= min(self.weyl_dim(lam), LIMIT):
             if self._denominator is None:
                 values = tuple(gamma_power(gamma, alpha) for alpha in datum.simple_coroots)
                 zero = self._signed_shifts((0,) * datum.lattice_rank)
@@ -361,7 +351,7 @@ class RepRing:
         box [0, b_1] × … × [0, b_r]; P_0 is the partition function.  The box grows to the
         coordinatewise maximum of itself and target, and the new points are filled in
         lexicographic order, which puts β − α_i before β.  Values are {q-power: count}
-        maps.  A box over _TABLE_BUDGET points raises ValueError, unfilled.
+        maps.  A box over LIMIT points raises TooLarge, unfilled.
         """
         table = self._partition_table
         if target in table:
@@ -385,7 +375,7 @@ class RepRing:
         self._partition_box = box
 
     def check_row_budget(self, lam) -> None:
-        """Raise ValueError, before any work, if λ's Satake row needs an oversized q-Kostant table.
+        """Raise TooLarge, before any work, if λ's Satake row needs an oversized q-Kostant table.
 
         The row's q-analogs read the table at λ − μ for dominant μ ≤ λ and at points below
         those, all inside the box datum.coroot_bound(λ).

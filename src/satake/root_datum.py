@@ -18,6 +18,8 @@ and callers halve a result after a parity check.  No Fraction appears:
 coroot coordinates are solved in integers through the adjugate of the Cartan
 matrix, and determinants come from fraction-free elimination.  Instances are
 immutable after construction and safe for concurrent reads.
+LIMIT is the package's one size bound: work that would hold more than LIMIT elements
+raises TooLarge where it would start, before any of it is done.
 """
 
 from __future__ import annotations
@@ -33,8 +35,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 Vector = Tuple[int, ...]
 Matrix = Tuple[Tuple[int, ...], ...]
 
-WEYL_ORDER_CAP = 1_000_000
-BOX_SCAN_CAP = 1_000_000  # the most candidates one dominant_box call scans
+LIMIT = 1_000_000
 
 
 class InvariantError(AssertionError):
@@ -42,6 +43,10 @@ class InvariantError(AssertionError):
 
     Raised explicitly, so the check also runs under ``python -O``.
     """
+
+
+class TooLarge(ValueError):
+    """An input whose work would hold more than LIMIT elements, refused before it starts."""
 
 
 class DomRep(NamedTuple):
@@ -69,7 +74,7 @@ def _closure(starts: Sequence, moves: Sequence) -> Dict:
     """Breadth-first closure of starts under moves, as {element: BFS depth}.
 
     Every closure here is a Weyl group, an orbit of it or a root system, so it
-    is refused once it outgrows the supported Weyl group order.
+    raises TooLarge once it outgrows LIMIT.
     """
     seen = dict.fromkeys(starts, 0)
     frontier = list(seen)
@@ -84,8 +89,8 @@ def _closure(starts: Sequence, moves: Sequence) -> Dict:
                     seen[y] = depth
                     nxt.append(y)
         frontier = nxt
-        if len(seen) > WEYL_ORDER_CAP:
-            raise ValueError("Weyl group exceeds the supported size cap")
+        if len(seen) > LIMIT:
+            raise TooLarge("a Weyl group closure exceeds the limit of %d" % LIMIT)
     return seen
 
 
@@ -351,7 +356,7 @@ class RootDatum:
     def weyl_elements(self) -> Tuple[Tuple[Matrix, int], ...]:
         """All Weyl group elements as (matrix on Λ, Coxeter length), by length and then matrix.
 
-        A group of more than WEYL_ORDER_CAP elements raises ValueError before any is built.
+        A group of more than LIMIT elements raises TooLarge before any is built.
         """
         self.check_weyl_order()
         n = self.lattice_rank
@@ -371,10 +376,10 @@ class RootDatum:
         return prod((k + 1) ** (counts[k] - counts[k + 1]) for k in counts)
 
     def check_weyl_order(self) -> None:
-        """Raise ValueError when the Weyl group has more than WEYL_ORDER_CAP elements."""
-        if self.weyl_order > WEYL_ORDER_CAP:
-            raise ValueError("the Weyl group has %d elements, over the limit of %d"
-                             % (self.weyl_order, WEYL_ORDER_CAP))
+        """Raise TooLarge when the Weyl group has more than LIMIT elements."""
+        if self.weyl_order > LIMIT:
+            raise TooLarge("the Weyl group has %d elements, over the limit of %d"
+                           % (self.weyl_order, LIMIT))
 
     def dot_orbit(self, lam: Sequence) -> Tuple[Tuple[Vector, int], ...]:
         """(coroot coordinates c of w(λ+ρ) − (λ+ρ), (−1)^{ℓ(w)}) for every w in W, e first.
@@ -382,8 +387,8 @@ class RootDatum:
         λ must be dominant.  ⟨λ+ρ, α_i⟩ = p_i + 1 for the simple-root pairings p of λ, so on
         λ+ρ + Σ c_j α̌_j the reflection s_i changes only c_i, by −(p_i + 1 + (C c)_i) for the
         Cartan matrix C.  λ+ρ is strictly dominant, so its stabilizer is trivial and the BFS
-        depth of w is ℓ(w).  Raises ValueError for a λ that is not dominant, or a group over
-        WEYL_ORDER_CAP.
+        depth of w is ℓ(w).  Raises ValueError for a λ that is not dominant, and TooLarge for
+        a group over LIMIT.
         """
         shifted = [p + 1 for p in self._simple_pairings(lam)]
         if min(shifted, default=1) <= 0:
@@ -411,7 +416,7 @@ class RootDatum:
         data: otherwise the walk runs over the simple-root pairings p ≥ 0 of λ,
         λ = adj(R)·p / det R for the matrix R of simple roots, and
         ⟨λ, 2ρ̌⟩ = Σ k_i p_i with 2ρ̌ = Σ k_i α_i, every k_i ≥ 1.  A scan of more
-        than BOX_SCAN_CAP candidates raises ValueError before it starts.
+        than LIMIT candidates raises TooLarge before it starts.
         """
         if coord_bound is None:
             coord_bound = pair_bound
@@ -423,9 +428,9 @@ class RootDatum:
             adjugate, det = _adjugate(roots)
             levels = [sum(map(operator.mul, column, two_rho)) // det for column in zip(*adjugate)]
             ranges = [range(pair_bound // k + 1) for k in levels]
-        if (scan := prod(max(r.stop - r.start, 0) for r in ranges)) > BOX_SCAN_CAP:
-            raise ValueError("the dominant coweights of level at most %d would take a scan of %d "
-                             "candidates, over the limit of %d" % (pair_bound, scan, BOX_SCAN_CAP))
+        if (scan := prod(max(r.stop - r.start, 0) for r in ranges)) > LIMIT:
+            raise TooLarge("the dominant coweights of level at most %d would take a scan of %d "
+                           "candidates, over the limit of %d" % (pair_bound, scan, LIMIT))
         candidates = iter_product(*ranges)
         if not central:
             scaled = ([sum(map(operator.mul, row, p)) for row in adjugate] for p in candidates)

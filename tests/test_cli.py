@@ -650,6 +650,49 @@ def test_satake_refuses_an_oversized_q_kostant_box_while_parsing(capsys, monkeyp
     assert code == 0 and out.startswith("c_0,0: ") and out.endswith("(q = v^2)\n")
 
 
+# one oversized input per subcommand, each refused before its work starts; hecke-mul and
+# predict read the table of (1001, 1001), the smaller factor, and ran unbounded before
+OVERSIZED = [
+    (("tensor", "--datum", "SL3", "1001,1001", "1001,1000"), "V^(1001, 1000) may hold"),
+    (("weights", "--datum", "SL3", "1001,1001"), "may hold 6024024 entries"),
+    (("satake", "--datum", "SL3", "1001,1001"), "would hold 1004004 points"),
+    (("hecke-mul", "--datum", "SL3", "1001,1001", "1001,1001"), "may hold 6024024 entries"),
+    (("whittaker-eval", "--datum", "SL3", "--gamma=2,3", "--cutoff", "100000"), "scan of"),
+    (("predict", "--datum", "SL3", "1001,1001", "1001,1001", "0,0"), "may hold 6024024 entries"),
+    (("strata", "--datum", "SL3", "1413"), "gives 1000405 strata"),
+    (("verify-cs", "--datum", "SL3", "100"), "gives 1758276 module-axiom pairs"),
+    (("verify-eq2", "--datum", "PGL2", "20", "7"), "7^20 points"),
+]
+
+
+def test_every_subcommand_has_an_oversized_case():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(argv[0] for argv, _ in OVERSIZED) == sorted(sub.choices)
+
+
+@pytest.mark.parametrize("argv, message", OVERSIZED, ids=[argv[0] for argv, _ in OVERSIZED])
+def test_every_subcommand_refuses_an_oversized_input(capsys, monkeypatch, argv, message):
+    from satake.grassmannian import Grassmannian
+    from satake.rank1_oracle import Rank1Oracle
+    from satake.rep_ring import RepRing
+    from satake.whittaker import WhittakerModule
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the work started before the refusal")
+
+    for owner, name in [(RepRing, "dominant_weights_below"), (RepRing, "lusztig_q_analog"),
+                        (Grassmannian, "drinfeld_strata"), (WhittakerModule, "act"),
+                        (Rank1Oracle, "verify_eq2")]:
+        monkeypatch.setattr(owner, name, no_work)
+    monkeypatch.setattr(cli, "is_prime", no_work)
+    start = time.monotonic()
+    code, out, err = run(capsys, *argv)
+    assert time.monotonic() - start < 1
+    assert code == 2 and out == ""
+    assert message in err and ("limit of 1000000" in err or "limit is 1000000" in err)
+
+
 def test_library_value_error_is_exit_3(capsys, monkeypatch):
     from satake import rep_ring
 

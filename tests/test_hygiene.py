@@ -1,6 +1,7 @@
 """Static guards on the library source: no asserts, no floats, stdlib-only imports, no dead names.
 
-The lattice module (root_datum.py) also imports no fractions: it works in integers.
+The lattice module (root_datum.py) also imports no fractions: it works in integers, and it
+holds the one size bound, LIMIT: no other 10⁶ literal may appear in the library.
 
 Contracts must be raised exceptions so they hold under ``python -O``, every
 value is exact, and the runtime needs nothing beyond the standard library.
@@ -29,12 +30,27 @@ REFERENCE_ROUTES = (
 )
 # lattice code, whose coroot coordinates and determinants are ints: no Fraction may enter
 INTEGER_ONLY = {"root_datum.py"}
+# the module whose LIMIT assignment is the one 10⁶ literal of the library
+SIZE_BOUND_HOME = "root_datum.py"
+
+
+def _is_million(node) -> bool:
+    """A literal 10⁶: 1000000 in any spelling, or 10 ** 6."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        return all(isinstance(n, ast.Constant) for n in (node.left, node.right)) and (
+            node.left.value, node.right.value) == (10, 6)
+    return isinstance(node, ast.Constant) and type(node.value) is int and node.value == 10 ** 6
 
 
 def _violations(path):
     tree = ast.parse(path.read_text(), filename=str(path))
+    limit = [node.value for node in ast.walk(tree)
+             if path.name == SIZE_BOUND_HOME and isinstance(node, ast.Assign)
+             and [getattr(target, "id", None) for target in node.targets] == ["LIMIT"]]
     for node in ast.walk(tree):
         where = "%s:%d" % (path.name, getattr(node, "lineno", 0))
+        if _is_million(node) and node not in limit:
+            yield "%s 10**6 literal outside root_datum.LIMIT" % where
         if isinstance(node, ast.Assert):
             yield "%s assert statement" % where
         elif isinstance(node, ast.Constant) and type(node.value) in (float, complex):
@@ -111,6 +127,12 @@ def test_the_guards_fire(tmp_path):
     ] * 2
     sample.write_text(lattice.read_text())
     assert list(_violations(sample)) == []
+    # 10⁶ may be spelled only as root_datum.LIMIT
+    sample.write_text("a = 10 ** 6\nb = 1_000_000\nLIMIT = 1000000\nc = 10 ** 5\n")
+    assert [line.split(" ", 1)[1] for line in _violations(sample)] == [
+        "10**6 literal outside root_datum.LIMIT"] * 3
+    lattice.write_text("LIMIT = 1_000_000\nOTHER = 1_000_000\n")
+    assert [line.split(" ", 1)[0] for line in _violations(lattice)] == ["root_datum.py:2"]
     # a public def nothing names is dead; a private one, or one a tracer string names, is not
     dead = tmp_path / "dead.py"
     dead.write_text("def used():\n    pass\n\ndef unused():\n    used()\n\ndef _private():\n    pass\n")

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from satake.grassmannian import Grassmannian
 from satake.laurent import LaurentPoly, ONE
 from satake.rep_ring import RepRing, _alternating_eval, gamma_power, torus_point
-from satake.root_datum import PRESETS, RootDatum, build_root_datum
+from satake.root_datum import PRESETS, RootDatum, TooLarge, build_root_datum
 
 
 def char_product_decompose(rep, lam, mu):
@@ -338,31 +338,39 @@ def test_tensor_requires_dominant_inputs():
 @pytest.mark.parametrize("spec, bound", [(PRESETS[name], _BOX_BOUNDS[name]) for name in sorted(PRESETS)]
                          + [(REDUCIBLE, 10)], ids=sorted(PRESETS) + ["A1xC2"])
 def test_table_budget_bounds_the_weight_table(monkeypatch, spec, bound):
-    # a budget one below the table's true size must be refused: the bound is never short
+    # a limit one below the table's true size must be refused: the bound is never short
     from satake import rep_ring
 
     rep = RepRing(spec)
     for lam in rep.datum.dominant_box(bound):
-        rep.check_table_budget(lam)
-        monkeypatch.setattr(rep_ring, "_TABLE_BUDGET", len(rep.weights_with_multiplicity(lam)) - 1)
-        with pytest.raises(ValueError, match="may hold"):
-            rep.check_table_budget(lam)
+        size = len(rep.weights_with_multiplicity(lam))  # admitted under the real LIMIT
+        monkeypatch.setattr(rep_ring, "LIMIT", size - 1)
+        fresh = RepRing(rep.datum)
+        with pytest.raises(TooLarge, match="may hold"):
+            fresh.dominant_multiplicity_table(lam)
+        assert not fresh._dominant_tables and not fresh._full_weights
         monkeypatch.undo()
 
 
 def test_table_budget_is_checked_before_any_table_is_built(monkeypatch):
-    def unreachable(self, lam):
-        raise AssertionError("a weight table was started before the budget check")
+    class Started(Exception):
+        pass
 
-    monkeypatch.setattr(RepRing, "dominant_weights_below", unreachable)
+    def started(self, lam):
+        raise Started(lam)  # the limit admitted λ: its table would be built now
+
+    monkeypatch.setattr(RepRing, "dominant_weights_below", started)
     rep = RepRing("SL3")
-    with pytest.raises(ValueError, match="may hold 6024024 entries"):  # 6 · 1002²
-        rep.check_table_budget((1001, 1001))
-    rep.check_table_budget((100, 100))  # 6 · 101² = 61,206
+    with pytest.raises(TooLarge, match="may hold 6024024 entries"):  # 6 · 1002²
+        rep.dominant_multiplicity_table((1001, 1001))
+    with pytest.raises(Started):
+        rep.dominant_multiplicity_table((100, 100))  # 6 · 101² = 61,206
     # Brauer–Klimyk reads the table of the smaller factor, (1, 0), not of (1001, 1001)
-    rep.check_table_budget((1001, 1001), (1, 0))
-    with pytest.raises(ValueError, match=r"V\^\(1001, 1000\)"):
-        rep.check_table_budget((1001, 1001), (1001, 1000))
+    with pytest.raises(Started) as admitted:
+        rep.tensor_decompose((1001, 1001), (1, 0))
+    assert admitted.value.args == ((1, 0),)
+    with pytest.raises(TooLarge, match=r"V\^\(1001, 1000\)"):
+        rep.tensor_decompose((1001, 1001), (1001, 1000))
 
 
 # -- characters ----------------------------------------------------------------------
@@ -478,7 +486,7 @@ def _e7():
 
 @pytest.mark.parametrize("cartan, lam, order", [
     (_a8(), (1,) + (0,) * 7, 362_880),        # SL9, the standard representation
-    (_e7(), (0,) * 6 + (1,), 2_903_040),      # E7, over WEYL_ORDER_CAP; the minuscule 56
+    (_e7(), (0,) * 6 + (1,), 2_903_040),      # E7, over LIMIT; the minuscule 56
 ], ids=["SL9", "E7"])
 def test_a_small_lambda_on_a_large_weyl_group_takes_the_table_route(monkeypatch, cartan, lam, order):
     # |W| > dim V^λ: Weyl's formula would sum more terms than the weight table holds
