@@ -1,10 +1,10 @@
 """Command-line front end: datum selection, computations, verification batteries.
 
 Every subcommand produces deterministic output for fixed inputs (sorted keys,
-canonical polynomial printing).  Exit status: 0 success, 1 verification
-failure, 2 usage error (input rejected while it is parsed, or refused as
-TooLarge before its work starts), 3 internal error (a broken invariant, or
-another ValueError from the library on validated input).
+canonical polynomial printing); the CLI parses, dispatches and maps exceptions to exit
+codes, and each library layer checks and bounds its own work.  Exit status: 0 success, 1
+verification failure, 2 usage error (input refused while it is parsed or by its layer's
+check, or as TooLarge), 3 internal error (a broken invariant, or another ValueError).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .grassmannian import Grassmannian
 from .hecke import A_BASIS, BasisElement, HeckeAlgebra
-from .rank1_oracle import Rank1Oracle, is_prime
+from .rank1_oracle import Rank1Oracle
 from .rep_ring import RepRing, torus_point
 from .root_datum import LIMIT, PRESETS, RootDatum, TooLarge, build_root_datum
 from .whittaker import WhittakerModule
@@ -244,12 +244,7 @@ def _cmd_predict(args) -> int:
 
 def _cmd_strata(args) -> int:
     datum = _load_datum(args.datum)
-    if args.bound < 0:
-        raise UsageError("the defect bound must be nonnegative; got %d" % args.bound)
-    count = math.comb(args.bound + datum.rank, datum.rank)
-    if count > LIMIT:
-        raise TooLarge("bound %d gives %d strata; the limit is %d" % (args.bound, count, LIMIT))
-    strata = Grassmannian(RepRing(datum)).drinfeld_strata(args.bound)
+    strata = _refused(Grassmannian(RepRing(datum)).drinfeld_strata, args.bound)
     _emit(
         args,
         payload=[{"gamma": list(gamma), "codim": codim} for gamma, codim in strata],
@@ -350,22 +345,9 @@ def _cmd_verify_cs(args) -> int:
 
 
 def _cmd_verify_eq2(args) -> int:
-    datum = _load_datum(args.datum)
-    if args.m_max < 0:
-        raise UsageError("m_max must be nonnegative (the battery would be empty); got %d"
-                         % args.m_max)
-    # the largest cell has q^m_max F_q-points, each enumerated with a ψ-value of q − 1
-    # integers.  Checked before primality, whose trial division is slow for a huge q; q ≥ 2
-    # passes LIMIT within its bit length in factors, so the power is never formed in full
-    q = max(args.primes)
-    if max(q, q ** min(args.m_max, LIMIT.bit_length())) > LIMIT:
-        raise TooLarge("battery too large: its largest cell has %d^%d points, each with a "
-                       "ψ-value of %d integers; the limit is %d of either"
-                       % (q, args.m_max, q - 1, LIMIT))
-    for q in args.primes:
-        if not is_prime(q):
-            raise UsageError("q values must be primes; got %d" % q)
-    report = _refused(Rank1Oracle, datum).verify_eq2(args.m_max, args.primes)
+    oracle = _refused(Rank1Oracle, _load_datum(args.datum))
+    _refused(oracle.require_battery, args.m_max, args.primes)
+    report = oracle.verify_eq2(args.m_max, args.primes)
     lines = [report.summary()] + [
         "FAIL lambda=%d mu=%d nu=%d q=%d: lhs=%s rhs=%s"
         % (record.lam, record.mu, record.nu, record.q, record.lhs, record.rhs)
@@ -462,7 +444,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         sys.stderr.write("internal invariant violation: %s\n" % exc)
         return 3
     except ValueError as exc:
-        # input is validated while it is parsed, so any other ValueError is a library bug
+        # input is checked before its work starts, so any other ValueError is a library bug
         sys.stderr.write("internal error: %s\n" % exc)
         return 3
 

@@ -14,10 +14,11 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from typing import Dict, List, Optional, Tuple
 
 from .rep_ring import RepRing
-from .root_datum import InvariantError
+from .root_datum import LIMIT, InvariantError, TooLarge
 
 Coweight = Tuple[int, ...]
 
@@ -142,11 +143,14 @@ class Grassmannian:
         """Strata of the compactified moduli of unipotent structures, with codimension.
 
         One stratum per defect γ = −Σ d_i α_i with Σ d_i ≤ degree_bound; the
-        codimension is 2Σ d_i, always even.
+        codimension is 2Σ d_i, always even.  More than LIMIT strata raise TooLarge before any.
         """
         if degree_bound < 0:
-            raise ValueError("degree bound must be nonnegative")
+            raise ValueError("degree bound must be nonnegative; got %d" % degree_bound)
         rank, coroots = self.datum.rank, self.datum.simple_coroots
+        if (count := comb(degree_bound + rank, rank)) > LIMIT:
+            raise TooLarge("bound %d gives %d strata; the limit is %d"
+                           % (degree_bound, count, LIMIT))
         out: List[Tuple[Coweight, int]] = []
         # stars and bars: r cut points in range(bound + r) give the r degrees between them
         for cuts in combinations(range(degree_bound + rank), rank):

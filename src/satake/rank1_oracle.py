@@ -22,7 +22,8 @@ Two evaluation routes are kept: literal point enumeration, which adds exact
 ψ-values in Z[ζ_p] (sums are the only cyclotomic arithmetic it needs), and
 the closed-form collapse (a free ψ-coordinate sums to zero; an absent one
 contributes the point count).  Their agreement is itself part of the
-contract.  q is restricted to primes, where the trace map is the identity.
+contract.  q is restricted to primes, where the trace map is the identity.  A cell
+over LIMIT raises TooLarge before it is enumerated, and a battery before its first triple.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .hecke import HeckeAlgebra
 from .laurent import LaurentPoly, VMonomial
-from .root_datum import InvariantError, RootDatum, build_root_datum
+from .root_datum import LIMIT, InvariantError, RootDatum, TooLarge, build_root_datum
 
 
 def is_prime(n: int) -> bool:
@@ -109,6 +110,14 @@ def _cell_coordinates(m: int, n: int) -> Optional[Tuple[int, ...]]:
     if (m - n) % 2 != 0 or abs(n) > m:
         return None
     return tuple(range((n - m) // 2, n))
+
+
+def _require_cell(q: int, dim: int, what: str) -> None:
+    """Raise TooLarge when q^dim points, or ψ-values of q − 1 integers, exceed LIMIT."""
+    # q ≥ 2 passes LIMIT within its bit length in factors, so the power is never formed in full
+    if max(q, q ** min(dim, LIMIT.bit_length())) > LIMIT:
+        raise TooLarge("%s has %d^%d points, each with a ψ-value of %d integers; the limit is "
+                       "%d of either" % (what, q, dim, q - 1, LIMIT))
 
 
 def half_power(coeff, odd: bool) -> VMonomial:
@@ -194,16 +203,15 @@ class Rank1Oracle:
         Computed both ways, which must agree: by literal enumeration with
         cyclotomic ψ-values (memoized per cell dimension, ψ-coordinate
         presence and q), and in closed form (free ψ-coordinate ⇒ 0,
-        absent ⇒ q^dim).
+        absent ⇒ q^dim).  A cell over LIMIT raises TooLarge before it is enumerated.
         """
-        if not is_prime(q):
-            raise ValueError("the oracle works over prime fields; got q = %d" % q)
         coords = _cell_coordinates(mprime, n)
         if coords is None:
             raise ValueError("empty cell (m = %d, n = %d)" % (mprime, n))
         present = j in coords
         key = (len(coords), present, q)
         if key not in self._closed_sums:
+            _require_cell(q, len(coords), "cell (%d, %d)" % (mprime, n))
             pos = coords.index(j) if present else None
             total = Cyclotomic(q)
             for point in iter_product(range(q), repeat=len(coords)):
@@ -244,7 +252,7 @@ class Rank1Oracle:
         j = -1 - mu
         total = LaurentPoly()
         if (m - n) % 2 == 0:
-            for mprime in range(abs(n), m + 1, 2):
+            for mprime in range(m, abs(n) - 1, -2):  # the largest cell is checked first
                 total = total + self.ic_weight(m, mprime) * self.stratum_charsum(mprime, n, j, q)
         total = total.shift(-2 * n)  # measure of the stabilizer of ν(t): q^{−ν}
         if not total:
@@ -285,8 +293,21 @@ class Rank1Oracle:
                     out.append((m, n, mu))
         return out
 
+    def require_battery(self, m_max: int, q_list: Sequence[int]) -> None:
+        """Raise ValueError unless verify_eq2 would run a nonempty battery over distinct primes.
+
+        In order, so a huge q is refused before its slow primality test: m_max ≥ 0 and some q;
+        the largest cell, q^m_max points, within LIMIT (TooLarge); each q prime, none repeated.
+        """
+        if m_max < 0 or not q_list:
+            raise ValueError("m_max %d and q values %s give an empty battery" % (m_max, q_list))
+        _require_cell(max(q_list), m_max, "battery too large: its largest cell")
+        if len(set(q_list)) < len(q_list) or not all(map(is_prime, q_list)):
+            raise ValueError("q values must be distinct primes; got %s" % list(q_list))
+
     def verify_eq2(self, m_max: int, q_list: Sequence[int]) -> Eq2Report:
-        """Run the whole battery; failures become report entries, not exceptions."""
+        """Run the battery, checked first by require_battery; failures become report entries."""
+        self.require_battery(m_max, q_list)
         records = [
             self.check_triple(m, mu, n, q)
             for q in q_list

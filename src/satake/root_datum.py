@@ -445,13 +445,6 @@ class RootDatum:
         out.sort()
         return [coords for _, coords in out]
 
-    def to_json(self) -> dict:
-        return {
-            "cartan": [list(row) for row in self.cartan_matrix],
-            "coroots": [list(v) for v in self.simple_coroots],
-            "roots": [list(v) for v in self.simple_roots],
-        }
-
 
 # Preset lattices.  Coordinates:
 #   PGL2 — Λ = Z in the fundamental-coweight coordinate; dual group SL(2).

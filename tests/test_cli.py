@@ -10,9 +10,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from satake import cli
 from satake.cli import main
+from satake.hecke import A_BASIS, HeckeAlgebra
+from satake.laurent import LaurentPoly
+from satake.rep_ring import RepRing
+from satake.root_datum import PRESETS, build_root_datum
 
 
 def run(capsys, *argv):
@@ -162,12 +167,13 @@ def test_verify_eq2_rejects_composite_field_size(capsys):
     ids=["m20-q7", "m8-q7", "huge-m", "huge-q"],
 )
 def test_oversized_eq2_battery_is_refused_while_parsing(capsys, monkeypatch, argv, count):
+    from satake import rank1_oracle
     from satake.rank1_oracle import Rank1Oracle
 
     def no_work(*args, **kwargs):
         raise AssertionError("the battery started")
 
-    monkeypatch.setattr(cli, "is_prime", no_work)
+    monkeypatch.setattr(rank1_oracle, "is_prime", no_work)
     monkeypatch.setattr(Rank1Oracle, "verify_eq2", no_work)
     start = time.monotonic()
     code, out, err = run(capsys, "verify-eq2", "--datum", "PGL2", *argv)
@@ -182,6 +188,18 @@ def test_eq2_point_budget_admits_the_largest_batteries_in_use(capsys, monkeypatc
 
     monkeypatch.setattr(Rank1Oracle, "verify_eq2", lambda self, m_max, primes: Eq2Report(()))
     assert run(capsys, "verify-eq2", "--datum", "PGL2", *argv) == (0, "PASS 0/0\n", "")
+
+
+def test_value_error_inside_a_running_battery_is_exit_3(capsys, monkeypatch):
+    from satake.rank1_oracle import Rank1Oracle
+
+    def broken(self, lam, mu, nu, q):
+        raise ValueError("library bug")
+
+    monkeypatch.setattr(Rank1Oracle, "eq2_lhs", broken)
+    code, out, err = run(capsys, "verify-eq2", "--datum", "PGL2", "1", "3")
+    assert code == 3 and out == ""
+    assert "internal error: library bug" in err
 
 
 def test_verify_eq2_rejects_wrong_datum(capsys):
@@ -434,6 +452,7 @@ def test_internal_invariant_violation_is_exit_3(capsys, monkeypatch):
         (("verify-eq2", "--datum", "PGL2", "3", "--"), "required: q"),
         (("verify-cs", "--datum", "PGL2", "--", "-1"), "window would be empty"),
         (("verify-cs", "--datum", "PGL2", "2", "--gammas", "0"), "--gammas"),
+        (("verify-eq2", "--datum", "PGL2", "2", "3", "3"), "distinct primes"),
     ],
 )
 def test_empty_battery_is_usage_error(capsys, monkeypatch, argv, message):
@@ -516,10 +535,10 @@ def test_non_dominant_coweight_is_rejected_while_parsing(capsys, monkeypatch, ar
 
 
 def test_negative_bound_is_usage_error(capsys, monkeypatch):
-    from satake.grassmannian import Grassmannian
+    from satake import grassmannian
     from satake.root_datum import RootDatum
 
-    monkeypatch.setattr(Grassmannian, "drinfeld_strata", lambda self, bound: [][bound])
+    monkeypatch.setattr(grassmannian, "combinations", lambda pool, r: [][-1])
     monkeypatch.setattr(RootDatum, "dominant_box", lambda self, bound: [][bound])
     for argv in [("strata", "--datum", "SL3", "--", "-1"),
                  ("whittaker-eval", "--datum", "SL3", "--gamma=2,3", "--cutoff", "-1")]:
@@ -567,18 +586,18 @@ def test_verify_cs_prints_the_same_under_python_O():
 
 
 def test_strata_budget_is_checked_while_parsing(capsys, monkeypatch):
-    from satake.grassmannian import Grassmannian
+    from satake import grassmannian
 
-    def no_work(self, bound):
+    def no_work(pool, r):
         raise AssertionError("the strata were listed")
 
-    monkeypatch.setattr(Grassmannian, "drinfeld_strata", no_work)
+    monkeypatch.setattr(grassmannian, "combinations", no_work)
     start = time.monotonic()
     code, out, err = run(capsys, "strata", "--datum", "SL3", "1413")  # C(1415, 2) strata
     assert time.monotonic() - start < 1
     assert code == 2 and out == ""
     assert "bound 1413 gives 1000405 strata; the limit is 1000000" in err
-    monkeypatch.setattr(Grassmannian, "drinfeld_strata", lambda self, bound: [])
+    monkeypatch.setattr(grassmannian, "combinations", lambda pool, r: [])
     assert run(capsys, "strata", "--datum", "SL3", "1412") == (0, "[]\n", "")  # 998,991
 
 
@@ -673,7 +692,7 @@ def test_every_subcommand_has_an_oversized_case():
 
 @pytest.mark.parametrize("argv, message", OVERSIZED, ids=[argv[0] for argv, _ in OVERSIZED])
 def test_every_subcommand_refuses_an_oversized_input(capsys, monkeypatch, argv, message):
-    from satake.grassmannian import Grassmannian
+    from satake import grassmannian, rank1_oracle
     from satake.rank1_oracle import Rank1Oracle
     from satake.rep_ring import RepRing
     from satake.whittaker import WhittakerModule
@@ -682,10 +701,9 @@ def test_every_subcommand_refuses_an_oversized_input(capsys, monkeypatch, argv, 
         raise AssertionError("the work started before the refusal")
 
     for owner, name in [(RepRing, "dominant_weights_below"), (RepRing, "lusztig_q_analog"),
-                        (Grassmannian, "drinfeld_strata"), (WhittakerModule, "act"),
-                        (Rank1Oracle, "verify_eq2")]:
+                        (grassmannian, "combinations"), (WhittakerModule, "act"),
+                        (Rank1Oracle, "verify_eq2"), (rank1_oracle, "is_prime")]:
         monkeypatch.setattr(owner, name, no_work)
-    monkeypatch.setattr(cli, "is_prime", no_work)
     start = time.monotonic()
     code, out, err = run(capsys, *argv)
     assert time.monotonic() - start < 1
@@ -703,3 +721,38 @@ def test_library_value_error_is_exit_3(capsys, monkeypatch):
     code, _, err = run(capsys, "tensor", "--datum", "PGL2", "1", "1")
     assert code == 3
     assert "internal error: library bug" in err
+
+
+# ⟨λ, 2ρ̌⟩ bounds of the coweights drawn for the JSON round trips
+_JSON_BOUNDS = {"PGL2": 6, "SL2": 6, "GL2": 3, "SL3": 6, "GL3": 2, "Sp4": 8, "G2": 10}
+
+
+def _json_main(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0
+    return json.loads(out.getvalue())
+
+
+def _decode_element(wire, basis):
+    """{μ: coefficient} from {"basis": b, "terms": [{"coweight": μ, "coeff": {"v": {e: c}}}]}."""
+    assert wire["basis"] == basis
+    return {tuple(term["coweight"]): LaurentPoly({int(e): c for e, c in term["coeff"]["v"].items()})
+            for term in wire["terms"]}
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(sorted(PRESETS)), data=st.data())
+def test_json_output_decodes_to_the_library_values(name, data):
+    box = build_root_datum(name).dominant_box(_JSON_BOUNDS[name])
+    lam, mu = data.draw(st.sampled_from(box)), data.draw(st.sampled_from(box))
+    keys = [",".join(map(str, cw)) for cw in (lam, mu)]
+    algebra = HeckeAlgebra(name)
+    row = _json_main("satake", "--datum", name, "--format", "json", "--", keys[0])
+    assert _decode_element(row, "C") == algebra.satake_row(lam)
+    product = _json_main("hecke-mul", "--datum", name, "--", *keys)
+    a_lam, a_mu = algebra.monomial(A_BASIS, lam), algebra.monomial(A_BASIS, mu)
+    assert _decode_element(product, "A") == algebra.mul(a_lam, a_mu).terms
+    tensor = _json_main("tensor", "--datum", name, "--format", "json", "--", *keys)
+    decoded = {tuple(int(x) for x in key.split(",")): mult for key, mult in tensor.items()}
+    assert decoded == RepRing(name).tensor_decompose(lam, mu)

@@ -1,10 +1,13 @@
 import itertools
+import time
 
 import pytest
 
+from satake import grassmannian
 from satake.grassmannian import Grassmannian
 from satake.hecke import A_BASIS, HeckeAlgebra
 from satake.rep_ring import RepRing
+from satake.root_datum import TooLarge
 from satake.whittaker import WhittakerModule
 
 
@@ -222,8 +225,22 @@ def test_strata_counts_and_codims():
         coords = g.datum.coroot_coordinates(gamma)
         assert coords is not None
         assert codim == -2 * sum(coords) and codim >= 0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="nonnegative") as refused:
         g.drinfeld_strata(-1)
+    assert not isinstance(refused.value, TooLarge)
+
+
+def test_oversized_strata_are_refused_before_any_is_listed(monkeypatch):
+    def no_work(pool, r):
+        raise AssertionError("the strata were listed")
+
+    monkeypatch.setattr(grassmannian, "combinations", no_work)
+    start = time.monotonic()
+    with pytest.raises(TooLarge, match="bound 1413 gives 1000405 strata; the limit is 1000000"):
+        make("SL3").drinfeld_strata(1413)  # C(1415, 2) strata
+    assert time.monotonic() - start < 1
+    monkeypatch.setattr(grassmannian, "combinations", lambda pool, r: [])
+    assert make("SL3").drinfeld_strata(1412) == []  # C(1414, 2) = 998,991 strata
 
 
 def test_strata_are_the_degree_vectors_of_a_box():

@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,7 +10,9 @@ import pytest
 
 from satake.laurent import LaurentPoly, ONE, VMonomial
 from satake.cli import main
+from satake import rank1_oracle
 from satake.rank1_oracle import Cyclotomic, Rank1Oracle, _cell_coordinates, half_power, is_prime
+from satake.root_datum import TooLarge
 
 
 @pytest.fixture(scope="module")
@@ -249,3 +252,48 @@ def test_half_power_normalizes_zero():
 
 def test_is_prime():
     assert [n for n in range(20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
+
+
+def _unreachable(*args, **kwargs):
+    raise AssertionError("the work started before the refusal")
+
+
+@pytest.mark.parametrize("m_max, primes, message", [
+    (20, [7], "battery too large: its largest cell has 7^20 points"),
+    (8, [3, 7], "7^8 points"),
+    (0, [1000003], "1000003^0 points, each with a ψ-value of 1000002 integers"),
+], ids=["m20-q7", "m8-q7", "huge-q"])
+def test_an_oversized_battery_is_refused_before_any_triple(monkeypatch, m_max, primes, message):
+    monkeypatch.setattr(Rank1Oracle, "check_triple", _unreachable)
+    monkeypatch.setattr(rank1_oracle, "is_prime", _unreachable)
+    start = time.monotonic()
+    with pytest.raises(TooLarge) as refused:
+        Rank1Oracle().verify_eq2(m_max, primes)
+    assert time.monotonic() - start < 1
+    assert message in str(refused.value)
+
+
+@pytest.mark.parametrize("triple, message", [
+    ((40, 0, 40, 3), "cell (40, 40) has 3^40 points"),
+    ((40, 0, 0, 3), "cell (40, 0) has 3^20 points"),
+], ids=["one-cell", "twenty-one-cells"])
+def test_an_oversized_cell_is_refused_before_any_point(monkeypatch, triple, message):
+    # (40, 0, 0, 3) meets cells of 3^0 … 3^20 points: the largest comes first, so no cell
+    # within the limit (up to 3^12 points) is enumerated before the refusal
+    monkeypatch.setattr(rank1_oracle, "iter_product", _unreachable)
+    start = time.monotonic()
+    with pytest.raises(TooLarge) as refused:
+        Rank1Oracle().check_triple(*triple)
+    assert time.monotonic() - start < 1
+    assert message in str(refused.value)
+
+
+@pytest.mark.parametrize("m_max, primes, message", [
+    (-1, [3], "empty battery"), (2, [], "empty battery"),
+    (2, [4], "distinct primes"), (2, [3, 3], "distinct primes"), (2, [5, 3, 5], "distinct primes"),
+], ids=["negative-m", "no-q", "composite-q", "repeated-q", "repeated-q-apart"])
+def test_an_empty_or_ill_formed_battery_is_refused(monkeypatch, m_max, primes, message):
+    monkeypatch.setattr(Rank1Oracle, "check_triple", _unreachable)
+    with pytest.raises(ValueError, match=message) as refused:
+        Rank1Oracle().verify_eq2(m_max, primes)
+    assert not isinstance(refused.value, TooLarge)

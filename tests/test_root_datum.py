@@ -253,7 +253,9 @@ def test_dominance_is_a_partial_order():
 
 def test_explicit_datum_round_trip():
     base = build_root_datum("Sp4")
-    rebuilt = build_root_datum(base.to_json())
+    rebuilt = build_root_datum({"cartan": [list(row) for row in base.cartan_matrix],
+                                "coroots": [list(v) for v in base.simple_coroots],
+                                "roots": [list(v) for v in base.simple_roots]})
     assert rebuilt == base
     assert rebuilt.weyl_order == 8
 
