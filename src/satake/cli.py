@@ -277,10 +277,10 @@ def _cmd_verify_cs(args) -> int:
     _refused(module.require_window, args.cutoff)
     if args.gammas < 1:
         raise UsageError("--gammas must be at least 1; got %d" % args.gammas)
-    box = datum.dominant_box(args.cutoff)
-    if len(box) ** 2 > LIMIT:
+    if (pairs := datum.dominant_count(args.cutoff) ** 2) > LIMIT:
         raise TooLarge("cutoff %d gives %d module-axiom pairs; the limit is %d"
-                       % (args.cutoff, len(box) ** 2, LIMIT))
+                       % (args.cutoff, pairs, LIMIT))
+    box = datum.dominant_box(args.cutoff)
     phi0 = module.phi_zero()
 
     def basis_case(lam):

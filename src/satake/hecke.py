@@ -10,10 +10,11 @@ The base-change matrix takes the unitriangular form
     A_λ = v^{−⟨λ,2ρ̌⟩} ( c_λ + Σ_{μ<λ} p_{λμ}(q) c_μ ),
     p_{λμ}(q) = q^{⟨λ−μ,ρ̌⟩} · m_λ^q(μ)(q^{-1}),
 
-where m_λ^q is the Lusztig q-analog of the weight multiplicity.  Three checks
-pin the q-powers in rank 1 or at q = 1 only (rank-1 closed forms, the
-finite-field character-sum oracle, and the q = 1 mass count), and the oracle
-test battery fails for any other twist.  tests/test_macdonald.py checks the
+where m_λ^q is the Lusztig q-analog of the weight multiplicity, one signed sum
+of ints read from the ring's packed q-Kostant table and decoded once.  Three checks
+pin the q-powers in rank 1 or at q = 1 only (rank-1 closed forms, the finite-field
+character-sum oracle, and the q = 1 mass count), and the oracle test battery fails
+for any other twist.  tests/test_macdonald.py checks the
 full q-dependence on every preset against Macdonald's formula, a route that
 shares no code with the q-Kostant table or the Lusztig q-analogs.
 """

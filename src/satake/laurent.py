@@ -32,6 +32,13 @@ class LaurentPoly:
     # -- constructors -----------------------------------------------------
 
     @classmethod
+    def _from_clean(cls, coeffs: Dict[int, int]) -> "LaurentPoly":
+        """Wrap, without copying or checking, a dict of int exponents to nonzero int coefficients."""
+        poly = cls.__new__(cls)
+        poly._coeffs, poly._hash = coeffs, None
+        return poly
+
+    @classmethod
     def const(cls, c: int) -> "LaurentPoly":
         return cls({0: c})
 
@@ -96,11 +103,11 @@ class LaurentPoly:
 
     def shift(self, exp: int) -> "LaurentPoly":
         """Multiply by v^exp."""
-        return LaurentPoly({e + exp: c for e, c in self._coeffs.items()})
+        return LaurentPoly._from_clean({e + exp: c for e, c in self._coeffs.items()})
 
     def subst_v_inverse(self) -> "LaurentPoly":
         """The image under v ↦ v^{-1}."""
-        return LaurentPoly({-e: c for e, c in self._coeffs.items()})
+        return LaurentPoly._from_clean({-e: c for e, c in self._coeffs.items()})
 
     # -- evaluation ----------------------------------------------------------
 

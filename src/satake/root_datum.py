@@ -342,15 +342,25 @@ class RootDatum:
                 total[k] += x
         return tuple(total)
 
+    @cached_property
+    def _form_matrix(self) -> Matrix:
+        """F = Σ_{β>0} β βᵀ over the positive roots: F[i][j] = Σ_β β_i β_j."""
+        columns = list(zip(*self.positive_roots))
+        return tuple(tuple(_dot(a, b) for b in columns) for a in columns)
+
     def form_covector(self, x: Sequence) -> Vector:
-        """Σ_{β>0} ⟨x, β⟩ β: the dual-lattice vector with (x, y) = ⟨y, form_covector(x)⟩.
+        """Σ_{β>0} ⟨x, β⟩ β = F·x: the dual-lattice vector with (x, y) = ⟨y, form_covector(x)⟩.
 
         (x, y) = Σ_{β>0} ⟨x, β⟩⟨y, β⟩ is a W-invariant symmetric form on Λ ⊗ Q,
         since W permutes the roots up to sign.  It vanishes on central
         directions and is positive definite on the span of the coroots.
         """
-        pairs = [(_dot(x, root), root) for root in self.positive_roots]
-        return tuple(sum(c * root[k] for c, root in pairs) for k in range(self.lattice_rank))
+        return tuple(_dot(row, x) for row in self._form_matrix)
+
+    @cached_property
+    def coroot_covectors(self) -> Tuple[Tuple[Vector, Vector], ...]:
+        """(α̌, form_covector(α̌)) for each positive coroot α̌."""
+        return tuple((alpha, self.form_covector(alpha)) for alpha, _ in self.positive_coroots)
 
     @cached_property
     def weyl_elements(self) -> Tuple[Tuple[Matrix, int], ...]:
@@ -407,6 +417,23 @@ class RootDatum:
         reflections = [partial(self.reflect, i) for i in range(self.rank)]
         return tuple(sorted(_closure([tuple(lam)], reflections)))
 
+    def _dominant_scan(self, pair_bound: int, coord_bound: int):
+        """The scan of dominant_box as (ranges, walk), refused with TooLarge over LIMIT.
+
+        On data with a central direction: the coordinate box and None; else the ranges of the
+        simple-root pairings p and (adj R, det R, the levels k).
+        """
+        if self.rank < self.lattice_rank:
+            walk, ranges = None, [range(-coord_bound, coord_bound + 1)] * self.lattice_rank
+        else:
+            adjugate, det = _adjugate(self.simple_roots)
+            levels = [_dot(column, self.two_rho_check) // det for column in zip(*adjugate)]
+            walk, ranges = (adjugate, det, levels), [range(pair_bound // k + 1) for k in levels]
+        if (scan := prod(max(r.stop - r.start, 0) for r in ranges)) > LIMIT:
+            raise TooLarge("the dominant coweights of level at most %d would take a scan of %d "
+                           "candidates, over the limit of %d" % (pair_bound, scan, LIMIT))
+        return ranges, walk
+
     def dominant_box(self, pair_bound: int, coord_bound: Optional[int] = None):
         """Dominant coweights λ with ⟨λ, 2ρ̌⟩ ≤ pair_bound inside a coordinate box, sorted by level.
 
@@ -421,18 +448,10 @@ class RootDatum:
         if coord_bound is None:
             coord_bound = pair_bound
         roots, two_rho = self.simple_roots, self.two_rho_check
-        central = self.rank < self.lattice_rank
-        if central:
-            ranges = [range(-coord_bound, coord_bound + 1)] * self.lattice_rank
-        else:
-            adjugate, det = _adjugate(roots)
-            levels = [sum(map(operator.mul, column, two_rho)) // det for column in zip(*adjugate)]
-            ranges = [range(pair_bound // k + 1) for k in levels]
-        if (scan := prod(max(r.stop - r.start, 0) for r in ranges)) > LIMIT:
-            raise TooLarge("the dominant coweights of level at most %d would take a scan of %d "
-                           "candidates, over the limit of %d" % (pair_bound, scan, LIMIT))
+        ranges, walk = self._dominant_scan(pair_bound, coord_bound)
         candidates = iter_product(*ranges)
-        if not central:
+        if walk is not None:
+            adjugate, det, _ = walk
             scaled = ([sum(map(operator.mul, row, p)) for row in adjugate] for p in candidates)
             candidates = (tuple(x // det for x in lam) for lam in scaled
                           if all(x % det == 0 for x in lam))
@@ -444,6 +463,37 @@ class RootDatum:
                 out.append((level, coords))
         out.sort()
         return [coords for _, coords in out]
+
+    def dominant_count(self, pair_bound: int) -> int:
+        """len(dominant_box(pair_bound)), counted without building the box where that is exact.
+
+        The walk admits the p ≥ 0 with Σ k_i p_i ≤ pair_bound and adj(R)·p ≡ 0 mod det R, and a
+        coin-change count over the levels, one row per residue of adj(R)·p (at most det R of
+        them), counts them in O(rank · det R · pair_bound) steps.  The coordinate
+        bound cuts none of them when |adj(R)_{ji}| ≤ k_i |det R|: then it holds at every vertex
+        (pair_bound/k_i)·e_i of the simplex, so on all of it.  Otherwise, and on data with a
+        central direction, the box is built.
+        """
+        _, walk = self._dominant_scan(pair_bound, pair_bound)
+        adjugate, det, levels = walk or ((), 1, ())
+        if walk is None or any(abs(a) > k * abs(det) for line in adjugate for a, k in zip(line, levels)):
+            return len(self.dominant_box(pair_bound))
+
+        def plus(residue, column):
+            return tuple((x + y) % det for x, y in zip(residue, column))
+
+        columns = list(zip(*adjugate))  # adding 1 to p_i adds column i to adj(R)·p
+        residues = list(_closure([(0,) * self.rank], [partial(plus, column=c) for c in columns]))
+        index = {r: i for i, r in enumerate(residues)}
+        ways = [[0] * (pair_bound + 1) for _ in residues]  # ways[residue][level], residue 0 first
+        if pair_bound >= 0:
+            ways[0][0] = 1
+        for k, column in zip(levels, columns):
+            step = [(ways[index[plus(r, column)]], row) for r, row in zip(residues, ways)]
+            for level in range(k, pair_bound + 1):
+                for target, row in step:
+                    target[level] += row[level - k]
+        return sum(ways[0])
 
 
 # Preset lattices.  Coordinates:

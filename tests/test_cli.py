@@ -573,6 +573,16 @@ def test_verify_cs_refuses_an_oversized_module_axiom_battery(capsys, monkeypatch
     assert "cutoff 100 gives 1758276 module-axiom pairs; the limit is 1000000" in err
 
 
+def test_verify_cs_refuses_an_oversized_battery_without_building_the_box(capsys):
+    # SL3 at cutoff 1999: the scan of 1000² pairings is admitted, and its 500500 dominant
+    # coweights are counted, not built
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify-cs", "--datum", "SL3", "1999")
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and out == ""
+    assert "cutoff 1999 gives 250500250000 module-axiom pairs; the limit is 1000000" in err
+
+
 def test_verify_cs_prints_the_same_under_python_O():
     # every contract is a raised exception, so stripping asserts changes no output
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 import random
 import sys
 import time
@@ -12,9 +13,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from satake.grassmannian import Grassmannian
+from satake.hecke import HeckeAlgebra
 from satake.laurent import LaurentPoly, ONE
 from satake.rep_ring import RepRing, _alternating_eval, gamma_power, torus_point
-from satake.root_datum import PRESETS, RootDatum, TooLarge, build_root_datum
+from satake.root_datum import PRESETS, InvariantError, RootDatum, TooLarge, build_root_datum
 
 
 def char_product_decompose(rep, lam, mu):
@@ -699,16 +701,87 @@ def test_q_kostant_table_refuses_an_oversized_box_before_filling():
     rep = RepRing("SL3")
     # 3α̌_1 + 3α̌_2 with k copies of the highest coroot α̌_1 + α̌_2: 6 − k parts, k = 0…3
     assert rep.q_kostant_partition((3, 3)) == LaurentPoly({6: 1, 8: 1, 10: 1, 12: 1})
-    box, points = rep._partition_box, len(rep._partition_table)
+    state = (rep._box, rep._strides, rep._width, list(rep._table))
     start = time.perf_counter()
     with pytest.raises(ValueError, match=r"box \(2000, 2000\) would hold 4004001 points"):
         rep.q_kostant_partition((2000, 2000))
     assert time.perf_counter() - start < 0.1
-    assert rep._partition_box == box and len(rep._partition_table) == points
+    assert (rep._box, rep._strides, rep._width, rep._table) == state
     # the same refusal reaches the q-analogs, which ask the table for λ − μ
     with pytest.raises(ValueError, match="q-Kostant table box"):
         rep.lusztig_q_analog((2000, 2000), (0, 0))
-    assert rep._partition_box == box
+    assert (rep._box, rep._strides, rep._width, rep._table) == state
+
+
+def _q_side(rep, queries):
+    """Every q-Kostant value and q-analog of the queries (λ, μ), asked of rep in their order."""
+    return [(rep.q_kostant_partition(tuple(l - m for l, m in zip(lam, mu))),
+             rep.lusztig_q_analog(lam, mu)) for lam, mu in queries]
+
+
+@pytest.mark.parametrize("name", ["SL3", "Sp4", "G2", "GL3"])
+def test_packed_table_values_do_not_depend_on_the_order_of_queries(name):
+    datum = build_root_datum(name)
+    lams = datum.dominant_box(14, coord_bound=4)
+    queries = [(lam, mu) for lam in lams for _, mu in RepRing(name).dominant_weights_below(lam)]
+    cold = [_q_side(RepRing(name), [query])[0] for query in queries]
+    assert _q_side(RepRing(name), queries) == cold
+    assert _q_side(RepRing(name), queries[::-1]) == cold[::-1]
+    # one query at the coordinatewise maximum of every λ − μ first covers all the others
+    top = tuple(map(max, *(datum.coroot_coordinates(tuple(map(operator.sub, lam, mu)))
+                           for lam, mu in queries)))
+    rep = RepRing(name)
+    rep.q_kostant_partition(_combination(datum, top))
+    box = rep._box
+    assert _q_side(rep, queries) == cold
+    assert rep._box == box
+
+
+def test_packed_table_decodes_after_a_refill_at_a_wider_k():
+    rep = RepRing("SL3")
+    small = rep.q_kostant_partition((2, 2))  # partitions of 2α̌_1 + 2α̌_2 into k parts, k = 2…4
+    assert small == LaurentPoly({4: 1, 6: 1, 8: 1})
+    width = rep._width
+    assert rep.lusztig_q_analog((40, 40), (0, 0)) == RepRing("SL3").lusztig_q_analog((40, 40), (0, 0))
+    assert rep._width > width
+    assert rep.q_kostant_partition((2, 2)) == small
+    # P_q(nα̌_1 + nα̌_2) = q^n + … + q^{2n}: n + 1 partitions, one coefficient 1 each
+    assert rep.q_kostant_partition((40, 40)) == LaurentPoly({2 * k: 1 for k in range(40, 81)})
+
+
+def test_packed_table_growth_never_refuses_a_row_within_the_limit(monkeypatch):
+    import satake.rep_ring as rep_ring
+
+    monkeypatch.setattr(rep_ring, "LIMIT", 60)
+    algebra = HeckeAlgebra("SL3")
+    datum = algebra.datum
+    refused = admitted = 0
+    for lam in datum.dominant_box(30):
+        own = math.prod(b + 1 for b in datum.coroot_bound(lam))
+        if own > 60:
+            with pytest.raises(ValueError, match="q-Kostant table box"):
+                algebra.satake_row(lam)
+            refused += 1
+            continue
+        assert algebra.satake_row(lam) == HeckeAlgebra("SL3").satake_row(lam), lam
+        assert math.prod(b + 1 for b in algebra.rep._box) <= 60
+        admitted += 1
+    assert refused and admitted
+
+
+def test_a_tampered_entry_that_makes_a_q_analog_negative_raises():
+    rep = RepRing("SL3")
+    # at λ = (0, 3), μ = 0 the coroot coordinates of λ − μ are (1, 2), and the one other
+    # term is −P_q(0, 2) = −q²: P_q(1, 2) − P_q(0, 2) = (q² + q³) − q² = q³
+    assert rep.lusztig_q_analog((0, 3), (0, 0)) == LaurentPoly({6: 1})
+    point = 2 * rep._strides[1]
+    rep._table[point] += 2 << (3 * rep._width)  # P_q(0, 2) = q² + 2q³, still nonnegative
+    assert rep.q_kostant_partition(_combination(rep.datum, (0, 2))) == LaurentPoly({4: 1, 6: 2})
+    with pytest.raises(InvariantError, match="negative coefficient at q\\^3"):
+        rep.lusztig_q_analog((0, 3), (0, 0))
+    rep._table[point] -= 3 << (3 * rep._width)  # P_q(0, 2) = q² − q³
+    with pytest.raises(InvariantError, match="negative"):
+        rep.q_kostant_partition(_combination(rep.datum, (0, 2)))
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))

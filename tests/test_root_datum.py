@@ -371,6 +371,48 @@ def test_dominant_box_walk_equals_the_coordinate_box_scan(spec):
             assert d.dominant_box(pair_bound) == expected
 
 
+@pytest.mark.parametrize("spec", sorted(PRESETS) + [REDUCIBLE], ids=sorted(PRESETS) + ["A1xC2"])
+def test_form_covector_is_the_sum_over_positive_roots(spec):
+    d = build_root_datum(spec)
+    for x in iter_product(range(-2, 3), repeat=d.lattice_rank):
+        expected = [0] * d.lattice_rank
+        for root in d.positive_roots:
+            c = d.pairing(x, root)
+            expected = [e + c * r for e, r in zip(expected, root)]
+        assert d.form_covector(x) == tuple(expected), x
+    assert d.coroot_covectors == tuple((a, d.form_covector(a)) for a, _ in d.positive_coroots)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        d.form_covector((0,) * (d.lattice_rank + 1))
+
+
+# SL3 on the basis (1, 0), (5, 1) of Λ: its walk reaches λ = (p_1, 5p_1 + p_2), so the
+# coordinate bound cuts the simplex of pairings
+SKEWED_SL3 = {"cartan": [[2, -1], [-1, 2]], "coroots": [[2, 9], [-1, -3]], "roots": [[1, 0], [-5, 1]]}
+# SL3 with the two lattice coordinates swapped: the matrix of simple roots has det −1
+SWAPPED_SL3 = {"cartan": [[2, -1], [-1, 2]], "coroots": [[-1, 2], [2, -1]], "roots": [[0, 1], [1, 0]]}
+
+
+@pytest.mark.parametrize("spec", sorted(PRESETS) + [REDUCIBLE, SKEWED_SL3, SWAPPED_SL3],
+                         ids=sorted(PRESETS) + ["A1xC2", "skewed-SL3", "swapped-SL3"])
+def test_dominant_count_is_the_size_of_the_dominant_box(spec):
+    d = build_root_datum(spec)
+    for pair_bound in [-1, 0, 1, 2, 5, 12, 31]:
+        assert d.dominant_count(pair_bound) == len(d.dominant_box(pair_bound)), pair_bound
+
+
+def test_dominant_count_refuses_as_the_box_does_and_counts_without_it(monkeypatch):
+    import satake.root_datum as root_datum
+
+    sl3 = build_root_datum("SL3")
+    with pytest.raises(ValueError, match="scan of 1002001 candidates, over the limit of 1000000"):
+        sl3.dominant_count(2000)
+    monkeypatch.setattr(root_datum, "iter_product", lambda *ranges, **kw: iter(()))
+    start = time.perf_counter()
+    # ⌊B/2⌋ + 1 = 1000 pairings in each of two coordinates with p_1 + p_2 ≤ 999
+    assert sl3.dominant_count(1999) == 1000 * 1001 // 2
+    assert time.perf_counter() - start < 0.5
+
+
 @settings(max_examples=200, deadline=None)
 @given(name=st.sampled_from(sorted(PRESETS)),
        coords=st.lists(st.integers(-30, 30), min_size=3, max_size=3))
