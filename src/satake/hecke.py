@@ -11,7 +11,8 @@ The base-change matrix takes the unitriangular form
     p_{λμ}(q) = q^{⟨λ−μ,ρ̌⟩} · m_λ^q(μ)(q^{-1}),
 
 where m_λ^q is the Lusztig q-analog of the weight multiplicity, one signed sum
-of ints read from the ring's packed q-Kostant table and decoded once.  Three checks
+of ints read from the ring's packed q-Kostant table and decoded once per μ of the
+walk below λ, and mapped to the row entry by one LaurentPoly.mirror step.  Three checks
 pin the q-powers in rank 1 or at q = 1 only (rank-1 closed forms, the finite-field
 character-sum oracle, and the q = 1 mass count), and the oracle test battery fails
 for any other twist.  tests/test_macdonald.py checks the
@@ -24,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Mapping, Tuple
 
-from .laurent import LaurentPoly, ONE, as_poly
+from .laurent import LaurentPoly, ONE, ZERO, as_poly
 from .rep_ring import RepRing, TorusPoint
 from .root_datum import build_root_datum
 
@@ -92,7 +93,7 @@ def structure_product(
         for mu, c2 in right.items():
             coeff = c1 * c2
             for nu, mult in rep.tensor_decompose(lam, mu).items():
-                acc[nu] = acc.get(nu, LaurentPoly()) + coeff * mult
+                acc[nu] = acc.get(nu, ZERO) + coeff * mult
     return acc
 
 
@@ -134,15 +135,10 @@ class HeckeAlgebra:
             return dict(self._satake_rows[lam])
         self.datum.check_weyl_order()
         self.rep.check_row_budget(lam)
-        prefactor = -self.datum.pairing_2rho(lam)
-        row: Dict[Coweight, LaurentPoly] = {}
-        for depth, mu in self.rep.dominant_weights_below(lam):
-            if depth == 0:
-                row[mu] = LaurentPoly.v_power(prefactor)
-                continue
-            analog = self.rep.lusztig_q_analog(lam, mu)
-            # p(q) = q^{⟨λ−μ,ρ̌⟩} m^q(q^{-1}); the ρ̌-pairing of λ−μ equals the depth.
-            row[mu] = analog.subst_v_inverse().shift(2 * depth + prefactor)
+        rep, prefactor = self.rep, -self.datum.pairing_2rho(lam)
+        # v^{−⟨λ,2ρ̌⟩} p(q) = v^{2·depth − ⟨λ,2ρ̌⟩} m^q(q^{-1}): ⟨λ−μ,ρ̌⟩ is the depth
+        row = {mu: (rep.lusztig_q_analog(lam, mu) if depth else ONE).mirror(2 * depth + prefactor)
+               for depth, mu in rep.dominant_weights_below(lam)}
         self._satake_rows[lam] = row
         return dict(row)
 
@@ -152,7 +148,7 @@ class HeckeAlgebra:
         acc: Dict[Coweight, LaurentPoly] = {}
         for lam, coeff in h.terms.items():
             for mu, entry in self.satake_row(lam).items():
-                acc[mu] = acc.get(mu, LaurentPoly()) + coeff * entry
+                acc[mu] = acc.get(mu, ZERO) + coeff * entry
         return BasisElement(C_BASIS, acc)
 
     def c_to_satake(self, h: BasisElement) -> BasisElement:
@@ -163,13 +159,12 @@ class HeckeAlgebra:
         acc: Dict[Coweight, LaurentPoly] = {}
         while work:
             lam = max(work, key=lambda cw: (self.datum.pairing_2rho(cw), cw))
-            coeff = work.pop(lam)
-            a_coeff = coeff.shift(self.datum.pairing_2rho(lam))
-            acc[lam] = acc.get(lam, LaurentPoly()) + a_coeff
+            # every later λ is lower, so none brings this one back into work
+            acc[lam] = a_coeff = work.pop(lam).shift(self.datum.pairing_2rho(lam))
             for mu, entry in self.satake_row(lam).items():
                 if mu == lam:
                     continue
-                updated = work.get(mu, LaurentPoly()) - a_coeff * entry
+                updated = work.get(mu, ZERO) - a_coeff * entry
                 if updated:
                     work[mu] = updated
                 else:
@@ -185,7 +180,7 @@ class HeckeAlgebra:
         out: Dict[Coweight, LaurentPoly] = {}
         for lam, coeff in h.terms.items():
             image = tuple(-x for x in self.datum.apply_w0(lam))
-            out[image] = out.get(image, LaurentPoly()) + coeff
+            out[image] = out.get(image, ZERO) + coeff
         return BasisElement(A_BASIS, out)
 
     def eval_gamma(self, h: BasisElement, gamma: TorusPoint, v=None) -> Fraction:

@@ -66,20 +66,22 @@ class LaurentPoly:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        out = dict(self._coeffs)
-        for e, c in other._coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly(out)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
+        return self._combine(other, -1)
+
+    def _combine(self, other: "LaurentPoly", sign: int) -> "LaurentPoly":
+        """self + sign·other, dropping each coefficient that cancels as it is built."""
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         out = dict(self._coeffs)
         for e, c in other._coeffs.items():
-            out[e] = out.get(e, 0) - c
-        return LaurentPoly(out)
+            if c := out.get(e, 0) + sign * c:
+                out[e] = c
+            else:
+                del out[e]
+        return LaurentPoly._from_clean(out)
 
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly({e: -c for e, c in self._coeffs.items()})
@@ -89,12 +91,16 @@ class LaurentPoly:
             return LaurentPoly({e: c * other for e, c in self._coeffs.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
+        poly, mono = (other, self) if len(self._coeffs) == 1 else (self, other)
+        if len(mono._coeffs) == 1:  # c·v^k: a shift and a scale, so nothing cancels
+            ((k, scale),) = mono._coeffs.items()
+            return LaurentPoly._from_clean({e + k: c * scale for e, c in poly._coeffs.items()})
         out: Dict[int, int] = {}
         for e1, c1 in self._coeffs.items():
             for e2, c2 in other._coeffs.items():
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPoly(out)
+        return LaurentPoly._from_clean({e: c for e, c in out.items() if c})
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -105,9 +111,9 @@ class LaurentPoly:
         """Multiply by v^exp."""
         return LaurentPoly._from_clean({e + exp: c for e, c in self._coeffs.items()})
 
-    def subst_v_inverse(self) -> "LaurentPoly":
-        """The image under v ↦ v^{-1}."""
-        return LaurentPoly._from_clean({-e: c for e, c in self._coeffs.items()})
+    def mirror(self, exp: int) -> "LaurentPoly":
+        """v^exp times the image under v ↦ v^{-1}."""
+        return LaurentPoly._from_clean({exp - e: c for e, c in self._coeffs.items()})
 
     # -- evaluation ----------------------------------------------------------
 

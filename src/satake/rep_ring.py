@@ -12,9 +12,10 @@ otherwise; both are integer sums, one denominator each.  The traces at the last 
 are kept until a call at another point.  The q-side reads one coin-change table of the
 q-Kostant partition function per ring: a flat row-major list of ints over a box of coroot
 coordinates, each q-polynomial packed at q = 2^K (exact: no coefficient is negative), K one
-guard bit over the table's largest value at q = 1, and the box doubled on growth.  A Lusztig
-q-analog, at dominant λ and μ, is the signed sum of the entries at λ − μ plus one flat offset
-per w ≠ e, decoded once.  Values are exact (ints and Fractions).
+guard bit over the table's largest value at q = 1, and the box doubled on growth.  Each λ's
+walk of the dominant μ ≤ λ is kept with the coroot coordinates of each λ − μ: a q-analog on
+it, the signed sum of the entries at λ − μ plus one flat offset per w ≠ e, is neither
+validated nor solved, and is decoded once.  Values are exact (ints and Fractions).
 A weight table or q-Kostant table that could hold more than LIMIT entries raises TooLarge
 before it is started.
 """
@@ -104,6 +105,8 @@ class RepRing:
         # coroot coordinates of each β asked for, and the flat offsets of λ's signed shifts
         self._box, self._strides, self._table, self._width = (-1,) * self.datum.rank, [], [], 0
         self._coords: Dict[Coweight, Optional[Coweight]] = {}
+        # per dominant λ, each dominant μ ≤ λ ↦ the coroot coordinates of λ − μ, depth-sorted
+        self._walks: Dict[Coweight, Dict[Coweight, Coweight]] = {}
         self._offsets: Dict[Coweight, Tuple[Tuple[Coweight, int, int], ...]] = {}
         self._shifts: Dict[Coweight, Tuple[Tuple[Coweight, int], ...]] = {}
         # the last torus point γ, its traces by dominant λ, and ((γ^{α̌_j}) over the simple
@@ -139,29 +142,33 @@ class RepRing:
 
         Built one c_j of λ − μ = Σ c_j α̌_j at a time, carrying μ's simple-root pairings; a unit
         of height on α̌_k, α̌_{k+1}, … lifts a pairing by ≤ lift[k], so dead branches are cut.
+        The walk is memoized per λ as μ ↦ (c_j), which the q-analogs of λ's row read.
         """
         lam = self.datum.dominant(lam)
-        datum = self.datum
-        cartan, rank = datum.cartan_matrix, datum.rank
-        max_depth = datum.pairing_2rho(lam) // 2
-        lift = [max([0] + [-x for row in cartan for x in row[k:]]) for k in range(rank + 1)]
-        out = []
+        if lam not in self._walks:
+            datum = self.datum
+            cartan, rank = datum.cartan_matrix, datum.rank
+            max_depth = datum.pairing_2rho(lam) // 2
+            lift = [max([0] + [-x for row in cartan for x in row[k:]]) for k in range(rank + 1)]
+            out = []
 
-        def rec(idx: int, remaining: int, vec: List[int], pairings: List[int]):
-            if min(pairings) + remaining * lift[idx] < 0:
-                return
-            if idx == rank:
-                out.append((max_depth - remaining, tuple(vec)))
-                return
-            alpha, column = datum.simple_coroots[idx], [row[idx] for row in cartan]
-            for c in range(remaining + 1):
-                child = [p - c * k for p, k in zip(pairings, column)]
-                if child[idx] + (remaining - c) * lift[idx + 1] < 0:
-                    break  # ⟨μ, α_idx⟩ only falls as c grows
-                rec(idx + 1, remaining - c, [v - c * a for v, a in zip(vec, alpha)], child)
+            def rec(idx: int, remaining: int, vec: List[int], pairings: List[int], coords=()):
+                if min(pairings) + remaining * lift[idx] < 0:
+                    return
+                if idx == rank:
+                    out.append((max_depth - remaining, tuple(vec), coords))
+                    return
+                alpha, column = datum.simple_coroots[idx], [row[idx] for row in cartan]
+                for c in range(remaining + 1):
+                    child = [p - c * k for p, k in zip(pairings, column)]
+                    if child[idx] + (remaining - c) * lift[idx + 1] < 0:
+                        break  # ⟨μ, α_idx⟩ only falls as c grows
+                    rec(idx + 1, remaining - c, [v - c * a for v, a in zip(vec, alpha)], child,
+                        coords + (c,))
 
-        rec(0, max_depth, list(lam), [datum.pairing(lam, root) for root in datum.simple_roots])
-        return sorted(out)
+            rec(0, max_depth, list(lam), [datum.pairing(lam, root) for root in datum.simple_roots])
+            self._walks[lam] = {mu: coords for _, mu, coords in sorted(out)}
+        return [(sum(coords), mu) for mu, coords in self._walks[lam].items()]
 
     def dominant_multiplicity_table(self, lam) -> Dict[Coweight, int]:
         """Weight multiplicities of V^λ on dominant weights, by Freudenthal recursion.
@@ -398,21 +405,32 @@ class RepRing:
         The alternating Weyl sum Σ_w (−1)^{ℓ(w)} P_q(w(λ+ρ) − (μ+ρ)) of the q-Kostant partition
         function P_q; its value at q = 1 is the weight multiplicity.  In coroot coordinates the
         argument is (w(λ+ρ) − (λ+ρ)) + (λ − μ), the first part ≤ 0, a memoized signed shift.
-        P_q(λ − μ) = 0 makes every term 0; else its call grows the table over all other terms
-        (each ≤ λ − μ), packed entries at flat offsets memoized per λ: one int, decoded once.
+        A μ of λ's memoized walk (dominant_weights_below) brings the coordinates of λ − μ; any
+        other pair is validated and solved, and if λ − μ is off the coroot lattice or not ≥ 0,
+        so is every argument: 0.  Else each term reads the packed table at a flat offset
+        memoized per λ: one signed sum of ints, decoded once.
         """
-        datum = self.datum
-        lam, mu = datum.dominant(lam), datum.dominant(mu)
-        diff = tuple(map(operator.sub, lam, mu))
-        if not self.q_kostant_partition(diff):
-            return ZERO
-        key, table = self._coords[diff], self._table  # solved by the call above
-        base = sum(map(operator.mul, key, self._strides))
-        terms = self._offsets.get(lam)
+        walk = self._walks.get(lam) if isinstance(lam, tuple) else None
+        key = walk.get(mu) if walk and isinstance(mu, tuple) else None
+        if key is None:
+            lam, mu = self.datum.dominant(lam), self.datum.dominant(mu)
+            key = self.datum.coroot_coordinates(tuple(map(operator.sub, lam, mu)))
+            if key is None or min(key) < 0:
+                return ZERO
+        if not all(map(operator.le, key, self._box)):
+            # grow once per λ, over λ − (its walk's deepest μ): that μ lies below every dominant
+            # weight of its coset (Stembridge, The partial order of dominant weights, 1998)
+            walk = walk or {mu: key}
+            deepest, top = next(reversed(walk.items()))
+            if not all(all(map(operator.le, c, top)) for c in walk.values()):
+                raise InvariantError("λ − %r does not bound the walk of λ = %r" % (deepest, lam))
+            self.q_kostant_partition(tuple(map(operator.sub, lam, deepest)))
+        table, strides, terms = self._table, self._strides, self._offsets.get(lam)
         if terms is None:
             terms = self._offsets[lam] = tuple(
-                (tuple(-c for c in shift), sum(map(operator.mul, shift, self._strides)), sign)
+                (tuple(-c for c in shift), sum(map(operator.mul, shift, strides)), sign)
                 for shift, sign in self._signed_shifts(lam)[1:])
+        base = sum(map(operator.mul, key, strides))
         total = table[base]
         for need, offset, sign in terms:
             if all(map(operator.ge, key, need)):

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from satake.hecke import A_BASIS, C_BASIS, BasisElement, HeckeAlgebra
 from satake.laurent import LaurentPoly, ONE
@@ -121,6 +122,46 @@ def test_base_change_round_trips():
             assert algebra.c_to_satake(algebra.satake_to_c(h)) == h
             c = BasisElement(C_BASIS, dict(h.terms))
             assert algebra.satake_to_c(algebra.c_to_satake(c)) == c
+
+
+# small dominant λ per datum (⟨λ,2ρ̌⟩ ≤ bound), one warm algebra each, shared by the examples
+_ROUND_TRIP = {name: HeckeAlgebra(name) for name in ("PGL2", "SL3", "Sp4", "G2")}
+_ROUND_TRIP_BOUND = {"PGL2": 6, "SL3": 6, "Sp4": 8, "G2": 16}
+
+# coefficients with two to four terms; c·v^k(1 − v²) = c·v^k(1 − q) cancels inside a product
+# with a row entry such as 1 + q, and c·v^k(1 + v²) against it in a sum
+_coefficients = st.one_of(
+    st.dictionaries(st.integers(-4, 4), st.integers(-5, 5).filter(bool), min_size=2, max_size=4)
+    .map(LaurentPoly),
+    st.builds(lambda k, c, s: LaurentPoly({k: c, k + 2: s * c}), st.integers(-4, 4),
+              st.integers(-3, 3).filter(bool), st.sampled_from([1, -1])),
+)
+
+
+@st.composite
+def _base_change_elements(draw):
+    name = draw(st.sampled_from(sorted(_ROUND_TRIP)))
+    algebra = _ROUND_TRIP[name]
+    box = algebra.datum.dominant_box(_ROUND_TRIP_BOUND[name])
+    weights = st.sampled_from(box)
+    h = BasisElement(A_BASIS, draw(st.dictionaries(weights, _coefficients, min_size=2, max_size=4)))
+    c = BasisElement(C_BASIS, draw(st.dictionaries(weights, _coefficients, min_size=2, max_size=4)))
+    return algebra, h, c
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_base_change_elements(), drop=st.integers(0, 3))
+def test_base_change_round_trips_on_random_elements(case, drop):
+    # several λ per element, so the peel takes several steps, and non-monomial coefficients,
+    # so it runs the general product; a C-element that is the image of h with one term left
+    # out makes every other lower term cancel during the peel
+    algebra, h, c = case
+    image = algebra.satake_to_c(h)
+    assert algebra.c_to_satake(image) == h
+    assert algebra.satake_to_c(algebra.c_to_satake(c)) == c
+    terms, i = image.sorted_terms(), drop % len(image.terms)
+    partial = BasisElement(C_BASIS, dict(terms[:i] + terms[i + 1:]))
+    assert algebra.satake_to_c(algebra.c_to_satake(partial)) == partial
 
 
 def test_triangularity_and_polynomial_shape():

@@ -80,8 +80,10 @@ def test_evaluation_is_ring_homomorphism(a, b, v0):
 def test_shift_and_inverse_substitution():
     p = LaurentPoly({0: 1, 2: 3})
     assert p.shift(-2) == LaurentPoly({-2: 1, 0: 3})
-    assert p.subst_v_inverse() == LaurentPoly({0: 1, -2: 3})
-    assert p.subst_v_inverse().subst_v_inverse() == p
+    assert p.mirror(0) == LaurentPoly({0: 1, -2: 3})
+    assert p.mirror(0).mirror(0) == p
+    # v^4 · p(v^{-1}) = v^4 + 3v^2: the Satake row's step from m(q) to q^2 · m(q^{-1})
+    assert p.mirror(4) == LaurentPoly({4: 1, 2: 3}) == p.mirror(0).shift(4)
 
 
 @settings(max_examples=200, deadline=None)
@@ -92,14 +94,52 @@ def test_shift_is_multiplication_by_a_v_power(p, a, b):
 
 
 @settings(max_examples=200, deadline=None)
-@given(a=polys, b=polys, v0=nonzero_rationals)
-def test_inverse_substitution_is_an_involutive_ring_automorphism(a, b, v0):
-    bar = LaurentPoly.subst_v_inverse
+@given(a=polys, b=polys, v0=nonzero_rationals, k=st.integers(-6, 6))
+def test_inverse_substitution_is_an_involutive_ring_automorphism(a, b, v0, k):
+    def bar(p):
+        return p.mirror(0)
+
     assert bar(a + b) == bar(a) + bar(b)
     assert bar(a * b) == bar(a) * bar(b)
     assert bar(ONE) == ONE
     assert bar(bar(a)) == a
     assert bar(a).eval_v(v0) == a.eval_v(1 / v0)
+    # mirror(k) is the substitution followed by a shift, and is an involution too
+    assert a.mirror(k) == bar(a).shift(k) == bar(a.shift(-k))
+    assert a.mirror(k).mirror(k) == a
+    assert a.mirror(k).eval_v(v0) == v0 ** k * a.eval_v(1 / v0)
+
+
+# products whose terms cancel: (1 + v)(1 − v) = 1 − v², (v − v⁻¹)(v + v⁻¹) = v² − v⁻²
+cancelling = st.sampled_from([LaurentPoly({0: 1, 1: 1}), LaurentPoly({0: 1, 1: -1}),
+                              LaurentPoly({1: 1, -1: -1}), LaurentPoly({1: 1, -1: 1})])
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.one_of(polys, cancelling), b=st.one_of(polys, cancelling), n=st.integers(-3, 3))
+def test_arithmetic_never_stores_a_zero_coefficient(a, b, n):
+    # equality is structural, so a stored 0 would make equal values compare unequal
+    for value in (a + b, a - b, a - a, b + (-b), a * b, a * n, b * a, a * ZERO):
+        assert 0 not in dict(value.items()).values(), value
+        assert value == LaurentPoly(dict(value.items()))
+        assert hash(value) == hash(LaurentPoly(dict(value.items())))
+
+
+def _double_loop_product(a, b):
+    """The product term by term, every pair of terms, normalized by the constructor."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return LaurentPoly(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=polys, k=st.integers(-6, 6), c=st.integers(-9, 9).filter(bool))
+def test_monomial_product_is_the_double_loop_product(p, k, c):
+    mono = LaurentPoly.v_power(k, c)
+    assert p * mono == _double_loop_product(p, mono) == mono * p
+    assert p * mono == (p * c).shift(k)
 
 
 def test_json_round_trip():

@@ -784,6 +784,105 @@ def test_a_tampered_entry_that_makes_a_q_analog_negative_raises():
         rep.q_kostant_partition(_combination(rep.datum, (0, 2)))
 
 
+@pytest.mark.parametrize("name", ["SL3", "Sp4", "G2", "GL3"])
+def test_q_analog_of_a_walked_row_matches_the_validated_route(name):
+    rep = RepRing(name)
+    datum = rep.datum
+    box = datum.dominant_box(20, coord_bound=3)
+    for lam in box:
+        before = {mu: rep.lusztig_q_analog(list(lam), list(mu)) for mu in box}  # no walk yet
+        walked = [mu for _, mu in rep.dominant_weights_below(lam)]
+        for mu, value in before.items():
+            assert rep.lusztig_q_analog(lam, mu) == value, (lam, mu)
+            assert rep.lusztig_q_analog(list(lam), list(mu)) == value, (lam, mu)
+            # a dominant μ off the walk is ≰ λ or off λ's coset: every term is off the cone
+            assert (mu in walked) == bool(value), (lam, mu)
+
+
+def test_q_analog_refuses_bad_weights_before_and_after_the_walk():
+    rep = RepRing("SL3")
+    lam = (2, 2)
+    for walked in (False, True):
+        if walked:
+            rep.dominant_weights_below(lam)
+        for bad_lam, bad_mu in [((2, 2), (3, -1)), ((2, 2), [3, -1]), ((3, -1), (0, 0)),
+                                ([3, -1], (0, 0)), ((2, 2), (0, 0, 0)), ((2, 2, 0), (0, 0)),
+                                ((2, 2), (0,)), ((2, 2), 0)]:
+            with pytest.raises(ValueError):
+                rep.lusztig_q_analog(bad_lam, bad_mu)
+        assert rep.lusztig_q_analog(lam, (4, 1)) == LaurentPoly()  # dominant, λ − μ = −α̌_1
+        assert rep.lusztig_q_analog(lam, (1, 0)) == LaurentPoly()  # off λ's coset
+        assert rep.lusztig_q_analog(lam, [0, 0]) == LaurentPoly({4: 1, 6: 1, 8: 1})
+
+
+def test_q_analog_of_a_walked_row_needs_no_validation_and_one_decode(monkeypatch):
+    rep = RepRing("G2")
+    lam = (6, 5)
+    row = [mu for _, mu in rep.dominant_weights_below(lam)]
+    rep.lusztig_q_analog(lam, row[-1])  # the one growth of the table for λ
+    counts = {"dominant": 0, "coroot_coordinates": 0, "_decode": 0, "q_kostant_partition": 0}
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return original(*args)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for owner, name in [(RootDatum, "dominant"), (RootDatum, "coroot_coordinates"),
+                        (RepRing, "_decode"), (RepRing, "q_kostant_partition")]:
+        counting(owner, name)
+    values = [rep.lusztig_q_analog(lam, mu) for mu in row]
+    assert counts == {"dominant": 0, "coroot_coordinates": 0, "_decode": len(row),
+                      "q_kostant_partition": 0}
+    monkeypatch.undo()
+    cold = RepRing("G2")
+    assert values == [cold.lusztig_q_analog(list(lam), list(mu)) for mu in row]
+
+
+@pytest.mark.parametrize("name", ["SL3", "Sp4", "G2"])
+def test_q_analogs_of_rows_in_descending_order_match_a_cold_ring(name):
+    rep = RepRing(name)
+    datum = rep.datum
+    lams = sorted(datum.dominant_box(24), key=lambda lam: (-datum.pairing_2rho(lam), lam))
+    queries = [(lam, mu) for lam in lams for _, mu in rep.dominant_weights_below(lam)]
+    cold = [RepRing(name).lusztig_q_analog(lam, mu) for lam, mu in queries]
+    assert [rep.lusztig_q_analog(lam, mu) for lam, mu in queries] == cold
+    # a refill over a wider box changes the strides, so each λ's flat offsets are rebuilt
+    strides = list(rep._strides)
+    rep.q_kostant_partition(tuple(3 * x for x in lams[0]))
+    assert rep._strides != strides and not rep._offsets
+    assert [rep.lusztig_q_analog(lam, mu) for lam, mu in queries] == cold
+
+
+def test_q_analogs_regrow_a_table_that_a_narrow_refill_left_short(monkeypatch):
+    import satake.rep_ring as rep_ring
+
+    # the rows of (0, 11) and (11, 0) read the boxes (3, 7) and (7, 3), 32 points each; under
+    # a limit of 60 the table cannot hold (7, 7), so each row refills it over its own box only
+    # and the next row must grow it again
+    monkeypatch.setattr(rep_ring, "LIMIT", 60)
+    rep = RepRing("SL3")
+    for lam in [(0, 11), (11, 0)] * 2:
+        row = [mu for _, mu in rep.dominant_weights_below(lam)]
+        assert [rep.lusztig_q_analog(lam, mu) for mu in row] == [
+            RepRing("SL3").lusztig_q_analog(lam, mu) for mu in row], lam
+        assert rep._box == rep.datum.coroot_bound(lam)
+
+
+def test_a_walk_whose_deepest_weight_is_not_lowest_raises():
+    rep = RepRing("SL3")
+    lam = (2, 2)
+    walk = rep.dominant_weights_below(lam)
+    assert walk[-1] == (4, (0, 0))
+    # move μ = (3, 0), λ − μ = (0, 1) in coroot coordinates, to the end: (0, 1) bounds neither
+    # the (1, 1) of μ = (1, 1) nor the (2, 2) of μ = (0, 0)
+    rep._walks[lam] = dict(sorted(rep._walks[lam].items(), key=lambda item: item[0] == (3, 0)))
+    with pytest.raises(InvariantError, match="does not bound the walk"):
+        rep.lusztig_q_analog(lam, (1, 1))
+
+
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_coroot_bound_covers_every_step_of_a_row(name):
     # the CLI refuses a satake row whose box ⌊C⁻¹·p(λ)⌋ is oversized, so it must hold
