@@ -1,10 +1,11 @@
 """Command-line front end: datum selection, computations, verification batteries.
 
 Every subcommand produces deterministic output for fixed inputs (sorted keys,
-canonical polynomial printing); the CLI parses, dispatches and maps exceptions to exit
-codes, and each library layer checks and bounds its own work.  Exit status: 0 success, 1
-verification failure, 2 usage error (input refused while it is parsed or by its layer's
-check, or as TooLarge), 3 internal error (a broken invariant, or another ValueError).
+canonical polynomial printing); the CLI parses, loads the datum once, dispatches and maps
+exceptions to exit codes, and each library layer checks and bounds its own work.  Exit
+status: 0 success, 1 verification failure, 2 usage error (input refused while it is parsed
+or by its layer's check, or as TooLarge), 3 internal error (a broken invariant, or another
+ValueError).
 """
 
 from __future__ import annotations
@@ -158,23 +159,20 @@ def _emit_mult_map(args, mapping: Dict[Tuple[int, ...], int]) -> None:
 # -- subcommands ---------------------------------------------------------------
 
 
-def _cmd_tensor(args) -> int:
-    datum = _load_datum(args.datum)
+def _cmd_tensor(args, datum: RootDatum) -> int:
     lam = _parse_dominant(args.lam, datum)
     mu = _parse_dominant(args.mu, datum)
     _emit_mult_map(args, RepRing(datum).tensor_decompose(lam, mu))
     return 0
 
 
-def _cmd_weights(args) -> int:
-    datum = _load_datum(args.datum)
+def _cmd_weights(args, datum: RootDatum) -> int:
     lam = _parse_dominant(args.lam, datum)
     _emit_mult_map(args, RepRing(datum).weight_table(lam))
     return 0
 
 
-def _cmd_satake(args) -> int:
-    datum = _load_datum(args.datum)
+def _cmd_satake(args, datum: RootDatum) -> int:
     algebra = HeckeAlgebra(datum)
     lam = _parse_dominant(args.lam, datum)
     element = algebra.satake_to_c(algebra.monomial(A_BASIS, lam))
@@ -183,8 +181,7 @@ def _cmd_satake(args) -> int:
     return 0
 
 
-def _cmd_hecke_mul(args) -> int:
-    datum = _load_datum(args.datum)
+def _cmd_hecke_mul(args, datum: RootDatum) -> int:
     algebra = HeckeAlgebra(datum)
     lam = _parse_dominant(args.lam, datum)
     mu = _parse_dominant(args.mu, datum)
@@ -193,8 +190,7 @@ def _cmd_hecke_mul(args) -> int:
     return 0
 
 
-def _cmd_whittaker_eval(args) -> int:
-    datum = _load_datum(args.datum)
+def _cmd_whittaker_eval(args, datum: RootDatum) -> int:
     if args.cutoff < 0:
         raise UsageError("--cutoff must be nonnegative; got %d" % args.cutoff)
     v_value = None if args.q is None else _parse_v(args.q)
@@ -214,8 +210,7 @@ def _cmd_whittaker_eval(args) -> int:
     return 0
 
 
-def _cmd_predict(args) -> int:
-    datum = _load_datum(args.datum)
+def _cmd_predict(args, datum: RootDatum) -> int:
     geometry = Grassmannian(RepRing(datum))
     lam = _parse_dominant(args.lam, datum)
     mu = _parse_coweight(args.mu, datum)
@@ -242,8 +237,7 @@ def _cmd_predict(args) -> int:
     return 0
 
 
-def _cmd_strata(args) -> int:
-    datum = _load_datum(args.datum)
+def _cmd_strata(args, datum: RootDatum) -> int:
     strata = _refused(Grassmannian(RepRing(datum)).drinfeld_strata, args.bound)
     _emit(
         args,
@@ -268,8 +262,7 @@ def _failure(inputs: Dict[str, str], lhs, rhs) -> Optional[dict]:
     return {"inputs": inputs, "lhs": str(lhs), "rhs": str(rhs)}
 
 
-def _cmd_verify_cs(args) -> int:
-    datum = _load_datum(args.datum)
+def _cmd_verify_cs(args, datum: RootDatum) -> int:
     algebra = HeckeAlgebra(datum)
     module = WhittakerModule(algebra)
     # a battery that checks nothing, whose eigenfunction check cannot run, or that is
@@ -344,8 +337,8 @@ def _cmd_verify_cs(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_verify_eq2(args) -> int:
-    oracle = _refused(Rank1Oracle, _load_datum(args.datum))
+def _cmd_verify_eq2(args, datum: RootDatum) -> int:
+    oracle = _refused(Rank1Oracle, datum)
     _refused(oracle.require_battery, args.m_max, args.primes)
     report = oracle.verify_eq2(args.m_max, args.primes)
     lines = [report.summary()] + [
@@ -435,7 +428,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return args.func(args, _load_datum(args.datum))
     except (UsageError, TooLarge) as exc:
         sys.stderr.write("error: %s\n" % exc)
         sys.stderr.write("run with --help for usage\n")

@@ -127,13 +127,12 @@ class HeckeAlgebra:
         """The c-basis expansion of A_λ as a map μ ↦ coefficient.
 
         The coefficient of c_μ is v^{−⟨λ,2ρ̌⟩} p_{λμ}(q) for dominant μ ≤ λ,
-        with p_{λλ} = 1.  Every q-analog sums over the whole Weyl group and reads the
-        q-Kostant table, so a row over either bound raises TooLarge before it is started.
+        with p_{λλ} = 1.  A row that rep.check_row_budget refuses (an oversized Weyl group or
+        q-Kostant table) raises TooLarge before it is started.
         """
         lam = self.datum.dominant(lam)
         if lam in self._satake_rows:
             return dict(self._satake_rows[lam])
-        self.datum.check_weyl_order()
         self.rep.check_row_budget(lam)
         rep, prefactor = self.rep, -self.datum.pairing_2rho(lam)
         # v^{−⟨λ,2ρ̌⟩} p(q) = v^{2·depth − ⟨λ,2ρ̌⟩} m^q(q^{-1}): ⟨λ−μ,ρ̌⟩ is the depth

@@ -18,7 +18,7 @@ from typing import Dict, Mapping, NamedTuple, Tuple
 class LaurentPoly:
     """Integer-coefficient Laurent polynomial in v (convention: q = v^2)."""
 
-    __slots__ = ("_coeffs", "_hash")
+    __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Mapping[int, int] | None = None):
         clean: Dict[int, int] = {}
@@ -27,7 +27,6 @@ class LaurentPoly:
                 if c:
                     clean[int(exp)] = int(c)
         self._coeffs = clean
-        self._hash: int | None = None
 
     # -- constructors -----------------------------------------------------
 
@@ -35,7 +34,7 @@ class LaurentPoly:
     def _from_clean(cls, coeffs: Dict[int, int]) -> "LaurentPoly":
         """Wrap, without copying or checking, a dict of int exponents to nonzero int coefficients."""
         poly = cls.__new__(cls)
-        poly._coeffs, poly._hash = coeffs, None
+        poly._coeffs = coeffs
         return poly
 
     @classmethod
@@ -168,9 +167,7 @@ class LaurentPoly:
         return bool(self._coeffs)
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self._coeffs.items()))
-        return self._hash
+        return hash(frozenset(self._coeffs.items()))
 
 
 ZERO = LaurentPoly()

@@ -260,11 +260,8 @@ class Rank1Oracle:
         parities = {e % 2 for e in total.exponents()}
         if len(parities) != 1:
             raise InvariantError("orbit integral %s mixes v-parities" % total)
-        odd = parities.pop() == 1
-        coeff = Fraction(0)
-        for e, cf in total.items():
-            coeff += cf * Fraction(q) ** ((e - (1 if odd else 0)) // 2)
-        return half_power(coeff, odd)
+        odd = parities.pop()
+        return half_power(total.shift(-odd).eval_q(q), odd == 1)
 
     def eq2_rhs(self, lam: int, mu: int, nu: int, q: int) -> VMonomial:
         """q^{−⟨ν,ρ̌⟩} · C^{μ+ν}_{λμ}, zero for non-dominant μ."""

@@ -13,9 +13,9 @@ are kept until a call at another point.  The q-side reads one coin-change table 
 q-Kostant partition function per ring: a flat row-major list of ints over a box of coroot
 coordinates, each q-polynomial packed at q = 2^K (exact: no coefficient is negative), K one
 guard bit over the table's largest value at q = 1, and the box doubled on growth.  Each λ's
-walk of the dominant μ ≤ λ is kept with the coroot coordinates of each λ − μ: a q-analog on
-it, the signed sum of the entries at λ − μ plus one flat offset per w ≠ e, is neither
-validated nor solved, and is decoded once.  Values are exact (ints and Fractions).
+walk of the dominant μ ≤ λ, built once after λ's row budget, keeps the coroot coordinates of
+each λ − μ, and every q-analog reads it: the signed sum of the entries at λ − μ plus one flat
+offset per w ≠ e, decoded once, or 0 off the walk.  Values are exact (ints and Fractions).
 A weight table or q-Kostant table that could hold more than LIMIT entries raises TooLarge
 before it is started.
 """
@@ -26,7 +26,7 @@ import operator
 from fractions import Fraction
 from itertools import product as iter_product
 from math import prod
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .laurent import LaurentPoly, ZERO
 from .root_datum import LIMIT, InvariantError, RootDatum, TooLarge, build_root_datum
@@ -101,10 +101,9 @@ class RepRing:
         self._rho_pairings: Dict[Coweight, Tuple[Tuple[Coweight, Coweight, int], ...]] = {}
         self._orbits: Dict[Coweight, Tuple[Coweight, ...]] = {}
         self._tensor: Dict[Tuple[Coweight, Coweight], Dict[Coweight, int]] = {}
-        # the q-Kostant table (box, row-major strides, packed entries, width K: q = 2^K), the
-        # coroot coordinates of each β asked for, and the flat offsets of λ's signed shifts
+        # the q-Kostant table (box, row-major strides, packed entries, width K: q = 2^K) and
+        # the flat offsets of λ's signed shifts
         self._box, self._strides, self._table, self._width = (-1,) * self.datum.rank, [], [], 0
-        self._coords: Dict[Coweight, Optional[Coweight]] = {}
         # per dominant λ, each dominant μ ≤ λ ↦ the coroot coordinates of λ − μ, depth-sorted
         self._walks: Dict[Coweight, Dict[Coweight, Coweight]] = {}
         self._offsets: Dict[Coweight, Tuple[Tuple[Coweight, int, int], ...]] = {}
@@ -142,7 +141,7 @@ class RepRing:
 
         Built one c_j of λ − μ = Σ c_j α̌_j at a time, carrying μ's simple-root pairings; a unit
         of height on α̌_k, α̌_{k+1}, … lifts a pairing by ≤ lift[k], so dead branches are cut.
-        The walk is memoized per λ as μ ↦ (c_j), which the q-analogs of λ's row read.
+        The walk is memoized per λ as μ ↦ (c_j), which every q-analog of λ reads.
         """
         lam = self.datum.dominant(lam)
         if lam not in self._walks:
@@ -346,10 +345,7 @@ class RepRing:
         β as a nonnegative-integer combination of positive coroots contributes
         q^{number of parts}.  Zero unless β lies in the Z≥0-span.
         """
-        beta = self.datum.coweight(beta)
-        if beta not in self._coords:
-            self._coords[beta] = self.datum.coroot_coordinates(beta)
-        coords = self._coords[beta]
+        coords = self.datum.coroot_coordinates(self.datum.coweight(beta))
         if coords is None or min(coords) < 0:
             return ZERO
         self._grow_partition_table(coords)
@@ -392,11 +388,12 @@ class RepRing:
         return LaurentPoly._from_clean(coeffs)
 
     def check_row_budget(self, lam) -> None:
-        """Raise TooLarge, before any work, if λ's Satake row needs an oversized q-Kostant table.
+        """Raise TooLarge, before any work, if λ's Satake row is oversized.
 
-        The row's q-analogs read the table at λ − μ for dominant μ ≤ λ and at points below
-        those, all inside the box datum.coroot_bound(λ).
+        Its q-analogs sum over the Weyl group, checked first, and read the q-Kostant table at
+        λ − μ for dominant μ ≤ λ and below, all inside the box datum.coroot_bound(λ).
         """
+        self.datum.check_weyl_order()
         _require_box_budget(self.datum.coroot_bound(self.datum.dominant(lam)))
 
     def lusztig_q_analog(self, lam, mu) -> LaurentPoly:
@@ -405,22 +402,24 @@ class RepRing:
         The alternating Weyl sum Σ_w (−1)^{ℓ(w)} P_q(w(λ+ρ) − (μ+ρ)) of the q-Kostant partition
         function P_q; its value at q = 1 is the weight multiplicity.  In coroot coordinates the
         argument is (w(λ+ρ) − (λ+ρ)) + (λ − μ), the first part ≤ 0, a memoized signed shift.
-        A μ of λ's memoized walk (dominant_weights_below) brings the coordinates of λ − μ; any
-        other pair is validated and solved, and if λ − μ is off the coroot lattice or not ≥ 0,
-        so is every argument: 0.  Else each term reads the packed table at a flat offset
-        memoized per λ: one signed sum of ints, decoded once.
+        Every q-analog reads λ's memoized walk (dominant_weights_below), built on first use
+        after check_row_budget(λ), which brings the coordinates of λ − μ; a dominant μ off the
+        walk is ≰ λ or off λ's coset, so every argument is off the cone: 0.  Else each term
+        reads the packed table at a flat offset memoized per λ: one signed sum of ints,
+        decoded once.
         """
-        walk = self._walks.get(lam) if isinstance(lam, tuple) else None
-        key = walk.get(mu) if walk and isinstance(mu, tuple) else None
-        if key is None:
-            lam, mu = self.datum.dominant(lam), self.datum.dominant(mu)
-            key = self.datum.coroot_coordinates(tuple(map(operator.sub, lam, mu)))
-            if key is None or min(key) < 0:
-                return ZERO
+        if not isinstance(lam, tuple) or lam not in self._walks:
+            lam = self.datum.dominant(lam)
+            if lam not in self._walks:
+                self.check_row_budget(lam)
+                self.dominant_weights_below(lam)
+        walk = self._walks[lam]
+        key = walk.get(mu) if isinstance(mu, tuple) else None
+        if key is None and (key := walk.get(self.datum.dominant(mu))) is None:
+            return ZERO
         if not all(map(operator.le, key, self._box)):
             # grow once per λ, over λ − (its walk's deepest μ): that μ lies below every dominant
             # weight of its coset (Stembridge, The partial order of dominant weights, 1998)
-            walk = walk or {mu: key}
             deepest, top = next(reversed(walk.items()))
             if not all(all(map(operator.le, c, top)) for c in walk.values()):
                 raise InvariantError("λ − %r does not bound the walk of λ = %r" % (deepest, lam))

@@ -417,14 +417,14 @@ class RootDatum:
         reflections = [partial(self.reflect, i) for i in range(self.rank)]
         return tuple(sorted(_closure([tuple(lam)], reflections)))
 
-    def _dominant_scan(self, pair_bound: int, coord_bound: int):
+    def _dominant_scan(self, pair_bound: int):
         """The scan of dominant_box as (ranges, walk), refused with TooLarge over LIMIT.
 
-        On data with a central direction: the coordinate box and None; else the ranges of the
-        simple-root pairings p and (adj R, det R, the levels k).
+        On data with a central direction: the box |x_i| ≤ pair_bound and None; else the ranges
+        of the simple-root pairings p and (adj R, det R, the levels k).
         """
         if self.rank < self.lattice_rank:
-            walk, ranges = None, [range(-coord_bound, coord_bound + 1)] * self.lattice_rank
+            walk, ranges = None, [range(-pair_bound, pair_bound + 1)] * self.lattice_rank
         else:
             adjugate, det = _adjugate(self.simple_roots)
             levels = [_dot(column, self.two_rho_check) // det for column in zip(*adjugate)]
@@ -434,21 +434,18 @@ class RootDatum:
                            "candidates, over the limit of %d" % (pair_bound, scan, LIMIT))
         return ranges, walk
 
-    def dominant_box(self, pair_bound: int, coord_bound: Optional[int] = None):
-        """Dominant coweights λ with ⟨λ, 2ρ̌⟩ ≤ pair_bound inside a coordinate box, sorted by level.
+    def dominant_box(self, pair_bound: int):
+        """Dominant coweights λ with ⟨λ, 2ρ̌⟩ ≤ pair_bound, sorted by level.
 
-        For data with a central torus direction (GL-type presets) the pairing
-        does not bound the center, so a coordinate box is always imposed;
-        coord_bound defaults to pair_bound.  That box is scanned only on such
-        data: otherwise the walk runs over the simple-root pairings p ≥ 0 of λ,
-        λ = adj(R)·p / det R for the matrix R of simple roots, and
-        ⟨λ, 2ρ̌⟩ = Σ k_i p_i with 2ρ̌ = Σ k_i α_i, every k_i ≥ 1.  A scan of more
-        than LIMIT candidates raises TooLarge before it starts.
+        For data with a central torus direction (GL-type presets) the pairing does not bound
+        the center, so those λ are cut to the box |λ_i| ≤ pair_bound, which is scanned.  Any
+        other datum walks the simple-root pairings p ≥ 0 of λ, λ = adj(R)·p / det R for the
+        matrix R of simple roots, and ⟨λ, 2ρ̌⟩ = Σ k_i p_i with 2ρ̌ = Σ k_i α_i, every k_i ≥ 1:
+        every dominant λ of the level, in any basis of Λ.  A scan of more than LIMIT
+        candidates raises TooLarge before it starts.
         """
-        if coord_bound is None:
-            coord_bound = pair_bound
-        roots, two_rho = self.simple_roots, self.two_rho_check
-        ranges, walk = self._dominant_scan(pair_bound, coord_bound)
+        two_rho = self.two_rho_check
+        ranges, walk = self._dominant_scan(pair_bound)
         candidates = iter_product(*ranges)
         if walk is not None:
             adjugate, det, _ = walk
@@ -458,26 +455,23 @@ class RootDatum:
         out = []
         for coords in candidates:
             level = sum(map(operator.mul, coords, two_rho))
-            if (level <= pair_bound and max(map(abs, coords)) <= coord_bound
-                    and all(sum(map(operator.mul, coords, r)) >= 0 for r in roots)):
+            if level <= pair_bound and self.is_dominant(coords):
                 out.append((level, coords))
         out.sort()
         return [coords for _, coords in out]
 
     def dominant_count(self, pair_bound: int) -> int:
-        """len(dominant_box(pair_bound)), counted without building the box where that is exact.
+        """len(dominant_box(pair_bound)), counted without building the box on semisimple data.
 
         The walk admits the p ≥ 0 with Σ k_i p_i ≤ pair_bound and adj(R)·p ≡ 0 mod det R, and a
         coin-change count over the levels, one row per residue of adj(R)·p (at most det R of
-        them), counts them in O(rank · det R · pair_bound) steps.  The coordinate
-        bound cuts none of them when |adj(R)_{ji}| ≤ k_i |det R|: then it holds at every vertex
-        (pair_bound/k_i)·e_i of the simplex, so on all of it.  Otherwise, and on data with a
-        central direction, the box is built.
+        them), counts them in O(rank · det R · pair_bound) steps.  On data with a central
+        direction the box is built.
         """
-        _, walk = self._dominant_scan(pair_bound, pair_bound)
-        adjugate, det, levels = walk or ((), 1, ())
-        if walk is None or any(abs(a) > k * abs(det) for line in adjugate for a, k in zip(line, levels)):
+        _, walk = self._dominant_scan(pair_bound)
+        if walk is None:
             return len(self.dominant_box(pair_bound))
+        adjugate, det, levels = walk
 
         def plus(residue, column):
             return tuple((x + y) % det for x, y in zip(residue, column))

@@ -1,3 +1,5 @@
+from itertools import product as iter_product
+
 import pytest
 
 from satake.hecke import HeckeAlgebra
@@ -13,6 +15,21 @@ class _CorruptedBaseChange(HeckeAlgebra):
         if tuple(lam) == (2,):
             row[(0,)] = LaurentPoly.v_power(2).shift(-2)  # v^{−2} · q
         return row
+
+
+# SL3 on the basis (1, 0), (5, 1) of Λ: its dominant coweights are λ = (p_1, 5p_1 + p_2) for the
+# simple-root pairings p ≥ 0, whose second coordinate exceeds the level 2p_1 + 2p_2 when 3p_1 > p_2
+SKEWED_SL3 = {"cartan": [[2, -1], [-1, 2]], "coroots": [[2, 9], [-1, -3]], "roots": [[1, 0], [-5, 1]]}
+
+
+def box_scan(d, pair_bound, coord_bound):
+    """Every point of the box |λ_i| ≤ coord_bound that is dominant at level ≤ pair_bound, sorted."""
+    found = []
+    for lam in iter_product(range(-coord_bound, coord_bound + 1), repeat=d.lattice_rank):
+        level = sum(x * y for x, y in zip(lam, d.two_rho_check))
+        if level <= pair_bound and all(d.pairing(lam, root) >= 0 for root in d.simple_roots):
+            found.append((level, lam))
+    return [lam for _, lam in sorted(found)]
 
 
 @pytest.fixture

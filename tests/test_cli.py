@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import csv
 import io
 import json
 import os
@@ -18,6 +19,8 @@ from satake.hecke import A_BASIS, HeckeAlgebra
 from satake.laurent import LaurentPoly
 from satake.rep_ring import RepRing
 from satake.root_datum import PRESETS, build_root_datum
+
+from conftest import SKEWED_SL3
 
 
 def run(capsys, *argv):
@@ -351,6 +354,19 @@ def test_explicit_datum_file(tmp_path, capsys):
     code, out, _ = run(capsys, "tensor", "--datum", str(datum_file), "1", "1")
     assert code == 0
     assert out == '{"0":1,"2":1}\n'
+
+
+def test_a_skewed_basis_of_the_lattice_keeps_every_dominant_weight(tmp_path, capsys):
+    datum_file = tmp_path / "skewed.json"
+    datum_file.write_text(json.dumps(SKEWED_SL3))
+    code, out, _ = run(capsys, "whittaker-eval", "--datum", str(datum_file), "--gamma", "2,3",
+                       "--cutoff", "4")
+    assert code == 0
+    # the six dominant λ of level ≤ 4, three of them with a coordinate above the level
+    assert [row[0] for row in csv.reader(io.StringIO(out))][1:] == [
+        "0,0", "0,1", "1,5", "0,2", "1,6", "2,10"]
+    code, out, _ = run(capsys, "verify-cs", "--datum", str(datum_file), "8", "--gammas", "2")
+    assert code == 0 and "eigenfunction: PASS" in out, out
 
 
 @pytest.mark.parametrize(

@@ -26,6 +26,8 @@ from satake.hecke import HeckeAlgebra
 from satake.laurent import LaurentPoly
 from satake.root_datum import PRESETS, build_root_datum
 
+from conftest import box_scan
+
 
 def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
@@ -123,7 +125,7 @@ def _macdonald(name):
 
 def _weights(name):
     """Every dominant λ with coordinates in [−3, 3] (⟨λ,2ρ̌⟩ ≤ 48 on G2)."""
-    return build_root_datum(name).dominant_box(60, coord_bound=3)
+    return box_scan(build_root_datum(name), 60, 3)
 
 
 _nonzero = st.integers(-9, 9).filter(bool)

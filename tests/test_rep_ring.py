@@ -18,6 +18,8 @@ from satake.laurent import LaurentPoly, ONE
 from satake.rep_ring import RepRing, _alternating_eval, gamma_power, torus_point
 from satake.root_datum import PRESETS, InvariantError, RootDatum, TooLarge, build_root_datum
 
+from conftest import box_scan
+
 
 def char_product_decompose(rep, lam, mu):
     """Independent tensor oracle: convolve full weight tables, strip highest weights."""
@@ -161,7 +163,7 @@ def test_dominant_weights_below_is_a_filter_of_the_dominant_box(spec, bound):
     rep = RepRing(datum)
     for lam in datum.dominant_box(bound):
         level = datum.pairing_2rho(lam)
-        box = datum.dominant_box(level, level + max(map(abs, lam)))
+        box = box_scan(datum, level, level + max(map(abs, lam)))
         expected = sorted(((level - datum.pairing_2rho(mu)) // 2, mu)
                           for mu in box if datum.dominance_leq(mu, lam))
         assert rep.dominant_weights_below(lam) == expected, lam
@@ -447,7 +449,7 @@ def test_character_eval_matches_weight_by_weight_sum(name, index, coords):
     rep = RepRing(name)
     datum = rep.datum
     n = datum.lattice_rank
-    box = datum.dominant_box(6, coord_bound=3)
+    box = box_scan(datum, 6, 3)
     lam = box[index % len(box)]
     table = rep.weight_table(lam)
     coroots = [alpha for alpha, _ in datum.positive_coroots]
@@ -539,7 +541,7 @@ def test_kept_traces_are_those_of_a_fresh_ring_when_the_point_alternates(name):
     singular = torus_point(_one_singular_coroot(name), datum)
     coroots = [alpha for alpha, _ in datum.positive_coroots]
     assert all(gamma_power(regular, alpha) != 1 for alpha in coroots)
-    lams = datum.dominant_box(6, coord_bound=3)
+    lams = box_scan(datum, 6, 3)
     for first, second in [(regular, singular), (singular, regular)]:
         rep = RepRing(name)
         for point in (first, second, first):
@@ -722,7 +724,7 @@ def _q_side(rep, queries):
 @pytest.mark.parametrize("name", ["SL3", "Sp4", "G2", "GL3"])
 def test_packed_table_values_do_not_depend_on_the_order_of_queries(name):
     datum = build_root_datum(name)
-    lams = datum.dominant_box(14, coord_bound=4)
+    lams = box_scan(datum, 14, 4)
     queries = [(lam, mu) for lam in lams for _, mu in RepRing(name).dominant_weights_below(lam)]
     cold = [_q_side(RepRing(name), [query])[0] for query in queries]
     assert _q_side(RepRing(name), queries) == cold
@@ -788,7 +790,7 @@ def test_a_tampered_entry_that_makes_a_q_analog_negative_raises():
 def test_q_analog_of_a_walked_row_matches_the_validated_route(name):
     rep = RepRing(name)
     datum = rep.datum
-    box = datum.dominant_box(20, coord_bound=3)
+    box = box_scan(datum, 20, 3)
     for lam in box:
         before = {mu: rep.lusztig_q_analog(list(lam), list(mu)) for mu in box}  # no walk yet
         walked = [mu for _, mu in rep.dominant_weights_below(lam)]
@@ -881,6 +883,59 @@ def test_a_walk_whose_deepest_weight_is_not_lowest_raises():
     rep._walks[lam] = dict(sorted(rep._walks[lam].items(), key=lambda item: item[0] == (3, 0)))
     with pytest.raises(InvariantError, match="does not bound the walk"):
         rep.lusztig_q_analog(lam, (1, 1))
+
+
+def test_a_q_analog_is_refused_as_its_row_is_before_the_walk(monkeypatch):
+    def no_walk(self, lam):
+        raise AssertionError("the walk started before the refusal")
+
+    monkeypatch.setattr(RepRing, "dominant_weights_below", no_walk)
+    # SL3 at (1001, 1001) with μ = λ − α̌_1: the row's box is (1001, 1001), 1002² points, though
+    # λ − μ alone needs a box of 2 × 1; then E7, whose Weyl group is checked first
+    for datum, lam, mu, message in [
+            ("SL3", (1001, 1001), (999, 1002), r"box \(1001, 1001\) would hold 1004004 points"),
+            (_simply_connected(_e7()), (0,) * 6 + (1,), (0,) * 7, "Weyl group has 2903040")]:
+        rep = RepRing(datum)
+        start = time.perf_counter()
+        with pytest.raises(TooLarge, match=message):
+            rep.lusztig_q_analog(lam, mu)
+        assert time.perf_counter() - start < 0.1
+        assert not rep._walks and not rep._table
+
+
+def test_a_list_lambda_builds_its_walk_once(monkeypatch):
+    cold = RepRing("Sp4")
+    expected = {mu: cold.lusztig_q_analog((3, 2), mu) for _, mu in cold.dominant_weights_below((3, 2))}
+    rep, walks = RepRing("Sp4"), []
+    original = RepRing.dominant_weights_below
+
+    def recording(self, lam):
+        walks.append(lam)
+        return original(self, lam)
+
+    monkeypatch.setattr(RepRing, "dominant_weights_below", recording)
+    for mu, value in expected.items():
+        assert rep.lusztig_q_analog([3, 2], list(mu)) == value
+        assert rep.lusztig_q_analog((3, 2), mu) == value
+    assert walks == [(3, 2)] and list(rep._walks) == [(3, 2)]
+
+
+def test_a_q_analog_solves_for_no_coroot_coordinates(monkeypatch):
+    rep = RepRing("GL3")
+    lam = (3, 1, -2)
+    rep.q_kostant_partition((5, 0, -5))  # a table that covers every λ − μ below
+    expected = {mu: RepRing("GL3").lusztig_q_analog(lam, mu) for mu in box_scan(rep.datum, 10, 3)}
+
+    def unreachable(self, vec):
+        raise AssertionError("a q-analog solved for coroot coordinates")
+
+    monkeypatch.setattr(RootDatum, "coroot_coordinates", unreachable)
+    # lists and tuples, μ on the walk, μ ≰ λ and μ off λ's coset
+    for mu, value in expected.items():
+        assert rep.lusztig_q_analog(list(lam), list(mu)) == value, mu
+        assert rep.lusztig_q_analog(lam, mu) == value, mu
+    assert {mu for mu, value in expected.items() if value} == set(rep._walks[lam])
+    assert any(not value for value in expected.values())
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))

@@ -6,7 +6,9 @@ from itertools import permutations, product as iter_product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from satake.root_datum import PRESETS, _det, build_root_datum
+from satake.root_datum import PRESETS, _adjugate, _det, build_root_datum
+
+from conftest import SKEWED_SL3, box_scan
 
 # A1 × C2: reducible, with a rank-3 lattice
 REDUCIBLE = {"cartan": [[2, 0, 0], [0, 2, -2], [0, -1, 2]],
@@ -206,7 +208,7 @@ def test_w0_is_an_involution_sending_dominant_to_antidominant():
         for _ in range(20):
             lam = tuple(rng.randint(-5, 5) for _ in range(d.lattice_rank))
             assert d.apply_w0(d.apply_w0(lam)) == lam
-        for lam in d.dominant_box(4, coord_bound=4):
+        for lam in box_scan(d, 4, 4):
             image = d.apply_w0(lam)
             assert all(d.pairing(image, root) <= 0 for root in d.simple_roots)
 
@@ -342,8 +344,6 @@ def test_dominant_box_refuses_a_scan_over_the_cap(monkeypatch):
         sl3.dominant_box(2000)
     with pytest.raises(ValueError, match="scan of 1030301 candidates"):
         gl3.dominant_box(50)
-    with pytest.raises(ValueError, match="scan of 1030301 candidates"):
-        gl3.dominant_box(4, coord_bound=50)
     with pytest.raises(ValueError, match="scan of %d candidates" % (5 * 10 ** 29 + 1) ** 2):
         sl3.dominant_box(10 ** 30)  # ranges too long for len()
     # at the cap the scan is admitted (an empty one here, so the test stays fast)
@@ -351,24 +351,18 @@ def test_dominant_box_refuses_a_scan_over_the_cap(monkeypatch):
     assert sl3.dominant_box(1999) == [] and gl3.dominant_box(49) == []
 
 
-def _box_scan(d, pair_bound, coord_bound):
-    """Every point of the coordinate box that is dominant at level ≤ pair_bound, sorted."""
-    found = []
-    for lam in iter_product(range(-coord_bound, coord_bound + 1), repeat=d.lattice_rank):
-        level = sum(x * y for x, y in zip(lam, d.two_rho_check))
-        if level <= pair_bound and all(d.pairing(lam, root) >= 0 for root in d.simple_roots):
-            found.append((level, lam))
-    return [lam for _, lam in sorted(found)]
-
-
 @pytest.mark.parametrize("spec", sorted(PRESETS) + [REDUCIBLE], ids=sorted(PRESETS) + ["A1xC2"])
 def test_dominant_box_walk_equals_the_coordinate_box_scan(spec):
     d = build_root_datum(spec)
-    for pair_bound, coord_bound in [(-1, 3), (0, 0), (7, 7), (12, 12), (12, 2), (9, 0), (6, 3)]:
-        expected = _box_scan(d, pair_bound, coord_bound)
-        assert d.dominant_box(pair_bound, coord_bound) == expected, (pair_bound, coord_bound)
-        if coord_bound == pair_bound:
-            assert d.dominant_box(pair_bound) == expected
+    for pair_bound in [-1, 0, 7, 12]:
+        if d.rank < d.lattice_rank:
+            # the pairing does not bound the central direction: the box |λ_i| ≤ pair_bound cuts
+            coord_bound = pair_bound
+        else:
+            # λ = adj(R)·p / det R with 0 ≤ p_i ≤ pair_bound: this box holds every dominant λ
+            adjugate, det = _adjugate(d.simple_roots)
+            coord_bound = max(pair_bound, 0) * max(sum(map(abs, row)) for row in adjugate) // abs(det)
+        assert d.dominant_box(pair_bound) == box_scan(d, pair_bound, coord_bound), pair_bound
 
 
 @pytest.mark.parametrize("spec", sorted(PRESETS) + [REDUCIBLE], ids=sorted(PRESETS) + ["A1xC2"])
@@ -385,9 +379,6 @@ def test_form_covector_is_the_sum_over_positive_roots(spec):
         d.form_covector((0,) * (d.lattice_rank + 1))
 
 
-# SL3 on the basis (1, 0), (5, 1) of Λ: its walk reaches λ = (p_1, 5p_1 + p_2), so the
-# coordinate bound cuts the simplex of pairings
-SKEWED_SL3 = {"cartan": [[2, -1], [-1, 2]], "coroots": [[2, 9], [-1, -3]], "roots": [[1, 0], [-5, 1]]}
 # SL3 with the two lattice coordinates swapped: the matrix of simple roots has det −1
 SWAPPED_SL3 = {"cartan": [[2, -1], [-1, 2]], "coroots": [[-1, 2], [2, -1]], "roots": [[0, 1], [1, 0]]}
 
@@ -398,6 +389,16 @@ def test_dominant_count_is_the_size_of_the_dominant_box(spec):
     d = build_root_datum(spec)
     for pair_bound in [-1, 0, 1, 2, 5, 12, 31]:
         assert d.dominant_count(pair_bound) == len(d.dominant_box(pair_bound)), pair_bound
+
+
+@pytest.mark.parametrize("spec", [SKEWED_SL3, SWAPPED_SL3], ids=["skewed-SL3", "swapped-SL3"])
+def test_dominant_box_does_not_depend_on_the_basis_of_the_lattice(spec):
+    # SL3's own basis has simple roots e_1, e_2, so each of its λ is its simple-root pairings
+    d, sl3 = build_root_datum(spec), build_root_datum("SL3")
+    for pair_bound in range(-1, 13):
+        pairings = [tuple(d.pairing(lam, root) for root in d.simple_roots)
+                    for lam in d.dominant_box(pair_bound)]
+        assert sorted(pairings) == sorted(sl3.dominant_box(pair_bound)), pair_bound
 
 
 def test_dominant_count_refuses_as_the_box_does_and_counts_without_it(monkeypatch):
@@ -428,7 +429,7 @@ def test_minus_w0_is_the_dominant_representative_of_minus_lambda(name, coords):
 def test_dot_orbit_is_the_weyl_group_with_its_signs(spec):
     # against the Weyl group's matrices: w(λ+ρ) − (λ+ρ) from 2(λ+ρ), halved, in coroot coordinates
     d = build_root_datum(spec)
-    for lam in d.dominant_box(4, coord_bound=2):
+    for lam in box_scan(d, 4, 2):
         two = tuple(2 * x + r for x, r in zip(lam, d.two_rho_dual))
         expected = {d.coroot_coordinates([(sum(m * x for m, x in zip(row, two)) - t) // 2
                                           for row, t in zip(matrix, two)]): (-1) ** length
@@ -436,7 +437,7 @@ def test_dot_orbit_is_the_weyl_group_with_its_signs(spec):
         orbit = d.dot_orbit(lam)
         assert orbit[0] == ((0,) * d.rank, 1)
         assert len(orbit) == d.weyl_order and dict(orbit) == expected
-    for lam in d.dominant_box(4, coord_bound=2)[1:]:
+    for lam in box_scan(d, 4, 2)[1:]:
         minus = tuple(-x for x in lam)
         if not d.is_dominant(minus):
             with pytest.raises(ValueError, match="not dominant"):
