@@ -42,12 +42,6 @@ def _refused(func, *args):
         raise UsageError(str(exc))
 
 
-def _integer_rows(value) -> bool:
-    return isinstance(value, list) and all(
-        isinstance(row, list) and all(type(x) is int for x in row) for row in value
-    )
-
-
 def _load_datum(spec: str) -> RootDatum:
     if spec in PRESETS:
         return build_root_datum(spec)
@@ -61,13 +55,8 @@ def _load_datum(spec: str) -> RootDatum:
             data = json.load(fh)
     except (OSError, ValueError) as exc:
         raise UsageError("cannot read datum file %r: %s" % (spec, exc))
-    if not isinstance(data, dict) or not all(
-        _integer_rows(data.get(key)) for key in ("cartan", "coroots", "roots")
-    ):
-        raise UsageError(
-            "datum file %r must hold a JSON object whose cartan, coroots and roots "
-            "are lists of integer lists" % spec
-        )
+    if not isinstance(data, dict):  # a JSON string would name a preset
+        raise UsageError("datum file %r must hold a JSON object" % spec)
     try:
         return build_root_datum(data)
     except ValueError as exc:
@@ -79,12 +68,7 @@ def _parse_coweight(text: str, datum: RootDatum) -> Tuple[int, ...]:
         coords = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise UsageError("cannot parse coweight %r (expected comma-separated integers)" % text)
-    if len(coords) != datum.lattice_rank:
-        raise UsageError(
-            "coweight %r has %d coordinates; datum needs %d"
-            % (text, len(coords), datum.lattice_rank)
-        )
-    return coords
+    return _refused(datum.coweight, coords)
 
 
 def _parse_dominant(text: str, datum: RootDatum) -> Tuple[int, ...]:
@@ -196,6 +180,10 @@ def _cmd_whittaker_eval(args, datum: RootDatum) -> int:
     v_value = None if args.q is None else _parse_v(args.q)
     module = WhittakerModule(HeckeAlgebra(datum))
     gamma = _parse_gamma(args.gamma, datum)
+    # the table is one trace per dominant coweight, each of level up to the cutoff
+    if (count := datum.dominant_count(args.cutoff)) * args.cutoff > LIMIT:
+        raise TooLarge("cutoff %d gives %d traces × level %d = %d; the limit is %d"
+                       % (args.cutoff, count, args.cutoff, count * args.cutoff, LIMIT))
     rows = []
     for lam in datum.dominant_box(args.cutoff):
         value = module.whittaker_value(gamma, lam)
@@ -215,10 +203,7 @@ def _cmd_predict(args, datum: RootDatum) -> int:
     lam = _parse_dominant(args.lam, datum)
     mu = _parse_coweight(args.mu, datum)
     nu = _parse_coweight(args.nu, datum)
-    target = tuple(a + b for a, b in zip(mu, nu))
-    if not datum.is_dominant(target):
-        raise UsageError("hypothesis violated: μ+ν = %r is not dominant" % (target,))
-    prediction = geometry.predicted_cohomology(lam, mu, nu)
+    prediction = _refused(geometry.predicted_cohomology, lam, mu, nu)
     row = [
         _coweight_key(lam),
         _coweight_key(mu),

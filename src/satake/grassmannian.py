@@ -100,16 +100,14 @@ class Grassmannian:
     def predicted_cohomology(self, lam, mu, nu) -> CohomologyPrediction:
         """Predicted twisted cohomology of the closed intersection at (λ, μ, ν).
 
-        Requires dominant λ and dominant μ+ν (the standing hypothesis; other
-        inputs are rejected, not guessed).  Vanishes unless μ is dominant and
+        Requires dominant λ and dominant μ+ν (the standing hypothesis, which chi_admissible
+        tests; other inputs are rejected, not guessed).  Vanishes unless μ is dominant and
         V^{μ+ν} occurs in V^λ ⊗ V^μ; otherwise: a single degree ⟨2ν,ρ̌⟩ of
         dimension C^{μ+ν}_{λμ}, with Frobenius acting by q^{⟨ν,2ρ̌⟩}.
         """
-        lam = self.datum.dominant(lam)
-        mu = self.datum.coweight(mu)
-        nu = self.datum.coweight(nu)
+        lam, mu, nu = self.datum.dominant(lam), self.datum.coweight(mu), self.datum.coweight(nu)
         target = tuple(a + b for a, b in zip(mu, nu))
-        if not self.datum.is_dominant(target):
+        if not self.chi_admissible(mu, nu):
             raise ValueError("hypothesis violated: μ+ν = %r is not dominant" % (target,))
         if not self.datum.is_dominant(mu):
             return CohomologyPrediction(True, None, 0, None)

@@ -41,9 +41,9 @@ class BasisElement:
     """A finitely supported map from dominant coweights to Laurent polynomials.
 
     Tagged with its basis: A (Satake images of dual irreducibles), C
-    (characteristic functions of double cosets) or PHI (the Whittaker basis).
-    Zero-coefficient terms are dropped on construction; instances are treated
-    as immutable.
+    (characteristic functions of double cosets) or PHI (the Whittaker basis).  Keys are
+    kept as given (HeckeAlgebra.element checks them through RootDatum.dominant), and
+    zero-coefficient terms are dropped on construction; instances are treated as immutable.
     """
 
     __slots__ = ("basis", "terms")
@@ -55,7 +55,7 @@ class BasisElement:
         for cw, coeff in (terms or {}).items():
             poly = as_poly(coeff)
             if poly:
-                clean[tuple(int(x) for x in cw)] = poly
+                clean[cw] = poly
         self.basis = basis
         self.terms = clean
 

@@ -1,9 +1,9 @@
 """Exact sparse Laurent polynomials in the half-power variable v, with q = v**2.
 
-Coefficients are arbitrary-precision integers.  Values are normalized on
-construction (no stored zero coefficients), so equality is structural and the
-canonical form is unique.  Instances are immutable and hashable and may be
-shared freely between threads.
+Exponents and coefficients are ints: the constructor raises TypeError on any other.
+Values are normalized on construction (no stored zero coefficients), so equality is
+structural and the canonical form is unique.  Instances are immutable and hashable and may
+be shared freely between threads.
 
 The half-power variable exists because pairings ⟨λ, ρ̌⟩ are half-integers off
 the coroot lattice; every honest q-power is an even v-power.
@@ -11,6 +11,7 @@ the coroot lattice; every honest q-power is an even v-power.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Dict, Mapping, NamedTuple, Tuple
 
@@ -25,7 +26,7 @@ class LaurentPoly:
         if coeffs:
             for exp, c in coeffs.items():
                 if c:
-                    clean[int(exp)] = int(c)
+                    clean[operator.index(exp)] = operator.index(c)
         self._coeffs = clean
 
     # -- constructors -----------------------------------------------------

@@ -240,9 +240,9 @@ class Rank1Oracle:
 
         Sums the stalk weight of A_λ against the ψ(a_{−1−μ}) character sum
         over each locally closed stratum inside the closure, then applies the
-        stabilizer measure q^{−ν}.
+        stabilizer measure q^{−ν}.  Each label passes datum.coweight, which refuses a non-int.
         """
-        m, mu, n = int(lam), int(mu), int(nu)
+        (m,), (mu,), (n,) = map(self.datum.coweight, (lam, mu, nu))
         if m < 0:
             raise ValueError("orbit label must be nonnegative")
         if mu + n < 0:
@@ -265,7 +265,7 @@ class Rank1Oracle:
 
     def eq2_rhs(self, lam: int, mu: int, nu: int, q: int) -> VMonomial:
         """q^{−⟨ν,ρ̌⟩} · C^{μ+ν}_{λμ}, zero for non-dominant μ."""
-        m, mu, n = int(lam), int(mu), int(nu)
+        (m,), (mu,), (n,) = map(self.datum.coweight, (lam, mu, nu))
         if mu + n < 0:
             raise ValueError("inadmissible character")
         if mu < 0:

@@ -16,8 +16,9 @@ Every lattice vector is a tuple of ints; a half-integral vector such as ρ̌ or
 ρ of the dual group is only ever held doubled (two_rho_check, two_rho_dual),
 and callers halve a result after a parity check.  No Fraction appears:
 coroot coordinates are solved in integers through the adjugate of the Cartan
-matrix, and determinants come from fraction-free elimination.  Instances are
-immutable after construction and safe for concurrent reads.
+matrix, and determinants come from fraction-free elimination.  Integrality is checked once,
+at the doors: build_root_datum and RootDatum.coweight refuse a non-int entry with ValueError.
+Instances are immutable after construction and safe for concurrent reads.
 LIMIT is the package's one size bound: work that would hold more than LIMIT elements
 raises TooLarge where it would start, before any of it is done.
 """
@@ -57,11 +58,11 @@ class DomRep(NamedTuple):
     sign: int
 
 
-def _dot(a: Sequence, b: Sequence):
-    """The pairing Σ a_i b_i: an int for integer vectors."""
+def _dot(a: Sequence[int], b: Sequence[int]) -> int:
+    """The pairing Σ a_i b_i of two integer vectors."""
     if len(a) != len(b):
         raise ValueError("dimension mismatch: %d vs %d" % (len(a), len(b)))
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(operator.mul, a, b))
 
 
 def _reflect(vec: Sequence, pair_with: Sequence, along: Sequence) -> Tuple:
@@ -173,29 +174,31 @@ class RootDatum:
 
     # -- basic lattice operations -----------------------------------------
 
-    def coweight(self, x) -> Tuple:
-        """Normalize an int (rank-1 convenience) or a sequence to a coweight tuple."""
-        if isinstance(x, int):
-            if self.lattice_rank != 1:
-                raise ValueError("scalar coweight only allowed for lattice rank 1")
-            return (x,)
-        t = tuple(x)
+    def coweight(self, x) -> Vector:
+        """Normalize an int (rank-1 convenience) or a sequence of ints to a coweight tuple.
+
+        The door of every coweight argument: a float, Fraction, str or None coordinate raises
+        ValueError, so nothing behind it checks or truncates a coordinate again.
+        """
+        try:
+            t = (x,) if isinstance(x, int) else tuple(x)
+        except TypeError:  # a scalar that is not an int, refused as a coordinate below
+            t = (x,)
         if len(t) != self.lattice_rank:
-            raise ValueError(
-                "coweight %r has length %d, expected %d" % (x, len(t), self.lattice_rank)
-            )
+            raise ValueError("coweight %r has length %d, expected %d coordinates"
+                             % (x, len(t), self.lattice_rank))
+        for c in t:
+            if type(c) is not int:
+                raise ValueError("coweight %r has a coordinate that is not an integer" % (x,))
         return t
 
     def pairing(self, lam: Sequence, x: Sequence):
         """The canonical pairing of a coweight with a dual-lattice vector."""
         return _dot(lam, x)
 
-    def pairing_2rho(self, lam: Sequence) -> int:
-        """⟨λ, 2ρ̌⟩, always an integer."""
-        val = _dot(lam, self.two_rho_check)
-        if val != int(val):
-            raise InvariantError("⟨%r, 2ρ̌⟩ = %s is not an integer" % (tuple(lam), val))
-        return int(val)
+    def pairing_2rho(self, lam: Sequence[int]) -> int:
+        """⟨λ, 2ρ̌⟩, an integer since λ and 2ρ̌ are integer vectors."""
+        return _dot(lam, self.two_rho_check)
 
     def reflect(self, i: int, lam: Sequence) -> Tuple:
         """Simple reflection s_i(λ) = λ − ⟨λ, α_i⟩ α̌_i on the coweight side."""
@@ -549,9 +552,10 @@ def _validate_cartan(cartan: Sequence[Sequence[int]]) -> None:
 def build_root_datum(spec) -> RootDatum:
     """Build and validate a root datum from a preset name or explicit data.
 
-    Explicit data is a mapping {"cartan": [[..]], "coroots": [[..]], "roots": [[..]]}
-    with cartan[i][j] = ⟨coroot_j, root_i⟩.  Rejects non-finite-type Cartan
-    matrices and coroot/root vectors inconsistent with the Cartan matrix.
+    Explicit data is a mapping {"coroots": [[..]], "roots": [[..]], "cartan": [[..]]}
+    of int lists with cartan[i][j] = ⟨coroot_j, root_i⟩.  Raises ValueError on any other
+    spec (a missing key, or a float, str, bool or None entry: nothing is truncated), on
+    non-finite-type Cartan matrices and on coroot/root vectors inconsistent with the Cartan matrix.
     """
     if isinstance(spec, RootDatum):
         return spec
@@ -561,9 +565,13 @@ def build_root_datum(spec) -> RootDatum:
                 "unknown preset %r (available: %s)" % (spec, ", ".join(sorted(PRESETS)))
             )
         spec = PRESETS[spec]
-    coroots = tuple(tuple(int(x) for x in v) for v in spec["coroots"])
-    roots = tuple(tuple(int(x) for x in v) for v in spec["roots"])
-    cartan = tuple(tuple(int(x) for x in row) for row in spec["cartan"])
+    try:
+        coroots, roots, cartan = (tuple(map(tuple, spec[k])) for k in ("coroots", "roots", "cartan"))
+    except (KeyError, TypeError):
+        raise ValueError("a datum spec is a preset name or a mapping of coroots, roots and "
+                         "cartan to lists of lists; got %r" % (spec,))
+    if any(type(x) is not int for rows in (coroots, roots, cartan) for row in rows for x in row):
+        raise ValueError("every entry of a datum spec must be an integer; got %r" % (spec,))
     if not coroots or len(coroots) != len(roots) or len(cartan) != len(coroots):
         raise ValueError("coroots, roots and Cartan matrix must have matching rank")
     lattice_rank = len(coroots[0])

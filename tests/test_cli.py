@@ -512,6 +512,8 @@ def test_verify_cs_refuses_central_torus_before_any_check(capsys, monkeypatch, d
         '{"cartan": 5, "coroots": [[2]], "roots": [[1]]}',
         '{"cartan": [[2]], "coroots": [[2.5]], "roots": [[1]]}',
         '{"cartan": [[2]], "coroots": [[null]], "roots": [[1]]}',
+        '{"cartan": [[2]], "coroots": [[2]], "roots": [[true]]}',
+        '{"cartan": [[2]], "coroots": [["2"]], "roots": [[1]]}',
         '{"cartan": [[2, -2], [-2, 2]], "coroots": [[2, -2], [-2, 2]], "roots": [[1, 0], [0, 1]]}',
         '{nope',
     ],
@@ -574,6 +576,25 @@ def test_a_huge_cutoff_is_refused_before_the_dominant_box_is_scanned(capsys, arg
     assert time.monotonic() - start < 1
     assert code == 2 and out == ""
     assert "scan of %d candidates, over the limit of 1000000" % scan in err
+
+
+def test_whittaker_eval_refuses_an_oversized_table_before_any_trace(capsys, monkeypatch):
+    from satake.whittaker import WhittakerModule
+
+    def unreachable(self, gamma, lam):
+        raise RuntimeError("a trace was computed before the refusal")
+
+    # SL3 at cutoff 1999: the scan of 1000² pairings is admitted, and its 500500 dominant
+    # coweights, each a trace of level up to 1999, are counted, not built
+    monkeypatch.setattr(WhittakerModule, "whittaker_value", unreachable)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "whittaker-eval", "--datum", "SL3", "--gamma=2,3", "--cutoff", "1999")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert "cutoff 1999 gives 500500 traces × level 1999 = 1000499500; the limit is 1000000" in err
+    monkeypatch.undo()
+    code, out, _ = run(capsys, "whittaker-eval", "--datum", "SL3", "--gamma=2,3", "--cutoff", "100")
+    assert code == 0 and len(out.splitlines()) == 1 + 51 * 52 // 2
 
 
 def test_verify_cs_refuses_an_oversized_module_axiom_battery(capsys, monkeypatch):

@@ -275,6 +275,14 @@ def test_element_rejects_non_dominant_support():
         algebra.element(A_BASIS, {(-1,): ONE})
 
 
+def test_monomial_refuses_a_non_integer_coweight():
+    algebra = HeckeAlgebra("SL3")
+    with pytest.raises(ValueError, match="not an integer"):
+        algebra.monomial(A_BASIS, (1.5, 0))
+    with pytest.raises(ValueError, match="not an integer"):
+        algebra.element(A_BASIS, {(1.0, 0): ONE})
+
+
 def test_element_json_round_trip():
     algebra = HeckeAlgebra("SL3")
     h = algebra.element(A_BASIS, {(1, 0): LaurentPoly({-2: 1, 0: 3}), (0, 2): ONE})

@@ -1,7 +1,9 @@
 """Static guards on the library source: no asserts, no floats, stdlib-only imports, no dead names.
 
 The lattice module (root_datum.py) also imports no fractions: it works in integers, and it
-holds the one size bound, LIMIT: no other 10⁶ literal may appear in the library.
+holds the one size bound, LIMIT: no other 10⁶ literal may appear in the library.  Integers
+are checked where input enters, by root_datum's doors and the CLI's parsers: an int() call
+anywhere else would truncate or re-check what those doors already refused.
 
 Contracts must be raised exceptions so they hold under ``python -O``, every
 value is exact, and the runtime needs nothing beyond the standard library.
@@ -32,6 +34,8 @@ REFERENCE_ROUTES = (
 INTEGER_ONLY = {"root_datum.py"}
 # the module whose LIMIT assignment is the one 10⁶ literal of the library
 SIZE_BOUND_HOME = "root_datum.py"
+# the modules where input enters, the only ones that may call int()
+INTEGER_DOORS = {"root_datum.py", "cli.py"}
 
 
 def _is_million(node) -> bool:
@@ -57,6 +61,9 @@ def _violations(path):
             yield "%s float literal %r" % (where, node.value)
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
             yield "%s float() call" % where
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "int"
+              and path.name not in INTEGER_DOORS):
+            yield "%s int() call outside the integer doors" % where
         elif isinstance(node, ast.Import):
             for alias in node.names:
                 top = alias.name.split(".")[0]
@@ -140,3 +147,10 @@ def test_the_guards_fire(tmp_path):
     tracer.write_text('TARGETS = ("unused",)\n')
     assert list(_dead_names([dead], _used_names([dead, tracer], None))) == ["dead.py:4 unused"]
     assert list(_dead_names([dead], _used_names([dead, tracer], tracer))) == []
+
+
+def test_the_int_guard_fires_outside_the_doors(tmp_path):
+    for name, found in [("hecke.py", ["hecke.py:1 int() call outside the integer doors"]),
+                        ("root_datum.py", []), ("cli.py", [])]:
+        (tmp_path / name).write_text("z = int('1')\n")
+        assert list(_violations(tmp_path / name)) == found

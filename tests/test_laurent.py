@@ -161,6 +161,12 @@ def test_normalization_drops_zero_coefficients():
     assert hash(LaurentPoly({5: 0})) == hash(ZERO)
 
 
+def test_constructor_refuses_a_non_integer_coefficient_or_exponent():
+    for coeffs in ({0: 1.5}, {0: Fraction(3, 2)}, {1.0: 1}, {0: "1"}):
+        with pytest.raises(TypeError):
+            LaurentPoly(coeffs)
+
+
 def test_as_poly_coercion():
     assert as_poly(3) == LaurentPoly({0: 3})
     assert as_poly(ONE) is ONE

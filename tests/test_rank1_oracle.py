@@ -140,6 +140,15 @@ def test_twisted_top_cell_vanishes_except_at_lowest_stratum(oracle):
     assert survivor == oracle.eq2_rhs(2, 2, -2, 3)
 
 
+def test_labels_must_be_integers(oracle):
+    # a label truncated to 1 would yield a passing record that names λ = 1.5
+    for triple in [(1.5, 0, 1, 3), (1, 0.0, 1, 3), (1, 0, "1", 3)]:
+        with pytest.raises(ValueError, match="not an integer"):
+            oracle.check_triple(*triple)
+        with pytest.raises(ValueError, match="not an integer"):
+            oracle.eq2_rhs(*triple)
+
+
 def test_lhs_rejects_inadmissible_characters(oracle):
     with pytest.raises(ValueError, match="inadmissible"):
         oracle.eq2_lhs(2, -3, 2, 3)

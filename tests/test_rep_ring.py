@@ -339,6 +339,16 @@ def test_tensor_requires_dominant_inputs():
         rep.tensor_decompose((-1,), (1,))
 
 
+def test_non_integer_coweights_are_refused_as_input():
+    rep = RepRing("SL3")
+    gamma = torus_point([Fraction(2), Fraction(3)], rep.datum)
+    # a ValueError about the input, not an InvariantError blamed on the library
+    with pytest.raises(ValueError, match="not an integer"):
+        rep.character_eval((1.5, 0), gamma)
+    with pytest.raises(ValueError, match="not an integer"):
+        rep.tensor_decompose((1.0, 0), (0, 1))
+
+
 @pytest.mark.parametrize("spec, bound", [(PRESETS[name], _BOX_BOUNDS[name]) for name in sorted(PRESETS)]
                          + [(REDUCIBLE, 10)], ids=sorted(PRESETS) + ["A1xC2"])
 def test_table_budget_bounds_the_weight_table(monkeypatch, spec, bound):

@@ -309,6 +309,32 @@ def test_rejects_dependent_coroots():
         )
 
 
+@pytest.mark.parametrize("spec", [
+    {"cartan": [[2]], "coroots": [[2.5]], "roots": [[1]]},
+    {"cartan": [[2]], "coroots": [["2"]], "roots": [[1]]},
+    {"cartan": [[2]], "coroots": [[2]], "roots": [[True]]},  # PGL2, were True read as 1
+    {"cartan": [[2]], "coroots": [[None]], "roots": [[1]]},
+    {"cartan": [[2]], "coroots": [[2]], "roots": [[1.9]]},  # PGL2, were 1.9 truncated to 1
+    [[2]],
+    {"coroots": [[2]], "roots": [[1]]},
+], ids=["float", "str", "bool", "null", "truncated", "list", "missing-key"])
+def test_build_root_datum_refuses_a_spec_that_is_not_integer_lists(spec):
+    with pytest.raises(ValueError, match="datum spec"):
+        build_root_datum(spec)
+
+
+@pytest.mark.parametrize("preset, x", [
+    ("SL3", (1.5, 0)), ("SL3", (Fraction(1), 0)), ("SL3", ("1", 0)), ("SL3", (None, 0)),
+    ("PGL2", 1.5), ("PGL2", "1"), ("PGL2", (True,)),
+], ids=["float", "Fraction", "str", "None", "scalar-float", "scalar-str", "bool"])
+def test_coweight_refuses_a_coordinate_that_is_not_an_int(preset, x):
+    d = build_root_datum(preset)
+    with pytest.raises(ValueError, match="not an integer"):
+        d.coweight(x)
+    with pytest.raises(ValueError, match="not an integer"):
+        d.dominant(x)
+
+
 def test_coweight_normalization():
     d = build_root_datum("PGL2")
     assert d.coweight(3) == (3,)
