@@ -12,12 +12,13 @@ The base-change matrix takes the unitriangular form
 
 where m_λ^q is the Lusztig q-analog of the weight multiplicity, one signed sum
 of ints read from the ring's packed q-Kostant table and decoded once per μ of the
-walk below λ, and mapped to the row entry by one LaurentPoly.mirror step.  Three checks
-pin the q-powers in rank 1 or at q = 1 only (rank-1 closed forms, the finite-field
-character-sum oracle, and the q = 1 mass count), and the oracle test battery fails
-for any other twist.  tests/test_macdonald.py checks the
-full q-dependence on every preset against Macdonald's formula, a route that
-shares no code with the q-Kostant table or the Lusztig q-analogs.
+walk below λ, and mapped to the row entry by one LaurentPoly.mirror step; the inverse peels
+the highest term, pairing each coweight with 2ρ̌ once and dropping a cancelled term by a
+comparison.  Three checks pin the q-powers in rank 1 or at q = 1 only (rank-1 closed forms,
+the finite-field character-sum oracle, and the q = 1 mass count), and the oracle test battery
+fails for any other twist.  tests/test_macdonald.py checks the full q-dependence on every
+preset against Macdonald's formula, a route that shares no code with the q-Kostant table or
+the Lusztig q-analogs.
 """
 
 from __future__ import annotations
@@ -151,23 +152,28 @@ class HeckeAlgebra:
         return BasisElement(C_BASIS, acc)
 
     def c_to_satake(self, h: BasisElement) -> BasisElement:
-        """Invert the unitriangular base change by peeling highest terms."""
+        """Invert the unitriangular base change by peeling highest terms.
+
+        Each coweight is paired with 2ρ̌ once per call; a term the peel cancels is dropped by a
+        comparison, not built as a zero difference.
+        """
         if h.basis != C_BASIS:
             raise ValueError("c_to_satake needs a C-basis element")
         work: Dict[Coweight, LaurentPoly] = dict(h.terms)
+        levels = {cw: self.datum.pairing_2rho(cw) for cw in work}
         acc: Dict[Coweight, LaurentPoly] = {}
         while work:
-            lam = max(work, key=lambda cw: (self.datum.pairing_2rho(cw), cw))
+            lam = max(work, key=lambda cw: (levels[cw], cw))
             # every later λ is lower, so none brings this one back into work
-            acc[lam] = a_coeff = work.pop(lam).shift(self.datum.pairing_2rho(lam))
+            acc[lam] = a_coeff = work.pop(lam).shift(levels[lam])
             for mu, entry in self.satake_row(lam).items():
                 if mu == lam:
                     continue
-                updated = work.get(mu, ZERO) - a_coeff * entry
-                if updated:
-                    work[mu] = updated
-                else:
-                    work.pop(mu, None)
+                current, scaled = work.pop(mu, ZERO), a_coeff * entry
+                if current != scaled:
+                    work[mu] = current - scaled
+                    if mu not in levels:
+                        levels[mu] = self.datum.pairing_2rho(mu)
         return BasisElement(A_BASIS, acc)
 
     # -- involution and evaluation ---------------------------------------------------

@@ -13,9 +13,10 @@ are kept until a call at another point.  The q-side reads one coin-change table 
 q-Kostant partition function per ring: a flat row-major list of ints over a box of coroot
 coordinates, each q-polynomial packed at q = 2^K (exact: no coefficient is negative), K one
 guard bit over the table's largest value at q = 1, and the box doubled on growth.  Each λ's
-walk of the dominant μ ≤ λ, built once after λ's row budget, keeps the coroot coordinates of
-each λ − μ, and every q-analog reads it: the signed sum of the entries at λ − μ plus one flat
-offset per w ≠ e, decoded once, or 0 off the walk.  Values are exact (ints and Fractions).
+walk of the dominant μ ≤ λ, built once after λ's row budget (its last coroot coordinate one
+interval per branch), keeps the coroot coordinates of each λ − μ, and every q-analog reads it:
+the signed sum of the entries at λ − μ plus one flat offset per w ≠ e whose argument passes a
+one-int cone test, decoded once from its lowest digit, or 0 off the walk.  Values are exact.
 A weight table or q-Kostant table that could hold more than LIMIT entries raises TooLarge
 before it is started.
 """
@@ -32,6 +33,7 @@ from .laurent import LaurentPoly, ZERO
 from .root_datum import LIMIT, InvariantError, RootDatum, TooLarge, build_root_datum
 
 Coweight = Tuple[int, ...]
+_INT = frozenset((int,))  # the one coordinate type RootDatum.coweight accepts
 TorusPoint = Tuple[Fraction, ...]
 
 
@@ -139,9 +141,11 @@ class RepRing:
     def dominant_weights_below(self, lam) -> List[Tuple[int, Coweight]]:
         """All dominant μ ≤ λ as (depth, μ), depth-sorted; the depth is the height of λ − μ.
 
-        Built one c_j of λ − μ = Σ c_j α̌_j at a time, carrying μ's simple-root pairings; a unit
-        of height on α̌_k, α̌_{k+1}, … lifts a pairing by ≤ lift[k], so dead branches are cut.
-        The walk is memoized per λ as μ ↦ (c_j), which every q-analog of λ reads.
+        Built one c_j of λ − μ = Σ c_j α̌_j at a time, carrying μ's simple-root pairings p_i; a
+        unit of height on α̌_k, α̌_{k+1}, … lifts a pairing by ≤ lift[k], so dead branches are
+        cut.  The last c_j is one interval: ⟨μ, α_i⟩ = p_i − c_j·C[i][j] ≥ 0 bounds it below
+        where C[i][j] < 0, by ⌊p_j/2⌋ and the height left above, and empties it where a p_i < 0
+        has C[i][j] = 0.  The walk is memoized per λ as μ ↦ (c_j), which every q-analog reads.
         """
         lam = self.datum.dominant(lam)
         if lam not in self._walks:
@@ -149,15 +153,20 @@ class RepRing:
             cartan, rank = datum.cartan_matrix, datum.rank
             max_depth = datum.pairing_2rho(lam) // 2
             lift = [max([0] + [-x for row in cartan for x in row[k:]]) for k in range(rank + 1)]
+            columns = [[row[j] for row in cartan] for j in range(rank)]
             out = []
 
             def rec(idx: int, remaining: int, vec: List[int], pairings: List[int], coords=()):
                 if min(pairings) + remaining * lift[idx] < 0:
                     return
-                if idx == rank:
-                    out.append((max_depth - remaining, tuple(vec), coords))
+                alpha, column = datum.simple_coroots[idx], columns[idx]
+                if idx == rank - 1:  # each ⟨μ, α_i⟩ = p_i − c·C[i][idx] ≥ 0 cuts one interval of c
+                    lo = max([0] + [-(p // -k) for p, k in zip(pairings, column) if k < 0])
+                    hi = min([remaining, pairings[idx] // 2]
+                             + [-1 for p, k in zip(pairings, column) if not k and p < 0])
+                    out.extend((max_depth - remaining + c, tuple(v - c * a for v, a in zip(vec, alpha)),
+                                coords + (c,)) for c in range(lo, hi + 1))
                     return
-                alpha, column = datum.simple_coroots[idx], [row[idx] for row in cartan]
                 for c in range(remaining + 1):
                     child = [p - c * k for p, k in zip(pairings, column)]
                     if child[idx] + (remaining - c) * lift[idx + 1] < 0:
@@ -373,17 +382,20 @@ class RepRing:
     def _decode(self, packed: int) -> LaurentPoly:
         """The q-polynomial packed at q = 2^K, as a LaurentPoly in v.
 
-        A digit in the guard bit (a negative int has one) is a negative coefficient, which no
-        q-Kostant value or q-analog has (Lusztig 1983; Kato 1982): InvariantError.
+        The zero digits below the lowest set bit are skipped in one shift.  A digit in the guard
+        bit (a negative int has one) is a negative coefficient, which no q-Kostant value or
+        q-analog has (Lusztig 1983; Kato 1982): InvariantError.
         """
-        mask, guard, coeffs, exp = (1 << self._width) - 1, 1 << (self._width - 1), {}, 0
+        mask, guard, coeffs, width = (1 << self._width) - 1, 1 << (self._width - 1), {}, self._width
+        exp = ((packed & -packed).bit_length() - 1) // width if packed else 0  # zero digits
+        packed, exp = packed >> exp * width, 2 * exp
         while packed:
             digit = packed & mask
             if digit & guard:
                 raise InvariantError("a q-polynomial has a negative coefficient at q^%d" % (exp // 2))
             if digit:
                 coeffs[exp] = digit
-            packed >>= self._width
+            packed >>= width
             exp += 2
         return LaurentPoly._from_clean(coeffs)
 
@@ -406,15 +418,18 @@ class RepRing:
         after check_row_budget(λ), which brings the coordinates of λ − μ; a dominant μ off the
         walk is ≰ λ or off λ's coset, so every argument is off the cone: 0.  Else each term
         reads the packed table at a flat offset memoized per λ: one signed sum of ints,
-        decoded once.
+        decoded once.  A term's argument is on the cone iff λ − μ ≥ need = −shift, tested as
+        ((K | H) − N) & H == H on both packed in fields of F bits, H their top (guard) bits:
+        exact while F − 1 bits hold every box and need coordinate, F derived per λ and refill.
+        A walked λ or μ is read without validation only when all its coordinates are ints.
         """
-        if not isinstance(lam, tuple) or lam not in self._walks:
+        if type(lam) is not tuple or lam not in self._walks or not _INT.issuperset(map(type, lam)):
             lam = self.datum.dominant(lam)
             if lam not in self._walks:
                 self.check_row_budget(lam)
                 self.dominant_weights_below(lam)
         walk = self._walks[lam]
-        key = walk.get(mu) if isinstance(mu, tuple) else None
+        key = walk.get(mu) if type(mu) is tuple and _INT.issuperset(map(type, mu)) else None
         if key is None and (key := walk.get(self.datum.dominant(mu))) is None:
             return ZERO
         if not all(map(operator.le, key, self._box)):
@@ -424,15 +439,20 @@ class RepRing:
             if not all(all(map(operator.le, c, top)) for c in walk.values()):
                 raise InvariantError("λ − %r does not bound the walk of λ = %r" % (deepest, lam))
             self.q_kostant_partition(tuple(map(operator.sub, lam, deepest)))
-        table, strides, terms = self._table, self._strides, self._offsets.get(lam)
-        if terms is None:
-            terms = self._offsets[lam] = tuple(
-                (tuple(-c for c in shift), sum(map(operator.mul, shift, strides)), sign)
-                for shift, sign in self._signed_shifts(lam)[1:])
+        table, strides, offsets = self._table, self._strides, self._offsets.get(lam)
+        if offsets is None:
+            shifts = self._signed_shifts(lam)[1:]  # each need = −shift ≥ 0
+            width = max(self._box + tuple(-min(shift) for shift, _ in shifts)).bit_length() + 1
+            fields = [1 << (width * j) for j in range(len(strides))]
+            offsets = self._offsets[lam] = (fields, sum(fields) << (width - 1), tuple(
+                (-sum(map(operator.mul, shift, fields)), sum(map(operator.mul, shift, strides)), sign)
+                for shift, sign in shifts))
+        fields, guard, terms = offsets
         base = sum(map(operator.mul, key, strides))
+        guarded = sum(map(operator.mul, key, fields)) | guard
         total = table[base]
         for need, offset, sign in terms:
-            if all(map(operator.ge, key, need)):
+            if (guarded - need) & guard == guard:
                 total += sign * table[base + offset]
         return self._decode(total)
 

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from satake.hecke import A_BASIS, C_BASIS, BasisElement, HeckeAlgebra
-from satake.laurent import LaurentPoly, ONE
+from satake.laurent import LaurentPoly, ONE, ZERO
 from satake.rep_ring import torus_point
+from satake.root_datum import RootDatum
 
 
 def rand_a_element(algebra, rng, bound=6, max_terms=3, poly=False):
@@ -162,6 +163,66 @@ def test_base_change_round_trips_on_random_elements(case, drop):
     terms, i = image.sorted_terms(), drop % len(image.terms)
     partial = BasisElement(C_BASIS, dict(terms[:i] + terms[i + 1:]))
     assert algebra.satake_to_c(algebra.c_to_satake(partial)) == partial
+
+
+def _max_peel(algebra, h):
+    """c_to_satake by the plain peel: each step re-pairs every coweight in the work with 2ρ̌
+    to find the highest, and subtracts each row entry, dropping a zero difference."""
+    datum, work, acc = algebra.datum, dict(h.terms), {}
+    while work:
+        lam = max(work, key=lambda cw: (datum.pairing_2rho(cw), cw))
+        acc[lam] = a_coeff = work.pop(lam).shift(datum.pairing_2rho(lam))
+        for mu, entry in algebra.satake_row(lam).items():
+            if mu != lam:
+                updated = work.get(mu, ZERO) - a_coeff * entry
+                if updated:
+                    work[mu] = updated
+                else:
+                    work.pop(mu, None)
+    return BasisElement(A_BASIS, acc)
+
+
+# one warm algebra per datum with its dominant λ at ⟨λ,2ρ̌⟩ ≤ bound, and the pairs of those λ
+# neither of which is ≤ the other (different cosets, or the same level)
+_PEEL = {name: HeckeAlgebra(name) for name in ("PGL2", "SL3", "Sp4", "G2", "GL3")}
+_PEEL_BOX = {name: _PEEL[name].datum.dominant_box(bound)
+             for name, bound in [("PGL2", 6), ("SL3", 8), ("Sp4", 8), ("G2", 40), ("GL3", 6)]}
+_INCOMPARABLE = {name: [(a, b) for a in box for b in box if a < b
+                        and not _PEEL[name].datum.dominance_leq(a, b)
+                        and not _PEEL[name].datum.dominance_leq(b, a)]
+                 for name, box in _PEEL_BOX.items()}
+
+
+@st.composite
+def _peel_cases(draw):
+    # two incomparable weights on top, each with a coefficient of two or more terms, and up to
+    # three weights below both, so the peel takes several steps and brings in new terms
+    name = draw(st.sampled_from(sorted(_PEEL)))
+    algebra, datum = _PEEL[name], _PEEL[name].datum
+    top = draw(st.sampled_from(_INCOMPARABLE[name]))
+    floor = min(map(datum.pairing_2rho, top))
+    below = [mu for mu in _PEEL_BOX[name] if datum.pairing_2rho(mu) < floor]
+    terms = {cw: draw(_coefficients) for cw in top}
+    if below:
+        terms.update(draw(st.dictionaries(st.sampled_from(below), _coefficients, max_size=3)))
+    return algebra, BasisElement(C_BASIS, terms)
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=_peel_cases())
+def test_the_peel_matches_the_plain_max_peel_and_pairs_each_coweight_once(case):
+    algebra, h = case
+    assert all(len(coeff.exponents()) >= 2 for coeff in h.terms.values()) and len(h.terms) >= 2
+    expected = _max_peel(algebra, h)  # also warms every row the peel reads
+    paired = []
+    pairing_2rho = RootDatum.pairing_2rho
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(RootDatum, "pairing_2rho",
+                      lambda self, lam: paired.append(tuple(lam)) or pairing_2rho(self, lam))
+        result = algebra.c_to_satake(h)
+    assert result == expected
+    assert len(paired) == len(set(paired)) and set(paired) >= set(h.terms) | set(result.terms)
+    assert algebra.satake_to_c(result) == h
 
 
 def test_triangularity_and_polynomial_shape():

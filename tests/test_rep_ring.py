@@ -4,10 +4,13 @@ import itertools
 import json
 import math
 import operator
+import os
 import random
+import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -154,8 +157,20 @@ def test_tables_need_no_chamber_walk_and_one_orbit_per_dominant_weight(monkeypat
     assert sorted(orbits) == sorted(distinct)
 
 
+# rank 3, connected, on the basis of fundamental coweights (B3's third simple root short):
+# c_2 lifts ⟨μ, α_1⟩, which is then fixed, and the last column, (0, −1, 2) or (0, −2, 2),
+# empties the interval of c_3 when it is negative, unlike the rank-2 presets and A1 × C2
+A3 = {"cartan": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]],
+      "coroots": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]],
+      "roots": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
+B3 = {"cartan": [[2, -1, 0], [-1, 2, -2], [0, -1, 2]],
+      "coroots": [[2, -1, 0], [-1, 2, -1], [0, -2, 2]],
+      "roots": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
+
+
 @pytest.mark.parametrize("spec, bound", [(PRESETS[name], _BOX_BOUNDS[name]) for name in sorted(PRESETS)]
-                         + [(REDUCIBLE, 10)], ids=sorted(PRESETS) + ["A1xC2"])
+                         + [(REDUCIBLE, 10), (A3, 12), (B3, 16)],
+                         ids=sorted(PRESETS) + ["A1xC2", "A3", "B3"])
 def test_dominant_weights_below_is_a_filter_of_the_dominant_box(spec, bound):
     # brute force: every dominant μ of a box that holds all of them, kept when λ − μ is a
     # Z≥0-sum of simple coroots, with depth = height of λ − μ = (⟨λ,2ρ̌⟩ − ⟨μ,2ρ̌⟩)/2
@@ -825,6 +840,115 @@ def test_q_analog_refuses_bad_weights_before_and_after_the_walk():
         assert rep.lusztig_q_analog(lam, (4, 1)) == LaurentPoly()  # dominant, λ − μ = −α̌_1
         assert rep.lusztig_q_analog(lam, (1, 0)) == LaurentPoly()  # off λ's coset
         assert rep.lusztig_q_analog(lam, [0, 0]) == LaurentPoly({4: 1, 6: 1, 8: 1})
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_a_warm_walk_refuses_a_float_or_bool_coordinate(name):
+    # 2.0 and True equal and hash as 2 and 1, so a walked row's dicts would find them: the warm
+    # ring refuses them as RootDatum.coweight, and a cold ring, do
+    datum = build_root_datum(name)
+    lam, mu = next((lam, mu) for lam in reversed(datum.dominant_box(6))
+                   for _, mu in RepRing(name).dominant_weights_below(lam)
+                   if mu != lam and set(mu) <= {0, 1})
+    warm = RepRing(name)
+    warm.dominant_weights_below(lam)
+    assert warm.lusztig_q_analog(lam, mu)
+    for bad_lam, bad_mu in [((float(lam[0]),) + lam[1:], mu), (lam, (float(mu[0]),) + mu[1:]),
+                            (lam, tuple(map(bool, mu)))]:
+        for rep in (warm, RepRing(name)):
+            with pytest.raises(ValueError, match="not an integer"):
+                rep.lusztig_q_analog(bad_lam, bad_mu)
+    assert warm.lusztig_q_analog(lam, mu) == RepRing(name).lusztig_q_analog(lam, mu)
+
+
+def test_a_warm_walk_refuses_a_float_under_python_O():
+    # the refusal is a raised exception, not an assert, so python -O keeps it
+    script = "\n".join([
+        "import sys",
+        "from satake.rep_ring import RepRing",
+        "rep = RepRing('SL3')",
+        "rep.dominant_weights_below((2, 2))",
+        "print('optimize', sys.flags.optimize)",
+        "for lam, mu in [((2.0, 2), (0, 0)), ((2, 2), (0.0, 0)), ((2, 2), (True, True))]:",
+        "    try:",
+        "        print('returned', rep.lusztig_q_analog(lam, mu))",
+        "    except ValueError:",
+        "        print('refused')",
+    ])
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n") == ["optimize 1", "refused", "refused", "refused", ""]
+
+
+def _decode_from_q0(packed, width):
+    """The packed q-polynomial decoded one digit at a time from q⁰: the plain reference."""
+    mask, guard, coeffs, exp = (1 << width) - 1, 1 << (width - 1), {}, 0
+    while packed:
+        digit = packed & mask
+        if digit & guard:
+            raise InvariantError("a q-polynomial has a negative coefficient at q^%d" % (exp // 2))
+        if digit:
+            coeffs[exp] = digit
+        packed >>= width
+        exp += 2
+    return LaurentPoly(coeffs)
+
+
+def _q_analog_by_coordinates(rep, lam, mu):
+    """λ's q-analog at a walked μ from the ring's table, each term kept by a coordinate-wise
+    test key ≥ need and the sum decoded from q⁰: the reference for the packed cone test."""
+    key, strides = rep._walks[lam][mu], rep._strides
+    base = sum(map(operator.mul, key, strides))
+    total = rep._table[base]
+    for shift, sign in rep._signed_shifts(lam)[1:]:
+        if all(k >= -s for k, s in zip(key, shift)):
+            total += sign * rep._table[base + sum(map(operator.mul, shift, strides))]
+    return _decode_from_q0(total, rep._width)
+
+
+@pytest.mark.parametrize("name", ["SL3", "Sp4", "G2", "GL3"])
+def test_the_packed_cone_test_is_the_coordinate_test_on_every_point_of_the_box(name):
+    rep = RepRing(name)
+    lam = box_scan(rep.datum, 12, 4)[-1]
+    walk = [mu for _, mu in rep.dominant_weights_below(lam)]
+    values = [rep.lusztig_q_analog(lam, mu) for mu in walk]
+    assert rep._walks[lam][walk[-1]] == rep._box  # the deepest key is the box's corner
+    needs = [tuple(-c for c in shift) for shift, _ in rep._signed_shifts(lam)[1:]]
+    assert max(map(max, needs)) > max(rep._box)  # the widest need, not the box, sets the fields
+    for refill in (False, True):
+        if refill:  # a refill to a box of 31 = 2⁵ − 1 per coordinate, wider than every need
+            rep.q_kostant_partition(_combination(rep.datum, (31, 31)))
+            assert rep._box == (31, 31) and not rep._offsets
+            assert [rep.lusztig_q_analog(lam, mu) for mu in walk] == values
+            assert rep._offsets[lam][0] == [1, 1 << 6]  # five value bits and the guard
+        assert [_q_analog_by_coordinates(rep, lam, mu) for mu in walk] == values
+        fields, guard, terms = rep._offsets[lam]
+        assert [need for need, _, _ in terms] == [sum(map(operator.mul, need, fields))
+                                                  for need in needs]
+        for key in itertools.product(*(range(b + 1) for b in rep._box)):
+            guarded = sum(map(operator.mul, key, fields)) | guard
+            for need, (packed, _, _) in zip(needs, terms):
+                assert ((guarded - packed) & guard == guard) == all(map(operator.ge, key, need))
+
+
+def test_the_decode_from_the_lowest_digit_is_the_decode_from_q0():
+    rep = RepRing("G2")
+    rep.q_kostant_partition(_combination(rep.datum, (6, 4)))
+    width = rep._width
+    entries = set(rep._table)
+    # every entry but P_q(0) = 1 has its lowest term at q^m, m ≥ 1 the fewest parts
+    assert min(_decode_from_q0(x, width).exponents()[0] for x in entries - {1}) >= 2
+    for x in entries | {0, 1 << (7 * width), (3 << (9 * width)) + (2 << (2 * width))}:
+        assert rep._decode(x) == _decode_from_q0(x, width)
+    for x in [-(1 << (3 * width)), (1 << (2 * width)) - (1 << (5 * width)), -1]:
+        with pytest.raises(InvariantError) as lowest:
+            rep._decode(x)
+        with pytest.raises(InvariantError) as plain:
+            _decode_from_q0(x, width)
+        assert str(lowest.value) == str(plain.value)
 
 
 def test_q_analog_of_a_walked_row_needs_no_validation_and_one_decode(monkeypatch):
