@@ -91,6 +91,10 @@ class LaurentPoly:
             return LaurentPoly({e: c * other for e, c in self._coeffs.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
+        if self._coeffs == {0: 1}:  # the unit; instances are immutable, so nothing is copied
+            return other
+        if other._coeffs == {0: 1}:
+            return self
         poly, mono = (other, self) if len(self._coeffs) == 1 else (self, other)
         if len(mono._coeffs) == 1:  # c·v^k: a shift and a scale, so nothing cancels
             ((k, scale),) = mono._coeffs.items()

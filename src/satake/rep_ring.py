@@ -1,24 +1,27 @@
 """The representation ring of the dual group over a fixed root datum.
 
 Freudenthal's recursion in the datum's W-invariant form fills the dominant and the full
-weight table of V^λ in one pass (Weyl orbits memoized per ring).  Brauer–Klimyk gives
-tensor products: the dot action w·x = w(x+ρ) − ρ moves each λ + τ, τ a weight of the other
-factor, into the dominant chamber by the datum's one chamber walk on the simple-root pairings
-of λ+τ+ρ (those of τ+ρ memoized per table), in integers on Λ.  One memo per ring holds the
-signed shifts of each λ, the coroot coordinates of w(λ+ρ) − (λ+ρ) with (−1)^{ℓ(w)}: the
-terms of both alternating Weyl sums.  A character is Weyl's character formula over them
-where |W| ≤ dim V^λ and the torus point is regular, and the sum over the weight table
-otherwise; both are integer sums, one denominator each.  The traces at the last torus point
-are kept until a call at another point.  The q-side reads one coin-change table of the
-q-Kostant partition function per ring: a flat row-major list of ints over a box of coroot
-coordinates, each q-polynomial packed at q = 2^K (exact: no coefficient is negative), K one
-guard bit over the table's largest value at q = 1, and the box doubled on growth.  Each λ's
-walk of the dominant μ ≤ λ, built once after λ's row budget (its last coroot coordinate one
-interval per branch), keeps the coroot coordinates of each λ − μ, and every q-analog reads it:
-the signed sum of the entries at λ − μ plus one flat offset per w ≠ e whose argument passes a
-one-int cone test, decoded once from its lowest digit, or 0 off the walk.  Values are exact.
-A weight table or q-Kostant table that could hold more than LIMIT entries raises TooLarge
-before it is started.
+weight table of V^λ in one pass (Weyl orbits memoized per ring).  One Brauer–Klimyk core
+acts by V^λ on an integer combination Σ n_μ [V^μ] of dominant μ: the dot action
+w·x = w(x+ρ) − ρ moves each μ + τ, τ a weight of V^λ, into the dominant chamber by the
+datum's one chamber walk on the simple-root pairings of μ+τ+ρ (those of τ+ρ memoized per λ),
+in integers on Λ.  A tensor product is a combination of one term; the Whittaker residual
+acts on its whole truncation in one pass.  One memo per ring holds the signed shifts of each
+λ, the coroot coordinates of w(λ+ρ) − (λ+ρ) with (−1)^{ℓ(w)}: the terms of both alternating
+Weyl sums.  A character is Weyl's character formula over them where |W| ≤ dim V^λ and the
+torus point is regular, and the sum over the weight table otherwise; both are integer sums,
+one denominator each.  The traces at the last torus point are kept until a call at another
+point.  Public methods check their coweights at the door; the private routes behind them
+(_brauer_klimyk, _character, _dual_character) take checked dominant coweights.  The q-side
+reads one coin-change table of the q-Kostant partition function per ring: a flat row-major
+list of ints over a box of coroot coordinates, each q-polynomial packed at q = 2^K (exact: no
+coefficient is negative), K one guard bit over the table's largest value at q = 1, and the
+box doubled on growth.  Each λ's walk of the dominant μ ≤ λ, built once after λ's row budget
+(its last coroot coordinate one interval per branch), keeps the coroot coordinates of each
+λ − μ, and every q-analog reads it: the signed sum of the entries at λ − μ plus one flat
+offset per w ≠ e whose argument passes a one-int cone test, decoded once from its lowest
+digit, or 0 off the walk.  Values are exact.  A weight table or q-Kostant table that could
+hold more than LIMIT entries raises TooLarge before it is started.
 """
 
 from __future__ import annotations
@@ -254,40 +257,49 @@ class RepRing:
     def tensor_decompose(self, lam, mu) -> Dict[Coweight, int]:
         """Multiplicities of irreducibles in V^λ ⊗ V^μ, by Brauer–Klimyk.
 
-        Σ_τ mult(τ) ε(w) V^{w·(fixed+τ)} over the weights τ of the smaller factor, fixed the
-        other highest weight and w the element of the dot action w·x = w(x+ρ) − ρ that makes
-        fixed + τ + ρ dominant (Humphreys, Lie Algebras, §24 ex. 9).  The simple-root
-        pairings of fixed + τ + ρ are ⟨fixed, α_i⟩ + ⟨τ+ρ, α_i⟩, the second memoized per
-        table, and datum._chamber_walk reflects fixed + τ in place, on Λ.  A final pairing 0
-        means fixed + τ + ρ is singular and the term drops; ε(w) is (−1)^{#word}.  The smaller
-        factor is the one of lesser dimension, μ on a tie.
+        The one core, _brauer_klimyk, iterates the weights of the smaller factor, the one of
+        lesser dimension, μ on a tie.
         """
         lam = self.datum.dominant(lam)
         mu = self.datum.dominant(mu)
         key = (lam, mu)
         if key in self._tensor:
             return dict(self._tensor[key])
-        datum = self.datum
         iter_weight, fixed = (mu, lam) if self.weyl_dim(mu) <= self.weyl_dim(lam) else (lam, mu)
-        base = datum._simple_pairings(fixed)
-        walk = datum._chamber_walk
-        acc: Dict[Coweight, int] = {}
-        rows = self._rho_pairings.get(iter_weight)
-        if rows is None:
-            rows = self._rho_pairings[iter_weight] = tuple(
-                (tau, tuple(p + 1 for p in datum._simple_pairings(tau)), mult)
-                for tau, mult in self.weights_with_multiplicity(iter_weight))
-        for tau, tau_pairings, mult in rows:
-            nu, pairings, word = walk(tuple(map(operator.add, fixed, tau)),
-                                      list(map(operator.add, base, tau_pairings)))
-            if 0 not in pairings:
-                acc[nu] = acc.get(nu, 0) + (-mult if len(word) % 2 else mult)
-        result = {nu: c for nu, c in acc.items() if c}
-        if any(c < 0 for c in result.values()):
-            raise InvariantError("negative tensor multiplicity")
-        self._tensor[key] = result
-        self._tensor[(mu, lam)] = result
+        result = self._brauer_klimyk(iter_weight, {fixed: 1})
+        self._tensor[key] = self._tensor[(mu, lam)] = result
         return dict(result)
+
+    def _brauer_klimyk(self, lam: Coweight, combination: Dict[Coweight, int]) -> Dict[Coweight, int]:
+        """Σ_μ n_μ [V^λ ⊗ V^μ] in the basis of irreducibles, λ and every μ dominant and checked.
+
+        Each product is Σ_τ mult(τ) ε(w) V^{w·(μ+τ)} over the weights τ of V^λ, w the element of
+        the dot action w·x = w(x+ρ) − ρ that makes μ + τ + ρ dominant (Humphreys, Lie Algebras,
+        §24 ex. 9).  The simple-root pairings of μ + τ + ρ are ⟨μ, α_i⟩ + ⟨τ+ρ, α_i⟩, the second
+        memoized per λ, and datum._chamber_walk reflects μ + τ in place, on Λ.  A final pairing 0
+        means μ + τ + ρ is singular and the term drops; ε(w) is (−1)^{#word}.  A product with a
+        negative multiplicity raises InvariantError.  Zero coefficients are dropped.
+        """
+        datum = self.datum
+        walk = datum._chamber_walk
+        rows = self._rho_pairings.get(lam)
+        if rows is None:
+            rows = self._rho_pairings[lam] = tuple(
+                (tau, tuple(p + 1 for p in datum._simple_pairings(tau)), mult)
+                for tau, mult in self.weights_with_multiplicity(lam))
+        acc: Dict[Coweight, int] = {}
+        for mu, n in combination.items():
+            base, product = datum._simple_pairings(mu), {}
+            for tau, tau_pairings, mult in rows:
+                nu, pairings, word = walk(tuple(map(operator.add, mu, tau)),
+                                          list(map(operator.add, base, tau_pairings)))
+                if 0 not in pairings:
+                    product[nu] = product.get(nu, 0) + (-mult if len(word) % 2 else mult)
+            if min(product.values(), default=0) < 0:
+                raise InvariantError("negative tensor multiplicity")
+            for nu, c in product.items():
+                acc[nu] = acc.get(nu, 0) + n * c
+        return {nu: c for nu, c in acc.items() if c}
 
     def tensor_multiplicity(self, lam, mu, nu) -> int:
         """dim Hom(V^ν, V^λ ⊗ V^μ)."""
@@ -318,14 +330,17 @@ class RepRing:
         Σ_ν mult(ν) γ^ν over the memoized weight table.  Either way the trace is kept, with
         the denominator, until a call at another γ.
         """
+        return self._character(self.datum.dominant(lam), gamma)
+
+    def _character(self, lam: Coweight, gamma: TorusPoint) -> Fraction:
+        """character_eval of a dominant λ already through the door."""
         datum = self.datum
-        lam = datum.dominant(lam)
         if self._gamma != gamma:
             self._gamma, self._traces, self._denominator = tuple(gamma), {}, None
         trace = self._traces.get(lam)
         if trace is not None:
             return trace
-        if datum.weyl_order <= min(self.weyl_dim(lam), LIMIT):
+        if datum.weyl_order <= min(self._dims.get(lam) or self.weyl_dim(lam), LIMIT):
             if self._denominator is None:
                 values = tuple(gamma_power(gamma, alpha) for alpha in datum.simple_coroots)
                 zero = self._signed_shifts((0,) * datum.lattice_rank)
@@ -335,15 +350,19 @@ class RepRing:
                 trace = gamma_power(gamma, lam) * _alternating_eval(
                     self._signed_shifts(lam), values) / denominator
         if trace is None:
-            trace = _alternating_eval(self.weights_with_multiplicity(lam), gamma)
+            weights = self._full_weights.get(lam) or self.weights_with_multiplicity(lam)
+            trace = _alternating_eval(weights, gamma)
         self._traces[lam] = trace
         return trace
 
     def dual_character_eval(self, lam, gamma: TorusPoint) -> Fraction:
         """Tr(γ, (V^λ)*), computed as the character of V^{−w₀λ}."""
-        lam = self.datum.dominant(lam)
-        dual = tuple(-x for x in self.datum.apply_w0(lam))
-        return self.character_eval(dual, gamma)
+        return self._dual_character(self.datum.dominant(lam), gamma)
+
+    def _dual_character(self, lam: Coweight, gamma: TorusPoint) -> Fraction:
+        """dual_character_eval of a dominant λ already through the door; w₀ is the cached matrix."""
+        w0 = self.datum._w0_matrix
+        return self._character(tuple(-sum(map(operator.mul, row, lam)) for row in w0), gamma)
 
     # -- the q-side ---------------------------------------------------------------
 

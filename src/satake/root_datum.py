@@ -444,22 +444,28 @@ class RootDatum:
         the center, so those λ are cut to the box |λ_i| ≤ pair_bound, which is scanned.  Any
         other datum walks the simple-root pairings p ≥ 0 of λ, λ = adj(R)·p / det R for the
         matrix R of simple roots, and ⟨λ, 2ρ̌⟩ = Σ k_i p_i with 2ρ̌ = Σ k_i α_i, every k_i ≥ 1:
-        every dominant λ of the level, in any basis of Λ.  A scan of more than LIMIT
-        candidates raises TooLarge before it starts.
+        every dominant λ of the level, in any basis of Λ.  The last pairing is one interval,
+        0 ≤ p_last ≤ (pair_bound − the level of the others) // k_last.  A scan of more than
+        LIMIT candidates raises TooLarge before it starts.
         """
-        two_rho = self.two_rho_check
         ranges, walk = self._dominant_scan(pair_bound)
-        candidates = iter_product(*ranges)
-        if walk is not None:
-            adjugate, det, _ = walk
-            scaled = ([sum(map(operator.mul, row, p)) for row in adjugate] for p in candidates)
-            candidates = (tuple(x // det for x in lam) for lam in scaled
-                          if all(x % det == 0 for x in lam))
         out = []
-        for coords in candidates:
-            level = sum(map(operator.mul, coords, two_rho))
-            if level <= pair_bound and self.is_dominant(coords):
-                out.append((level, coords))
+        if walk is None:
+            two_rho = self.two_rho_check
+            for coords in iter_product(*ranges):
+                level = sum(map(operator.mul, coords, two_rho))
+                if level <= pair_bound and self.is_dominant(coords):
+                    out.append((level, coords))
+        else:
+            adjugate, det, levels = walk
+            last, step = [row[-1] for row in adjugate], levels[-1]
+            for head in iter_product(*ranges[:-1]):
+                level = sum(map(operator.mul, head, levels))
+                start = [sum(map(operator.mul, row, head)) for row in adjugate]
+                for p in range((pair_bound - level) // step + 1):
+                    lam = [x + p * c for x, c in zip(start, last)]
+                    if all(x % det == 0 for x in lam):
+                        out.append((level + p * step, tuple(x // det for x in lam)))
         out.sort()
         return [coords for _, coords in out]
 

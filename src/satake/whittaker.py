@@ -13,8 +13,11 @@ involution A_λ ↦ A_{−w₀λ}.
 W_γ is an infinite formal sum; only truncations are ever materialized, with
 a safe-window contract (padding ⟨λ_act, 2ρ̌⟩) under which the eigenfunction
 residual is exactly zero — truncation artifacts can never masquerade as
-eigenvalue failures.  The residual reads each trace once (the ring keeps the
-traces at γ) and sums the window in integers over one common denominator.
+eigenvalue failures.  The residual validates λ_act once and nothing after it: the
+truncation is dominant by construction, each of its traces is read once (the ring keeps
+the traces at γ), and the action on the whole truncation is one Brauer–Klimyk pass of
+V^{λ_act} over the integer combination Σ_μ N_μ [V^μ], the traces over one common
+denominator.  The window is the truncation's prefix of level ≤ cutoff.
 """
 
 from __future__ import annotations
@@ -70,8 +73,7 @@ class WhittakerModule:
         lam = self.datum.coweight(lam)
         if not self.datum.is_dominant(lam):
             return VMonomial(Fraction(0), 0)
-        trace = self.rep.dual_character_eval(lam, gamma)
-        return VMonomial(trace, -self.datum.pairing_2rho(lam))
+        return VMonomial(self.rep._dual_character(lam, gamma), -self.datum.pairing_2rho(lam))
 
     def require_window(self, cutoff: int) -> None:
         """Raise ValueError unless the eigen-residual window for cutoff is finite and nonempty."""
@@ -87,26 +89,22 @@ class WhittakerModule:
 
         The truncation keeps dominant μ with ⟨μ,2ρ̌⟩ ≤ cutoff + ⟨λ,2ρ̌⟩; the
         window is ⟨ν,2ρ̌⟩ ≤ cutoff, where every tensor contribution is inside
-        the truncation, so the contract is an exact zero map.  The traces are put
-        over one common denominator d, the sums over μ run in integers, and each
-        window entry is one Fraction over d times the eigenvalue's denominator.
+        the truncation, so the contract is an exact zero map.  Only λ is validated: each μ
+        comes from dominant_box, so its dual trace Tr(γ, V^{−w₀μ}) is read by the ring's
+        private route.  The traces are put over one common denominator d, the action is one
+        Brauer–Klimyk pass of V^λ over Σ_μ N_μ [V^μ] in integers, and each window entry (a
+        prefix of the level-sorted truncation) is one Fraction over d times the eigenvalue's
+        denominator.
         """
         self.require_window(cutoff)
-        lam_act = self.datum.dominant(lam_act)
-        pad = self.datum.pairing_2rho(lam_act)
-        truncation = self.datum.dominant_box(cutoff + pad)
-        eigenvalue = self.rep.character_eval(lam_act, gamma)
-        traces = {mu: self.rep.dual_character_eval(mu, gamma) for mu in truncation}
-        d = lcm(*(t.denominator for t in traces.values()))
-        scaled = {mu: t.numerator * (d // t.denominator) for mu, t in traces.items()}
-        acted: Dict[Coweight, int] = {}
-        for mu, n_mu in scaled.items():
-            if n_mu:
-                for nu, mult in self.rep.tensor_decompose(lam_act, mu).items():
-                    acted[nu] = acted.get(nu, 0) + n_mu * mult
+        datum, rep = self.datum, self.rep
+        lam_act = datum.dominant(lam_act)
+        truncation = datum.dominant_box(cutoff + datum.pairing_2rho(lam_act))
+        eigenvalue = rep._character(lam_act, gamma)
+        traces = [rep._dual_character(mu, gamma) for mu in truncation]
+        d = lcm(*(t.denominator for t in traces))
+        scaled = {mu: t.numerator * (d // t.denominator) for mu, t in zip(truncation, traces)}
+        acted = rep._brauer_klimyk(lam_act, {mu: n for mu, n in scaled.items() if n})
         e, f = eigenvalue.numerator, eigenvalue.denominator
-        return {
-            nu: Fraction(acted.get(nu, 0) * f - e * scaled[nu], d * f)
-            for nu in truncation
-            if self.datum.pairing_2rho(nu) <= cutoff
-        }
+        return {nu: Fraction(acted.get(nu, 0) * f - e * scaled[nu], d * f)
+                for nu in truncation[:datum.dominant_count(cutoff)]}

@@ -8,8 +8,9 @@ anywhere else would truncate or re-check what those doors already refused.
 Contracts must be raised exceptions so they hold under ``python -O``, every
 value is exact, and the runtime needs nothing beyond the standard library.
 Every public def and class is used by the library, the CLI or the benchmark,
-or is one of the listed reference routes; any other helper that only tests
-need belongs in the test that needs it.
+or is one of the listed reference routes, and every private one is named by the
+library itself; any other helper that only tests need belongs in the test that
+needs it.
 """
 
 import ast
@@ -94,17 +95,27 @@ def _used_names(paths, tracer):
     return used
 
 
-def _dead_names(paths, used):
+def _dead_names(paths, used, private=False):
+    """The public defs and classes (private: the _private ones) that used does not name.
+
+    Dunder methods are called by the interpreter and are never private helpers.
+    """
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_") and node.name not in used):
+                    and node.name.startswith("_") == private and node.name not in used
+                    and not (node.name.startswith("__") and node.name.endswith("__"))):
                 yield "%s:%d %s" % (path.name, node.lineno, node.name)
 
 
 def test_every_public_name_is_used_outside_the_tests():
     used = _used_names(SOURCES + BENCH, TRACER) | {name for name, _ in REFERENCE_ROUTES}
     assert list(_dead_names(SOURCES, used)) == []
+
+
+def test_every_private_name_is_used_by_the_library():
+    # a refactor that moves work into a private core leaves no orphaned helper behind
+    assert list(_dead_names(SOURCES, _used_names(SOURCES, None), private=True)) == []
 
 
 def test_every_module_is_scanned():
@@ -140,13 +151,18 @@ def test_the_guards_fire(tmp_path):
         "10**6 literal outside root_datum.LIMIT"] * 3
     lattice.write_text("LIMIT = 1_000_000\nOTHER = 1_000_000\n")
     assert [line.split(" ", 1)[0] for line in _violations(lattice)] == ["root_datum.py:2"]
-    # a public def nothing names is dead; a private one, or one a tracer string names, is not
+    # a public def nothing names is dead, and one a tracer string names is not; a private def
+    # is dead unless the library itself names it, and a dunder is never dead
     dead = tmp_path / "dead.py"
-    dead.write_text("def used():\n    pass\n\ndef unused():\n    used()\n\ndef _private():\n    pass\n")
+    dead.write_text("def used():\n    pass\n\ndef unused():\n    used()\n\ndef _private():\n    pass\n"
+                    "\ndef _named():\n    pass\n\nclass K:\n    def __init__(self):\n        _named()\n")
     tracer = tmp_path / "tracer.py"
-    tracer.write_text('TARGETS = ("unused",)\n')
-    assert list(_dead_names([dead], _used_names([dead, tracer], None))) == ["dead.py:4 unused"]
+    tracer.write_text('TARGETS = ("unused", "K")\n')
+    assert list(_dead_names([dead], _used_names([dead, tracer], None))) == [
+        "dead.py:4 unused", "dead.py:13 K"]
     assert list(_dead_names([dead], _used_names([dead, tracer], tracer))) == []
+    assert list(_dead_names([dead], _used_names([dead], None), private=True)) == [
+        "dead.py:7 _private"]
 
 
 def test_the_int_guard_fires_outside_the_doors(tmp_path):

@@ -140,6 +140,9 @@ def test_monomial_product_is_the_double_loop_product(p, k, c):
     mono = LaurentPoly.v_power(k, c)
     assert p * mono == _double_loop_product(p, mono) == mono * p
     assert p * mono == (p * c).shift(k)
+    # a product with the unit, however built, builds nothing: it is one of its operands
+    unit = LaurentPoly.const(1)
+    assert {id(p * unit), id(unit * p)} <= {id(p), id(unit)}
 
 
 def test_json_round_trip():

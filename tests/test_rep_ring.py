@@ -354,6 +354,22 @@ def test_tensor_requires_dominant_inputs():
         rep.tensor_decompose((-1,), (1,))
 
 
+def test_a_tampered_weight_table_makes_a_product_negative_and_raises():
+    # the one Brauer–Klimyk core checks every product it sums: with the highest weight of
+    # V^(1,0) at multiplicity −1, V^(1,0) ⊗ V^(1,1) holds −V^(2,1), refused through
+    # tensor_decompose and through the Whittaker residual, which acts by V^(1,0)
+    from satake.whittaker import WhittakerModule
+
+    module = WhittakerModule(HeckeAlgebra("SL3"))
+    rep = module.rep
+    table = rep.weights_with_multiplicity((1, 0))
+    rep._full_weights[(1, 0)] = tuple((tau, -m if tau == (1, 0) else m) for tau, m in table)
+    with pytest.raises(InvariantError, match="negative tensor multiplicity"):
+        rep.tensor_decompose((1, 0), (1, 1))
+    with pytest.raises(InvariantError, match="negative tensor multiplicity"):
+        module.eigen_residual(torus_point([2, 3], rep.datum), (1, 0), 4)
+
+
 def test_non_integer_coweights_are_refused_as_input():
     rep = RepRing("SL3")
     gamma = torus_point([Fraction(2), Fraction(3)], rep.datum)

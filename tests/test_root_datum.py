@@ -377,10 +377,16 @@ def test_dominant_box_refuses_a_scan_over_the_cap(monkeypatch):
     assert sl3.dominant_box(1999) == [] and gl3.dominant_box(49) == []
 
 
-@pytest.mark.parametrize("spec", sorted(PRESETS) + [REDUCIBLE], ids=sorted(PRESETS) + ["A1xC2"])
+# SL3 with the two lattice coordinates swapped: the matrix of simple roots has det −1
+SWAPPED_SL3 = {"cartan": [[2, -1], [-1, 2]], "coroots": [[-1, 2], [2, -1]], "roots": [[0, 1], [1, 0]]}
+
+
+@pytest.mark.parametrize("spec", sorted(PRESETS) + [REDUCIBLE, SKEWED_SL3, SWAPPED_SL3],
+                         ids=sorted(PRESETS) + ["A1xC2", "skewed-SL3", "swapped-SL3"])
 def test_dominant_box_walk_equals_the_coordinate_box_scan(spec):
+    # 31 is a multiple of no level k_i > 1, so the last pairing's interval ends strictly inside
     d = build_root_datum(spec)
-    for pair_bound in [-1, 0, 7, 12]:
+    for pair_bound in [-1, 0, 7, 12, 31]:
         if d.rank < d.lattice_rank:
             # the pairing does not bound the central direction: the box |λ_i| ≤ pair_bound cuts
             coord_bound = pair_bound
@@ -403,10 +409,6 @@ def test_form_covector_is_the_sum_over_positive_roots(spec):
     assert d.coroot_covectors == tuple((a, d.form_covector(a)) for a, _ in d.positive_coroots)
     with pytest.raises(ValueError, match="dimension mismatch"):
         d.form_covector((0,) * (d.lattice_rank + 1))
-
-
-# SL3 with the two lattice coordinates swapped: the matrix of simple roots has det −1
-SWAPPED_SL3 = {"cartan": [[2, -1], [-1, 2]], "coroots": [[-1, 2], [2, -1]], "roots": [[0, 1], [1, 0]]}
 
 
 @pytest.mark.parametrize("spec", sorted(PRESETS) + [REDUCIBLE, SKEWED_SL3, SWAPPED_SL3],

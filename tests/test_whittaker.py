@@ -201,15 +201,17 @@ def test_eigen_residual_sees_one_wrong_tensor_multiplicity(name, coords, pick, o
     truncation = datum.dominant_box(cutoff + datum.pairing_2rho(lam_act))
     live = [mu for mu in truncation if naive_trace(rep, mu, gamma, -1)]
     bad_mu, bad_nu = live[pick % len(live)], window[pick // len(live) % len(window)]
-    true = rep.tensor_decompose
+    true = rep._brauer_klimyk
 
-    def wrong(lam, mu):
-        out = true(lam, mu)
-        if datum.dominant(mu) == bad_mu:
-            out[bad_nu] = out.get(bad_nu, 0) + off
+    def wrong(lam, combination):
+        # the one Brauer–Klimyk core, off at C^{bad_ν}_{λ_act, bad_μ} whichever factor it iterates
+        out = true(lam, combination)
+        other = {lam_act: bad_mu, bad_mu: lam_act}.get(lam)
+        if other in combination:
+            out[bad_nu] = out.get(bad_nu, 0) + off * combination[other]
         return out
 
-    rep.tensor_decompose = wrong
+    rep._brauer_klimyk = wrong
     residual = module.eigen_residual(gamma, lam_act, cutoff)
     assert residual == brute_force_residual(module, gamma, lam_act, cutoff)
     assert [nu for nu, value in residual.items() if value] == [bad_nu]
@@ -272,3 +274,60 @@ def test_eigen_residual_is_zero_at_singular_points(values):
         residual = module.eigen_residual(gamma, lam_act, 20)
         assert len(residual) == len(algebra.datum.dominant_box(20))
         assert all(value == 0 for value in residual.values())
+
+
+@pytest.mark.parametrize("name", ["PGL2", "SL3", "Sp4", "G2"])
+@settings(max_examples=10, deadline=None)
+@given(coords=st.lists(_non_integral, min_size=2, max_size=2), pick=st.integers(0, 10 ** 6),
+       delta=st.fractions(-5, 5, max_denominator=9).filter(bool))
+def test_eigen_residual_sees_one_wrong_trace(name, coords, pick, delta):
+    # the dual trace of one live μ₀ off by δ moves each window entry ν by exactly
+    # δ·C^ν_{λμ₀} − [ν = μ₀]·δ·Tr(γ, V^λ), and no entry otherwise; μ₀ is not the dual of λ,
+    # so the eigenvalue, read through the same private route, stays
+    algebra, module = make(name)
+    datum, rep = algebra.datum, algebra.rep
+    gamma = torus_point([Fraction(-abs(a), b) if i == 0 else Fraction(a, b)
+                         for i, (a, b) in enumerate(coords[:datum.lattice_rank])], datum)
+    cutoff = 8
+    window = datum.dominant_box(cutoff)
+    lam_act = window[1]
+    truncation = datum.dominant_box(cutoff + datum.pairing_2rho(lam_act))
+    dual = {mu: tuple(-x for x in datum.apply_w0(mu)) for mu in truncation}
+    live = [mu for mu in truncation if naive_trace(rep, mu, gamma, -1) and dual[mu] != lam_act]
+    mu0 = live[pick % len(live)]
+    before = module.eigen_residual(gamma, lam_act, cutoff)
+    product, eigenvalue = rep.tensor_decompose(lam_act, mu0), rep.character_eval(lam_act, gamma)
+    character = rep._character
+    rep._character = lambda lam, g: character(lam, g) + (delta if lam == dual[mu0] else 0)
+    after = module.eigen_residual(gamma, lam_act, cutoff)
+    assert list(after) == list(before) == window
+    for nu in window:
+        moved = delta * product.get(nu, 0) - (delta * eigenvalue if nu == mu0 else 0)
+        assert after[nu] - before[nu] == moved, nu
+
+
+def test_eigen_residual_validates_only_the_acting_weight(monkeypatch):
+    # the truncation is dominant by construction and the action is one Brauer–Klimyk pass, so
+    # once the ring has met every weight of a call, a call (at its γ or a new one) makes one
+    # dominant call, for λ_act, and no call of tensor_decompose
+    from satake.rep_ring import RepRing
+    from satake.root_datum import RootDatum
+
+    algebra, module = make("SL3")
+    calls = []
+    dominant, tensor = RootDatum.dominant, RepRing.tensor_decompose
+    monkeypatch.setattr(RootDatum, "dominant",
+                        lambda self, x: calls.append(tuple(x)) or dominant(self, x))
+    monkeypatch.setattr(RepRing, "tensor_decompose",
+                        lambda self, lam, mu: calls.append("tensor") or tensor(self, lam, mu))
+    gammas = [torus_point(values, algebra.datum)
+              for values in [(2, 3), (Fraction(-5, 13), Fraction(11, 7)), (Fraction(1, 2), 7)]]
+    for lam_act in [(1, 0), (0, 1), (1, 1)]:
+        calls.clear()
+        module.eigen_residual(gammas[0], lam_act, 20)
+        assert "tensor" not in calls and calls[0] == lam_act
+        for gamma in gammas:
+            calls.clear()
+            residual = module.eigen_residual(gamma, lam_act, 20)
+            assert residual and all(value == 0 for value in residual.values())
+            assert calls == [lam_act]
