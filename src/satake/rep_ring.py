@@ -7,8 +7,9 @@ w·x = w(x+ρ) − ρ moves each μ + τ, τ a weight of V^λ, into the dominant
 datum's one chamber walk on the simple-root pairings of μ+τ+ρ (those of τ+ρ memoized per λ),
 in integers on Λ.  A tensor product is a combination of one term; the Whittaker residual
 acts on its whole truncation in one pass.  One memo per ring holds the signed shifts of each
-λ, the coroot coordinates of w(λ+ρ) − (λ+ρ) with (−1)^{ℓ(w)}: the terms of both alternating
-Weyl sums.  A character is Weyl's character formula over them where |W| ≤ dim V^λ and the
+λ, the coroot coordinates of w(λ+ρ) − (λ+ρ) with (−1)^{ℓ(w)}, walked on the datum's BFS tree
+of W: the terms of both alternating Weyl sums.  A character is Weyl's character formula over
+them where |W| ≤ dim V^λ (for a regular λ without weyl_dim: its orbit has |W| weights) and the
 torus point is regular, and the sum over the weight table otherwise; both are integer sums,
 one denominator each.  The traces at the last torus point are kept until a call at another
 point.  Public methods check their coweights at the door; the private routes behind them
@@ -324,11 +325,12 @@ class RepRing:
         By Weyl's character formula Σ_w ε(w) γ^{w(λ+ρ)−ρ} over the Weyl denominator
         Σ_w ε(w) γ^{wρ−ρ} = Π_{α>0} (1 − γ^{−α}) (Humphreys, Lie Algebras, §24.3): with
         t_j = γ^{α̌_j}, the quotient γ^λ Σ_w ε(w) t^{c_w(λ)} / Σ_w ε(w) t^{c_w(0)} over the
-        signed shifts.  That sum has |W| terms where the weight table has at most dim V^λ,
-        so it is taken only when |W| ≤ dim V^λ (and |W| within LIMIT) and γ is
-        regular, where the denominator is nonzero.  Otherwise the trace is
-        Σ_ν mult(ν) γ^ν over the memoized weight table.  Either way the trace is kept, with
-        the denominator, until a call at another γ.
+        signed shifts.  That sum has |W| terms where the weight table has at most dim V^λ, so
+        it is taken only when |W| ≤ dim V^λ (and |W| within LIMIT) and γ is regular, where the
+        denominator is nonzero.  A regular λ (every ⟨λ, α_i⟩ > 0) has |W| weights on its orbit,
+        so only a singular λ asks weyl_dim.  Otherwise the trace is Σ_ν mult(ν) γ^ν over the
+        memoized weight table.  Either way it is kept, with the denominator, until a call at
+        another γ.
         """
         return self._character(self.datum.dominant(lam), gamma)
 
@@ -340,7 +342,8 @@ class RepRing:
         trace = self._traces.get(lam)
         if trace is not None:
             return trace
-        if datum.weyl_order <= min(self._dims.get(lam) or self.weyl_dim(lam), LIMIT):
+        order, regular = datum.weyl_order, min(datum._simple_pairings(lam)) > 0
+        if order <= LIMIT and (regular or order <= (self._dims.get(lam) or self.weyl_dim(lam))):
             if self._denominator is None:
                 values = tuple(gamma_power(gamma, alpha) for alpha in datum.simple_coroots)
                 zero = self._signed_shifts((0,) * datum.lattice_rank)

@@ -5,11 +5,12 @@ A datum fixes a concrete lattice Λ = Z^n together with the simple coroots
 downstream — the dual-group representation ring, the Hecke algebra, the
 orbit combinatorics — is parameterized by one of these objects.
 
-One breadth-first closure under the simple reflections (_closure) yields the
+One breadth-first closure under generating moves (_closure) yields the
 Weyl group as integer matrices on Λ (the BFS depth is the Coxeter length),
-Weyl orbits, the ρ-shifted orbits in coroot coordinates, and both positive
-systems, which run in simple-root coordinates under the Cartan matrix or its
-transpose.  The datum also owns the one
+Weyl orbits, both positive systems (in simple-root coordinates under the Cartan
+matrix or its transpose) and the residues of dominant_count.  The ρ-shifted
+orbits in coroot coordinates share one: W's BFS tree, which each λ walks with
+one reflection per element.  The datum also owns the one
 W-invariant form (x, y) = Σ_{β>0} ⟨x, β⟩⟨y, β⟩ and the one dominance check
 (dominant) that callers use on coweight arguments.  All arithmetic is exact.
 Every lattice vector is a tuple of ints; a half-integral vector such as ρ̌ or
@@ -72,10 +73,10 @@ def _reflect(vec: Sequence, pair_with: Sequence, along: Sequence) -> Tuple:
 
 
 def _closure(starts: Sequence, moves: Sequence) -> Dict:
-    """Breadth-first closure of starts under moves, as {element: BFS depth}.
+    """Breadth-first closure of starts under moves, as {element: BFS depth} in BFS order.
 
-    Every closure here is a Weyl group, an orbit of it or a root system, so it
-    raises TooLarge once it outgrows LIMIT.
+    A closure that outgrows LIMIT raises TooLarge: a Weyl group, an orbit of it or a root
+    system can, while the residues of dominant_count are at most det R.
     """
     seen = dict.fromkeys(starts, 0)
     frontier = list(seen)
@@ -394,26 +395,43 @@ class RootDatum:
             raise TooLarge("the Weyl group has %d elements, over the limit of %d"
                            % (self.weyl_order, LIMIT))
 
+    @cached_property
+    def _weyl_tree(self) -> Tuple[Tuple[Tuple[int, int], ...], Tuple[int, ...]]:
+        """W's BFS tree: (parent index, i) with w = s_i·parent for each w ≠ e, and each (−1)^{ℓ(w)}.
+
+        Read off the closure of dot_orbit's steps at λ = 0 (each w ≠ e has an s_i with s_i·w one
+        step shallower); on a strictly dominant λ+ρ its order depends only on W, so every λ walks
+        this tree.  Raises TooLarge over LIMIT, InvariantError unless it has |W| elements.
+        """
+        self.check_weyl_order()
+        moves = [lambda c, i=i, row=row: c[:i] + (c[i] - 1 - sum(map(operator.mul, row, c)),) + c[i + 1:]
+                 for i, row in enumerate(self.cartan_matrix)]  # every ⟨ρ, α_i⟩ is 1
+        depth = _closure([(0,) * self.rank], moves)
+        if len(depth) != self.weyl_order:
+            raise InvariantError("a closure of %d elements for |W| = %d" % (len(depth), self.weyl_order))
+        index = {c: k for k, c in enumerate(depth)}
+        tree = tuple(next((index[x], i) for i, x in enumerate(move(c) for move in moves) if depth[x] < d)
+                     for c, d in depth.items() if d)
+        return tree, tuple((-1) ** d for d in depth.values())
+
     def dot_orbit(self, lam: Sequence) -> Tuple[Tuple[Vector, int], ...]:
         """(coroot coordinates c of w(λ+ρ) − (λ+ρ), (−1)^{ℓ(w)}) for every w in W, e first.
 
         λ must be dominant.  ⟨λ+ρ, α_i⟩ = p_i + 1 for the simple-root pairings p of λ, so on
         λ+ρ + Σ c_j α̌_j the reflection s_i changes only c_i, by −(p_i + 1 + (C c)_i) for the
-        Cartan matrix C.  λ+ρ is strictly dominant, so its stabilizer is trivial and the BFS
-        depth of w is ℓ(w).  Raises ValueError for a λ that is not dominant, and TooLarge for
-        a group over LIMIT.
+        Cartan matrix C: one step from the parent's c per w of the datum's BFS tree (_weyl_tree,
+        one closure per datum), in its order.  Raises ValueError for a λ that is not dominant,
+        and TooLarge for a group over LIMIT.
         """
         shifted = [p + 1 for p in self._simple_pairings(lam)]
         if min(shifted, default=1) <= 0:
             raise ValueError("coweight %r is not dominant" % (tuple(lam),))
-        self.check_weyl_order()
-
-        def reflection(i: int):
-            row, p = self.cartan_matrix[i], shifted[i]
-            return lambda c: c[:i] + (c[i] - p - sum(map(operator.mul, row, c)),) + c[i + 1:]
-
-        orbit = _closure([(0,) * self.rank], [reflection(i) for i in range(self.rank)])
-        return tuple((c, (-1) ** depth) for c, depth in orbit.items())
+        tree, signs = self._weyl_tree
+        rows, coords = self.cartan_matrix, [(0,) * self.rank]
+        for parent, i in tree:
+            c = coords[parent]
+            coords.append(c[:i] + (c[i] - shifted[i] - sum(map(operator.mul, rows[i], c)),) + c[i + 1:])
+        return tuple(zip(coords, signs))
 
     def weyl_orbit(self, lam: Sequence) -> Tuple[Tuple, ...]:
         """The Weyl orbit of a lattice vector, sorted."""

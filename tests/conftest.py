@@ -22,6 +22,14 @@ class _CorruptedBaseChange(HeckeAlgebra):
 SKEWED_SL3 = {"cartan": [[2, -1], [-1, 2]], "coroots": [[2, 9], [-1, -3]], "roots": [[1, 0], [-5, 1]]}
 
 
+# rank 3, connected, on the basis of fundamental coweights (B3's third simple root short)
+A3 = {"cartan": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]],
+      "coroots": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]],
+      "roots": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
+B3 = {"cartan": [[2, -1, 0], [-1, 2, -2], [0, -1, 2]],
+      "coroots": [[2, -1, 0], [-1, 2, -1], [0, -2, 2]],
+      "roots": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
+
 def box_scan(d, pair_bound, coord_bound):
     """Every point of the box |λ_i| ≤ coord_bound that is dominant at level ≤ pair_bound, sorted."""
     found = []

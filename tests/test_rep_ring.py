@@ -21,7 +21,7 @@ from satake.laurent import LaurentPoly, ONE
 from satake.rep_ring import RepRing, _alternating_eval, gamma_power, torus_point
 from satake.root_datum import PRESETS, InvariantError, RootDatum, TooLarge, build_root_datum
 
-from conftest import box_scan
+from conftest import A3, B3, box_scan
 
 
 def char_product_decompose(rep, lam, mu):
@@ -157,21 +157,12 @@ def test_tables_need_no_chamber_walk_and_one_orbit_per_dominant_weight(monkeypat
     assert sorted(orbits) == sorted(distinct)
 
 
-# rank 3, connected, on the basis of fundamental coweights (B3's third simple root short):
-# c_2 lifts ⟨μ, α_1⟩, which is then fixed, and the last column, (0, −1, 2) or (0, −2, 2),
-# empties the interval of c_3 when it is negative, unlike the rank-2 presets and A1 × C2
-A3 = {"cartan": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]],
-      "coroots": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]],
-      "roots": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
-B3 = {"cartan": [[2, -1, 0], [-1, 2, -2], [0, -1, 2]],
-      "coroots": [[2, -1, 0], [-1, 2, -1], [0, -2, 2]],
-      "roots": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
-
-
 @pytest.mark.parametrize("spec, bound", [(PRESETS[name], _BOX_BOUNDS[name]) for name in sorted(PRESETS)]
                          + [(REDUCIBLE, 10), (A3, 12), (B3, 16)],
                          ids=sorted(PRESETS) + ["A1xC2", "A3", "B3"])
 def test_dominant_weights_below_is_a_filter_of_the_dominant_box(spec, bound):
+    # on A3 and B3, c_2 lifts ⟨μ, α_1⟩, which is then fixed, and the last column, (0, −1, 2) or
+    # (0, −2, 2), empties the interval of c_3 when it is negative, unlike rank 2 and A1 × C2
     # brute force: every dominant μ of a box that holds all of them, kept when λ − μ is a
     # Z≥0-sum of simple coroots, with depth = height of λ − μ = (⟨λ,2ρ̌⟩ − ⟨μ,2ρ̌⟩)/2
     datum = build_root_datum(spec)
@@ -548,6 +539,38 @@ def test_a_small_lambda_on_a_large_weyl_group_takes_the_table_route(monkeypatch,
     assert set(table.values()) == {1}
     assert rep.character_eval(lam, gamma) == sum(gamma_power(gamma, nu) for nu in table)
     assert "weyl_elements" not in datum.__dict__ and not rep._shifts
+
+
+@pytest.mark.parametrize("spec, level", [("SL3", 12), ("G2", 30), (REDUCIBLE, 12), (A3, 14), (B3, 30)],
+                         ids=["SL3", "G2", "A1xC2", "A3", "B3"])
+def test_a_regular_lambda_takes_weyl_formula_without_a_weyl_dimension(monkeypatch, spec, level):
+    # every ⟨λ, α_i⟩ > 0 puts |W| distinct weights on λ's orbit, so dim V^λ ≥ |W| unasked;
+    # only a singular λ compares |W| with dim V^λ, and A3's (1, 0, 0) (dim 4 < 24) keeps the table
+    calls = []
+    weyl_dim = RepRing.weyl_dim
+
+    def counted(self, lam):
+        calls.append(tuple(lam))
+        return weyl_dim(self, lam)
+
+    monkeypatch.setattr(RepRing, "weyl_dim", counted)
+    rep = RepRing(spec)
+    datum = rep.datum
+    gamma = torus_point([Fraction(-5, 13), Fraction(11, 7), Fraction(-3, 2)][:datum.lattice_rank], datum)
+    assert all(gamma_power(gamma, alpha) != 1 for alpha, _ in datum.positive_coroots)
+    lams = datum.dominant_box(level)
+    traces = [rep.character_eval(lam, gamma) for lam in lams]
+    singular = [lam for lam in lams if min(datum.pairing(lam, root) for root in datum.simple_roots) == 0]
+    # a singular λ may ask twice: its route, then its weight table's budget
+    assert set(calls) == set(singular) and len(singular) < len(lams)
+    weyl_route = [lam for lam in lams[1:] if lam in rep._shifts]  # λ = 0 brings the denominator
+    monkeypatch.undo()
+    assert lams[0] == (0,) * datum.rank
+    assert weyl_route == [lam for lam in lams[1:] if rep.weyl_dim(lam) >= datum.weyl_order]
+    if spec is A3:
+        assert (1, 0, 0) in lams and (1, 0, 0) not in weyl_route
+    for lam, trace in zip(lams, traces):
+        assert trace == _alternating_eval(rep.weights_with_multiplicity(lam), gamma), lam
 
 
 def test_weyl_denominator_is_computed_once_per_point(monkeypatch):

@@ -2,13 +2,15 @@ import random
 import time
 from fractions import Fraction
 from itertools import permutations, product as iter_product
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from satake.root_datum import PRESETS, _adjugate, _det, build_root_datum
+from satake import root_datum
+from satake.root_datum import PRESETS, TooLarge, _adjugate, _closure, _det, build_root_datum
 
-from conftest import SKEWED_SL3, box_scan
+from conftest import A3, B3, SKEWED_SL3, box_scan
 
 # A1 × C2: reducible, with a rank-3 lattice
 REDUCIBLE = {"cartan": [[2, 0, 0], [0, 2, -2], [0, -1, 2]],
@@ -453,11 +455,33 @@ def test_minus_w0_is_the_dominant_representative_of_minus_lambda(name, coords):
     assert tuple(-x for x in d.apply_w0(lam)) == d.dominant_representative(minus).coweight
 
 
-@pytest.mark.parametrize("spec", sorted(PRESETS) + [REDUCIBLE], ids=sorted(PRESETS) + ["A1xC2"])
-def test_dot_orbit_is_the_weyl_group_with_its_signs(spec):
-    # against the Weyl group's matrices: w(λ+ρ) − (λ+ρ) from 2(λ+ρ), halved, in coroot coordinates
+def _bfs_dot_orbit(d, lam):
+    """The signed dot orbit of λ by a BFS of its own at λ, in that BFS's order."""
+    shifted = [d.pairing(lam, root) + 1 for root in d.simple_roots]
+
+    def reflection(i):
+        return lambda c: c[:i] + (c[i] - shifted[i] - sum(map(mul, d.cartan_matrix[i], c)),) + c[i + 1:]
+
+    depths = _closure([(0,) * d.rank], [reflection(i) for i in range(d.rank)])
+    return tuple((c, (-1) ** depth) for c, depth in depths.items())
+
+
+# F4 on its coroot lattice, |W| = 1152: its nonzero dominant λ start at level 16
+F4 = _exceptional(EXCEPTIONAL["F4"][0])
+_ORBIT_LEVELS = {"G2": 12, "Sp4": 6}  # every other preset has three dominant λ by level 4
+
+
+@pytest.mark.parametrize("spec, level", [(PRESETS[name], _ORBIT_LEVELS.get(name, 4)) for name in sorted(PRESETS)]
+                         + [(REDUCIBLE, 4), (A3, 4), (B3, 10), (F4, 30)],
+                         ids=sorted(PRESETS) + ["A1xC2", "A3", "B3", "F4"])
+def test_dot_orbit_is_the_weyl_group_with_its_signs(spec, level):
+    # against the Weyl group's matrices: w(λ+ρ) − (λ+ρ) from 2(λ+ρ), halved, in coroot coordinates;
+    # the whole tuple, order included, as a fresh datum and a per-λ BFS give it, on a datum that
+    # has walked every λ before it
     d = build_root_datum(spec)
-    for lam in box_scan(d, 4, 2):
+    lams = d.dominant_box(level)
+    assert len(lams) >= 3
+    for lam in lams:
         two = tuple(2 * x + r for x, r in zip(lam, d.two_rho_dual))
         expected = {d.coroot_coordinates([(sum(m * x for m, x in zip(row, two)) - t) // 2
                                           for row, t in zip(matrix, two)]): (-1) ** length
@@ -465,11 +489,46 @@ def test_dot_orbit_is_the_weyl_group_with_its_signs(spec):
         orbit = d.dot_orbit(lam)
         assert orbit[0] == ((0,) * d.rank, 1)
         assert len(orbit) == d.weyl_order and dict(orbit) == expected
-    for lam in box_scan(d, 4, 2)[1:]:
+        assert orbit == build_root_datum(spec).dot_orbit(lam) == _bfs_dot_orbit(d, lam)
+    for lam in lams[1:]:
         minus = tuple(-x for x in lam)
         if not d.is_dominant(minus):
             with pytest.raises(ValueError, match="not dominant"):
                 d.dot_orbit(minus)
+
+
+@pytest.mark.parametrize("spec", ["SL3", "G2", REDUCIBLE], ids=["SL3", "G2", "A1xC2"])
+def test_dot_orbit_takes_one_closure_per_datum(monkeypatch, spec):
+    # the first call, at a nonzero λ, records W's tree; every later λ walks it
+    d = build_root_datum(spec)
+    lams = d.dominant_box(20)[::-1]
+    d.weyl_order  # both positive systems take a closure of their own first
+    calls = []
+    closure = root_datum._closure
+
+    def counted(starts, moves):
+        calls.append(len(moves))
+        return closure(starts, moves)
+
+    monkeypatch.setattr(root_datum, "_closure", counted)
+    orbits = [d.dot_orbit(lam) for lam in lams + lams]
+    assert calls == [d.rank] and len(lams) > 5 and lams[0] != (0,) * d.lattice_rank
+    monkeypatch.undo()
+    for lam, orbit in zip(lams + lams, orbits):
+        assert orbit == build_root_datum(spec).dot_orbit(lam) == _bfs_dot_orbit(d, lam)
+
+
+def test_dot_orbit_refuses_a_group_over_the_limit_before_its_closure(monkeypatch):
+    d = build_root_datum(_exceptional(EXCEPTIONAL["E7"][0]))
+    d.weyl_order
+
+    def refuse(starts, moves):
+        raise AssertionError("a closure started on a group over the limit")
+
+    monkeypatch.setattr(root_datum, "_closure", refuse)
+    for _ in range(2):  # a refusal is not cached as a tree
+        with pytest.raises(TooLarge, match="2903040 elements"):
+            d.dot_orbit((0,) * 7)
 
 
 @settings(max_examples=200, deadline=None)
