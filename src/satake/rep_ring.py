@@ -397,7 +397,10 @@ class RepRing:
                                tuple(map(max, target, box)), target)
                    if prod(x + 1 for x in b) <= LIMIT)
         strides = [prod(x + 1 for x in box[j + 1:]) for j in range(len(box))]
-        width = max(_coin_change(box, strides, self.datum.positive_coroots, 0)).bit_length() + 1
+        # the corner entry is the largest at q = 1: corner − β is a sum of simple coroots for
+        # every β in the box, and adding those parts maps the partitions of β injectively into
+        # those of the corner, so P(β) ≤ P(corner)
+        width = _coin_change(box, strides, self.datum.positive_coroots, 0)[-1].bit_length() + 1
         self._table = _coin_change(box, strides, self.datum.positive_coroots, width)
         self._box, self._strides, self._width, self._offsets = box, strides, width, {}
 
@@ -454,22 +457,22 @@ class RepRing:
         key = walk.get(mu) if type(mu) is tuple and _INT.issuperset(map(type, mu)) else None
         if key is None and (key := walk.get(self.datum.dominant(mu))) is None:
             return ZERO
-        if not all(map(operator.le, key, self._box)):
-            # grow once per λ, over λ − (its walk's deepest μ): that μ lies below every dominant
-            # weight of its coset (Stembridge, The partial order of dominant weights, 1998)
+        if (offsets := self._offsets.get(lam)) is None:
+            # a refill drops every λ's offsets, so λ settles its cover here, once: the table must
+            # cover λ − (its walk's deepest μ), which lies below every dominant weight of its
+            # coset (Stembridge, The partial order of dominant weights, 1998)
             deepest, top = next(reversed(walk.items()))
             if not all(all(map(operator.le, c, top)) for c in walk.values()):
                 raise InvariantError("λ − %r does not bound the walk of λ = %r" % (deepest, lam))
-            self.q_kostant_partition(tuple(map(operator.sub, lam, deepest)))
-        table, strides, offsets = self._table, self._strides, self._offsets.get(lam)
-        if offsets is None:
-            shifts = self._signed_shifts(lam)[1:]  # each need = −shift ≥ 0
+            if not all(map(operator.le, top, self._box)):
+                self.q_kostant_partition(tuple(map(operator.sub, lam, deepest)))
+            shifts, strides = self._signed_shifts(lam)[1:], self._strides  # each need = −shift ≥ 0
             width = max(self._box + tuple(-min(shift) for shift, _ in shifts)).bit_length() + 1
             fields = [1 << (width * j) for j in range(len(strides))]
             offsets = self._offsets[lam] = (fields, sum(fields) << (width - 1), tuple(
                 (-sum(map(operator.mul, shift, fields)), sum(map(operator.mul, shift, strides)), sign)
                 for shift, sign in shifts))
-        fields, guard, terms = offsets
+        table, strides, (fields, guard, terms) = self._table, self._strides, offsets
         base = sum(map(operator.mul, key, strides))
         guarded = sum(map(operator.mul, key, fields)) | guard
         total = table[base]

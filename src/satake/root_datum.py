@@ -7,10 +7,12 @@ orbit combinatorics — is parameterized by one of these objects.
 
 One breadth-first closure under generating moves (_closure) yields the
 Weyl group as integer matrices on Λ (the BFS depth is the Coxeter length),
-Weyl orbits, both positive systems (in simple-root coordinates under the Cartan
-matrix or its transpose) and the residues of dominant_count.  The ρ-shifted
-orbits in coroot coordinates share one: W's BFS tree, which each λ walks with
-one reflection per element.  The datum also owns the one
+Weyl orbits and both positive systems (in simple-root coordinates under the Cartan
+matrix or its transpose).  The ρ-shifted orbits in coroot coordinates share one:
+W's BFS tree, which each λ walks with one reflection per element.  One walk of the
+dominant cone (_dominant_walk), over the central coordinates and simple-root
+pairings of one square system per datum, yields both dominant_box and
+dominant_count on every datum.  The datum also owns the one
 W-invariant form (x, y) = Σ_{β>0} ⟨x, β⟩⟨y, β⟩ and the one dominance check
 (dominant) that callers use on coweight arguments.  All arithmetic is exact.
 Every lattice vector is a tuple of ints; a half-integral vector such as ρ̌ or
@@ -31,7 +33,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import combinations, product as iter_product
-from math import prod
+from math import gcd, prod
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 Vector = Tuple[int, ...]
@@ -76,7 +78,7 @@ def _closure(starts: Sequence, moves: Sequence) -> Dict:
     """Breadth-first closure of starts under moves, as {element: BFS depth} in BFS order.
 
     A closure that outgrows LIMIT raises TooLarge: a Weyl group, an orbit of it or a root
-    system can, while the residues of dominant_count are at most det R.
+    system can.
     """
     seen = dict.fromkeys(starts, 0)
     frontier = list(seen)
@@ -438,83 +440,67 @@ class RootDatum:
         reflections = [partial(self.reflect, i) for i in range(self.rank)]
         return tuple(sorted(_closure([tuple(lam)], reflections)))
 
-    def _dominant_scan(self, pair_bound: int):
-        """The scan of dominant_box as (ranges, walk), refused with TooLarge over LIMIT.
+    @cached_property
+    def _cone(self) -> Tuple[Matrix, int, Vector, int]:
+        """(adj S, det S, the levels k, the period) of the one square system S of the dominant cone.
 
-        On data with a central direction: the box |x_i| ≤ pair_bound and None; else the ranges
-        of the simple-root pairings p and (adj R, det R, the levels k).
+        S is the matrix R of simple roots with one unit row prepended per central coordinate: the
+        columns off R's first invertible minor (none on semisimple data).  S·λ = (z, p) for those
+        coordinates z and the simple-root pairings p, so λ = adj(S)·(z, p) / det S, and
+        ⟨λ, 2ρ̌⟩ = Σ k_i (z, p)_i with k = adj(S)ᵀ·2ρ̌ / det S: 2ρ̌ = Σ k_i α_i with every k_i ≥ 1,
+        and k = 0 on z.  The period is the least e with e·(the last column of adj S) ≡ 0 mod det S.
         """
-        if self.rank < self.lattice_rank:
-            walk, ranges = None, [range(-pair_bound, pair_bound + 1)] * self.lattice_rank
-        else:
-            adjugate, det = _adjugate(self.simple_roots)
-            levels = [_dot(column, self.two_rho_check) // det for column in zip(*adjugate)]
-            walk, ranges = (adjugate, det, levels), [range(pair_bound // k + 1) for k in levels]
+        roots, n = self.simple_roots, self.lattice_rank
+        minor = next(cols for cols in combinations(range(n), self.rank)
+                     if _det([[root[j] for j in cols] for root in roots]))
+        units = [tuple(int(k == j) for k in range(n)) for j in range(n) if j not in minor]
+        adjugate, det = _adjugate(units + list(roots))
+        levels = tuple(_dot(column, self.two_rho_check) // det for column in zip(*adjugate))
+        return adjugate, det, levels, abs(det) // gcd(det, *(row[-1] for row in adjugate))
+
+    def _dominant_walk(self, pair_bound: int):
+        """The dominant coweights of level ≤ pair_bound, as (level, det S·λ at p_last = 0, p_last run).
+
+        The heads (z, p_1 … p_{r−1}) of _cone's coordinates run over |z_i| ≤ pair_bound and
+        0 ≤ p_i ≤ pair_bound // k_i.  Each head's admitted p_last are range(first, end, period):
+        first is the least p < period with λ integral, and end the least p with level over
+        pair_bound.  The pairing does not bound the center, so on data with a central direction the
+        run is cut to the λ with every |λ_i| ≤ pair_bound.  A walk of more than LIMIT candidates
+        raises TooLarge before it starts.
+        """
+        adjugate, det, levels, period = self._cone
+        ranges = [range(pair_bound // k + 1) if k else range(-pair_bound, pair_bound + 1)
+                  for k in levels]
         if (scan := prod(max(r.stop - r.start, 0) for r in ranges)) > LIMIT:
             raise TooLarge("the dominant coweights of level at most %d would take a scan of %d "
                            "candidates, over the limit of %d" % (pair_bound, scan, LIMIT))
-        return ranges, walk
+        last, step, bound = [row[-1] for row in adjugate], levels[-1], pair_bound * abs(det)
+        for head in iter_product(*ranges[:-1]):
+            start = [sum(map(operator.mul, row, head)) for row in adjugate]
+            first = next((p for p in range(period)
+                          if all((x + p * c) % det == 0 for x, c in zip(start, last))), None)
+            if first is not None:
+                level = sum(map(operator.mul, head, levels))
+                run = range(first, (pair_bound - level) // step + 1, period)
+                if self.rank < self.lattice_rank:
+                    run = [p for p in run if all(abs(x + p * c) <= bound for x, c in zip(start, last))]
+                yield level, start, run
 
     def dominant_box(self, pair_bound: int):
-        """Dominant coweights λ with ⟨λ, 2ρ̌⟩ ≤ pair_bound, sorted by level.
+        """Dominant coweights λ with ⟨λ, 2ρ̌⟩ ≤ pair_bound, sorted by level and then λ.
 
-        For data with a central torus direction (GL-type presets) the pairing does not bound
-        the center, so those λ are cut to the box |λ_i| ≤ pair_bound, which is scanned.  Any
-        other datum walks the simple-root pairings p ≥ 0 of λ, λ = adj(R)·p / det R for the
-        matrix R of simple roots, and ⟨λ, 2ρ̌⟩ = Σ k_i p_i with 2ρ̌ = Σ k_i α_i, every k_i ≥ 1:
-        every dominant λ of the level, in any basis of Λ.  The last pairing is one interval,
-        0 ≤ p_last ≤ (pair_bound − the level of the others) // k_last.  A scan of more than
-        LIMIT candidates raises TooLarge before it starts.
+        Read off _dominant_walk: every dominant λ of the level in any basis of Λ, and on data with
+        a central torus direction (GL-type presets) those in the box |λ_i| ≤ pair_bound.
         """
-        ranges, walk = self._dominant_scan(pair_bound)
-        out = []
-        if walk is None:
-            two_rho = self.two_rho_check
-            for coords in iter_product(*ranges):
-                level = sum(map(operator.mul, coords, two_rho))
-                if level <= pair_bound and self.is_dominant(coords):
-                    out.append((level, coords))
-        else:
-            adjugate, det, levels = walk
-            last, step = [row[-1] for row in adjugate], levels[-1]
-            for head in iter_product(*ranges[:-1]):
-                level = sum(map(operator.mul, head, levels))
-                start = [sum(map(operator.mul, row, head)) for row in adjugate]
-                for p in range((pair_bound - level) // step + 1):
-                    lam = [x + p * c for x, c in zip(start, last)]
-                    if all(x % det == 0 for x in lam):
-                        out.append((level + p * step, tuple(x // det for x in lam)))
-        out.sort()
-        return [coords for _, coords in out]
+        adjugate, det, levels, _ = self._cone
+        last, step = [row[-1] for row in adjugate], levels[-1]
+        return [lam for _, lam in sorted(
+            (level + p * step, tuple((x + p * c) // det for x, c in zip(start, last)))
+            for level, start, run in self._dominant_walk(pair_bound) for p in run)]
 
     def dominant_count(self, pair_bound: int) -> int:
-        """len(dominant_box(pair_bound)), counted without building the box on semisimple data.
-
-        The walk admits the p ≥ 0 with Σ k_i p_i ≤ pair_bound and adj(R)·p ≡ 0 mod det R, and a
-        coin-change count over the levels, one row per residue of adj(R)·p (at most det R of
-        them), counts them in O(rank · det R · pair_bound) steps.  On data with a central
-        direction the box is built.
-        """
-        _, walk = self._dominant_scan(pair_bound)
-        if walk is None:
-            return len(self.dominant_box(pair_bound))
-        adjugate, det, levels = walk
-
-        def plus(residue, column):
-            return tuple((x + y) % det for x, y in zip(residue, column))
-
-        columns = list(zip(*adjugate))  # adding 1 to p_i adds column i to adj(R)·p
-        residues = list(_closure([(0,) * self.rank], [partial(plus, column=c) for c in columns]))
-        index = {r: i for i, r in enumerate(residues)}
-        ways = [[0] * (pair_bound + 1) for _ in residues]  # ways[residue][level], residue 0 first
-        if pair_bound >= 0:
-            ways[0][0] = 1
-        for k, column in zip(levels, columns):
-            step = [(ways[index[plus(r, column)]], row) for r, row in zip(residues, ways)]
-            for level in range(k, pair_bound + 1):
-                for target, row in step:
-                    target[level] += row[level - k]
-        return sum(ways[0])
+        """len(dominant_box(pair_bound)), counted off _dominant_walk without building a λ."""
+        return sum(len(run) for _, _, run in self._dominant_walk(pair_bound))
 
 
 # Preset lattices.  Coordinates:

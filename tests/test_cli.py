@@ -568,7 +568,8 @@ def test_negative_bound_is_usage_error(capsys, monkeypatch):
 @pytest.mark.parametrize("argv, scan", [
     (("whittaker-eval", "--datum", "SL3", "--gamma=2,3", "--cutoff", "100000"), 50001 ** 2),
     (("verify-cs", "--datum", "SL3", "100000"), 50001 ** 2),
-    (("whittaker-eval", "--datum", "GL3", "--gamma=2,3,5", "--cutoff", "100000"), 200001 ** 3),
+    # GL3 walks its central coordinate over |z| ≤ 100000 and two pairings over 0 … 50000
+    (("whittaker-eval", "--datum", "GL3", "--gamma=2,3,5", "--cutoff", "100000"), 200001 * 50001 ** 2),
 ], ids=["whittaker-eval", "verify-cs", "whittaker-eval-central"])
 def test_a_huge_cutoff_is_refused_before_the_dominant_box_is_scanned(capsys, argv, scan):
     start = time.monotonic()
@@ -595,6 +596,18 @@ def test_whittaker_eval_refuses_an_oversized_table_before_any_trace(capsys, monk
     monkeypatch.undo()
     code, out, _ = run(capsys, "whittaker-eval", "--datum", "SL3", "--gamma=2,3", "--cutoff", "100")
     assert code == 0 and len(out.splitlines()) == 1 + 51 * 52 // 2
+
+
+def test_whittaker_eval_on_central_data_refuses_an_oversized_table_before_the_box(capsys, monkeypatch):
+    from satake.root_datum import RootDatum
+
+    # GL3 at cutoff 49: 26975 dominant coweights in the box |λ_i| ≤ 49 are counted off the walk
+    monkeypatch.setattr(RootDatum, "dominant_box", lambda self, bound: [][bound])
+    start = time.perf_counter()
+    code, out, err = run(capsys, "whittaker-eval", "--datum", "GL3", "--gamma=2,3,5", "--cutoff", "49")
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and out == ""
+    assert "cutoff 49 gives 26975 traces × level 49 = 1321775; the limit is 1000000" in err
 
 
 def test_verify_cs_refuses_an_oversized_module_axiom_battery(capsys, monkeypatch):

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from satake.grassmannian import Grassmannian
 from satake.hecke import HeckeAlgebra
 from satake.laurent import LaurentPoly, ONE
-from satake.rep_ring import RepRing, _alternating_eval, gamma_power, torus_point
+from satake.rep_ring import RepRing, _alternating_eval, _coin_change, gamma_power, torus_point
 from satake.root_datum import PRESETS, InvariantError, RootDatum, TooLarge, build_root_datum
 
 from conftest import A3, B3, box_scan
@@ -1044,6 +1044,31 @@ def test_q_analogs_regrow_a_table_that_a_narrow_refill_left_short(monkeypatch):
         assert [rep.lusztig_q_analog(lam, mu) for mu in row] == [
             RepRing("SL3").lusztig_q_analog(lam, mu) for mu in row], lam
         assert rep._box == rep.datum.coroot_bound(lam)
+
+
+def test_a_first_q_analog_settles_the_table_cover_of_its_row_in_one_growth():
+    # the warm box (1, 1) covers λ − μ = 0 for the shallow μ = λ, but not λ − (0, 0) = (4, 4)
+    rep = RepRing("SL3")
+    rep.q_kostant_partition((1, 1))
+    assert rep._box == (1, 1)
+    lam, tables = (4, 4), [rep._table]
+    walk = rep.dominant_weights_below(lam)
+    assert walk[0] == (0, lam) and walk[-1] == (8, (0, 0))
+    for _, mu in walk:
+        assert rep.lusztig_q_analog(lam, mu) == RepRing("SL3").lusztig_q_analog(lam, mu), mu
+        assert all(map(operator.le, (4, 4), rep._box))
+        if rep._table is not tables[-1]:
+            tables.append(rep._table)
+    assert len(tables) == 2  # the warm table and the one growth over λ − (0, 0)
+
+
+@pytest.mark.parametrize("spec", sorted(PRESETS) + [A3, B3], ids=sorted(PRESETS) + ["A3", "B3"])
+def test_the_corner_of_a_table_at_q_1_is_its_largest_entry(spec):
+    coroots = build_root_datum(spec).positive_coroots
+    box = tuple(range(3, 3 + len(coroots[0][1])))
+    strides = [math.prod(x + 1 for x in box[j + 1:]) for j in range(len(box))]
+    table = _coin_change(box, strides, coroots, 0)
+    assert table[-1] == max(table)
 
 
 def test_a_walk_whose_deepest_weight_is_not_lowest_raises():

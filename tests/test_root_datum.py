@@ -367,16 +367,16 @@ def test_dominant_box_refuses_a_scan_over_the_cap(monkeypatch):
     import satake.root_datum as root_datum
 
     sl3, gl3 = build_root_datum("SL3"), build_root_datum("GL3")
-    # SL3 walks (⌊B/2⌋ + 1)² pairings; GL3 scans its coordinate box, (2c + 1)³ points
+    # SL3 walks (⌊B/2⌋ + 1)² pairings; GL3 walks its central coordinate, |z| ≤ B, times those
     with pytest.raises(ValueError, match="scan of 1002001 candidates, over the limit of 1000000"):
         sl3.dominant_box(2000)
-    with pytest.raises(ValueError, match="scan of 1030301 candidates"):
-        gl3.dominant_box(50)
+    with pytest.raises(ValueError, match="scan of 1036288 candidates"):
+        gl3.dominant_box(126)  # 253 · 64²
     with pytest.raises(ValueError, match="scan of %d candidates" % (5 * 10 ** 29 + 1) ** 2):
         sl3.dominant_box(10 ** 30)  # ranges too long for len()
     # at the cap the scan is admitted (an empty one here, so the test stays fast)
     monkeypatch.setattr(root_datum, "iter_product", lambda *ranges, **kw: iter(()))
-    assert sl3.dominant_box(1999) == [] and gl3.dominant_box(49) == []
+    assert sl3.dominant_box(1999) == [] and gl3.dominant_box(125) == []  # 251 · 63² ≤ LIMIT
 
 
 # SL3 with the two lattice coordinates swapped: the matrix of simple roots has det −1
@@ -432,16 +432,29 @@ def test_dominant_box_does_not_depend_on_the_basis_of_the_lattice(spec):
 
 
 def test_dominant_count_refuses_as_the_box_does_and_counts_without_it(monkeypatch):
-    import satake.root_datum as root_datum
-
-    sl3 = build_root_datum("SL3")
+    sl3, gl3 = build_root_datum("SL3"), build_root_datum("GL3")
     with pytest.raises(ValueError, match="scan of 1002001 candidates, over the limit of 1000000"):
         sl3.dominant_count(2000)
-    monkeypatch.setattr(root_datum, "iter_product", lambda *ranges, **kw: iter(()))
+    monkeypatch.setattr(root_datum.RootDatum, "dominant_box", lambda self, bound: [][bound])
     start = time.perf_counter()
     # ⌊B/2⌋ + 1 = 1000 pairings in each of two coordinates with p_1 + p_2 ≤ 999
     assert sl3.dominant_count(1999) == 1000 * 1001 // 2
+    # central data count off the same walk: Σ_{s ≤ 24} (s + 1)(99 − s) λ with |λ_i| ≤ 49, s = p_1 + p_2
+    assert gl3.dominant_count(49) == 26975
     assert time.perf_counter() - start < 0.5
+
+
+# a central direction on each side of the one root: its first minor, column 0, is singular,
+# so the square system of the cone takes the unit rows of columns 0 and 2
+TWO_CENTRAL = {"cartan": [[2]], "coroots": [[0, 1, -1]], "roots": [[0, 1, -1]]}
+
+
+def test_dominant_box_and_count_with_two_central_directions_equal_the_box_scan():
+    d = build_root_datum(TWO_CENTRAL)
+    for pair_bound in [-1, 0, 3, 6]:
+        box = box_scan(d, pair_bound, pair_bound)
+        assert d.dominant_box(pair_bound) == box, pair_bound
+        assert d.dominant_count(pair_bound) == len(box), pair_bound
 
 
 @settings(max_examples=200, deadline=None)
