@@ -8,10 +8,12 @@ datum's one chamber walk on the simple-root pairings of μ+τ+ρ (those of τ+ρ
 in integers on Λ.  A tensor product is a combination of one term; the Whittaker residual
 acts on its whole truncation in one pass.  One memo per ring holds the signed shifts of each
 λ, the coroot coordinates of w(λ+ρ) − (λ+ρ) with (−1)^{ℓ(w)}, walked on the datum's BFS tree
-of W: the terms of both alternating Weyl sums.  A character is Weyl's character formula over
-them where |W| ≤ dim V^λ (for a regular λ without weyl_dim: its orbit has |W| weights) and the
-torus point is regular, and the sum over the weight table otherwise; both are integer sums,
-one denominator each.  The traces at the last torus point are kept until a call at another
+of W from λ's simple-root pairings: the terms of both alternating Weyl sums.  A character is
+Weyl's character formula over them, in t_j = γ^{α̌_j}, where |W| ≤ dim V^λ (for a regular λ
+without weyl_dim: its orbit has |W| weights) and the torus point is regular, and the sum over
+the weight table otherwise.  Each sum is one _power_sum in integers over the kept powers a^k
+and b^k of each base a/b (each γ_i and each t_j), and a trace is one Fraction.  The traces,
+the powers and the Weyl denominator at the last torus point are kept until a call at another
 point.  Public methods check their coweights at the door; the private routes behind them
 (_brauer_klimyk, _character, _dual_character) take checked dominant coweights.  The q-side
 reads one coin-change table of the q-Kostant partition function per ring: a flat row-major
@@ -60,29 +62,27 @@ def _require_box_budget(box: Coweight) -> None:
                        % (box, points, LIMIT))
 
 
-def _alternating_eval(terms: Sequence[Tuple[Sequence[int], int]], gamma: TorusPoint) -> Fraction:
-    """Σ c·γ^ν over the (ν, c) terms, exact, over one common denominator.
+def _power_sum(terms: Sequence[Tuple[Sequence[int], int]], powers) -> Tuple[int, int]:
+    """Σ c·x^ν over the (ν, c) terms, exact, as a numerator and a denominator in ints.
 
-    The terms are an alternating Weyl sum (c = ±1) or a weight table (c the multiplicity).
-    With γ_i = a_i/b_i and lo_i, hi_i the least and greatest i-th coordinate of a ν,
-    γ^ν = Π a_i^{lo_i} b_i^{−hi_i} · Π a_i^{ν_i−lo_i} b_i^{hi_i−ν_i}.  The second product
-    is an integer read from one power table per coordinate, so the terms are summed in
-    integers and the first product is applied once, as a single Fraction.
+    The terms are an alternating Weyl sum (c = ±1), a weight table (c the multiplicity) or one
+    weight; powers[i] = (A, B) keeps A[k] = a_i^k and B[k] = b_i^k for x_i = a_i/b_i, from
+    A = [1, a_i] and B = [1, b_i], extended only as far as the terms need.  With lo_i, hi_i the
+    least and greatest i-th coordinate of a ν, x^ν = Π a_i^{lo_i} b_i^{−hi_i} ·
+    Π a_i^{ν_i−lo_i} b_i^{hi_i−ν_i}: the second product is read from the lists, so the terms are
+    summed in integers, and the first is split by sign.
     """
-    rows = []
     num = den = 1
-    for g, column in zip(gamma, zip(*(nu for nu, _ in terms))):
-        a, b = g.numerator, g.denominator
+    acc = [c for _, c in terms]
+    for (a, b), column in zip(powers, zip(*(nu for nu, _ in terms))):
         lo, hi = min(column), max(column)
-        rows.append({x: a ** (x - lo) * b ** (hi - x) for x in set(column)})
-        num *= a ** max(lo, 0) * b ** max(-hi, 0)
-        den *= a ** max(-lo, 0) * b ** max(hi, 0)
-    total = 0
-    for nu, c in terms:
-        for row, x in zip(rows, nu):
-            c *= row[x]
-        total += c
-    return Fraction(total * num, den)
+        for _ in range(len(a), (hi if hi > 0 else 0) - (lo if lo < 0 else 0) + 1):
+            a.append(a[-1] * a[1])
+            b.append(b[-1] * b[1])
+        num *= a[lo if lo > 0 else 0] * b[-hi if hi < 0 else 0]
+        den *= a[-lo if lo < 0 else 0] * b[hi if hi > 0 else 0]
+        acc = [c * a[x - lo] * b[hi - x] for c, x in zip(acc, column)]
+    return sum(acc) * num, den
 
 
 def gamma_power(gamma: TorusPoint, nu: Sequence[int]) -> Fraction:
@@ -114,9 +114,10 @@ class RepRing:
         self._walks: Dict[Coweight, Dict[Coweight, Coweight]] = {}
         self._offsets: Dict[Coweight, Tuple[Tuple[Coweight, int, int], ...]] = {}
         self._shifts: Dict[Coweight, Tuple[Tuple[Coweight, int], ...]] = {}
-        # the last torus point γ, its traces by dominant λ, and ((γ^{α̌_j}) over the simple
-        # coroots, Weyl denominator) once Weyl's formula has run at γ
-        self._gamma, self._traces, self._denominator = None, {}, None
+        # the last torus point γ, its traces by dominant λ, the kept powers of each γ_i, and (the
+        # kept powers of each t_j = γ^{α̌_j}, the Weyl denominator as an (int, int) pair) once
+        # Weyl's formula has run at γ
+        self._gamma, self._traces, self._powers, self._denominator = None, {}, [], None
         self._dims: Dict[Coweight, int] = {}
 
     # -- dimensions and weights ---------------------------------------------
@@ -309,14 +310,15 @@ class RepRing:
 
     # -- characters ------------------------------------------------------------
 
-    def _signed_shifts(self, lam: Coweight) -> Tuple[Tuple[Coweight, int], ...]:
+    def _signed_shifts(self, lam: Coweight, pairings: Sequence[int]) -> Tuple[Tuple[Coweight, int], ...]:
         """datum.dot_orbit(λ), memoized per λ: the terms of both alternating Weyl sums.
 
-        Each term is the coroot coordinates of w(λ+ρ) − (λ+ρ) and (−1)^{ℓ(w)}, identity first.
+        Each term is the coroot coordinates of w(λ+ρ) − (λ+ρ) and (−1)^{ℓ(w)}, identity first,
+        walked (datum._dot_walk) from λ's simple-root pairings, which the caller has in hand.
         """
         shifts = self._shifts.get(lam)
         if shifts is None:
-            shifts = self._shifts[lam] = self.datum.dot_orbit(lam)
+            shifts = self._shifts[lam] = self.datum._dot_walk(pairings)
         return shifts
 
     def character_eval(self, lam, gamma: TorusPoint) -> Fraction:
@@ -329,8 +331,9 @@ class RepRing:
         it is taken only when |W| ≤ dim V^λ (and |W| within LIMIT) and γ is regular, where the
         denominator is nonzero.  A regular λ (every ⟨λ, α_i⟩ > 0) has |W| weights on its orbit,
         so only a singular λ asks weyl_dim.  Otherwise the trace is Σ_ν mult(ν) γ^ν over the
-        memoized weight table.  Either way it is kept, with the denominator, until a call at
-        another γ.
+        memoized weight table.  Either way each sum is one _power_sum over the powers of the γ_i
+        or t_j kept at γ, and the trace is one Fraction; it is kept, with the powers and the
+        denominator, until a call at another γ.
         """
         return self._character(self.datum.dominant(lam), gamma)
 
@@ -339,22 +342,25 @@ class RepRing:
         datum = self.datum
         if self._gamma != gamma:
             self._gamma, self._traces, self._denominator = tuple(gamma), {}, None
+            self._powers = [([1, g.numerator], [1, g.denominator]) for g in gamma]
         trace = self._traces.get(lam)
         if trace is not None:
             return trace
-        order, regular = datum.weyl_order, min(datum._simple_pairings(lam)) > 0
-        if order <= LIMIT and (regular or order <= (self._dims.get(lam) or self.weyl_dim(lam))):
+        order, pairings = datum.weyl_order, datum._simple_pairings(lam)
+        if order <= LIMIT and (min(pairings) > 0 or order <= (self._dims.get(lam) or self.weyl_dim(lam))):
             if self._denominator is None:
-                values = tuple(gamma_power(gamma, alpha) for alpha in datum.simple_coroots)
-                zero = self._signed_shifts((0,) * datum.lattice_rank)
-                self._denominator = (values, _alternating_eval(zero, values))
-            values, denominator = self._denominator
-            if denominator:
-                trace = gamma_power(gamma, lam) * _alternating_eval(
-                    self._signed_shifts(lam), values) / denominator
+                t = [Fraction(*_power_sum(((alpha, 1),), self._powers)) for alpha in datum.simple_coroots]
+                t = [([1, x.numerator], [1, x.denominator]) for x in t]
+                zero = self._signed_shifts((0,) * datum.lattice_rank, [0] * datum.rank)
+                self._denominator = (t, _power_sum(zero, t))
+            t, (n0, d0) = self._denominator
+            if n0:
+                n, d = _power_sum(self._signed_shifts(lam, pairings), t)
+                g, h = _power_sum(((lam, 1),), self._powers)
+                trace = Fraction(g * n * d0, h * d * n0)
         if trace is None:
             weights = self._full_weights.get(lam) or self.weights_with_multiplicity(lam)
-            trace = _alternating_eval(weights, gamma)
+            trace = Fraction(*_power_sum(weights, self._powers))
         self._traces[lam] = trace
         return trace
 
@@ -466,7 +472,8 @@ class RepRing:
                 raise InvariantError("λ − %r does not bound the walk of λ = %r" % (deepest, lam))
             if not all(map(operator.le, top, self._box)):
                 self.q_kostant_partition(tuple(map(operator.sub, lam, deepest)))
-            shifts, strides = self._signed_shifts(lam)[1:], self._strides  # each need = −shift ≥ 0
+            shifts = self._signed_shifts(lam, self.datum._simple_pairings(lam))[1:]  # each need = −shift ≥ 0
+            strides = self._strides
             width = max(self._box + tuple(-min(shift) for shift, _ in shifts)).bit_length() + 1
             fields = [1 << (width * j) for j in range(len(strides))]
             offsets = self._offsets[lam] = (fields, sum(fields) << (width - 1), tuple(

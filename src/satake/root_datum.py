@@ -401,7 +401,7 @@ class RootDatum:
     def _weyl_tree(self) -> Tuple[Tuple[Tuple[int, int], ...], Tuple[int, ...]]:
         """W's BFS tree: (parent index, i) with w = s_i·parent for each w ≠ e, and each (−1)^{ℓ(w)}.
 
-        Read off the closure of dot_orbit's steps at λ = 0 (each w ≠ e has an s_i with s_i·w one
+        Read off the closure of _dot_walk's steps at λ = 0 (each w ≠ e has an s_i with s_i·w one
         step shallower); on a strictly dominant λ+ρ its order depends only on W, so every λ walks
         this tree.  Raises TooLarge over LIMIT, InvariantError unless it has |W| elements.
         """
@@ -417,22 +417,25 @@ class RootDatum:
         return tree, tuple((-1) ** d for d in depth.values())
 
     def dot_orbit(self, lam: Sequence) -> Tuple[Tuple[Vector, int], ...]:
+        """_dot_walk from the simple-root pairings of λ, or ValueError for a λ that is not dominant."""
+        pairings = self._simple_pairings(lam)
+        if min(pairings, default=0) < 0:
+            raise ValueError("coweight %r is not dominant" % (tuple(lam),))
+        return self._dot_walk(pairings)
+
+    def _dot_walk(self, pairings: Sequence[int]) -> Tuple[Tuple[Vector, int], ...]:
         """(coroot coordinates c of w(λ+ρ) − (λ+ρ), (−1)^{ℓ(w)}) for every w in W, e first.
 
-        λ must be dominant.  ⟨λ+ρ, α_i⟩ = p_i + 1 for the simple-root pairings p of λ, so on
+        λ is dominant with simple-root pairings p, not checked here.  ⟨λ+ρ, α_i⟩ = p_i + 1, so on
         λ+ρ + Σ c_j α̌_j the reflection s_i changes only c_i, by −(p_i + 1 + (C c)_i) for the
         Cartan matrix C: one step from the parent's c per w of the datum's BFS tree (_weyl_tree,
-        one closure per datum), in its order.  Raises ValueError for a λ that is not dominant,
-        and TooLarge for a group over LIMIT.
+        one closure per datum), in its order.  Raises TooLarge for a group over LIMIT.
         """
-        shifted = [p + 1 for p in self._simple_pairings(lam)]
-        if min(shifted, default=1) <= 0:
-            raise ValueError("coweight %r is not dominant" % (tuple(lam),))
         tree, signs = self._weyl_tree
         rows, coords = self.cartan_matrix, [(0,) * self.rank]
         for parent, i in tree:
             c = coords[parent]
-            coords.append(c[:i] + (c[i] - shifted[i] - sum(map(operator.mul, rows[i], c)),) + c[i + 1:])
+            coords.append(c[:i] + (c[i] - pairings[i] - 1 - sum(map(operator.mul, rows[i], c)),) + c[i + 1:])
         return tuple(zip(coords, signs))
 
     def weyl_orbit(self, lam: Sequence) -> Tuple[Tuple, ...]:
@@ -465,7 +468,8 @@ class RootDatum:
         0 ≤ p_i ≤ pair_bound // k_i.  Each head's admitted p_last are range(first, end, period):
         first is the least p < period with λ integral, and end the least p with level over
         pair_bound.  The pairing does not bound the center, so on data with a central direction the
-        run is cut to the λ with every |λ_i| ≤ pair_bound.  A walk of more than LIMIT candidates
+        run is cut to the λ with every |λ_i| ≤ pair_bound: each λ_i is linear in p_last, so the cut
+        is one interval, bounded by integer division.  A walk of more than LIMIT candidates
         raises TooLarge before it starts.
         """
         adjugate, det, levels, period = self._cone
@@ -481,10 +485,16 @@ class RootDatum:
                           if all((x + p * c) % det == 0 for x, c in zip(start, last))), None)
             if first is not None:
                 level = sum(map(operator.mul, head, levels))
-                run = range(first, (pair_bound - level) // step + 1, period)
+                lo, hi = first, (pair_bound - level) // step
                 if self.rank < self.lattice_rank:
-                    run = [p for p in run if all(abs(x + p * c) <= bound for x, c in zip(start, last))]
-                yield level, start, run
+                    for x, c in zip(start, last):  # |x + p·c| ≤ bound, with c ≥ 0 after a sign flip
+                        x, c = (-x, -c) if c < 0 else (x, c)
+                        if c:
+                            lo, hi = max(lo, -((bound + x) // c)), min(hi, (bound - x) // c)
+                        elif abs(x) > bound:
+                            hi = -1
+                    lo += (first - lo) % period  # the least p ≥ lo in first's class
+                yield level, start, range(lo, hi + 1, period)
 
     def dominant_box(self, pair_bound: int):
         """Dominant coweights λ with ⟨λ, 2ρ̌⟩ ≤ pair_bound, sorted by level and then λ.

@@ -30,6 +30,7 @@ REFERENCE_ROUTES = (
     ("eval_gamma", "the Satake homomorphism A_λ ↦ Tr(γ, V^λ), whose multiplicativity checks mul"),
     ("star_involution", "A_λ ↦ A_{−w₀λ}, an algebra map only if mul and apply_w0 agree"),
     ("eval_q", "the value at q = 1, which ties every q-analog to a Freudenthal multiplicity"),
+    ("dot_orbit", "the checked door to the tree walk of W, compared with a BFS over the group"),
 )
 # lattice code, whose coroot coordinates and determinants are ints: no Fraction may enter
 INTEGER_ONLY = {"root_datum.py"}

@@ -18,10 +18,15 @@ from hypothesis import given, settings, strategies as st
 from satake.grassmannian import Grassmannian
 from satake.hecke import HeckeAlgebra
 from satake.laurent import LaurentPoly, ONE
-from satake.rep_ring import RepRing, _alternating_eval, _coin_change, gamma_power, torus_point
+from satake.rep_ring import RepRing, _coin_change, _power_sum, gamma_power, torus_point
 from satake.root_datum import PRESETS, InvariantError, RootDatum, TooLarge, build_root_datum
 
 from conftest import A3, B3, box_scan
+
+
+def fresh_powers(point):
+    """New power lists [1, a], [1, b] for each base a/b of point, as _power_sum takes them."""
+    return [([1, Fraction(x).numerator], [1, Fraction(x).denominator]) for x in point]
 
 
 def char_product_decompose(rep, lam, mu):
@@ -496,8 +501,9 @@ def test_character_eval_matches_weight_by_weight_sum(name, index, coords):
         # the Weyl denominator identity Σ_w ε(w) γ^{wρ−ρ} = Π_{α̌>0} (1 − γ^{−α̌}), the
         # left side in the values γ^{α̌_j} at the simple coroots
         product = math.prod(1 - gamma_power(gamma, [-x for x in alpha]) for alpha in coroots)
-        simple = [gamma_power(gamma, alpha) for alpha in datum.simple_coroots]
-        assert _alternating_eval(rep._signed_shifts((0,) * n), simple) == product
+        simple = fresh_powers(gamma_power(gamma, alpha) for alpha in datum.simple_coroots)
+        zero = rep._signed_shifts((0,) * n, [0] * datum.rank)
+        assert Fraction(*_power_sum(zero, simple)) == product
         assert (product == 0) == any(gamma_power(gamma, alpha) == 1 for alpha in coroots)
         assert product == 0 or k in (0, 2)
 
@@ -531,7 +537,7 @@ def test_a_small_lambda_on_a_large_weyl_group_takes_the_table_route(monkeypatch,
     def refuse(self, lam):
         raise AssertionError("the Weyl route ran where |W| exceeds dim V^λ")
 
-    monkeypatch.setattr(RootDatum, "dot_orbit", refuse)
+    monkeypatch.setattr(RootDatum, "_dot_walk", refuse)
     rep = RepRing(datum)
     gamma = torus_point([2, 3, -5, Fraction(1, 2), 7, Fraction(-3, 4), 11, 13][:datum.rank], datum)
     table = rep.weight_table(lam)
@@ -570,29 +576,86 @@ def test_a_regular_lambda_takes_weyl_formula_without_a_weyl_dimension(monkeypatc
     if spec is A3:
         assert (1, 0, 0) in lams and (1, 0, 0) not in weyl_route
     for lam, trace in zip(lams, traces):
-        assert trace == _alternating_eval(rep.weights_with_multiplicity(lam), gamma), lam
+        powers = fresh_powers(gamma)  # not the lists the ring keeps at γ
+        assert trace == Fraction(*_power_sum(rep.weights_with_multiplicity(lam), powers)), lam
 
 
 def test_weyl_denominator_is_computed_once_per_point(monkeypatch):
     import satake.rep_ring as rep_ring
 
     calls = []
-    evaluate = rep_ring._alternating_eval
+    evaluate = rep_ring._power_sum
 
-    def counted(terms, gamma):
-        calls.append(len(terms))
-        return evaluate(terms, gamma)
+    def counted(terms, powers):
+        # a sum in the t_j = γ^{α̌_j} is a Weyl numerator or denominator; one in the γ_i a power
+        calls.append((len(terms), "γ" if powers is rep._powers else "t"))
+        return evaluate(terms, powers)
 
-    monkeypatch.setattr(rep_ring, "_alternating_eval", counted)
+    monkeypatch.setattr(rep_ring, "_power_sum", counted)
     rep = RepRing("SL3")
     gamma = torus_point([Fraction(-5, 13), Fraction(11, 7)], rep.datum)
     other = torus_point([2, Fraction(1, 3)], rep.datum)
     for point in (gamma, gamma, other, other, gamma):
         for lam in [(1, 1), (2, 1), (3, 0)]:
             rep.character_eval(lam, point)
-    # one denominator whenever the point changes (three times), one numerator per trace
-    # at each of the three visits; a trace repeated at the same point is the kept one
-    assert calls == [6] * (3 + 9)
+    # one denominator whenever the point changes (three times), after the two t_j, and one
+    # numerator per trace at each of the three visits, with its γ^λ; a trace repeated at the
+    # same point is the kept one
+    visit = [(1, "γ"), (1, "γ"), (6, "t")] + [(6, "t"), (1, "γ")] * 3
+    assert calls == visit * 3
+    assert [n for n, powers in calls if powers == "t"] == [6] * (3 + 9)
+
+
+# negative, unit-numerator and unit-denominator coordinates, mixed within each point
+_POWER_POINTS = ([Fraction(-3, 5), Fraction(1, 4), 7], [5, Fraction(-1, 2), Fraction(-7, 3)],
+                 [Fraction(1, 3), -2, Fraction(11, 13)])
+
+
+@pytest.mark.parametrize("spec", sorted(PRESETS) + [REDUCIBLE, A3, B3],
+                         ids=sorted(PRESETS) + ["A1xC2", "A3", "B3"])
+def test_power_sums_are_gamma_power_summed_weight_by_weight(spec):
+    # second route: gamma_power one weight at a time, summed as Fractions, against the integer
+    # sums over kept power lists: the weight table and γ^λ in the γ_i, the signed shifts in the
+    # t_j = γ^{α̌_j}; one set of lists per point serves every λ, as in the ring
+    rep = RepRing(spec)
+    datum = rep.datum
+    lams = box_scan(datum, 22, 2)
+    regular = [lam for lam in lams if min(datum._simple_pairings(lam)) > 0]
+    assert regular and len(regular) < len(lams)  # regular and singular λ
+    for values in _POWER_POINTS:
+        gamma = torus_point(values[:datum.lattice_rank], datum)
+        coroots = [gamma_power(gamma, alpha) for alpha in datum.simple_coroots]
+        kept, t = fresh_powers(gamma), fresh_powers(coroots)
+        for lam in lams:
+            table = rep.weights_with_multiplicity(lam)
+            naive = sum((m * gamma_power(gamma, nu) for nu, m in table), Fraction(0))
+            assert Fraction(*_power_sum(table, kept)) == naive, lam
+            assert Fraction(*_power_sum(((lam, 1),), kept)) == gamma_power(gamma, lam), lam
+            shifts = rep._signed_shifts(lam, datum._simple_pairings(lam))
+            weyl = sum((sign * gamma_power(coroots, shift) for shift, sign in shifts), Fraction(0))
+            assert Fraction(*_power_sum(shifts, t)) == weyl, lam
+            assert rep.character_eval(lam, gamma) == naive, lam
+
+
+@pytest.mark.parametrize("spec", ["SL3", "G2", B3], ids=["SL3", "G2", "B3"])
+def test_a_second_pass_at_the_same_point_extends_no_power_list(spec):
+    rep = RepRing(spec)
+    datum = rep.datum
+    gamma = torus_point([Fraction(-5, 13), Fraction(11, 7), Fraction(-3, 2)][:datum.lattice_rank], datum)
+    lams = datum.dominant_box(14)
+
+    def traces():
+        return [(rep.character_eval(lam, gamma), rep.dual_character_eval(lam, gamma)) for lam in lams]
+
+    def kept():
+        return [powers for pair in rep._powers + rep._denominator[0] for powers in pair]
+
+    first, lists = traces(), kept()
+    lengths = [len(powers) for powers in lists]
+    assert min(lengths) > 2  # every list grew past [1, x]
+    rep._traces.clear()  # the traces go and the powers stay, so every trace is summed again
+    assert traces() == first
+    assert all(map(operator.is_, kept(), lists)) and [len(powers) for powers in lists] == lengths
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
@@ -614,6 +677,8 @@ def test_kept_traces_are_those_of_a_fresh_ring_when_the_point_alternates(name):
                 assert rep.character_eval(lam, point) == fresh.character_eval(lam, point)
                 assert rep.dual_character_eval(lam, point) == fresh.dual_character_eval(lam, point)
             assert set(rep._traces) == set(fresh._traces)
+            # the powers and the denominator kept at the last point are gone with its traces
+            assert rep._powers == fresh._powers and rep._denominator == fresh._denominator
 
 
 def test_gamma_power_is_exact_for_integer_coordinates():
@@ -635,7 +700,7 @@ def test_character_eval_reads_the_memoized_weight_table(monkeypatch):
         raise AssertionError("character_eval rebuilt a Weyl orbit")
 
     monkeypatch.setattr(RootDatum, "weyl_orbit", refuse)
-    monkeypatch.setattr(RootDatum, "dot_orbit", refuse)
+    monkeypatch.setattr(RootDatum, "_dot_walk", refuse)
     after = [(rep.character_eval(lam, point), rep.dual_character_eval(lam, point))
              for point in (gamma, singular) for lam in lams]
     assert after == before
@@ -942,7 +1007,7 @@ def _q_analog_by_coordinates(rep, lam, mu):
     key, strides = rep._walks[lam][mu], rep._strides
     base = sum(map(operator.mul, key, strides))
     total = rep._table[base]
-    for shift, sign in rep._signed_shifts(lam)[1:]:
+    for shift, sign in rep._shifts[lam][1:]:
         if all(k >= -s for k, s in zip(key, shift)):
             total += sign * rep._table[base + sum(map(operator.mul, shift, strides))]
     return _decode_from_q0(total, rep._width)
@@ -955,7 +1020,7 @@ def test_the_packed_cone_test_is_the_coordinate_test_on_every_point_of_the_box(n
     walk = [mu for _, mu in rep.dominant_weights_below(lam)]
     values = [rep.lusztig_q_analog(lam, mu) for mu in walk]
     assert rep._walks[lam][walk[-1]] == rep._box  # the deepest key is the box's corner
-    needs = [tuple(-c for c in shift) for shift, _ in rep._signed_shifts(lam)[1:]]
+    needs = [tuple(-c for c in shift) for shift, _ in rep._shifts[lam][1:]]
     assert max(map(max, needs)) > max(rep._box)  # the widest need, not the box, sets the fields
     for refill in (False, True):
         if refill:  # a refill to a box of 31 = 2⁵ − 1 per coordinate, wider than every need

@@ -457,6 +457,28 @@ def test_dominant_box_and_count_with_two_central_directions_equal_the_box_scan()
         assert d.dominant_count(pair_bound) == len(box), pair_bound
 
 
+# GL3 in two other bases of Λ: in the first, the interval one coordinate cuts starts off the
+# class of admitted last pairings (λ integral); in the second, a coordinate does not move with it
+SKEWED_GL3 = {"cartan": [[2, -1], [-1, 2]], "coroots": [[3, 0, 1], [-3, 1, -2]],
+              "roots": [[2, -3, -4], [1, -3, -4]]}
+FIXED_GL3 = {"cartan": [[2, -1], [-1, 2]], "coroots": [[-3, -2, -1], [1, 1, 0]],
+             "roots": [[-1, 0, 1], [0, 2, -3]]}
+
+
+@pytest.mark.parametrize("spec", ["GL2", "GL3", SKEWED_GL3, FIXED_GL3],
+                         ids=["GL2", "GL3", "skewed-GL3", "fixed-GL3"])
+def test_central_runs_are_one_interval_and_equal_the_box_scan(spec):
+    # each λ_i is linear in the last pairing, so |λ_i| ≤ pair_bound cuts one interval of its run
+    d = build_root_datum(spec)
+    for pair_bound in list(range(-1, 10)) + [13, 17]:
+        box = box_scan(d, pair_bound, pair_bound)
+        assert all(type(run) is range for _, _, run in d._dominant_walk(pair_bound))
+        assert d.dominant_box(pair_bound) == box, pair_bound
+        assert d.dominant_count(pair_bound) == len(box), pair_bound
+    if spec == "GL2":  # λ = (a, b) with b ≤ a ≤ b + 400 and |a|, |b| ≤ 400: Σ_{s ≤ 400} (801 − s)
+        assert d.dominant_count(400) == 401 * 801 - 400 * 401 // 2 == 241_001
+
+
 @settings(max_examples=200, deadline=None)
 @given(name=st.sampled_from(sorted(PRESETS)),
        coords=st.lists(st.integers(-30, 30), min_size=3, max_size=3))
