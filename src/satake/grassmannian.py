@@ -111,7 +111,7 @@ class Grassmannian:
             raise ValueError("hypothesis violated: μ+ν = %r is not dominant" % (target,))
         if not self.datum.is_dominant(mu):
             return CohomologyPrediction(True, None, 0, None)
-        dim = self.rep.tensor_multiplicity(lam, mu, target)
+        dim = self.rep.tensor_decompose(lam, mu).get(target, 0)
         if dim == 0:
             return CohomologyPrediction(True, None, 0, None)
         weight = self.datum.pairing_2rho(nu)
@@ -132,7 +132,7 @@ class Grassmannian:
                 raise ValueError("μ = %r is not large enough against λ = %r" % (mu, lam))
         target = tuple(a + b for a, b in zip(mu, nu))
         if self.datum.is_dominant(target):
-            tensor_side = self.rep.tensor_multiplicity(lam, mu, target)
+            tensor_side = self.rep.tensor_decompose(lam, mu).get(target, 0)
         else:
             tensor_side = 0
         return tensor_side == self.rep.weight_multiplicity(lam, nu)

@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Dict, Mapping, Tuple
 
 from .laurent import LaurentPoly, ONE, ZERO, as_poly
-from .rep_ring import RepRing, TorusPoint
+from .rep_ring import RepRing, TorusPoint, torus_point
 from .root_datum import build_root_datum
 
 A_BASIS = "A"
@@ -191,11 +191,12 @@ class HeckeAlgebra:
     def eval_gamma(self, h: BasisElement, gamma: TorusPoint, v=None) -> Fraction:
         """Σ_λ coeff_λ · Tr(γ, V^λ); a ring homomorphism.
 
-        Coefficients that are honest polynomials in v need a rational value
-        for v; constant coefficients evaluate symbolically.
+        Coefficients that are honest polynomials in v need a rational value for v; constant
+        coefficients evaluate symbolically.  γ passes torus_point even when h is zero.
         """
         if h.basis != A_BASIS:
             raise ValueError("eval_gamma needs an A-basis element")
+        gamma = torus_point(gamma, self.datum)
         total = Fraction(0)
         for lam, coeff in h.terms.items():
             if coeff.is_constant():

@@ -42,10 +42,6 @@ class LaurentPoly:
     def const(cls, c: int) -> "LaurentPoly":
         return cls({0: c})
 
-    @classmethod
-    def v_power(cls, exp: int, coeff: int = 1) -> "LaurentPoly":
-        return cls({exp: coeff})
-
     # -- inspection --------------------------------------------------------
 
     def items(self) -> Tuple[Tuple[int, int], ...]:
@@ -95,10 +91,6 @@ class LaurentPoly:
             return other
         if other._coeffs == {0: 1}:
             return self
-        poly, mono = (other, self) if len(self._coeffs) == 1 else (self, other)
-        if len(mono._coeffs) == 1:  # c·v^k: a shift and a scale, so nothing cancels
-            ((k, scale),) = mono._coeffs.items()
-            return LaurentPoly._from_clean({e + k: c * scale for e, c in poly._coeffs.items()})
         out: Dict[int, int] = {}
         for e1, c1 in self._coeffs.items():
             for e2, c2 in other._coeffs.items():

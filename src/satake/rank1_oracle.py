@@ -53,21 +53,19 @@ class Cyclotomic:
     """Sums of p-th roots of unity in Z[ζ_p], p prime; basis 1, ζ, …, ζ^{p−2}.
 
     The relation Σ_{a ∈ F_p} ζ^a = 0 holds identically in this
-    representation.  The public constructor checks p and the length of the
-    vector; sums are built by ``_result`` without the checks, since their
-    operands passed them, and so is ``zeta``, which point enumeration calls
-    once per point after checking q once per cell.
+    representation.  The public constructor checks p and gives the zero sum;
+    sums are built by ``_result`` without the check, since their operands
+    passed it, and so is ``zeta``, which point enumeration calls once per
+    point after checking q once per cell.
     """
 
     __slots__ = ("p", "vec")
 
-    def __init__(self, p: int, vec: Optional[Sequence[int]] = None):
+    def __init__(self, p: int):
         if not is_prime(p):
             raise ValueError("%d is not prime" % p)
         self.p = p
-        self.vec = tuple(vec) if vec is not None else (0,) * (p - 1)
-        if len(self.vec) != p - 1:
-            raise ValueError("coordinate vector must have length p-1")
+        self.vec = (0,) * (p - 1)
 
     @classmethod
     def _result(cls, p: int, vec: Tuple[int, ...]) -> "Cyclotomic":
@@ -271,7 +269,7 @@ class Rank1Oracle:
         if mu < 0:
             mult = 0
         else:
-            mult = self.rep.tensor_multiplicity((m,), (mu,), (mu + n,))
+            mult = self.rep.tensor_decompose((m,), (mu,)).get((mu + n,), 0)
         odd = n % 2 == 1
         coeff = mult * Fraction(q) ** ((-n - (1 if odd else 0)) // 2)
         return half_power(coeff, odd)

@@ -40,19 +40,22 @@ from .root_datum import LIMIT, InvariantError, RootDatum, TooLarge, build_root_d
 
 Coweight = Tuple[int, ...]
 _INT = frozenset((int,))  # the one coordinate type RootDatum.coweight accepts
+_RATIONAL = frozenset((int, Fraction))  # the coordinate types torus_point accepts
 TorusPoint = Tuple[Fraction, ...]
 
 
 def torus_point(values, datum: RootDatum) -> TorusPoint:
-    """A semisimple dual-group conjugacy class γ: nonzero rationals on a basis of Λ."""
-    vals = tuple(Fraction(v) for v in values)
+    """A semisimple dual-group conjugacy class γ: nonzero ints or Fractions on a basis of Λ."""
+    vals = tuple(values)
     if len(vals) != datum.lattice_rank:
         raise ValueError(
             "torus point needs %d coordinates, got %d" % (datum.lattice_rank, len(vals))
         )
-    if any(v == 0 for v in vals):
+    if not _RATIONAL.issuperset(map(type, vals)):  # a float or bool is refused, as by coweight
+        raise ValueError("torus point %r has a coordinate that is not an int or a Fraction" % (vals,))
+    if not all(vals):
         raise ValueError("torus point coordinates must be nonzero")
-    return vals
+    return tuple(map(Fraction, vals))
 
 
 def _require_box_budget(box: Coweight) -> None:
@@ -101,7 +104,6 @@ class RepRing:
 
     def __init__(self, datum) -> None:
         self.datum = build_root_datum(datum)
-        self._dominant_tables: Dict[Coweight, Dict[Coweight, int]] = {}
         self._full_weights: Dict[Coweight, Tuple[Tuple[Coweight, int], ...]] = {}
         # the weight table of V^λ as (τ, the ⟨τ+ρ, α_i⟩ = ⟨τ, α_i⟩ + 1, multiplicity)
         self._rho_pairings: Dict[Coweight, Tuple[Tuple[Coweight, Coweight, int], ...]] = {}
@@ -191,7 +193,8 @@ class RepRing:
         nondegenerate on the span of the coroots (Humphreys, Lie Algebras, §22.3).
         The same depth-ordered pass fills the full table: μ's value goes onto its
         orbit, memoized on the ring (the datum is shared and frozen), so a root-string
-        step μ + kα̌, in the orbit of a dominant weight above μ, is a dict lookup.
+        step μ + kα̌, in the orbit of a dominant weight above μ, is a dict lookup.  Only the full
+        table is kept, and every call reads it at the dominant μ ≤ λ of λ's walk, in walk order.
 
         A table is refused with TooLarge before it is started when it could hold more than
         LIMIT entries: at most dim V^λ, and at most |W| per dominant μ ≤ λ, whose λ − μ has
@@ -199,49 +202,44 @@ class RepRing:
         out only when the first is over LIMIT.
         """
         lam = self.datum.dominant(lam)
-        if lam in self._dominant_tables:
-            return dict(self._dominant_tables[lam])
-        datum = self.datum
-        if (dim := self.weyl_dim(lam)) > LIMIT:
-            box = datum.coroot_bound(lam)
-            if (orbits := datum.weyl_order * prod(b + 1 for b in box)) > LIMIT:
-                raise TooLarge("the weight table of V^%s may hold %d entries (dim V^λ = %d; "
-                               "|W| = %d times the points of the box %s is %d), over the limit "
-                               "of %d" % (lam, min(dim, orbits), dim, datum.weyl_order, box,
-                                          orbits, LIMIT))
-        two_rho = datum.two_rho_dual
-        table: Dict[Coweight, int] = {}
-        full: Dict[Coweight, int] = {}
-        for depth, mu in self.dominant_weights_below(lam):
-            numerator = 0
-            for alpha, covector in datum.coroot_covectors:  # (x, α̌) = ⟨x, covector⟩
-                nu = tuple(m + a for m, a in zip(mu, alpha))
-                mult = full.get(nu, 0)
-                while mult:  # weights along a root string are contiguous
-                    numerator += mult * sum(map(operator.mul, nu, covector))
-                    nu = tuple(m + a for m, a in zip(nu, alpha))
+        full = dict(self._full_weights.get(lam, ()))
+        if not full:  # the first call: λ is a weight, so a filled table is never empty
+            datum = self.datum
+            if (dim := self.weyl_dim(lam)) > LIMIT:
+                box = datum.coroot_bound(lam)
+                if (orbits := datum.weyl_order * prod(b + 1 for b in box)) > LIMIT:
+                    raise TooLarge("the weight table of V^%s may hold %d entries (dim V^λ = %d; "
+                                   "|W| = %d times the points of the box %s is %d), over the limit "
+                                   "of %d" % (lam, min(dim, orbits), dim, datum.weyl_order, box,
+                                              orbits, LIMIT))
+            two_rho = datum.two_rho_dual
+            for depth, mu in self.dominant_weights_below(lam):
+                numerator = 0
+                for alpha, covector in datum.coroot_covectors:  # (x, α̌) = ⟨x, covector⟩
+                    nu = tuple(m + a for m, a in zip(mu, alpha))
                     mult = full.get(nu, 0)
-            lam_mu_sum = tuple(a + b + r for a, b, r in zip(lam, mu, two_rho))
-            lam_mu_diff = tuple(a - b for a, b in zip(lam, mu))
-            denominator = datum.pairing(lam_mu_sum, datum.form_covector(lam_mu_diff))
-            value, rem = divmod(2 * numerator, denominator) if depth else (1, 0)
-            if rem or value <= 0:
-                raise InvariantError("Freudenthal gave %d/%d" % (2 * numerator, denominator))
-            table[mu] = value
-            orbit = self._orbits.get(mu)
-            if orbit is None:
-                orbit = self._orbits[mu] = datum.weyl_orbit(mu)
-            full.update(dict.fromkeys(orbit, value))
-        self._dominant_tables[lam] = table
-        self._full_weights[lam] = tuple(sorted(full.items()))
-        return dict(table)
+                    while mult:  # weights along a root string are contiguous
+                        numerator += mult * sum(map(operator.mul, nu, covector))
+                        nu = tuple(m + a for m, a in zip(nu, alpha))
+                        mult = full.get(nu, 0)
+                lam_mu_sum = tuple(a + b + r for a, b, r in zip(lam, mu, two_rho))
+                lam_mu_diff = tuple(a - b for a, b in zip(lam, mu))
+                denominator = datum.pairing(lam_mu_sum, datum.form_covector(lam_mu_diff))
+                value, rem = divmod(2 * numerator, denominator) if depth else (1, 0)
+                if rem or value <= 0:
+                    raise InvariantError("Freudenthal gave %d/%d" % (2 * numerator, denominator))
+                orbit = self._orbits.get(mu)
+                if orbit is None:
+                    orbit = self._orbits[mu] = datum.weyl_orbit(mu)
+                full.update(dict.fromkeys(orbit, value))
+            self._full_weights[lam] = tuple(sorted(full.items()))
+        return {mu: full[mu] for mu in self._walks[lam]}
 
     def weight_multiplicity(self, lam, nu) -> int:
-        """dim of the ν-weight space of V^λ (Weyl-invariant in ν)."""
+        """dim of the ν-weight space of V^λ, read from the full weight table of V^λ."""
         lam = self.datum.dominant(lam)
         nu = self.datum.coweight(nu)
-        dom = self.datum.dominant_representative(nu).coweight
-        return self.dominant_multiplicity_table(lam).get(dom, 0)
+        return self.weight_table(lam).get(nu, 0)
 
     def weight_table(self, lam) -> Dict[Coweight, int]:
         """The full (Weyl-invariant) weight multiplicity table of V^λ, as a fresh dict."""
@@ -303,11 +301,6 @@ class RepRing:
                 acc[nu] = acc.get(nu, 0) + n * c
         return {nu: c for nu, c in acc.items() if c}
 
-    def tensor_multiplicity(self, lam, mu, nu) -> int:
-        """dim Hom(V^ν, V^λ ⊗ V^μ)."""
-        nu = self.datum.dominant(nu)
-        return self.tensor_decompose(lam, mu).get(nu, 0)
-
     # -- characters ------------------------------------------------------------
 
     def _signed_shifts(self, lam: Coweight, pairings: Sequence[int]) -> Tuple[Tuple[Coweight, int], ...]:
@@ -338,11 +331,12 @@ class RepRing:
         return self._character(self.datum.dominant(lam), gamma)
 
     def _character(self, lam: Coweight, gamma: TorusPoint) -> Fraction:
-        """character_eval of a dominant λ already through the door."""
+        """character_eval of a checked dominant λ; a new γ, or a float or bool in γ, meets torus_point."""
         datum = self.datum
-        if self._gamma != gamma:
-            self._gamma, self._traces, self._denominator = tuple(gamma), {}, None
-            self._powers = [([1, g.numerator], [1, g.denominator]) for g in gamma]
+        if (pt := tuple(gamma)) is not self._gamma and (pt != self._gamma or not _RATIONAL.issuperset(map(type, pt))):
+            torus_point(pt, datum)  # kept as given, so a repeat call with the same tuple is one test
+            self._gamma, self._traces, self._denominator = pt, {}, None
+            self._powers = [([1, g.numerator], [1, g.denominator]) for g in pt]
         trace = self._traces.get(lam)
         if trace is not None:
             return trace

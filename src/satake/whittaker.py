@@ -28,7 +28,7 @@ from typing import Dict, Tuple
 
 from .hecke import A_BASIS, PHI_BASIS, BasisElement, HeckeAlgebra, structure_product
 from .laurent import ONE, VMonomial
-from .rep_ring import TorusPoint
+from .rep_ring import TorusPoint, torus_point
 
 Coweight = Tuple[int, ...]
 
@@ -68,10 +68,11 @@ class WhittakerModule:
     def whittaker_value(self, gamma: TorusPoint, lam) -> VMonomial:
         """Value of W_γ at the coweight λ: Tr(γ, V^{−w₀λ}) · v^{−⟨λ,2ρ̌⟩}.
 
-        Zero off the dominant cone.
+        Zero off the dominant cone, where γ still passes the door (torus_point).
         """
         lam = self.datum.coweight(lam)
         if not self.datum.is_dominant(lam):
+            torus_point(gamma, self.datum)
             return VMonomial(Fraction(0), 0)
         return VMonomial(self.rep._dual_character(lam, gamma), -self.datum.pairing_2rho(lam))
 

@@ -13,7 +13,7 @@ class _CorruptedBaseChange(HeckeAlgebra):
     def satake_row(self, lam):
         row = super().satake_row(lam)
         if tuple(lam) == (2,):
-            row[(0,)] = LaurentPoly.v_power(2).shift(-2)  # v^{−2} · q
+            row[(0,)] = LaurentPoly({2: 1}).shift(-2)  # v^{−2} · q
         return row
 
 

@@ -53,7 +53,8 @@ def test_to_integer_guards():
     with pytest.raises(ValueError):
         z.to_integer()
     assert (z + Cyclotomic.zeta(3, 2)).to_integer() == -1  # ζ + ζ² = −1
-    assert Cyclotomic(3, (-4, 0)).to_integer() == -4
+    assert Cyclotomic._result(3, (-4, 0)).to_integer() == -4
+    assert Cyclotomic(3).vec == (0, 0) and Cyclotomic(3).to_integer() == 0
     with pytest.raises(ValueError):
         Cyclotomic(4)
     with pytest.raises(ValueError):
@@ -76,8 +77,8 @@ def test_cell_examples():
 
 
 def test_ic_weight_examples(oracle):
-    assert oracle.ic_weight(1, 1) == LaurentPoly.v_power(-1)
-    assert oracle.ic_weight(2, 0) == LaurentPoly.v_power(-2)
+    assert oracle.ic_weight(1, 1) == LaurentPoly({-1: 1})
+    assert oracle.ic_weight(2, 0) == LaurentPoly({-2: 1})
     assert oracle.ic_weight(0, 0) == ONE
     with pytest.raises(ValueError):
         oracle.ic_weight(2, 1)
