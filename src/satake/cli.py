@@ -26,7 +26,7 @@ from .grassmannian import Grassmannian
 from .hecke import A_BASIS, BasisElement, HeckeAlgebra
 from .rank1_oracle import Rank1Oracle
 from .rep_ring import RepRing, torus_point
-from .root_datum import LIMIT, PRESETS, RootDatum, TooLarge, build_root_datum
+from .root_datum import PRESETS, RootDatum, TooLarge, build_root_datum, require_within
 from .whittaker import WhittakerModule
 
 
@@ -181,9 +181,9 @@ def _cmd_whittaker_eval(args, datum: RootDatum) -> int:
     module = WhittakerModule(HeckeAlgebra(datum))
     gamma = _parse_gamma(args.gamma, datum)
     # the table is one trace per dominant coweight, each of level up to the cutoff
-    if (count := datum.dominant_count(args.cutoff)) * args.cutoff > LIMIT:
-        raise TooLarge("cutoff %d gives %d traces × level %d = %d; the limit is %d"
-                       % (args.cutoff, count, args.cutoff, count * args.cutoff, LIMIT))
+    count = datum.dominant_count(args.cutoff)
+    require_within(count * args.cutoff, "cutoff %d gives %d traces × level %d = %d", args.cutoff,
+                   count, args.cutoff, count * args.cutoff)
     rows = []
     for lam in datum.dominant_box(args.cutoff):
         value = module.whittaker_value(gamma, lam)
@@ -255,10 +255,12 @@ def _cmd_verify_cs(args, datum: RootDatum) -> int:
     _refused(module.require_window, args.cutoff)
     if args.gammas < 1:
         raise UsageError("--gammas must be at least 1; got %d" % args.gammas)
-    if (pairs := datum.dominant_count(args.cutoff) ** 2) > LIMIT:
-        raise TooLarge("cutoff %d gives %d module-axiom pairs; the limit is %d"
-                       % (args.cutoff, pairs, LIMIT))
+    require_within(pairs := datum.dominant_count(args.cutoff) ** 2,
+                   "cutoff %d gives %d module-axiom pairs", args.cutoff, pairs)
     box = datum.dominant_box(args.cutoff)
+    actions = [lam for lam in box if 0 < datum.pairing_2rho(lam) <= 4] or box[:1]
+    require_within(cases := args.gammas * len(actions), "--gammas %d × %d acting weights gives %d "
+                   "eigenfunction checks", args.gammas, len(actions), cases)
     phi0 = module.phi_zero()
 
     def basis_case(lam):
@@ -298,7 +300,6 @@ def _cmd_verify_cs(args, datum: RootDatum) -> int:
         )
         for _ in range(args.gammas)
     ]
-    actions = [lam for lam in box if 0 < datum.pairing_2rho(lam) <= 4] or box[:1]
     checks = [
         ("basis-compatibility", [basis_case(lam) for lam in box]),
         ("module-axiom", [module_case(lam, mu) for lam in box for mu in box]),

@@ -18,7 +18,7 @@ from math import comb
 from typing import Dict, List, Optional, Tuple
 
 from .rep_ring import RepRing
-from .root_datum import LIMIT, InvariantError, TooLarge
+from .root_datum import InvariantError, require_within
 
 Coweight = Tuple[int, ...]
 
@@ -141,14 +141,13 @@ class Grassmannian:
         """Strata of the compactified moduli of unipotent structures, with codimension.
 
         One stratum per defect γ = −Σ d_i α_i with Σ d_i ≤ degree_bound; the
-        codimension is 2Σ d_i, always even.  More than LIMIT strata raise TooLarge before any.
+        codimension is 2Σ d_i, always even.  The size guard refuses over LIMIT strata before any.
         """
         if degree_bound < 0:
             raise ValueError("degree bound must be nonnegative; got %d" % degree_bound)
         rank, coroots = self.datum.rank, self.datum.simple_coroots
-        if (count := comb(degree_bound + rank, rank)) > LIMIT:
-            raise TooLarge("bound %d gives %d strata; the limit is %d"
-                           % (degree_bound, count, LIMIT))
+        require_within(count := comb(degree_bound + rank, rank), "bound %d gives %d strata",
+                       degree_bound, count)
         out: List[Tuple[Coweight, int]] = []
         # stars and bars: r cut points in range(bound + r) give the r degrees between them
         for cuts in combinations(range(degree_bound + rank), rank):

@@ -22,8 +22,8 @@ Two evaluation routes are kept: literal point enumeration, which adds exact
 ψ-values in Z[ζ_p] (sums are the only cyclotomic arithmetic it needs), and
 the closed-form collapse (a free ψ-coordinate sums to zero; an absent one
 contributes the point count).  Their agreement is itself part of the
-contract.  q is restricted to primes, where the trace map is the identity.  A cell
-over LIMIT raises TooLarge before it is enumerated, and a battery before its first triple.
+contract.  q is restricted to primes, where the trace map is the identity.  The size guard
+refuses a cell over LIMIT before it is enumerated, and a battery before its first triple.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .hecke import HeckeAlgebra
 from .laurent import LaurentPoly, VMonomial
-from .root_datum import LIMIT, InvariantError, RootDatum, TooLarge, build_root_datum
+from .root_datum import LIMIT, InvariantError, RootDatum, build_root_datum, require_within
 
 
 def is_prime(n: int) -> bool:
@@ -111,11 +111,10 @@ def _cell_coordinates(m: int, n: int) -> Optional[Tuple[int, ...]]:
 
 
 def _require_cell(q: int, dim: int, what: str) -> None:
-    """Raise TooLarge when q^dim points, or ψ-values of q − 1 integers, exceed LIMIT."""
+    """The size guard on q^dim points, or ψ-values of q − 1 integers, whichever is larger."""
     # q ≥ 2 passes LIMIT within its bit length in factors, so the power is never formed in full
-    if max(q, q ** min(dim, LIMIT.bit_length())) > LIMIT:
-        raise TooLarge("%s has %d^%d points, each with a ψ-value of %d integers; the limit is "
-                       "%d of either" % (what, q, dim, q - 1, LIMIT))
+    require_within(max(q, q ** min(dim, LIMIT.bit_length())),
+                   "%s has %d^%d points, each with a ψ-value of %d integers", what, q, dim, q - 1)
 
 
 def half_power(coeff, odd: bool) -> VMonomial:

@@ -24,7 +24,7 @@ box doubled on growth.  Each λ's walk of the dominant μ ≤ λ, built once aft
 λ − μ, and every q-analog reads it: the signed sum of the entries at λ − μ plus one flat
 offset per w ≠ e whose argument passes a one-int cone test, decoded once from its lowest
 digit, or 0 off the walk.  Values are exact.  A weight table or q-Kostant table that could
-hold more than LIMIT entries raises TooLarge before it is started.
+hold more than LIMIT entries is refused by root_datum.require_within before it is started.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ from math import prod
 from typing import Dict, List, Sequence, Tuple
 
 from .laurent import LaurentPoly, ZERO
-from .root_datum import LIMIT, InvariantError, RootDatum, TooLarge, build_root_datum
+from . import root_datum
+from .root_datum import InvariantError, RootDatum, build_root_datum, require_within
 
 Coweight = Tuple[int, ...]
 _INT = frozenset((int,))  # the one coordinate type RootDatum.coweight accepts
@@ -56,13 +57,6 @@ def torus_point(values, datum: RootDatum) -> TorusPoint:
     if not all(vals):
         raise ValueError("torus point coordinates must be nonzero")
     return tuple(map(Fraction, vals))
-
-
-def _require_box_budget(box: Coweight) -> None:
-    """Raise TooLarge when a q-Kostant table over box would exceed LIMIT points."""
-    if (points := prod(b + 1 for b in box)) > LIMIT:
-        raise TooLarge("q-Kostant table box %s would hold %d points, over the limit of %d"
-                       % (box, points, LIMIT))
 
 
 def _power_sum(terms: Sequence[Tuple[Sequence[int], int]], powers) -> Tuple[int, int]:
@@ -196,7 +190,7 @@ class RepRing:
         step μ + kα̌, in the orbit of a dominant weight above μ, is a dict lookup.  Only the full
         table is kept, and every call reads it at the dominant μ ≤ λ of λ's walk, in walk order.
 
-        A table is refused with TooLarge before it is started when it could hold more than
+        The guard (require_within) refuses a table before it is started when it could hold over
         LIMIT entries: at most dim V^λ, and at most |W| per dominant μ ≤ λ, whose λ − μ has
         coroot coordinates in the box datum.coroot_bound(λ).  The second bound is worked
         out only when the first is over LIMIT.
@@ -205,13 +199,12 @@ class RepRing:
         full = dict(self._full_weights.get(lam, ()))
         if not full:  # the first call: λ is a weight, so a filled table is never empty
             datum = self.datum
-            if (dim := self.weyl_dim(lam)) > LIMIT:
+            if (dim := self.weyl_dim(lam)) > root_datum.LIMIT:
                 box = datum.coroot_bound(lam)
-                if (orbits := datum.weyl_order * prod(b + 1 for b in box)) > LIMIT:
-                    raise TooLarge("the weight table of V^%s may hold %d entries (dim V^λ = %d; "
-                                   "|W| = %d times the points of the box %s is %d), over the limit "
-                                   "of %d" % (lam, min(dim, orbits), dim, datum.weyl_order, box,
-                                              orbits, LIMIT))
+                require_within(orbits := datum.weyl_order * prod(b + 1 for b in box),
+                               "the weight table of V^%s may hold %d entries (dim V^λ = %d; |W| = %d "
+                               "times the points of the box %s is %d)", lam, min(dim, orbits), dim,
+                               datum.weyl_order, box, orbits)
             two_rho = datum.two_rho_dual
             for depth, mu in self.dominant_weights_below(lam):
                 numerator = 0
@@ -341,7 +334,7 @@ class RepRing:
         if trace is not None:
             return trace
         order, pairings = datum.weyl_order, datum._simple_pairings(lam)
-        if order <= LIMIT and (min(pairings) > 0 or order <= (self._dims.get(lam) or self.weyl_dim(lam))):
+        if order <= root_datum.LIMIT and (min(pairings) > 0 or order <= (self._dims.get(lam) or self.weyl_dim(lam))):
             if self._denominator is None:
                 t = [Fraction(*_power_sum(((alpha, 1),), self._powers)) for alpha in datum.simple_coroots]
                 t = [([1, x.numerator], [1, x.denominator]) for x in t]
@@ -386,16 +379,17 @@ class RepRing:
         """Refill the packed q-Kostant table over a box that covers target, unless it does.
 
         The box is the first of max(target, 2·box), max(target, box) and target (coordinatewise)
-        within LIMIT points; a target over LIMIT raises TooLarge and leaves the table as it was.
+        within LIMIT points; the guard refuses a target over LIMIT and leaves the table as it was.
         K is one guard bit over the largest entry at q = 1 (K = 0), a bound on every coefficient.
         """
         box = self._box
         if all(map(operator.le, target, box)):
             return
-        _require_box_budget(target)
+        require_within(points := prod(x + 1 for x in target),
+                       "q-Kostant table box %s would hold %d points", target, points)
         box = next(b for b in (tuple(max(t, 2 * b) for t, b in zip(target, box)),
                                tuple(map(max, target, box)), target)
-                   if prod(x + 1 for x in b) <= LIMIT)
+                   if prod(x + 1 for x in b) <= root_datum.LIMIT)
         strides = [prod(x + 1 for x in box[j + 1:]) for j in range(len(box))]
         # the corner entry is the largest at q = 1: corner − β is a sum of simple coroots for
         # every β in the box, and adding those parts maps the partitions of β injectively into
@@ -431,7 +425,9 @@ class RepRing:
         λ − μ for dominant μ ≤ λ and below, all inside the box datum.coroot_bound(λ).
         """
         self.datum.check_weyl_order()
-        _require_box_budget(self.datum.coroot_bound(self.datum.dominant(lam)))
+        box = self.datum.coroot_bound(self.datum.dominant(lam))
+        require_within(points := prod(b + 1 for b in box),
+                       "q-Kostant table box %s would hold %d points", box, points)
 
     def lusztig_q_analog(self, lam, mu) -> LaurentPoly:
         """Lusztig's q-analog of the weight multiplicity dim V^λ(μ), λ and μ dominant.

@@ -22,8 +22,8 @@ coroot coordinates are solved in integers through the adjugate of the Cartan
 matrix, and determinants come from fraction-free elimination.  Integrality is checked once,
 at the doors: build_root_datum and RootDatum.coweight refuse a non-int entry with ValueError.
 Instances are immutable after construction and safe for concurrent reads.
-LIMIT is the package's one size bound: work that would hold more than LIMIT elements
-raises TooLarge where it would start, before any of it is done.
+LIMIT is the package's one size bound, and require_within its one guard: work that would hold
+more than LIMIT elements raises TooLarge where it would start, before any of it is done.
 """
 
 from __future__ import annotations
@@ -51,6 +51,16 @@ class InvariantError(AssertionError):
 
 class TooLarge(ValueError):
     """An input whose work would hold more than LIMIT elements, refused before it starts."""
+
+
+def require_within(count: int, what: str, *args) -> None:
+    """Raise TooLarge("<what % args>, over the limit of LIMIT") when count is over LIMIT.
+
+    The one place a TooLarge is raised.  what % args names the work and its counts; it is
+    formatted only on refusal, so an admitted call costs one comparison.
+    """
+    if count > LIMIT:
+        raise TooLarge("%s, over the limit of %d" % (what % args, LIMIT))
 
 
 class DomRep(NamedTuple):
@@ -93,8 +103,7 @@ def _closure(starts: Sequence, moves: Sequence) -> Dict:
                     seen[y] = depth
                     nxt.append(y)
         frontier = nxt
-        if len(seen) > LIMIT:
-            raise TooLarge("a Weyl group closure exceeds the limit of %d" % LIMIT)
+        require_within(len(seen), "a Weyl group closure holds %d elements", len(seen))
     return seen
 
 
@@ -393,9 +402,7 @@ class RootDatum:
 
     def check_weyl_order(self) -> None:
         """Raise TooLarge when the Weyl group has more than LIMIT elements."""
-        if self.weyl_order > LIMIT:
-            raise TooLarge("the Weyl group has %d elements, over the limit of %d"
-                           % (self.weyl_order, LIMIT))
+        require_within(self.weyl_order, "the Weyl group has %d elements", self.weyl_order)
 
     @cached_property
     def _weyl_tree(self) -> Tuple[Tuple[Tuple[int, int], ...], Tuple[int, ...]]:
@@ -475,9 +482,8 @@ class RootDatum:
         adjugate, det, levels, period = self._cone
         ranges = [range(pair_bound // k + 1) if k else range(-pair_bound, pair_bound + 1)
                   for k in levels]
-        if (scan := prod(max(r.stop - r.start, 0) for r in ranges)) > LIMIT:
-            raise TooLarge("the dominant coweights of level at most %d would take a scan of %d "
-                           "candidates, over the limit of %d" % (pair_bound, scan, LIMIT))
+        require_within(scan := prod(max(r.stop - r.start, 0) for r in ranges), "the dominant coweights "
+                       "of level at most %d would take a scan of %d candidates", pair_bound, scan)
         last, step, bound = [row[-1] for row in adjugate], levels[-1], pair_bound * abs(det)
         for head in iter_product(*ranges[:-1]):
             start = [sum(map(operator.mul, row, head)) for row in adjugate]
@@ -562,11 +568,14 @@ def _validate_cartan(cartan: Sequence[Sequence[int]]) -> None:
                     raise ValueError("off-diagonal Cartan entries must be nonpositive")
                 if (cartan[i][j] == 0) != (cartan[j][i] == 0):
                     raise ValueError("Cartan zero pattern must be symmetric")
-    # Finite type iff every principal minor is positive.
-    for size in range(1, r + 1):
-        for subset in combinations(range(r), size):
-            if _det([[cartan[i][j] for j in subset] for i in subset]) <= 0:
-                raise ValueError("Cartan matrix is not of finite type")
+    # Finite type iff every principal minor is positive.  A finite-type Dynkin graph is a forest,
+    # and a matrix on a forest is symmetrizable, D·B with D > 0 diagonal and B symmetric, so then
+    # its r leading minors decide it (Sylvester; Kac, Infinite-dimensional Lie algebras, ch. 2, 4).
+    nodes = set(range(r))  # stripping the nodes of degree ≤ 1 empties a forest, and no cycle
+    while leaves := {i for i in nodes if sum(1 for j in nodes if j != i and cartan[i][j]) <= 1}:
+        nodes -= leaves
+    if nodes or any(_det([row[:k] for row in cartan[:k]]) <= 0 for k in range(1, r + 1)):
+        raise ValueError("Cartan matrix is not of finite type")
 
 
 def build_root_datum(spec) -> RootDatum:

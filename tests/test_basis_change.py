@@ -10,7 +10,16 @@ so there the two sides are compared on the coweights inside both boxes; dominant
 count that box, and eigen-residuals, which refuse such data, are compared on semisimple data.
 M is drawn as a product of at most six elementary row operations, and every failure names the
 datum and M.
+
+A sublattice Λ' ⊂ Λ of finite index that holds the coroots, with basis matrix M (its basis
+vectors as columns), carries the datum (M⁻¹·coroots, Mᵀ·roots): the Cartan matrix is the same,
+and a λ' ∈ Λ' is λ = M·λ' in Λ.  Its weights, tensor products, Satake rows and q-analogs are
+those of Λ read through M, and a trace at γ on Λ's dual torus is the trace at γ'_j = γ^{M e_j},
+since γ'^{ν'} = γ^{M ν'}.  Examples: coroot lattices, GL3 on {Σx ≡ 0 mod 3}, and A3 on the
+index-2 lattice between its coroot and coweight lattices.
 """
+
+from fractions import Fraction
 
 import functools
 
@@ -19,7 +28,7 @@ from hypothesis import given, settings, strategies as st
 
 from satake.hecke import HeckeAlgebra
 from satake.rep_ring import gamma_power
-from satake.root_datum import PRESETS, build_root_datum
+from satake.root_datum import PRESETS, _adjugate, build_root_datum
 from satake.whittaker import WhittakerModule
 
 from conftest import A3, B3
@@ -130,3 +139,57 @@ def test_every_answer_moves_with_the_basis_of_the_lattice(name, data):
     else:
         inside = {move(lam) for lam in box if max(map(abs, move(lam))) <= level}
         assert {lam for lam in moved_box if max(abs(x) for x in _apply(inverse, lam)) <= level} == inside, where
+
+
+# each sublattice Λ' as its basis in Λ's coordinates, and a level with a few dominant λ' on it
+SUBLATTICES = [
+    ("SL3", [(2, -1), (-1, 2)], 20),  # the coroot lattice, index 3
+    ("GL3", [(1, -1, 0), (0, 1, -1), (1, 1, 1)], 6),  # Σx ≡ 0 mod 3, index 3
+    ("Sp4", [(2, -1), (-2, 2)], 20),  # the coroot lattice, index 2
+    ("A3", [(2, -1, 0), (-1, 2, -1), (0, -1, 2)], 16),  # the coroot lattice, index 4
+    ("A3", [(1, 0, 1), (0, 1, 0), (2, 0, 0)], 10),  # x_1 + x_3 even, index 2
+    ("B3", [(2, -1, 0), (-1, 2, -1), (0, -2, 2)], 24),  # the coroot lattice, index 2
+]
+GAMMA = (Fraction(2), Fraction(-3, 2), Fraction(5, 7))
+
+
+@pytest.mark.parametrize("name, basis, level", SUBLATTICES,
+                         ids=["%s-index-%d" % (name, abs(_adjugate(basis)[1])) for name, basis, _ in SUBLATTICES])
+def test_every_answer_is_read_through_a_sublattice_that_holds_the_coroots(name, basis, level):
+    where = "datum %s, sublattice basis %s" % (name, basis)
+    algebra = HeckeAlgebra(DATA[name])
+    datum, rep = algebra.datum, algebra.rep
+    m = tuple(zip(*basis))
+    adjugate, det = _adjugate(m)
+    coroots = [_apply(adjugate, a) for a in datum.simple_coroots]
+    assert all(x % det == 0 for a in coroots for x in a), where  # Λ' holds the coroots
+    sub_algebra = HeckeAlgebra({
+        "cartan": [list(row) for row in datum.cartan_matrix],
+        "coroots": [[x // det for x in a] for a in coroots],
+        "roots": [[datum.pairing(b, alpha) for b in basis] for alpha in datum.simple_roots]})
+    sub, sub_rep = sub_algebra.datum, sub_algebra.rep
+
+    def move(vec):
+        return _apply(m, vec)
+
+    gamma = GAMMA[:datum.lattice_rank]
+    sub_gamma = tuple(gamma_power(gamma, b) for b in basis)
+    lams = sub.dominant_box(level)
+    assert len(lams) >= 3, where
+    if datum.rank == datum.lattice_rank:  # the dominant λ of Λ that lie on Λ'
+        on_sub = [lam for lam in datum.dominant_box(level)
+                  if all(x % det == 0 for x in _apply(adjugate, lam))]
+        assert sorted(map(move, lams)) == sorted(on_sub), where
+    for lam in lams:
+        mlam = move(lam)
+        assert datum.is_dominant(mlam) and datum.pairing_2rho(mlam) == sub.pairing_2rho(lam), where
+        assert sub_rep.weyl_dim(lam) == rep.weyl_dim(mlam), where
+        assert _moved(sub_rep.weight_table(lam), m) == rep.weight_table(mlam), where
+        assert _moved(sub_algebra.satake_row(lam), m) == algebra.satake_row(mlam), where
+        for _, mu in sub_rep.dominant_weights_below(lam):
+            assert sub_rep.lusztig_q_analog(lam, mu) == rep.lusztig_q_analog(mlam, move(mu)), where
+        for mu in lams:
+            assert (_moved(sub_rep.tensor_decompose(lam, mu), m)
+                    == rep.tensor_decompose(mlam, move(mu))), where
+        assert sub_rep.character_eval(lam, sub_gamma) == rep.character_eval(mlam, gamma), where
+        assert sub_rep.dual_character_eval(lam, sub_gamma) == rep.dual_character_eval(mlam, gamma), where

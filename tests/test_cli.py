@@ -592,7 +592,7 @@ def test_whittaker_eval_refuses_an_oversized_table_before_any_trace(capsys, monk
     code, out, err = run(capsys, "whittaker-eval", "--datum", "SL3", "--gamma=2,3", "--cutoff", "1999")
     assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
-    assert "cutoff 1999 gives 500500 traces × level 1999 = 1000499500; the limit is 1000000" in err
+    assert "cutoff 1999 gives 500500 traces × level 1999 = 1000499500, over the limit of 1000000" in err
     monkeypatch.undo()
     code, out, _ = run(capsys, "whittaker-eval", "--datum", "SL3", "--gamma=2,3", "--cutoff", "100")
     assert code == 0 and len(out.splitlines()) == 1 + 51 * 52 // 2
@@ -607,7 +607,7 @@ def test_whittaker_eval_on_central_data_refuses_an_oversized_table_before_the_bo
     code, out, err = run(capsys, "whittaker-eval", "--datum", "GL3", "--gamma=2,3,5", "--cutoff", "49")
     assert time.perf_counter() - start < 0.5
     assert code == 2 and out == ""
-    assert "cutoff 49 gives 26975 traces × level 49 = 1321775; the limit is 1000000" in err
+    assert "cutoff 49 gives 26975 traces × level 49 = 1321775, over the limit of 1000000" in err
 
 
 def test_verify_cs_refuses_an_oversized_module_axiom_battery(capsys, monkeypatch):
@@ -620,7 +620,7 @@ def test_verify_cs_refuses_an_oversized_module_axiom_battery(capsys, monkeypatch
     monkeypatch.setattr(WhittakerModule, "act", unreachable)
     code, out, err = run(capsys, "verify-cs", "--datum", "SL3", "100")
     assert code == 2 and out == ""
-    assert "cutoff 100 gives 1758276 module-axiom pairs; the limit is 1000000" in err
+    assert "cutoff 100 gives 1758276 module-axiom pairs, over the limit of 1000000" in err
 
 
 def test_verify_cs_refuses_an_oversized_battery_without_building_the_box(capsys):
@@ -630,7 +630,26 @@ def test_verify_cs_refuses_an_oversized_battery_without_building_the_box(capsys)
     code, out, err = run(capsys, "verify-cs", "--datum", "SL3", "1999")
     assert time.perf_counter() - start < 0.5
     assert code == 2 and out == ""
-    assert "cutoff 1999 gives 250500250000 module-axiom pairs; the limit is 1000000" in err
+    assert "cutoff 1999 gives 250500250000 module-axiom pairs, over the limit of 1000000" in err
+
+
+def test_verify_cs_refuses_too_many_torus_points_before_building_them(capsys, monkeypatch):
+    from satake.whittaker import WhittakerModule
+
+    def unreachable(*args):
+        raise AssertionError("a check ran before the refusal")
+
+    # SL3 at cutoff 6 acts by the 5 dominant coweights of level 2 and 4 at each torus point
+    monkeypatch.setattr(WhittakerModule, "act", unreachable)
+    monkeypatch.setattr(WhittakerModule, "eigen_residual", unreachable)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify-cs", "--datum", "SL3", "6", "--gammas", "1000000000")
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and out == ""
+    assert ("--gammas 1000000000 × 5 acting weights gives 5000000000 eigenfunction checks, "
+            "over the limit of 1000000") in err
+    code, _, err = run(capsys, "verify-cs", "--datum", "SL3", "6", "--gammas", "200001")
+    assert code == 2 and "gives 1000005 eigenfunction checks" in err
 
 
 def test_verify_cs_prints_the_same_under_python_O():
@@ -656,7 +675,7 @@ def test_strata_budget_is_checked_while_parsing(capsys, monkeypatch):
     code, out, err = run(capsys, "strata", "--datum", "SL3", "1413")  # C(1415, 2) strata
     assert time.monotonic() - start < 1
     assert code == 2 and out == ""
-    assert "bound 1413 gives 1000405 strata; the limit is 1000000" in err
+    assert "bound 1413 gives 1000405 strata, over the limit of 1000000" in err
     monkeypatch.setattr(grassmannian, "combinations", lambda pool, r: [])
     assert run(capsys, "strata", "--datum", "SL3", "1412") == (0, "[]\n", "")  # 998,991
 

@@ -233,7 +233,7 @@ def test_oversized_strata_are_refused_before_any_is_listed(monkeypatch):
 
     monkeypatch.setattr(grassmannian, "combinations", no_work)
     start = time.monotonic()
-    with pytest.raises(TooLarge, match="bound 1413 gives 1000405 strata; the limit is 1000000"):
+    with pytest.raises(TooLarge, match="bound 1413 gives 1000405 strata, over the limit of 1000000"):
         make("SL3").drinfeld_strata(1413)  # C(1415, 2) strata
     assert time.monotonic() - start < 1
     monkeypatch.setattr(grassmannian, "combinations", lambda pool, r: [])

@@ -1,7 +1,8 @@
 """Static guards on the library source: no asserts, no floats, stdlib-only imports, no dead names.
 
 The lattice module (root_datum.py) also imports no fractions: it works in integers, and it
-holds the one size bound, LIMIT: no other 10⁶ literal may appear in the library.  Integers
+holds the one size bound, LIMIT: no other 10⁶ literal may appear in the library, and no
+TooLarge is built outside its one guard, require_within.  Integers
 are checked where input enters, by root_datum's doors and the CLI's parsers: an int() call
 anywhere else would truncate or re-check what those doors already refused.
 
@@ -10,7 +11,9 @@ value is exact, and the runtime needs nothing beyond the standard library.
 Every public def and class is used by the library, the CLI or the benchmark,
 or is one of the listed reference routes, which the library never calls, and
 every private one is named by the library itself; any other helper that only
-tests need belongs in the test that needs it.
+tests need belongs in the test that needs it.  A def spelled as a field or attribute that
+the library stores counts as used only where that spelling is called, since a read of it
+may be the field's.
 """
 
 import ast
@@ -33,8 +36,9 @@ REFERENCE_ROUTES = (
 )
 # lattice code, whose coroot coordinates and determinants are ints: no Fraction may enter
 INTEGER_ONLY = {"root_datum.py"}
-# the module whose LIMIT assignment is the one 10⁶ literal of the library
+# the module whose LIMIT assignment is the one 10⁶ literal of the library, and its one size guard
 SIZE_BOUND_HOME = "root_datum.py"
+SIZE_GUARD = "require_within"
 # the modules where input enters, the only ones that may call int()
 INTEGER_DOORS = {"root_datum.py", "cli.py"}
 
@@ -52,10 +56,17 @@ def _violations(path):
     limit = [node.value for node in ast.walk(tree)
              if path.name == SIZE_BOUND_HOME and isinstance(node, ast.Assign)
              and [getattr(target, "id", None) for target in node.targets] == ["LIMIT"]]
+    guard = {id(node) for d in ast.walk(tree)
+             if path.name == SIZE_BOUND_HOME and isinstance(d, ast.FunctionDef) and d.name == SIZE_GUARD
+             for node in ast.walk(d)}
     for node in ast.walk(tree):
         where = "%s:%d" % (path.name, getattr(node, "lineno", 0))
         if _is_million(node) and node not in limit:
             yield "%s 10**6 literal outside root_datum.LIMIT" % where
+        if (isinstance(node, ast.Call) and "TooLarge" in (getattr(node.func, "id", None),
+                                                          getattr(node.func, "attr", None))
+                and id(node) not in guard):
+            yield "%s TooLarge built outside root_datum.require_within" % where
         if isinstance(node, ast.Assert):
             yield "%s assert statement" % where
         elif isinstance(node, ast.Constant) and type(node.value) in (float, complex):
@@ -81,14 +92,36 @@ def _violations(path):
                 yield "%s import of fractions in an integer-only module" % where
 
 
-def _used_names(paths, tracer):
-    """Every name a Name or Attribute node of paths mentions, and the strings of tracer."""
-    used = set()
+def _fields(paths):
+    """The names paths keep as fields: class-body annotations and assignments, and attribute stores."""
+    fields = set()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                        fields.add(item.target.id)
+                    elif isinstance(item, ast.Assign):
+                        fields.update(t.id for t in item.targets if isinstance(t, ast.Name))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                fields.add(node.attr)
+    return fields
+
+
+def _used_names(paths, tracer, fields=frozenset()):
+    """Every name a Name or Attribute node of paths reads, and the strings of tracer.
+
+    An attribute spelled as one of fields counts only where it is called: x.name() is a method's
+    use, and a bare x.name may read the field.
+    """
+    used = set()
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 used.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and (node.attr not in fields or id(node) in called):
                 used.add(node.attr)
             elif path == tracer and isinstance(node, ast.Constant) and isinstance(node.value, str):
                 used.add(node.value)
@@ -121,7 +154,8 @@ def _uses_outside_def(paths, name):
 
 
 def test_every_public_name_is_used_outside_the_tests():
-    used = _used_names(SOURCES + BENCH, TRACER) | {name for name, _ in REFERENCE_ROUTES}
+    used = _used_names(SOURCES + BENCH, TRACER, _fields(SOURCES + BENCH)) | {
+        name for name, _ in REFERENCE_ROUTES}
     assert list(_dead_names(SOURCES, used)) == []
 
 
@@ -132,7 +166,7 @@ def test_no_reference_route_is_used_by_the_library():
 
 def test_every_private_name_is_used_by_the_library():
     # a refactor that moves work into a private core leaves no orphaned helper behind
-    assert list(_dead_names(SOURCES, _used_names(SOURCES, None), private=True)) == []
+    assert list(_dead_names(SOURCES, _used_names(SOURCES, None, _fields(SOURCES)), private=True)) == []
 
 
 def test_every_module_is_scanned():
@@ -168,6 +202,13 @@ def test_the_guards_fire(tmp_path):
         "10**6 literal outside root_datum.LIMIT"] * 3
     lattice.write_text("LIMIT = 1_000_000\nOTHER = 1_000_000\n")
     assert [line.split(" ", 1)[0] for line in _violations(lattice)] == ["root_datum.py:2"]
+    # a TooLarge is built only inside root_datum.require_within
+    guarded = ("def require_within(count):\n    raise TooLarge('over')\n\n"
+               "def other(count):\n    raise errors.TooLarge('over')\n")
+    lattice.write_text(guarded)
+    assert list(_violations(lattice)) == ["root_datum.py:5 TooLarge built outside root_datum.require_within"]
+    sample.write_text(guarded)
+    assert [line.split(" ", 1)[0] for line in _violations(sample)] == ["sample.py:2", "sample.py:5"]
     # a public def nothing names is dead, and one a tracer string names is not; a private def
     # is dead unless the library itself names it, and a dunder is never dead
     dead = tmp_path / "dead.py"
@@ -180,6 +221,16 @@ def test_the_guards_fire(tmp_path):
     assert list(_dead_names([dead], _used_names([dead, tracer], tracer))) == []
     assert list(_dead_names([dead], _used_names([dead], None), private=True)) == [
         "dead.py:7 _private"]
+    # a method whose only use is a read of a same-named field is dead; a call of it is a use
+    for field in ("    v_power: int\n", "    def __init__(self):\n        self.v_power = 0\n"):
+        shared = tmp_path / "shared.py"
+        shared.write_text("class Poly:\n    def v_power(self):\n        pass\n\nclass Monomial:\n" + field
+                          + "\ndef read(m):\n    return m.v_power\n\nread(Monomial() or Poly())\n")
+        assert list(_dead_names([shared], _used_names([shared], None, _fields([shared])))) == [
+            "shared.py:2 v_power"]
+        assert list(_dead_names([shared], _used_names([shared], None))) == []
+        shared.write_text(shared.read_text().replace("m.v_power", "m.v_power()"))
+        assert list(_dead_names([shared], _used_names([shared], None, _fields([shared])))) == []
     # a reference route may name itself inside its own def, and nowhere else
     routes = tmp_path / "routes.py"
     routes.write_text("def ref(x):\n    return ref(x)\n\ndef caller(x):\n    return x.ref() + ref\n")

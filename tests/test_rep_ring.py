@@ -378,12 +378,12 @@ def test_non_integer_coweights_are_refused_as_input():
                          + [(REDUCIBLE, 10)], ids=sorted(PRESETS) + ["A1xC2"])
 def test_table_budget_bounds_the_weight_table(monkeypatch, spec, bound):
     # a limit one below the table's true size must be refused: the bound is never short
-    from satake import rep_ring
+    from satake import root_datum
 
     rep = RepRing(spec)
     for lam in rep.datum.dominant_box(bound):
         size = len(rep.weights_with_multiplicity(lam))  # admitted under the real LIMIT
-        monkeypatch.setattr(rep_ring, "LIMIT", size - 1)
+        monkeypatch.setattr(root_datum, "LIMIT", size - 1)
         fresh = RepRing(rep.datum)
         with pytest.raises(TooLarge, match="may hold"):
             fresh.dominant_multiplicity_table(lam)
@@ -922,13 +922,14 @@ def test_packed_table_decodes_after_a_refill_at_a_wider_k():
 
 
 def test_packed_table_growth_never_refuses_a_row_within_the_limit(monkeypatch):
-    import satake.rep_ring as rep_ring
+    import satake.root_datum as root_datum
 
-    monkeypatch.setattr(rep_ring, "LIMIT", 60)
     algebra = HeckeAlgebra("SL3")
     datum = algebra.datum
+    lams = datum.dominant_box(30)  # walked under the real LIMIT: the walk scans 256 candidates
+    monkeypatch.setattr(root_datum, "LIMIT", 60)
     refused = admitted = 0
-    for lam in datum.dominant_box(30):
+    for lam in lams:
         own = math.prod(b + 1 for b in datum.coroot_bound(lam))
         if own > 60:
             with pytest.raises(ValueError, match="q-Kostant table box"):
@@ -1138,12 +1139,12 @@ def test_q_analogs_of_rows_in_descending_order_match_a_cold_ring(name):
 
 
 def test_q_analogs_regrow_a_table_that_a_narrow_refill_left_short(monkeypatch):
-    import satake.rep_ring as rep_ring
+    import satake.root_datum as root_datum
 
     # the rows of (0, 11) and (11, 0) read the boxes (3, 7) and (7, 3), 32 points each; under
     # a limit of 60 the table cannot hold (7, 7), so each row refills it over its own box only
     # and the next row must grow it again
-    monkeypatch.setattr(rep_ring, "LIMIT", 60)
+    monkeypatch.setattr(root_datum, "LIMIT", 60)
     rep = RepRing("SL3")
     for lam in [(0, 11), (11, 0)] * 2:
         row = [mu for _, mu in rep.dominant_weights_below(lam)]

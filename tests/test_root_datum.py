@@ -1,7 +1,7 @@
 import random
 import time
 from fractions import Fraction
-from itertools import permutations, product as iter_product
+from itertools import combinations, permutations, product as iter_product
 from operator import mul
 
 import pytest
@@ -269,6 +269,51 @@ def test_rejects_affine_cartan_matrix():
         build_root_datum(
             {"cartan": [[2, -2], [-2, 2]], "coroots": [[1, 0], [0, 1]], "roots": [[2, -2], [-2, 2]]}
         )
+
+
+def _finite_by_every_minor(cartan):
+    """The reference rule: a Cartan matrix is of finite type iff all its principal minors are positive."""
+    r = len(cartan)
+    return all(_det([[cartan[i][j] for j in subset] for i in subset]) > 0
+               for size in range(1, r + 1) for subset in combinations(range(r), size))
+
+
+def test_the_finite_type_check_agrees_with_every_principal_minor():
+    # random Cartan matrices of rank ≤ 5 with a symmetric zero pattern, about half of them finite
+    pairs = [(-1, -1), (-1, -2), (-2, -1), (-1, -3), (-3, -1), (-2, -2), (-1, -4), (-4, -1)]
+    rng, verdicts = random.Random(27), []
+    for _ in range(4000):
+        r = rng.randint(1, 5)
+        cartan = [[2 * (i == j) for j in range(r)] for i in range(r)]
+        for i, j in combinations(range(r), 2):
+            if rng.random() < 0.5:
+                cartan[i][j], cartan[j][i] = rng.choice(pairs)
+        try:
+            root_datum._validate_cartan(cartan)
+            verdicts.append(True)
+        except ValueError as refused:
+            assert "not of finite type" in str(refused), cartan
+            verdicts.append(False)
+        assert verdicts[-1] == _finite_by_every_minor(cartan), cartan
+    assert 1500 < sum(verdicts) < 2500
+
+
+def test_a_high_rank_datum_is_checked_at_the_door_in_time():
+    # A_30 builds; the affine Ã_29 (a cycle) and D̃_30 (a tree, its leading minors not all
+    # positive) are refused as not of finite type; the all-minors rule would test 2^30 − 1 minors
+    def datum(cartan):
+        return {"cartan": cartan, "roots": cartan,
+                "coroots": [[int(i == j) for j in range(len(cartan))] for i in range(len(cartan))]}
+
+    chain = _simply_laced(30, [(i, i + 1) for i in range(1, 30)])
+    cycle = _simply_laced(30, [(i, i + 1) for i in range(1, 30)] + [(30, 1)])
+    tree = _simply_laced(31, [(1, 3), (2, 3)] + [(i, i + 1) for i in range(3, 29)] + [(29, 30), (29, 31)])
+    start = time.perf_counter()
+    assert build_root_datum(datum(chain)).rank == 30
+    for cartan in (cycle, tree):
+        with pytest.raises(ValueError, match="not of finite type"):
+            build_root_datum(datum(cartan))
+    assert time.perf_counter() - start < 0.5
 
 
 def test_rejects_inconsistent_pairing():
