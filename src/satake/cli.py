@@ -1,11 +1,11 @@
 """Command-line front end: datum selection, computations, verification batteries.
 
 Every subcommand produces deterministic output for fixed inputs (sorted keys,
-canonical polynomial printing); the CLI parses, loads the datum once, dispatches and maps
-exceptions to exit codes, and each library layer checks and bounds its own work.  Exit
-status: 0 success, 1 verification failure, 2 usage error (input refused while it is parsed
-or by its layer's check, or as TooLarge), 3 internal error (a broken invariant, or another
-ValueError).
+canonical polynomial printing); the CLI parses, loads the datum (one shared datum per preset
+per process; a datum file is read per call), dispatches and maps exceptions to exit codes,
+and each library layer checks and bounds its own work.  Exit status: 0 success, 1 verification
+failure, 2 usage error (input refused while it is parsed or by its layer's check, or as
+TooLarge), 3 internal error (a broken invariant, or another ValueError).
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ def _refused(func, *args):
 
 def _load_datum(spec: str) -> RootDatum:
     if spec in PRESETS:
-        return build_root_datum(spec)
+        return _preset_datum(spec)
     if not os.path.isfile(spec):
         raise UsageError(
             "unknown datum %r: expected a preset (%s) or a JSON file path"
@@ -406,6 +406,17 @@ def _parser() -> argparse.ArgumentParser:
     and the terminal width only when they are written.
     """
     return build_parser()
+
+
+@functools.cache
+def _preset_datum(name: str) -> RootDatum:
+    """The datum of a preset: built on its first call, then shared by every call in the process.
+
+    Sharing one is safe because a RootDatum is frozen and its cached properties are derived
+    constants that no call changes.  The rings, algebras and modules built on it, and their
+    memos, stay per call.
+    """
+    return build_root_datum(name)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

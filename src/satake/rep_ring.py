@@ -1,30 +1,31 @@
 """The representation ring of the dual group over a fixed root datum.
 
-Freudenthal's recursion in the datum's W-invariant form fills the dominant and the full
-weight table of V^λ in one pass (Weyl orbits memoized per ring).  One Brauer–Klimyk core
-acts by V^λ on an integer combination Σ n_μ [V^μ] of dominant μ: the dot action
-w·x = w(x+ρ) − ρ moves each μ + τ, τ a weight of V^λ, into the dominant chamber by the
-datum's one chamber walk on the simple-root pairings of μ+τ+ρ (those of τ+ρ memoized per λ),
-in integers on Λ.  A tensor product is a combination of one term; the Whittaker residual
-acts on its whole truncation in one pass.  One memo per ring holds the signed shifts of each
-λ, the coroot coordinates of w(λ+ρ) − (λ+ρ) with (−1)^{ℓ(w)}, walked on the datum's BFS tree
-of W from λ's simple-root pairings: the terms of both alternating Weyl sums.  A character is
-Weyl's character formula over them, in t_j = γ^{α̌_j}, where |W| ≤ dim V^λ (for a regular λ
-without weyl_dim: its orbit has |W| weights) and the torus point is regular, and the sum over
-the weight table otherwise.  Each sum is one _power_sum in integers over the kept powers a^k
-and b^k of each base a/b (each γ_i and each t_j), and a trace is one Fraction.  The traces,
-the powers and the Weyl denominator at the last torus point are kept until a call at another
-point.  Public methods check their coweights at the door; the private routes behind them
+Freudenthal's recursion in the datum's W-invariant form fills the dominant and the full weight
+table of V^λ in one pass (Weyl orbits memoized per ring).  One Brauer–Klimyk core acts by V^λ
+on an integer combination Σ n_μ [V^μ] of dominant μ: the dot action w·x = w(x+ρ) − ρ moves each
+μ + τ, τ a weight of V^λ, into the dominant chamber by the datum's one chamber walk on the
+simple-root pairings of μ+τ+ρ (those of τ+ρ memoized per λ, with their least values ℓ_i), in
+integers on Λ; a deep μ, ⟨μ, α_i⟩ + ℓ_i > 0 for every i, needs no walk: its product is V^λ's
+table shifted by μ.  A tensor product is a combination of one term; the Whittaker residual acts
+on its whole truncation in one pass.  One memo per ring holds the signed shifts of each λ, the
+coroot coordinates of w(λ+ρ) − (λ+ρ) with (−1)^{ℓ(w)}, walked on the datum's BFS tree of W from
+λ's simple-root pairings: the terms of both alternating Weyl sums.  A character is Weyl's
+character formula over them, in t_j = γ^{α̌_j}, where |W| ≤ dim V^λ (for a regular λ without
+weyl_dim: its orbit has |W| weights) and the torus point is regular, and the sum over the
+weight table otherwise.  Each sum is one _power_sum in integers over the kept powers a^k and
+b^k of each base a/b (each γ_i and each t_j), and a trace is one Fraction.  The traces, the
+powers and the Weyl denominator at the last torus point are kept until a call at another point.
+Public methods check their coweights at the door; the private routes behind them
 (_brauer_klimyk, _character, _dual_character) take checked dominant coweights.  The q-side
-reads one coin-change table of the q-Kostant partition function per ring: a flat row-major
-list of ints over a box of coroot coordinates, each q-polynomial packed at q = 2^K (exact: no
-coefficient is negative), K one guard bit over the table's largest value at q = 1, and the
-box doubled on growth.  Each λ's walk of the dominant μ ≤ λ, built once after λ's row budget
-(its last coroot coordinate one interval per branch), keeps the coroot coordinates of each
-λ − μ, and every q-analog reads it: the signed sum of the entries at λ − μ plus one flat
-offset per w ≠ e whose argument passes a one-int cone test, decoded once from its lowest
-digit, or 0 off the walk.  Values are exact.  A weight table or q-Kostant table that could
-hold more than LIMIT entries is refused by root_datum.require_within before it is started.
+reads one coin-change table of the q-Kostant partition function per ring: a flat row-major list
+of ints over a box of coroot coordinates, each q-polynomial packed at q = 2^K (exact: no
+coefficient is negative), K one guard bit over the table's largest value at q = 1, and the box
+doubled on growth.  Each λ's walk of the dominant μ ≤ λ, built once after λ's row budget (its
+last coroot coordinate one interval per branch), keeps the coroot coordinates of each λ − μ,
+and every q-analog reads it: the signed sum of the entries at λ − μ plus one flat offset per
+w ≠ e whose argument passes a one-int cone test, decoded once from its lowest digit, or 0 off
+the walk.  Values are exact.  A weight table or q-Kostant table that could hold more than LIMIT
+entries is refused by root_datum.require_within before it is started.
 """
 
 from __future__ import annotations
@@ -99,8 +100,9 @@ class RepRing:
     def __init__(self, datum) -> None:
         self.datum = build_root_datum(datum)
         self._full_weights: Dict[Coweight, Tuple[Tuple[Coweight, int], ...]] = {}
-        # the weight table of V^λ as (τ, the ⟨τ+ρ, α_i⟩ = ⟨τ, α_i⟩ + 1, multiplicity)
-        self._rho_pairings: Dict[Coweight, Tuple[Tuple[Coweight, Coweight, int], ...]] = {}
+        # the weight table of V^λ as (τ, the ⟨τ+ρ, α_i⟩ = ⟨τ, α_i⟩ + 1, multiplicity), and the
+        # least ⟨τ+ρ, α_i⟩ over τ for each i
+        self._rho_pairings: Dict[Coweight, Tuple[Tuple[Tuple[Coweight, Coweight, int], ...], Coweight]] = {}
         self._orbits: Dict[Coweight, Tuple[Coweight, ...]] = {}
         self._tensor: Dict[Tuple[Coweight, Coweight], Dict[Coweight, int]] = {}
         # the q-Kostant table (box, row-major strides, packed entries, width K: q = 2^K) and
@@ -269,20 +271,32 @@ class RepRing:
         Each product is Σ_τ mult(τ) ε(w) V^{w·(μ+τ)} over the weights τ of V^λ, w the element of
         the dot action w·x = w(x+ρ) − ρ that makes μ + τ + ρ dominant (Humphreys, Lie Algebras,
         §24 ex. 9).  The simple-root pairings of μ + τ + ρ are ⟨μ, α_i⟩ + ⟨τ+ρ, α_i⟩, the second
-        memoized per λ, and datum._chamber_walk reflects μ + τ in place, on Λ.  A final pairing 0
-        means μ + τ + ρ is singular and the term drops; ε(w) is (−1)^{#word}.  A product with a
-        negative multiplicity raises InvariantError.  Zero coefficients are dropped.
+        memoized per λ with its least value ℓ_i over τ.  A deep μ, ⟨μ, α_i⟩ + ℓ_i > 0 for every
+        i, has every μ + τ + ρ regular dominant, so its product is V^λ's table shifted by μ.  For
+        any other μ, datum._chamber_walk reflects μ + τ in place, on Λ: a final pairing 0 means
+        μ + τ + ρ is singular and the term drops; ε(w) is (−1)^{#word}.  A table weight of
+        multiplicity ≤ 0, or a walked product with a negative multiplicity, raises InvariantError.
+        Zero coefficients are dropped.
         """
         datum = self.datum
         walk = datum._chamber_walk
-        rows = self._rho_pairings.get(lam)
-        if rows is None:
-            rows = self._rho_pairings[lam] = tuple(
-                (tau, tuple(p + 1 for p in datum._simple_pairings(tau)), mult)
-                for tau, mult in self.weights_with_multiplicity(lam))
+        memo = self._rho_pairings.get(lam)
+        if memo is None:
+            rows = tuple((tau, tuple(p + 1 for p in datum._simple_pairings(tau)), mult)
+                         for tau, mult in self.weights_with_multiplicity(lam))
+            if min(mult for _, _, mult in rows) <= 0:
+                raise InvariantError("negative tensor multiplicity")
+            memo = self._rho_pairings[lam] = rows, tuple(map(min, zip(*(p for _, p, _ in rows))))
+        rows, floor = memo
         acc: Dict[Coweight, int] = {}
         for mu, n in combination.items():
-            base, product = datum._simple_pairings(mu), {}
+            base = datum._simple_pairings(mu)
+            if min(map(operator.add, base, floor)) > 0:  # deep: the table shifted by μ
+                for tau, _, mult in rows:
+                    nu = tuple(map(operator.add, mu, tau))
+                    acc[nu] = acc.get(nu, 0) + n * mult
+                continue
+            product = {}
             for tau, tau_pairings, mult in rows:
                 nu, pairings, word = walk(tuple(map(operator.add, mu, tau)),
                                           list(map(operator.add, base, tau_pairings)))

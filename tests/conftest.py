@@ -22,13 +22,21 @@ class _CorruptedBaseChange(HeckeAlgebra):
 SKEWED_SL3 = {"cartan": [[2, -1], [-1, 2]], "coroots": [[2, 9], [-1, -3]], "roots": [[1, 0], [-5, 1]]}
 
 
-# rank 3, connected, on the basis of fundamental coweights (B3's third simple root short)
-A3 = {"cartan": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]],
-      "coroots": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]],
-      "roots": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
-B3 = {"cartan": [[2, -1, 0], [-1, 2, -2], [0, -1, 2]],
-      "coroots": [[2, -1, 0], [-1, 2, -1], [0, -2, 2]],
-      "roots": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
+def cartan_datum(cartan):
+    """The datum of a Cartan matrix C on its fundamental-coweight lattice, as the presets are built.
+
+    The simple roots are the unit vectors and simple coroot j is column j of C, so
+    ⟨α̌_j, α_i⟩ = C[i][j]; Λ is the weight lattice of the dual group.
+    """
+    r = len(cartan)
+    return {"cartan": cartan, "coroots": [list(column) for column in zip(*cartan)],
+            "roots": [[int(i == j) for j in range(r)] for i in range(r)]}
+
+
+# rank 3, connected (B3's third simple root short)
+A3 = cartan_datum([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
+B3 = cartan_datum([[2, -1, 0], [-1, 2, -2], [0, -1, 2]])
+
 
 def box_scan(d, pair_bound, coord_bound):
     """Every point of the box |λ_i| ≤ coord_bound that is dominant at level ≤ pair_bound, sorted."""

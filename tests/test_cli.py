@@ -348,6 +348,107 @@ def test_shared_parser_holds_no_state_between_parses(capsys):
     assert _parser_state(parser) == before
 
 
+def test_every_call_in_a_process_shares_one_datum_per_preset():
+    for name in PRESETS:
+        datum = cli._load_datum(name)
+        assert cli._load_datum(name) is datum
+        # build_root_datum still returns a fresh datum, equal to the shared one
+        assert build_root_datum(name) == datum and build_root_datum(name) is not datum
+
+
+def test_a_datum_file_is_read_at_every_call(tmp_path, capsys):
+    datum_file = tmp_path / "datum.json"
+    datum_file.write_text(json.dumps(PRESETS["PGL2"]))
+    assert run(capsys, "tensor", "--datum", str(datum_file), "1", "1") == (0, '{"0":1,"2":1}\n', "")
+    datum_file.write_text(json.dumps(PRESETS["SL2"]))
+    assert run(capsys, "tensor", "--datum", str(datum_file), "1", "1") == (0, '{"0":1,"1":1,"2":1}\n', "")
+    assert cli._load_datum(str(datum_file)) is not cli._load_datum(str(datum_file))
+
+
+def _kind_argvs(name):
+    """One argv per command kind on a preset, every other one writing to --out ("OUT").
+
+    The coweights are the two dominant λ of least positive level, so on GL2 and GL3 they carry
+    the center.
+    """
+    datum = build_root_datum(name)
+    lam, mu = [",".join(map(str, nu)) for nu in datum.dominant_box(10) if datum.pairing_2rho(nu)][:2]
+    zero = ",".join("0" * datum.lattice_rank)
+    gamma = ",".join("235"[:datum.lattice_rank])
+    argvs = [("tensor", (lam, mu), ()), ("weights", (lam,), ()), ("satake", (lam,), ()),
+             ("hecke-mul", (mu, mu), ()), ("whittaker-eval", (), ("--gamma=" + gamma, "--cutoff", "2")),
+             ("predict", (lam, mu, zero), ()), ("strata", ("2",), ()),
+             ("verify-cs", ("2",), ("--gammas", "1")), ("verify-eq2", ("2", "3"), ())]
+    return [(command, "--datum", name, *options, *(("--out", "OUT") if k % 2 else ()),
+             *(("--", *positionals) if positionals else ()))
+            for k, (command, positionals, options) in enumerate(argvs)]
+
+
+_KIND_ARGVS = [argv for name in sorted(PRESETS) for argv in _kind_argvs(name)]
+
+
+def _run_kinds(capsys, out_path, fresh):
+    """(exit code, stdout, stderr, --out text) of each of _KIND_ARGVS; fresh clears the preset
+    datum before every call."""
+    results = []
+    for argv in _KIND_ARGVS:
+        if fresh:
+            cli._preset_datum.cache_clear()
+        code = main([str(out_path) if arg == "OUT" else arg for arg in argv])
+        captured = capsys.readouterr()
+        written = out_path.read_text() if out_path.exists() else None
+        out_path.unlink(missing_ok=True)
+        results.append((code, captured.out, captured.err, written))
+    return results
+
+
+def test_a_shared_preset_datum_prints_what_a_fresh_one_prints(tmp_path, capsys):
+    out_path = tmp_path / "out.txt"
+    cli._preset_datum.cache_clear()
+    shared = _run_kinds(capsys, out_path, fresh=False)
+    assert cli._preset_datum.cache_info().misses == len(PRESETS)
+    # shared, then fresh, then shared again: both orders print the same bytes
+    assert _run_kinds(capsys, out_path, fresh=True) == shared
+    assert _run_kinds(capsys, out_path, fresh=False) == shared
+    # every kind succeeded somewhere, some calls were refused (verify-eq2 above rank 1, verify-cs
+    # on GL2 and GL3), and each call with --out that succeeded wrote its output there
+    assert {code for code, *_ in shared} == {0, 2}
+    assert {argv[0] for argv, (code, *_) in zip(_KIND_ARGVS, shared) if code == 0} == set(
+        argv[0] for argv in _KIND_ARGVS)
+    assert [written is not None for *_, written in shared] == [
+        "OUT" in argv and code == 0 for argv, (code, *_) in zip(_KIND_ARGVS, shared)]
+
+
+def _fresh_process(*argv, flags=()):
+    """(exit code, stdout, stderr) of the CLI run in a new interpreter started with flags."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, *flags, "-m", "satake.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_a_refused_call_leaves_later_calls_as_a_fresh_process_runs_them(capsys):
+    refused, normal = ("satake", "--datum", "SL3", "1001,1001"), ("satake", "--datum", "SL3", "3,2")
+    expected = {argv: _fresh_process(*argv) for argv in (refused, normal)}
+    assert expected[refused][0] == 2 and "over the limit" in expected[refused][2]
+    assert expected[normal][0] == 0
+    for order in [(refused, normal), (normal, refused)]:
+        cli._preset_datum.cache_clear()
+        assert [run(capsys, *argv) for argv in order] == [expected[argv] for argv in order]
+
+
+def test_every_call_builds_its_own_ring_on_the_shared_datum(capsys, monkeypatch):
+    rings, init = [], RepRing.__init__
+    monkeypatch.setattr(RepRing, "__init__", lambda self, datum: rings.append(self) or init(self, datum))
+    calls = [("tensor", "--datum", "SL3", "1,0", "0,1"), ("tensor", "--datum", "SL3", "1,0", "0,1"),
+             ("satake", "--datum", "SL3", "2,1"), ("verify-cs", "--datum", "SL3", "2", "--gammas", "1")]
+    for argv in calls:
+        assert run(capsys, *argv)[0] == 0
+    assert len({id(ring) for ring in rings}) == len(rings) == len(calls)
+    assert all(ring.datum is cli._load_datum("SL3") for ring in rings)
+
+
 def test_explicit_datum_file(tmp_path, capsys):
     datum_file = tmp_path / "datum.json"
     datum_file.write_text(json.dumps({"cartan": [[2]], "coroots": [[2]], "roots": [[1]]}))
@@ -654,14 +755,11 @@ def test_verify_cs_refuses_too_many_torus_points_before_building_them(capsys, mo
 
 def test_verify_cs_prints_the_same_under_python_O():
     # every contract is a raised exception, so stripping asserts changes no output
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    argv = ["-m", "satake.cli", "verify-cs", "--datum", "SL3", "6", "--gammas", "2", "--format", "json"]
-    outputs = [subprocess.run([sys.executable, *flags, *argv], env=env, capture_output=True,
-                              text=True, timeout=60) for flags in ([], ["-O"])]
-    assert [done.returncode for done in outputs] == [0, 0], [done.stderr for done in outputs]
-    assert outputs[0].stdout == outputs[1].stdout
-    assert json.loads(outputs[0].stdout)["pass"] is True
+    argv = ["verify-cs", "--datum", "SL3", "6", "--gammas", "2", "--format", "json"]
+    outputs = [_fresh_process(*argv, flags=flags) for flags in ([], ["-O"])]
+    assert [code for code, _, _ in outputs] == [0, 0], [err for _, _, err in outputs]
+    assert outputs[0][1] == outputs[1][1]
+    assert json.loads(outputs[0][1])["pass"] is True
 
 
 def test_strata_budget_is_checked_while_parsing(capsys, monkeypatch):

@@ -10,6 +10,8 @@ from satake.rep_ring import RepRing
 from satake.root_datum import TooLarge
 from satake.whittaker import WhittakerModule
 
+from conftest import cartan_datum
+
 
 def make(name):
     return Grassmannian(RepRing(name))
@@ -242,9 +244,7 @@ def test_oversized_strata_are_refused_before_any_is_listed(monkeypatch):
 
 def test_strata_are_the_degree_vectors_of_a_box():
     # brute force: every d in [0, bound]^r with Σ d_i ≤ bound, on a rank-3 datum (A1 × C2)
-    rep = RepRing({"cartan": [[2, 0, 0], [0, 2, -2], [0, -1, 2]],
-                   "coroots": [[2, 0, 0], [0, 2, -1], [0, -2, 2]],
-                   "roots": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]})
+    rep = RepRing(cartan_datum([[2, 0, 0], [0, 2, -2], [0, -1, 2]]))
     coroots = rep.datum.simple_coroots
     for bound in range(6):
         expected = [

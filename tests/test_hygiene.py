@@ -4,7 +4,8 @@ The lattice module (root_datum.py) also imports no fractions: it works in intege
 holds the one size bound, LIMIT: no other 10⁶ literal may appear in the library, and no
 TooLarge is built outside its one guard, require_within.  Integers
 are checked where input enters, by root_datum's doors and the CLI's parsers: an int() call
-anywhere else would truncate or re-check what those doors already refused.
+anywhere else would truncate or re-check what those doors already refused.  No cache outlives a
+call but those PROCESS_WIDE lists, each with the reason sharing it is safe.
 
 Contracts must be raised exceptions so they hold under ``python -O``, every
 value is exact, and the runtime needs nothing beyond the standard library.
@@ -41,6 +42,19 @@ SIZE_BOUND_HOME = "root_datum.py"
 SIZE_GUARD = "require_within"
 # the modules where input enters, the only ones that may call int()
 INTEGER_DOORS = {"root_datum.py", "cli.py"}
+# every cache that outlives a call, by module and name, and why sharing it is safe; a memo of a
+# ring, an algebra or a module kept in process state would make a later call look faster only
+# by skipping the work that a fresh process does
+PROCESS_WIDE = (
+    ("cli.py", "_parser", "parse_args leaves the parser as it was, and every default is immutable"),
+    ("cli.py", "_preset_datum", "a RootDatum is frozen, and its cached properties are constants "
+     "of the datum that no call changes; rings, algebras and modules stay per call"),
+)
+CACHES = {"cache", "lru_cache"}
+CONTAINERS = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter", "deque",
+              "WeakKeyDictionary", "WeakValueDictionary"}
+MUTATORS = {"setdefault", "update", "append", "add", "extend", "insert", "pop", "popitem",
+            "remove", "discard", "clear"}
 
 
 def _is_million(node) -> bool:
@@ -51,8 +65,57 @@ def _is_million(node) -> bool:
     return isinstance(node, ast.Constant) and type(node.value) is int and node.value == 10 ** 6
 
 
+def _spelling(node):
+    """The name a Name or an Attribute is spelled by: f for f and for x.f."""
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def _is_container(node) -> bool:
+    return isinstance(node, (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)) or (
+        isinstance(node, ast.Call) and _spelling(node.func) in CONTAINERS)
+
+
+def _process_wide(tree):
+    """(line, name) of each cache in tree that outlives a call.
+
+    That is a def under functools.cache or lru_cache, a call of either, a mutable default, a name
+    a global statement rebinds, and a container held by the module or a class that the module
+    writes into.
+    """
+    decorators = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for decorator in node.decorator_list:
+                decorators.update(id(n) for n in ast.walk(decorator))
+                if _spelling(getattr(decorator, "func", decorator)) in CACHES:
+                    yield node.lineno, node.name
+            for default in node.args.defaults + [d for d in node.args.kw_defaults if d]:
+                if _is_container(default):
+                    yield default.lineno, "mutable default of %s" % node.name
+    held, written = {}, set()
+    for scope in [tree] + [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]:
+        for item in scope.body:
+            if isinstance(item, (ast.Assign, ast.AnnAssign)) and item.value and _is_container(item.value):
+                targets = item.targets if isinstance(item, ast.Assign) else [item.target]
+                held.update((t.id, item.lineno) for t in targets if isinstance(t, ast.Name))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and id(node) not in decorators and _spelling(node.func) in CACHES:
+            yield node.lineno, _spelling(node.func)
+        elif isinstance(node, ast.Global):
+            yield from ((node.lineno, name) for name in node.names)
+        elif isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            written.add(_spelling(node.value))
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) in MUTATORS:
+            written.add(_spelling(node.func.value))
+    yield from ((line, name) for name, line in held.items() if name in written)
+
+
 def _violations(path):
     tree = ast.parse(path.read_text(), filename=str(path))
+    listed = {name for module, name, _ in PROCESS_WIDE if module == path.name}
+    for line, name in _process_wide(tree):
+        if name not in listed:
+            yield "%s:%d process-wide cache %s" % (path.name, line, name)
     limit = [node.value for node in ast.walk(tree)
              if path.name == SIZE_BOUND_HOME and isinstance(node, ast.Assign)
              and [getattr(target, "id", None) for target in node.targets] == ["LIMIT"]]
@@ -169,6 +232,13 @@ def test_every_private_name_is_used_by_the_library():
     assert list(_dead_names(SOURCES, _used_names(SOURCES, None, _fields(SOURCES)), private=True)) == []
 
 
+def test_every_listed_process_wide_cache_is_in_the_library():
+    # the list names each cache that outlives a call, and nothing the library no longer holds
+    found = {(path.name, name) for path in SOURCES
+             for _, name in _process_wide(ast.parse(path.read_text(), filename=str(path)))}
+    assert found == {(module, name) for module, name, _ in PROCESS_WIDE}
+
+
 def test_every_module_is_scanned():
     assert {p.name for p in SOURCES} >= {"__init__.py", "root_datum.py", "rep_ring.py", "cli.py"}
 
@@ -209,6 +279,28 @@ def test_the_guards_fire(tmp_path):
     assert list(_violations(lattice)) == ["root_datum.py:5 TooLarge built outside root_datum.require_within"]
     sample.write_text(guarded)
     assert [line.split(" ", 1)[0] for line in _violations(sample)] == ["sample.py:2", "sample.py:5"]
+    # a cache that outlives a call is refused unless PROCESS_WIDE lists its module and name; a
+    # per-instance memo and a module-level table nothing writes into are not such caches
+    planted = ("import functools\nfrom functools import lru_cache\n_MEMO = {}\nTABLE = {'a': 1}\n"
+               "SEEN: set = set()\n\n@functools.cache\ndef _parser():\n    _MEMO[1] = TABLE['a']\n\n"
+               "@lru_cache(maxsize=None)\ndef g(x):\n    SEEN.add(x)\n\nh = functools.cache(len)\n\n"
+               "def k(x, memo={}):\n    global COUNT\n\nclass Ring:\n    shared = dict()\n\n"
+               "    def __init__(self):\n        self.own = {}\n        self.own[0] = self.shared.get(0)\n\n"
+               "    def fill(self, k):\n        self.shared[k] = k\n")
+    sample.write_text(planted)
+    found = ["3 _MEMO", "5 SEEN", "8 _parser", "12 g", "15 cache", "17 mutable default of k", "18 COUNT",
+             "21 shared"]
+    assert sorted(_violations(sample)) == sorted("sample.py:%s" % f.replace(" ", " process-wide cache ", 1)
+                                                 for f in found)
+    listed = tmp_path / "cli.py"
+    listed.write_text(planted)
+    assert sorted(_violations(listed)) == sorted("cli.py:%s" % f.replace(" ", " process-wide cache ", 1)
+                                                 for f in found if f != "8 _parser")
+    # a per-call memo: one dict made in each call, and one on each instance
+    sample.write_text("def f(x):\n    memo = {}\n    memo[x] = x\n    return memo\n\n"
+                      "class Ring:\n    def __init__(self):\n        self.memo = {}\n\n"
+                      "    def g(self, x):\n        self.memo.setdefault(x, x)\n")
+    assert list(_violations(sample)) == []
     # a public def nothing names is dead, and one a tracer string names is not; a private def
     # is dead unless the library itself names it, and a dunder is never dead
     dead = tmp_path / "dead.py"

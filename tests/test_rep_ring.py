@@ -22,7 +22,7 @@ from satake.rep_ring import RepRing, _coin_change, _power_sum, gamma_power, toru
 from satake.root_datum import PRESETS, InvariantError, RootDatum, TooLarge, build_root_datum
 from satake.whittaker import WhittakerModule
 
-from conftest import A3, B3, box_scan
+from conftest import A3, B3, box_scan, cartan_datum
 
 
 def fresh_powers(point):
@@ -77,9 +77,7 @@ def test_sp4_second_fundamental_agrees_across_algorithms():
 
 
 # A1 × C2: reducible, so the invariant form has a separate scale on each factor
-REDUCIBLE = {"cartan": [[2, 0, 0], [0, 2, -2], [0, -1, 2]],
-             "coroots": [[2, 0, 0], [0, 2, -1], [0, -2, 2]],
-             "roots": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
+REDUCIBLE = cartan_datum([[2, 0, 0], [0, 2, -2], [0, -1, 2]])
 
 
 def test_freudenthal_matches_kostant_on_boxes():
@@ -364,6 +362,65 @@ def test_a_tampered_weight_table_makes_a_product_negative_and_raises():
         module.eigen_residual(torus_point([2, 3], rep.datum), (1, 0), 4)
 
 
+def _walked_product(rep, lam, mu):
+    """V^λ ⊗ V^μ with every μ + τ walked into the dot chamber: Brauer–Klimyk with no shortcut."""
+    datum, out = rep.datum, {}
+    base = datum._simple_pairings(mu)
+    for tau, mult in rep.weights_with_multiplicity(lam):
+        pairings = [p + q + 1 for p, q in zip(base, datum._simple_pairings(tau))]
+        nu, pairings, word = datum._chamber_walk(tuple(map(operator.add, mu, tau)), pairings)
+        if 0 not in pairings:
+            out[nu] = out.get(nu, 0) + (-1) ** len(word) * mult
+    return {nu: c for nu, c in out.items() if c}
+
+
+def _depth(rep, lam, mu):
+    """min_i ⟨μ, α_i⟩ + ℓ_i, ℓ_i = min_τ ⟨τ+ρ, α_i⟩ over the weights τ of V^λ: > 0 when μ is deep."""
+    datum = rep.datum
+    floor = [min(p) + 1 for p in zip(*(datum._simple_pairings(tau) for tau in rep.weight_table(lam)))]
+    return min(map(operator.add, datum._simple_pairings(mu), floor))
+
+
+_WALK_BOUNDS = {"PGL2": 4, "SL2": 4, "GL2": 4, "SL3": 4, "GL3": 4, "Sp4": 6, "G2": 8, "A1xC2": 4}
+
+
+@pytest.mark.parametrize("name", sorted(_WALK_BOUNDS))
+def test_brauer_klimyk_equals_the_walk_on_every_pair_of_a_box(monkeypatch, name):
+    # a deep μ adds V^λ's table shifted by μ with no walk; a μ at depth 0 walks every weight,
+    # and the box holds both on every datum, beside the walked pairs of negative depth
+    ends = _recording_walks(monkeypatch)
+    rep = _tensor_ring(name)
+    box = rep.datum.dominant_box(_WALK_BOUNDS[name])
+    depths, total = set(), {}
+    for lam in box:
+        for mu in box:
+            expected = _walked_product(rep, lam, mu)
+            walks, depth = len(ends), _depth(rep, lam, mu)
+            assert rep._brauer_klimyk(lam, {mu: 1}) == expected, (lam, mu)
+            assert len(ends) - walks == (0 if depth > 0 else len(rep.weight_table(lam)))
+            depths.add((depth > 0) - (depth < 0))
+            for nu, c in expected.items():
+                total[nu] = total.get(nu, 0) + (len(box) - box.index(mu)) * c
+        # one combination of every μ, deep and not, sums the products
+        assert rep._brauer_klimyk(lam, {mu: len(box) - k for k, mu in enumerate(box)}) == total
+        total.clear()
+    # on SL2 every pairing with the simple root is even, so every depth is odd
+    assert depths == ({-1, 1} if name == "SL2" else {-1, 0, 1})
+
+
+def test_a_deep_mu_makes_no_chamber_walk(monkeypatch):
+    rep = RepRing("SL3")
+    table = rep.weight_table((1, 1))  # the adjoint: every ⟨τ, α_i⟩ ≥ −2, so ℓ_i = −1
+    shallow = _walked_product(rep, (1, 1), (1, 2))
+    ends = _recording_walks(monkeypatch)
+    assert rep.tensor_decompose((1, 1), (2, 2)) == {
+        tuple(map(operator.add, (2, 2), tau)): mult for tau, mult in table.items()}
+    assert ends == []
+    # (1, 2) has ⟨μ, α_1⟩ + ℓ_1 = 0: a singular μ + τ + ρ, so every weight is walked
+    assert rep.tensor_decompose((1, 1), (1, 2)) == shallow
+    assert len(ends) == len(table)
+
+
 def test_non_integer_coweights_are_refused_as_input():
     rep = RepRing("SL3")
     gamma = torus_point([Fraction(2), Fraction(3)], rep.datum)
@@ -506,13 +563,6 @@ def test_character_eval_matches_weight_by_weight_sum(name, index, coords):
         assert product == 0 or k in (0, 2)
 
 
-def _simply_connected(cartan):
-    """The simply connected datum of a Cartan matrix: Λ the coweight lattice, the roots the unit vectors."""
-    rank = len(cartan)
-    return build_root_datum({"cartan": cartan, "coroots": [list(c) for c in zip(*cartan)],
-                             "roots": [[int(i == j) for j in range(rank)] for i in range(rank)]})
-
-
 def _a8():
     return [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(8)] for i in range(8)]
 
@@ -530,7 +580,7 @@ def _e7():
 ], ids=["SL9", "E7"])
 def test_a_small_lambda_on_a_large_weyl_group_takes_the_table_route(monkeypatch, cartan, lam, order):
     # |W| > dim V^λ: Weyl's formula would sum more terms than the weight table holds
-    datum = _simply_connected(cartan)
+    datum = build_root_datum(cartan_datum(cartan))
 
     def refuse(self, lam):
         raise AssertionError("the Weyl route ran where |W| exceeds dim V^λ")
@@ -1199,7 +1249,7 @@ def test_a_q_analog_is_refused_as_its_row_is_before_the_walk(monkeypatch):
     # λ − μ alone needs a box of 2 × 1; then E7, whose Weyl group is checked first
     for datum, lam, mu, message in [
             ("SL3", (1001, 1001), (999, 1002), r"box \(1001, 1001\) would hold 1004004 points"),
-            (_simply_connected(_e7()), (0,) * 6 + (1,), (0,) * 7, "Weyl group has 2903040")]:
+            (build_root_datum(cartan_datum(_e7())), (0,) * 6 + (1,), (0,) * 7, "Weyl group has 2903040")]:
         rep = RepRing(datum)
         start = time.perf_counter()
         with pytest.raises(TooLarge, match=message):

@@ -10,19 +10,10 @@ from hypothesis import given, settings, strategies as st
 from satake import root_datum
 from satake.root_datum import PRESETS, TooLarge, _adjugate, _closure, _det, build_root_datum
 
-from conftest import A3, B3, SKEWED_SL3, box_scan
+from conftest import A3, B3, SKEWED_SL3, box_scan, cartan_datum
 
 # A1 × C2: reducible, with a rank-3 lattice
-REDUCIBLE = {"cartan": [[2, 0, 0], [0, 2, -2], [0, -1, 2]],
-             "coroots": [[2, 0, 0], [0, 2, -1], [0, -2, 2]],
-             "roots": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
-
-
-def _exceptional(cartan):
-    """The datum on Z^r with the simple coroots as unit vectors and the Cartan rows as roots."""
-    r = len(cartan)
-    return {"cartan": cartan, "coroots": [[int(i == j) for j in range(r)] for i in range(r)],
-            "roots": cartan}
+REDUCIBLE = cartan_datum([[2, 0, 0], [0, 2, -2], [0, -1, 2]])
 
 
 def _simply_laced(rank, edges):
@@ -61,6 +52,14 @@ def test_gl2_preset():
     assert d.lattice_rank == 2
     assert d.simple_coroots == ((1, -1),)
     assert d.simple_roots == ((1, -1),)
+
+
+@pytest.mark.parametrize("name, cartan", [
+    ("PGL2", [[2]]), ("SL3", [[2, -1], [-1, 2]]), ("Sp4", [[2, -2], [-1, 2]]), ("G2", [[2, -3], [-1, 2]]),
+], ids=["A1", "A2", "C2", "G2"])
+def test_a_cartan_matrix_on_its_fundamental_coweights_is_the_preset(name, cartan):
+    assert cartan_datum(cartan) == PRESETS[name]
+    assert build_root_datum(cartan_datum(cartan)) == build_root_datum(name)
 
 
 def test_preset_weyl_orders():
@@ -301,18 +300,14 @@ def test_the_finite_type_check_agrees_with_every_principal_minor():
 def test_a_high_rank_datum_is_checked_at_the_door_in_time():
     # A_30 builds; the affine Ã_29 (a cycle) and D̃_30 (a tree, its leading minors not all
     # positive) are refused as not of finite type; the all-minors rule would test 2^30 − 1 minors
-    def datum(cartan):
-        return {"cartan": cartan, "roots": cartan,
-                "coroots": [[int(i == j) for j in range(len(cartan))] for i in range(len(cartan))]}
-
     chain = _simply_laced(30, [(i, i + 1) for i in range(1, 30)])
     cycle = _simply_laced(30, [(i, i + 1) for i in range(1, 30)] + [(30, 1)])
     tree = _simply_laced(31, [(1, 3), (2, 3)] + [(i, i + 1) for i in range(3, 29)] + [(29, 30), (29, 31)])
     start = time.perf_counter()
-    assert build_root_datum(datum(chain)).rank == 30
+    assert build_root_datum(cartan_datum(chain)).rank == 30
     for cartan in (cycle, tree):
         with pytest.raises(ValueError, match="not of finite type"):
-            build_root_datum(datum(cartan))
+            build_root_datum(cartan_datum(cartan))
     assert time.perf_counter() - start < 0.5
 
 
@@ -547,7 +542,7 @@ def _bfs_dot_orbit(d, lam):
 
 
 # F4 on its coroot lattice, |W| = 1152: its nonzero dominant λ start at level 16
-F4 = _exceptional(EXCEPTIONAL["F4"][0])
+F4 = cartan_datum(EXCEPTIONAL["F4"][0])
 _ORBIT_LEVELS = {"G2": 12, "Sp4": 6}  # every other preset has three dominant λ by level 4
 
 
@@ -599,7 +594,7 @@ def test_dot_orbit_takes_one_closure_per_datum(monkeypatch, spec):
 
 
 def test_dot_orbit_refuses_a_group_over_the_limit_before_its_closure(monkeypatch):
-    d = build_root_datum(_exceptional(EXCEPTIONAL["E7"][0]))
+    d = build_root_datum(cartan_datum(EXCEPTIONAL["E7"][0]))
     d.weyl_order
 
     def refuse(starts, moves):
@@ -730,10 +725,10 @@ def test_weyl_order_formula_does_not_build_the_group():
         assert order == len(d.weyl_elements)
     assert build_root_datum(REDUCIBLE).weyl_order == 16
     for name, (cartan, order) in EXCEPTIONAL.items():
-        d = build_root_datum(_exceptional(cartan))
+        d = build_root_datum(cartan_datum(cartan))
         assert d.weyl_order == order, name
     # over the cap: refused before a single element is built
-    d = build_root_datum(_exceptional(EXCEPTIONAL["E7"][0]))
+    d = build_root_datum(cartan_datum(EXCEPTIONAL["E7"][0]))
     start = time.perf_counter()
     with pytest.raises(ValueError, match="2903040 elements, over the limit of 1000000"):
         d.weyl_elements
