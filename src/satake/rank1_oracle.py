@@ -181,12 +181,18 @@ class Rank1Oracle:
         self.hecke = hecke if hecke is not None else HeckeAlgebra(self.datum)
         self.rep = self.hecke.rep
         self._closed_sums: Dict[Tuple[int, bool, int], int] = {}
+        self._rows: Dict[int, Dict[Tuple[int], LaurentPoly]] = {}  # A_m's Satake row by m
 
     # -- stalk weights (deliberately pulled from the Hecke base change) -------
 
     def ic_weight(self, m: int, mprime: int) -> LaurentPoly:
-        """Value of the function A_m on the orbit labeled m′: v^{−m} p_{m,m′}(q)."""
-        row = self.hecke.satake_row((m,))
+        """Value of the function A_m on the orbit labeled m′: v^{−m} p_{m,m′}(q).
+
+        A_m's Satake row is read once per oracle for an int m; any other m meets satake_row's door.
+        """
+        row = self._rows.get(m) if type(m) is int else None
+        if row is None:
+            row = self._rows[m] = self.hecke.satake_row((m,))
         key = (mprime,)
         if key not in row:
             raise ValueError("orbit %d does not meet the closure of orbit %d" % (mprime, m))

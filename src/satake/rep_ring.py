@@ -6,15 +6,19 @@ on an integer combination Σ n_μ [V^μ] of dominant μ: the dot action w·x = w
 μ + τ, τ a weight of V^λ, into the dominant chamber by the datum's one chamber walk on the
 simple-root pairings of μ+τ+ρ (those of τ+ρ memoized per λ, with their least values ℓ_i), in
 integers on Λ; a deep μ, ⟨μ, α_i⟩ + ℓ_i > 0 for every i, needs no walk: its product is V^λ's
-table shifted by μ.  A tensor product is a combination of one term; the Whittaker residual acts
-on its whole truncation in one pass.  One memo per ring holds the signed shifts of each λ, the
+table shifted by μ, and any other μ walks only a μ + τ + ρ with a negative pairing and none 0.
+A tensor product is a combination of one term; the Whittaker residual acts on its whole
+truncation in one pass.  One memo per ring holds the signed shifts of each λ, the
 coroot coordinates of w(λ+ρ) − (λ+ρ) with (−1)^{ℓ(w)}, walked on the datum's BFS tree of W from
 λ's simple-root pairings: the terms of both alternating Weyl sums.  A character is Weyl's
 character formula over them, in t_j = γ^{α̌_j}, where |W| ≤ dim V^λ (for a regular λ without
 weyl_dim: its orbit has |W| weights) and the torus point is regular, and the sum over the
-weight table otherwise.  Each sum is one _power_sum in integers over the kept powers a^k and
-b^k of each base a/b (each γ_i and each t_j), and a trace is one Fraction.  The traces, the
-powers and the Weyl denominator at the last torus point are kept until a call at another point.
+weight table otherwise.  Each sum is one _power_sum: its terms in integers over one scale, read
+from the kept powers a^k and b^k of each base a/b (each γ_i and each t_j), and a trace is one
+Fraction.  Weyl's numerator keeps its terms ε(w)·γ^{w(λ+ρ)−ρ} per λ, and a λ whose neighbour
+λ − e_k (e_k a basis vector of Λ) kept them steps from them: |W| integer products with the
+factors γ^{w e_k}, kept per k, and no sum.  The traces, the powers, the terms, the step factors
+and the Weyl denominator at the last torus point are kept until a call at another point.
 Public methods check their coweights at the door; the private routes behind them
 (_brauer_klimyk, _character, _dual_character) take checked dominant coweights.  The q-side
 reads one coin-change table of the q-Kostant partition function per ring: a flat row-major list
@@ -33,7 +37,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from itertools import product as iter_product
-from math import prod
+from math import lcm, prod
 from typing import Dict, List, Sequence, Tuple
 
 from .laurent import LaurentPoly, ZERO
@@ -60,15 +64,16 @@ def torus_point(values, datum: RootDatum) -> TorusPoint:
     return tuple(map(Fraction, vals))
 
 
-def _power_sum(terms: Sequence[Tuple[Sequence[int], int]], powers) -> Tuple[int, int]:
-    """Σ c·x^ν over the (ν, c) terms, exact, as a numerator and a denominator in ints.
+def _power_sum(terms: Sequence[Tuple[Sequence[int], int]], powers) -> Tuple[List[int], int, int]:
+    """The terms c·x^ν of Σ c·x^ν over the (ν, c) terms, exact, in ints over one scale.
 
     The terms are an alternating Weyl sum (c = ±1), a weight table (c the multiplicity) or one
     weight; powers[i] = (A, B) keeps A[k] = a_i^k and B[k] = b_i^k for x_i = a_i/b_i, from
     A = [1, a_i] and B = [1, b_i], extended only as far as the terms need.  With lo_i, hi_i the
     least and greatest i-th coordinate of a ν, x^ν = Π a_i^{lo_i} b_i^{−hi_i} ·
-    Π a_i^{ν_i−lo_i} b_i^{hi_i−ν_i}: the second product is read from the lists, so the terms are
-    summed in integers, and the first is split by sign.
+    Π a_i^{ν_i−lo_i} b_i^{hi_i−ν_i}: the second product is read from the lists, and the first,
+    split by sign, is the scale.  Returns (acc, num, den): term k is acc[k]·num/den, so the sum
+    is sum(acc)·num/den.
     """
     num = den = 1
     acc = [c for _, c in terms]
@@ -80,7 +85,7 @@ def _power_sum(terms: Sequence[Tuple[Sequence[int], int]], powers) -> Tuple[int,
         num *= a[lo if lo > 0 else 0] * b[-hi if hi < 0 else 0]
         den *= a[-lo if lo < 0 else 0] * b[hi if hi > 0 else 0]
         acc = [c * a[x - lo] * b[hi - x] for c, x in zip(acc, column)]
-    return sum(acc) * num, den
+    return acc, num, den
 
 
 def gamma_power(gamma: TorusPoint, nu: Sequence[int]) -> Fraction:
@@ -112,10 +117,12 @@ class RepRing:
         self._walks: Dict[Coweight, Dict[Coweight, Coweight]] = {}
         self._offsets: Dict[Coweight, Tuple[Tuple[Coweight, int, int], ...]] = {}
         self._shifts: Dict[Coweight, Tuple[Tuple[Coweight, int], ...]] = {}
-        # the last torus point γ, its traces by dominant λ, the kept powers of each γ_i, and (the
+        # the last torus point γ, its traces by dominant λ, the kept powers of each γ_i, (the
         # kept powers of each t_j = γ^{α̌_j}, the Weyl denominator as an (int, int) pair) once
-        # Weyl's formula has run at γ
+        # Weyl's formula has run at γ, the Weyl terms of each λ it traced as (acc, num, den), and
+        # the step factors ([f_w], C_k) of each basis vector e_k of Λ
         self._gamma, self._traces, self._powers, self._denominator = None, {}, [], None
+        self._terms, self._steps = {}, {}
         self._dims: Dict[Coweight, int] = {}
 
     # -- dimensions and weights ---------------------------------------------
@@ -273,8 +280,9 @@ class RepRing:
         §24 ex. 9).  The simple-root pairings of μ + τ + ρ are ⟨μ, α_i⟩ + ⟨τ+ρ, α_i⟩, the second
         memoized per λ with its least value ℓ_i over τ.  A deep μ, ⟨μ, α_i⟩ + ℓ_i > 0 for every
         i, has every μ + τ + ρ regular dominant, so its product is V^λ's table shifted by μ.  For
-        any other μ, datum._chamber_walk reflects μ + τ in place, on Λ: a final pairing 0 means
-        μ + τ + ρ is singular and the term drops; ε(w) is (−1)^{#word}.  A table weight of
+        any other μ, a τ whose μ + τ + ρ has a negative pairing and none 0 is walked: datum.
+        _chamber_walk reflects μ + τ in place, on Λ, and ε(w) is (−1)^{#word}.  A pairing 0,
+        before or after the walk, means μ + τ + ρ is singular and the term drops.  A table weight of
         multiplicity ≤ 0, or a walked product with a negative multiplicity, raises InvariantError.
         Zero coefficients are dropped.
         """
@@ -298,8 +306,10 @@ class RepRing:
                 continue
             product = {}
             for tau, tau_pairings, mult in rows:
-                nu, pairings, word = walk(tuple(map(operator.add, mu, tau)),
-                                          list(map(operator.add, base, tau_pairings)))
+                pairings = list(map(operator.add, base, tau_pairings))
+                nu, word = tuple(map(operator.add, mu, tau)), ()
+                if min(pairings) < 0 and 0 not in pairings:
+                    nu, pairings, word = walk(nu, pairings)
                 if 0 not in pairings:
                     product[nu] = product.get(nu, 0) + (-mult if len(word) % 2 else mult)
             if min(product.values(), default=0) < 0:
@@ -333,7 +343,9 @@ class RepRing:
         so only a singular λ asks weyl_dim.  Otherwise the trace is Σ_ν mult(ν) γ^ν over the
         memoized weight table.  Either way each sum is one _power_sum over the powers of the γ_i
         or t_j kept at γ, and the trace is one Fraction; it is kept, with the powers and the
-        denominator, until a call at another γ.
+        denominator, until a call at another γ.  The Weyl route also keeps λ's numerator terms
+        ε(w)·γ^{w(λ+ρ)−ρ}, and a λ whose neighbour λ − e_k kept them takes each as that term times
+        γ^{w e_k}, with no sum (γ^{w(λ+ρ)−ρ} = γ^{w(λ−e_k+ρ)−ρ}·γ^{w e_k}).
         """
         return self._character(self.datum.dominant(lam), gamma)
 
@@ -342,7 +354,7 @@ class RepRing:
         datum = self.datum
         if (pt := tuple(gamma)) is not self._gamma and (pt != self._gamma or not _RATIONAL.issuperset(map(type, pt))):
             torus_point(pt, datum)  # kept as given, so a repeat call with the same tuple is one test
-            self._gamma, self._traces, self._denominator = pt, {}, None
+            self._gamma, self._traces, self._terms, self._steps, self._denominator = pt, {}, {}, {}, None
             self._powers = [([1, g.numerator], [1, g.denominator]) for g in pt]
         trace = self._traces.get(lam)
         if trace is not None:
@@ -350,20 +362,43 @@ class RepRing:
         order, pairings = datum.weyl_order, datum._simple_pairings(lam)
         if order <= root_datum.LIMIT and (min(pairings) > 0 or order <= (self._dims.get(lam) or self.weyl_dim(lam))):
             if self._denominator is None:
-                t = [Fraction(*_power_sum(((alpha, 1),), self._powers)) for alpha in datum.simple_coroots]
+                t = [Fraction(a * n, d) for (a,), n, d in
+                     (_power_sum(((alpha, 1),), self._powers) for alpha in datum.simple_coroots)]
                 t = [([1, x.numerator], [1, x.denominator]) for x in t]
-                zero = self._signed_shifts((0,) * datum.lattice_rank, [0] * datum.rank)
-                self._denominator = (t, _power_sum(zero, t))
+                acc, n, d = _power_sum(self._signed_shifts((0,) * datum.lattice_rank, [0] * datum.rank), t)
+                self._denominator = (t, (sum(acc) * n, d))
             t, (n0, d0) = self._denominator
             if n0:
-                n, d = _power_sum(self._signed_shifts(lam, pairings), t)
-                g, h = _power_sum(((lam, 1),), self._powers)
-                trace = Fraction(g * n * d0, h * d * n0)
+                acc, n, d = self._terms[lam] = self._weyl_terms(lam, pairings, t)
+                trace = Fraction(sum(acc) * n * d0, d * n0)
         if trace is None:
             weights = self._full_weights.get(lam) or self.weights_with_multiplicity(lam)
-            trace = Fraction(*_power_sum(weights, self._powers))
+            acc, n, d = _power_sum(weights, self._powers)
+            trace = Fraction(sum(acc) * n, d)
         self._traces[lam] = trace
         return trace
+
+    def _weyl_terms(self, lam: Coweight, pairings: Sequence[int], t) -> Tuple[List[int], int, int]:
+        """λ's Weyl numerator terms ε(w)·γ^{w(λ+ρ)−ρ} at the kept γ in tree order, as _power_sum's.
+
+        With a traced neighbour λ − e_k, each is its term times γ^{w e_k} = f_w / C_k, kept per k
+        at γ from one _dot_walk at the pairings ⟨e_k, α_i⟩ − 1 (each w e_k − e_k) and one lcm.
+        Any other λ takes γ^λ times the sum over its signed shifts.
+        """
+        for k, x in enumerate(lam):
+            near = self._terms.get(lam[:k] + (x - 1,) + lam[k + 1:])
+            if near is not None:
+                if (step := self._steps.get(k)) is None:
+                    walk = self.datum._dot_walk([root[k] - 1 for root in self.datum.simple_roots])
+                    acc, n, d = _power_sum([(c, 1) for c, _ in walk], t)
+                    factors = [Fraction(a * n, d) * self._gamma[k] for a in acc]
+                    scale = lcm(*(f.denominator for f in factors))
+                    step = self._steps[k] = [f.numerator * (scale // f.denominator) for f in factors], scale
+                acc, n, d = near
+                return list(map(operator.mul, acc, step[0])), n, d * step[1]
+        acc, n, d = _power_sum(self._signed_shifts(lam, pairings), t)
+        (g,), gn, h = _power_sum(((lam, 1),), self._powers)
+        return acc, n * g * gn, d * h
 
     def dual_character_eval(self, lam, gamma: TorusPoint) -> Fraction:
         """Tr(γ, (V^λ)*), computed as the character of V^{−w₀λ}."""

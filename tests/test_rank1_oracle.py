@@ -86,6 +86,25 @@ def test_ic_weight_examples(oracle):
         oracle.ic_weight(2, 4)
 
 
+def test_a_battery_reads_each_satake_row_once(monkeypatch):
+    # the stalk weights of A_m come from one read of its row per oracle, however many strata
+    # and triples ask; a label that is not an int still meets the Hecke algebra's door
+    from satake.hecke import HeckeAlgebra
+
+    reads, satake_row = [], HeckeAlgebra.satake_row
+    monkeypatch.setattr(HeckeAlgebra, "satake_row", lambda self, lam: reads.append(lam) or satake_row(self, lam))
+    fresh = Rank1Oracle("PGL2")
+    report = fresh.verify_eq2(5, [3, 5])
+    assert report.all_pass
+    assert sorted(reads) == [(m,) for m in range(6)]
+    assert fresh.ic_weight(2, 0) == LaurentPoly({-2: 1}) and len(reads) == 6
+    for label in (True, 2.0):
+        with pytest.raises(ValueError, match="not an integer"):
+            fresh.ic_weight(label, 0)
+    with pytest.raises(ValueError, match="does not meet the closure"):
+        fresh.ic_weight(2, 1)
+
+
 # -- character sums over cells ----------------------------------------------------------------
 
 

@@ -22,12 +22,18 @@ from satake.rep_ring import RepRing, _coin_change, _power_sum, gamma_power, toru
 from satake.root_datum import PRESETS, InvariantError, RootDatum, TooLarge, build_root_datum
 from satake.whittaker import WhittakerModule
 
-from conftest import A3, B3, box_scan, cartan_datum
+from conftest import A3, B3, SKEWED_SL3, box_scan, cartan_datum
 
 
 def fresh_powers(point):
     """New power lists [1, a], [1, b] for each base a/b of point, as _power_sum takes them."""
     return [([1, Fraction(x).numerator], [1, Fraction(x).denominator]) for x in point]
+
+
+def power_value(terms, powers):
+    """Σ c·x^ν as one Fraction, from _power_sum's terms acc[k]·num/den."""
+    acc, num, den = _power_sum(terms, powers)
+    return Fraction(sum(acc) * num, den)
 
 
 def char_product_decompose(rep, lam, mu):
@@ -283,6 +289,17 @@ def test_tensor_decompose_carries_the_center(name, shift, data):
     assert rep.tensor_decompose(moved, mu) == expected == char_product_decompose(rep, moved, mu)
 
 
+def _walked(rep, lam, mu):
+    """The weights τ of V^λ whose μ + τ + ρ has a negative simple-root pairing and none 0.
+
+    Those are the ones a Brauer–Klimyk product of μ walks: a 0 drops the term, and a τ with
+    every pairing > 0 is added at μ + τ as it is.
+    """
+    datum, base = rep.datum, rep.datum._simple_pairings(mu)
+    starts = {tau: [p + q + 1 for p, q in zip(base, datum._simple_pairings(tau))] for tau in rep.weight_table(lam)}
+    return [tau for tau, pairings in starts.items() if min(pairings) < 0 and 0 not in pairings]
+
+
 def _recording_walks(monkeypatch):
     """Patch RootDatum._chamber_walk to log each walk's (vector, pairings, word); the log."""
     ends, walk = [], RootDatum._chamber_walk
@@ -296,16 +313,21 @@ def _recording_walks(monkeypatch):
 
 
 # equal dimensions, so the table of the second factor is read and λ + τ + ρ can lie several
-# dot steps from the dominant chamber; both pairs also have singular λ + τ + ρ
+# dot steps from the dominant chamber; both pairs also have singular λ + τ + ρ, on a simple wall
+# (dropped unwalked) and off every simple wall (walked onto one)
 @pytest.mark.parametrize("name, lam, mu", [("Sp4", (4, 2), (9, 0)), ("G2", (2, 3), (8, 0))])
 def test_tensor_dot_walks_of_several_steps_and_singular_weights(monkeypatch, name, lam, mu):
     ends = _recording_walks(monkeypatch)
     rep = RepRing(name)
     assert rep.weyl_dim(lam) == rep.weyl_dim(mu)
     assert rep.tensor_decompose(lam, mu) == char_product_decompose(rep, lam, mu)
-    assert len(ends) == len(rep.weights_with_multiplicity(mu))
+    walked = _walked(rep, mu, lam)
+    assert len(ends) == len(walked) < len(rep.weights_with_multiplicity(mu))
     assert max(len(word) for _, _, word in ends) >= 2
     assert any(0 in pairings for _, pairings, _ in ends)
+    base = rep.datum._simple_pairings(lam)
+    assert any(0 in [p + q + 1 for p, q in zip(base, rep.datum._simple_pairings(tau))]
+               for tau in rep.weight_table(mu))
 
 
 def test_tensor_decompose_and_dominant_representative_share_one_walk(monkeypatch):
@@ -314,11 +336,12 @@ def test_tensor_decompose_and_dominant_representative_share_one_walk(monkeypatch
     monkeypatch.setattr(RootDatum, "dominant_representative",
                         lambda self, lam: reps.append(lam) or dominant_representative(self, lam))
     rep = RepRing("G2")
-    rep.tensor_decompose((1, 1), (1, 0))
+    rep.tensor_decompose((0, 1), (1, 0))  # V^(1,0) the smaller factor; one of its weights walks
     assert reps == []
-    assert len(ends) == len(rep.weights_with_multiplicity((1, 0)))
+    walks = len(_walked(rep, (1, 0), (0, 1)))
+    assert len(ends) == walks > 0
     assert rep.datum.dominant_representative((-2, 1)).coweight == ends[-1][0]
-    assert len(reps) == 1 and len(ends) == len(rep.weights_with_multiplicity((1, 0))) + 1
+    assert len(reps) == 1 and len(ends) == walks + 1
 
 
 def test_tensor_total_dimension_and_symmetry():
@@ -386,18 +409,20 @@ _WALK_BOUNDS = {"PGL2": 4, "SL2": 4, "GL2": 4, "SL3": 4, "GL3": 4, "Sp4": 6, "G2
 
 @pytest.mark.parametrize("name", sorted(_WALK_BOUNDS))
 def test_brauer_klimyk_equals_the_walk_on_every_pair_of_a_box(monkeypatch, name):
-    # a deep μ adds V^λ's table shifted by μ with no walk; a μ at depth 0 walks every weight,
-    # and the box holds both on every datum, beside the walked pairs of negative depth
+    # a deep μ adds V^λ's table shifted by μ with no walk; any other μ walks only the weights
+    # with a negative pairing and none 0, each walk at least one step; the box holds μ at
+    # positive, zero and negative depth on every datum
     ends = _recording_walks(monkeypatch)
     rep = _tensor_ring(name)
     box = rep.datum.dominant_box(_WALK_BOUNDS[name])
-    depths, total = set(), {}
+    depths, total, words = set(), {}, []
     for lam in box:
         for mu in box:
             expected = _walked_product(rep, lam, mu)
             walks, depth = len(ends), _depth(rep, lam, mu)
             assert rep._brauer_klimyk(lam, {mu: 1}) == expected, (lam, mu)
-            assert len(ends) - walks == (0 if depth > 0 else len(rep.weight_table(lam)))
+            assert len(ends) - walks == (0 if depth > 0 else len(_walked(rep, lam, mu)))
+            words += [word for _, _, word in ends[walks:]]
             depths.add((depth > 0) - (depth < 0))
             for nu, c in expected.items():
                 total[nu] = total.get(nu, 0) + (len(box) - box.index(mu)) * c
@@ -406,6 +431,7 @@ def test_brauer_klimyk_equals_the_walk_on_every_pair_of_a_box(monkeypatch, name)
         total.clear()
     # on SL2 every pairing with the simple root is even, so every depth is odd
     assert depths == ({-1, 1} if name == "SL2" else {-1, 0, 1})
+    assert words and all(words)  # no walk of the library starts in the dominant chamber
 
 
 def test_a_deep_mu_makes_no_chamber_walk(monkeypatch):
@@ -416,9 +442,10 @@ def test_a_deep_mu_makes_no_chamber_walk(monkeypatch):
     assert rep.tensor_decompose((1, 1), (2, 2)) == {
         tuple(map(operator.add, (2, 2), tau)): mult for tau, mult in table.items()}
     assert ends == []
-    # (1, 2) has ⟨μ, α_1⟩ + ℓ_1 = 0: a singular μ + τ + ρ, so every weight is walked
+    # (1, 2) has ⟨μ, α_1⟩ + ℓ_1 = 0: a singular μ + τ + ρ drops unwalked, and no weight of the
+    # adjoint has a pairing below −2, so none is walked
     assert rep.tensor_decompose((1, 1), (1, 2)) == shallow
-    assert len(ends) == len(table)
+    assert ends == [] and _walked(rep, (1, 1), (1, 2)) == []
 
 
 def test_non_integer_coweights_are_refused_as_input():
@@ -558,7 +585,7 @@ def test_character_eval_matches_weight_by_weight_sum(name, index, coords):
         product = math.prod(1 - gamma_power(gamma, [-x for x in alpha]) for alpha in coroots)
         simple = fresh_powers(gamma_power(gamma, alpha) for alpha in datum.simple_coroots)
         zero = rep._signed_shifts((0,) * n, [0] * datum.rank)
-        assert Fraction(*_power_sum(zero, simple)) == product
+        assert power_value(zero, simple) == product
         assert (product == 0) == any(gamma_power(gamma, alpha) == 1 for alpha in coroots)
         assert product == 0 or k in (0, 2)
 
@@ -617,7 +644,7 @@ def test_a_regular_lambda_takes_weyl_formula_without_a_weyl_dimension(monkeypatc
     singular = [lam for lam in lams if min(datum.pairing(lam, root) for root in datum.simple_roots) == 0]
     # a singular λ may ask twice: its route, then its weight table's budget
     assert set(calls) == set(singular) and len(singular) < len(lams)
-    weyl_route = [lam for lam in lams[1:] if lam in rep._shifts]  # λ = 0 brings the denominator
+    weyl_route = [lam for lam in lams[1:] if lam in rep._terms]  # the Weyl route keeps λ's terms at γ
     monkeypatch.undo()
     assert lams[0] == (0,) * datum.rank
     assert weyl_route == [lam for lam in lams[1:] if rep.weyl_dim(lam) >= datum.weyl_order]
@@ -625,7 +652,7 @@ def test_a_regular_lambda_takes_weyl_formula_without_a_weyl_dimension(monkeypatc
         assert (1, 0, 0) in lams and (1, 0, 0) not in weyl_route
     for lam, trace in zip(lams, traces):
         powers = fresh_powers(gamma)  # not the lists the ring keeps at γ
-        assert trace == Fraction(*_power_sum(rep.weights_with_multiplicity(lam), powers)), lam
+        assert trace == power_value(rep.weights_with_multiplicity(lam), powers), lam
 
 
 def test_weyl_denominator_is_computed_once_per_point(monkeypatch):
@@ -633,10 +660,13 @@ def test_weyl_denominator_is_computed_once_per_point(monkeypatch):
 
     calls = []
     evaluate = rep_ring._power_sum
+    zero = build_root_datum("SL3").dot_orbit((0, 0))  # the terms of the Weyl denominator
 
     def counted(terms, powers):
-        # a sum in the t_j = γ^{α̌_j} is a Weyl numerator or denominator; one in the γ_i a power
-        calls.append((len(terms), "γ" if powers is rep._powers else "t"))
+        # a sum in the γ_i is a power; one in the t_j = γ^{α̌_j} is the denominator, a numerator
+        # or the step factors of one basis vector
+        terms = tuple(terms)
+        calls.append((len(terms), "γ" if powers is rep._powers else "denominator" if terms == zero else "t"))
         return evaluate(terms, powers)
 
     monkeypatch.setattr(rep_ring, "_power_sum", counted)
@@ -646,12 +676,87 @@ def test_weyl_denominator_is_computed_once_per_point(monkeypatch):
     for point in (gamma, gamma, other, other, gamma):
         for lam in [(1, 1), (2, 1), (3, 0)]:
             rep.character_eval(lam, point)
-    # one denominator whenever the point changes (three times), after the two t_j, and one
-    # numerator per trace at each of the three visits, with its γ^λ; a trace repeated at the
-    # same point is the kept one
-    visit = [(1, "γ"), (1, "γ"), (6, "t")] + [(6, "t"), (1, "γ")] * 3
+    # one denominator whenever the point changes (three times), after the two t_j; at each of
+    # the three visits (1, 1) and (3, 0) take a numerator with its γ^λ, and (2, 1) steps from
+    # (1, 1) by the factors of e_1, built once; a trace repeated at the same point is the kept one
+    visit = [(1, "γ"), (1, "γ"), (6, "denominator"), (6, "t"), (1, "γ"), (6, "t"), (6, "t"), (1, "γ")]
     assert calls == visit * 3
-    assert [n for n, powers in calls if powers == "t"] == [6] * (3 + 9)
+    assert [kind for _, kind in calls].count("denominator") == 3
+
+
+_STEP_DATA = {**{name: name for name in PRESETS}, "A3": A3, "B3": B3, "A1xC2": REDUCIBLE, "SKEWED_SL3": SKEWED_SL3}
+_STEP_BOUNDS = {"G2": 30, "B3": 30, "Sp4": 16, "GL2": 6, "GL3": 4, "A3": 16}
+# three regular points, the second with negative coordinates only
+_STEP_POINTS = ([Fraction(-5, 13), Fraction(11, 7), Fraction(-3, 2)], [-2, Fraction(-1, 3), -5],
+                [Fraction(7, 4), 3, Fraction(2, 9)])
+
+
+@pytest.mark.parametrize("name", sorted(_STEP_DATA))
+def test_stepped_traces_are_those_of_fresh_rings(name):
+    # second route: a fresh ring per trace has no neighbour to step from, so each trace there is
+    # Weyl's formula summed afresh or the table; the kept ring steps wherever a neighbour λ − e_k
+    # was traced at the point, in level order and in a seeded shuffle
+    datum = build_root_datum(_STEP_DATA[name])
+    lams = datum.dominant_box(_STEP_BOUNDS.get(name, 12))
+    shuffled = random.Random(29).sample(lams, len(lams))
+    for values in _STEP_POINTS:
+        gamma = torus_point(values[:datum.lattice_rank], datum)
+        assert all(gamma_power(gamma, alpha) != 1 for alpha, _ in datum.positive_coroots)
+        fresh = {lam: (RepRing(datum).character_eval(lam, gamma), RepRing(datum).dual_character_eval(lam, gamma))
+                 for lam in lams}
+        for order in (lams, shuffled):
+            rep = RepRing(datum)
+            assert {lam: (rep.character_eval(lam, gamma), rep.dual_character_eval(lam, gamma))
+                    for lam in order} == fresh
+            assert rep._steps  # some trace stepped
+
+
+@pytest.mark.parametrize("name", ["SL3", "G2", "GL3", "A1xC2", "B3"])
+def test_a_lambda_with_a_traced_neighbour_sums_nothing(monkeypatch, name):
+    import satake.rep_ring as rep_ring
+
+    datum = build_root_datum(_STEP_DATA[name])
+    rep = RepRing(datum)
+    gamma = torus_point(_STEP_POINTS[0][:datum.lattice_rank], datum)
+    lam, e = datum.two_rho_dual, tuple(int(k == 0) for k in range(datum.lattice_rank))  # 2ρ is regular
+    lams = [datum.dominant(tuple(x + j * y for x, y in zip(lam, e))) for j in range(3)]  # e_1 keeps them so
+    rep.character_eval(lams[0], gamma)
+    rep.character_eval(lams[1], gamma)  # steps by e_1, building its factors once at γ
+    assert set(rep._steps) == {0}
+
+    def refuse(*args):
+        raise AssertionError("a stepped trace walked W or summed powers")
+
+    monkeypatch.setattr(RootDatum, "_dot_walk", refuse)
+    monkeypatch.setattr(rep_ring, "_power_sum", refuse)
+    trace = rep.character_eval(lams[2], gamma)
+    monkeypatch.undo()
+    assert trace == RepRing(datum).character_eval(lams[2], gamma)
+    assert len(rep._terms[lams[2]][0]) == datum.weyl_order
+
+
+@pytest.mark.parametrize("name", ["SL3", "G2", "A3", "GL3"])
+def test_alternating_points_keep_no_term_past_its_point(name):
+    # γ₁, γ₂, γ₁, each regular: a term or a step factor kept at γ₂ that answered at γ₁ would
+    # step from the wrong point and give another trace
+    datum = build_root_datum(_STEP_DATA[name])
+    lams = datum.dominant_box(_STEP_BOUNDS.get(name, 12))
+    first, second = (torus_point(values[:datum.lattice_rank], datum) for values in _STEP_POINTS[:2])
+    rep = RepRing(datum)
+    for gamma in (first, second, first):
+        assert [rep.character_eval(lam, gamma) for lam in lams] == [
+            RepRing(datum).character_eval(lam, gamma) for lam in lams]
+        assert rep._steps and set(rep._terms) <= set(rep._traces)
+
+
+def test_a_singular_point_keeps_no_term_and_takes_the_table():
+    datum = build_root_datum("SL3")
+    rep = RepRing(datum)
+    singular = torus_point([3, Fraction(1, 3)], datum)  # γ^α̌ = 1 at α̌ = (1, 1)
+    lams = datum.dominant_box(12)
+    traces = [rep.character_eval(lam, singular) for lam in lams]
+    assert rep._denominator[1][0] == 0 and rep._terms == {} and rep._steps == {}
+    assert traces == [power_value(rep.weights_with_multiplicity(lam), fresh_powers(singular)) for lam in lams]
 
 
 # negative, unit-numerator and unit-denominator coordinates, mixed within each point
@@ -677,11 +782,11 @@ def test_power_sums_are_gamma_power_summed_weight_by_weight(spec):
         for lam in lams:
             table = rep.weights_with_multiplicity(lam)
             naive = sum((m * gamma_power(gamma, nu) for nu, m in table), Fraction(0))
-            assert Fraction(*_power_sum(table, kept)) == naive, lam
-            assert Fraction(*_power_sum(((lam, 1),), kept)) == gamma_power(gamma, lam), lam
+            assert power_value(table, kept) == naive, lam
+            assert power_value(((lam, 1),), kept) == gamma_power(gamma, lam), lam
             shifts = rep._signed_shifts(lam, datum._simple_pairings(lam))
             weyl = sum((sign * gamma_power(coroots, shift) for shift, sign in shifts), Fraction(0))
-            assert Fraction(*_power_sum(shifts, t)) == weyl, lam
+            assert power_value(shifts, t) == weyl, lam
             assert rep.character_eval(lam, gamma) == naive, lam
 
 
