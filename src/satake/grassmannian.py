@@ -78,7 +78,7 @@ class Grassmannian:
         """
         lam = self.datum.dominant(lam)
         nu = self.datum.coweight(nu)
-        if self.rep.weight_multiplicity(lam, nu) == 0:
+        if self.rep.weight_table(lam).get(nu, 0) == 0:
             return MVBound(True, None, None)
         total = tuple(a + b for a, b in zip(lam, nu))
         bound, odd = divmod(self.datum.pairing_2rho(total), 2)
@@ -135,7 +135,7 @@ class Grassmannian:
             tensor_side = self.rep.tensor_decompose(lam, mu).get(target, 0)
         else:
             tensor_side = 0
-        return tensor_side == self.rep.weight_multiplicity(lam, nu)
+        return tensor_side == self.rep.weight_table(lam).get(nu, 0)
 
     def drinfeld_strata(self, degree_bound: int) -> List[Tuple[Coweight, int]]:
         """Strata of the compactified moduli of unipotent structures, with codimension.

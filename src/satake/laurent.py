@@ -3,7 +3,8 @@
 Exponents and coefficients are ints: the constructor raises TypeError on any other.
 Values are normalized on construction (no stored zero coefficients), so equality is
 structural and the canonical form is unique.  Instances are immutable and hashable and may
-be shared freely between threads.
+be shared freely between threads.  A LaurentPoly equals only a LaurentPoly, so equal values
+hash equal (LaurentPoly.const(3) != 3), and an int scales it from the right: p * 3, never 3 * p.
 
 The half-power variable exists because pairings ⟨λ, ρ̌⟩ are half-integers off
 the coroot lattice; every honest q-power is an even v-power.
@@ -98,11 +99,6 @@ class LaurentPoly:
                 out[e] = out.get(e, 0) + c1 * c2
         return LaurentPoly._from_clean({e: c for e, c in out.items() if c})
 
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self.__mul__(other)
-        return NotImplemented
-
     def shift(self, exp: int) -> "LaurentPoly":
         """Multiply by v^exp."""
         return LaurentPoly._from_clean({e + exp: c for e, c in self._coeffs.items()})
@@ -154,8 +150,6 @@ class LaurentPoly:
         return "LaurentPoly(%r)" % (dict(sorted(self._coeffs.items())),)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            return self._coeffs == ({0: other} if other else {})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         return self._coeffs == other._coeffs

@@ -20,7 +20,7 @@ Fraction.  Weyl's numerator keeps its terms ε(w)·γ^{w(λ+ρ)−ρ} per λ, an
 factors γ^{w e_k}, kept per k, and no sum.  The traces, the powers, the terms, the step factors
 and the Weyl denominator at the last torus point are kept until a call at another point.
 Public methods check their coweights at the door; the private routes behind them
-(_brauer_klimyk, _character, _dual_character) take checked dominant coweights.  The q-side
+(_weights, _brauer_klimyk, _character, _dual_character) take checked dominant coweights.  The q-side
 reads one coin-change table of the q-Kostant partition function per ring: a flat row-major list
 of ints over a box of coroot coordinates, each q-polynomial packed at q = 2^K (exact: no
 coefficient is negative), K one guard bit over the table's largest value at q = 1, and the box
@@ -237,20 +237,13 @@ class RepRing:
             self._full_weights[lam] = tuple(sorted(full.items()))
         return {mu: full[mu] for mu in self._walks[lam]}
 
-    def weight_multiplicity(self, lam, nu) -> int:
-        """dim of the ν-weight space of V^λ, read from the full weight table of V^λ."""
-        lam = self.datum.dominant(lam)
-        nu = self.datum.coweight(nu)
-        return self.weight_table(lam).get(nu, 0)
-
     def weight_table(self, lam) -> Dict[Coweight, int]:
         """The full (Weyl-invariant) weight multiplicity table of V^λ, as a fresh dict."""
-        return dict(self.weights_with_multiplicity(lam))
+        return dict(self._weights(self.datum.dominant(lam)))
 
-    def weights_with_multiplicity(self, lam) -> Tuple[Tuple[Coweight, int], ...]:
-        """The full weight table of V^λ as sorted (ν, multiplicity) pairs, memoized."""
-        lam = self.datum.dominant(lam)
-        if lam not in self._full_weights:
+    def _weights(self, lam: Coweight) -> Tuple[Tuple[Coweight, int], ...]:
+        """The memoized weight table of a checked dominant λ as sorted (ν, multiplicity) pairs."""
+        if lam not in self._full_weights:  # filled by dominant_multiplicity_table
             self.dominant_multiplicity_table(lam)
         return self._full_weights[lam]
 
@@ -291,7 +284,7 @@ class RepRing:
         memo = self._rho_pairings.get(lam)
         if memo is None:
             rows = tuple((tau, tuple(p + 1 for p in datum._simple_pairings(tau)), mult)
-                         for tau, mult in self.weights_with_multiplicity(lam))
+                         for tau, mult in self._weights(lam))
             if min(mult for _, _, mult in rows) <= 0:
                 raise InvariantError("negative tensor multiplicity")
             memo = self._rho_pairings[lam] = rows, tuple(map(min, zip(*(p for _, p, _ in rows))))
@@ -372,8 +365,7 @@ class RepRing:
                 acc, n, d = self._terms[lam] = self._weyl_terms(lam, pairings, t)
                 trace = Fraction(sum(acc) * n * d0, d * n0)
         if trace is None:
-            weights = self._full_weights.get(lam) or self.weights_with_multiplicity(lam)
-            acc, n, d = _power_sum(weights, self._powers)
+            acc, n, d = _power_sum(self._weights(lam), self._powers)
             trace = Fraction(sum(acc) * n, d)
         self._traces[lam] = trace
         return trace

@@ -38,6 +38,30 @@ A3 = cartan_datum([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
 B3 = cartan_datum([[2, -1, 0], [-1, 2, -2], [0, -1, 2]])
 
 
+def weyl_group(d):
+    """W of the datum d as (matrix on Λ, Coxeter length) pairs, by BFS over its simple reflections.
+
+    s_i x = x − ⟨x, α_i⟩ α̌_i is the matrix 1 − α̌_i α_iᵀ, acting by rows; the depth at which w
+    first appears is ℓ(w).  Only d's simple roots and coroots are read, no library code.
+    """
+    n = len(d.simple_coroots[0])
+    identity = tuple(tuple(int(r == c) for c in range(n)) for r in range(n))
+    gens = [tuple(tuple(int(r == c) - coroot[r] * root[c] for c in range(n)) for r in range(n))
+            for root, coroot in zip(d.simple_roots, d.simple_coroots)]
+    lengths, frontier = {identity: 0}, [identity]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for s in gens:
+                sw = tuple(tuple(sum(s[r][k] * w[k][c] for k in range(n)) for c in range(n))
+                           for r in range(n))
+                if sw not in lengths:
+                    lengths[sw] = lengths[w] + 1
+                    nxt.append(sw)
+        frontier = nxt
+    return list(lengths.items())
+
+
 def box_scan(d, pair_bound, coord_bound):
     """Every point of the box |λ_i| ≤ coord_bound that is dominant at level ≤ pair_bound, sorted."""
     found = []

@@ -133,6 +133,22 @@ def test_whittaker_eval_with_q_value(capsys):
     assert lines[3] == "2,7,12,0"  # (21/4) / 9
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("tensor", "--datum", "SL3", "1,x", "1,1"), "cannot parse coweight '1,x'"),
+    (("whittaker-eval", "--datum", "SL3", "--gamma", "2,x"), "cannot parse torus point '2,x'"),
+    (("whittaker-eval", "--datum", "SL3", "--gamma", "2,1/0"), "cannot parse torus point '2,1/0'"),
+    (("whittaker-eval", "--datum", "PGL2", "--gamma", "2", "--q", "nine"), "cannot parse q value 'nine'"),
+    (("whittaker-eval", "--datum", "PGL2", "--gamma", "2", "--q", "1/0"), "cannot parse q value '1/0'"),
+    (("whittaker-eval", "--datum", "PGL2", "--gamma", "2", "--q", "0"), "q must be a positive rational"),
+    (("whittaker-eval", "--datum", "PGL2", "--gamma", "2", "--q=-4"), "q must be a positive rational"),
+], ids=["coweight", "torus-point", "torus-point-zero-denominator", "q-text", "q-zero-denominator",
+        "q-zero", "q-negative"])
+def test_unparsable_or_nonpositive_text_is_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "error: " + message in err
+
+
 def test_whittaker_eval_rejects_non_square_q(capsys):
     code, _, err = run(capsys, "whittaker-eval", "--datum", "PGL2", "--gamma", "2", "--q", "3")
     assert code == 2
@@ -151,6 +167,25 @@ def test_verify_eq2_json_report(capsys):
     records = json.loads(out)
     assert all(record["pass"] for record in records)
     assert records[0].keys() == {"lambda", "mu", "nu", "q", "lhs", "rhs", "pass"}
+
+
+def test_verify_eq2_names_each_failing_triple_with_both_sides(capsys, monkeypatch, corrupted_oracle):
+    # the oracle reads p_{2,0} ← q from a corrupted base change, so λ = 2 fails at ν = 0
+    monkeypatch.setattr(cli, "Rank1Oracle", lambda datum: corrupted_oracle)
+    code, out, err = run(capsys, "verify-eq2", "--datum", "PGL2", "2", "3")
+    assert code == 1 and err == ""
+    assert out.splitlines() == [
+        "FAIL 15/18",
+        "FAIL lambda=2 mu=0 nu=0 q=3: lhs=2/3 rhs=0",
+        "FAIL lambda=2 mu=1 nu=0 q=3: lhs=5/3 rhs=1",
+        "FAIL lambda=2 mu=2 nu=0 q=3: lhs=5/3 rhs=1",
+    ]
+    code, out, _ = run(capsys, "verify-eq2", "--datum", "PGL2", "2", "3", "--format", "json")
+    records = json.loads(out)
+    assert code == 1 and len(records) == 18
+    failing = [r for r in records if r["pass"] is False]
+    assert [(r["lambda"], r["mu"], r["nu"]) for r in failing] == [(2, 0, 0), (2, 1, 0), (2, 2, 0)]
+    assert failing[0] == {"lambda": 2, "mu": 0, "nu": 0, "q": 3, "lhs": "2/3", "rhs": "0", "pass": False}
 
 
 def test_verify_eq2_rejects_composite_field_size(capsys):
@@ -562,6 +597,79 @@ def test_internal_invariant_violation_is_exit_3(capsys, monkeypatch):
     assert "internal invariant" in err
 
 
+def _tampered_datum(monkeypatch, name, **cached):
+    """Every call loads a fresh datum of the preset name whose cached properties are overridden."""
+    def load(spec):
+        datum = build_root_datum(name)
+        datum.__dict__.update(cached)
+        return datum
+
+    monkeypatch.setattr(cli, "_load_datum", load)
+
+
+def _fractional_weyl_dimension(monkeypatch):
+    _tampered_datum(monkeypatch, "SL3", two_rho_dual=(2, 4))
+
+
+def _negated_form(monkeypatch):
+    covectors = build_root_datum("SL3").coroot_covectors
+    _tampered_datum(monkeypatch, "SL3", coroot_covectors=tuple(
+        (alpha, tuple(-x for x in covector)) for alpha, covector in covectors))
+
+
+def _wrong_weyl_order(monkeypatch):
+    _tampered_datum(monkeypatch, "SL3", weyl_order=5)
+
+
+def _zero_weight_once(monkeypatch):
+    # V^(1,1) with its zero weight at multiplicity 1, not 2: every entry positive
+    weights = RepRing._weights
+
+    def tampered(self, lam):
+        table = weights(self, lam)
+        return tuple((tau, 1 if tau == (0, 0) else m) for tau, m in table) if lam == (1, 1) else table
+
+    monkeypatch.setattr(RepRing, "_weights", tampered)
+
+
+def _disagreeing_routes(monkeypatch):
+    from satake.rank1_oracle import Cyclotomic
+
+    monkeypatch.setattr(Cyclotomic, "to_integer", lambda self: self.vec[0] + 1)
+
+
+def _mixed_parities(monkeypatch):
+    from satake.laurent import V
+    from satake.rank1_oracle import Rank1Oracle
+
+    def build(datum):
+        oracle = Rank1Oracle(datum)
+        row = oracle.hecke.satake_row((2,))
+        oracle._rows[2] = {**row, (0,): row[(0,)] + V.shift(-2)}
+        return oracle
+
+    monkeypatch.setattr(cli, "Rank1Oracle", build)
+
+
+@pytest.mark.parametrize("tamper, argv, message", [
+    (_fractional_weyl_dimension, ("weights", "--datum", "SL3", "1,0"),
+     "Weyl dimension of (1, 0) is 128/48"),
+    (_negated_form, ("weights", "--datum", "SL3", "1,1"), "Freudenthal gave -36/18"),
+    (_zero_weight_once, ("verify-cs", "--datum", "SL3", "4", "--gammas", "1"),
+     "negative tensor multiplicity"),
+    (_wrong_weyl_order, ("whittaker-eval", "--datum", "SL3", "--gamma", "2,3", "--cutoff", "4"),
+     "a closure of 6 elements for |W| = 5"),
+    (_disagreeing_routes, ("verify-eq2", "--datum", "PGL2", "2", "3"), "evaluation paths disagree"),
+    (_mixed_parities, ("verify-eq2", "--datum", "PGL2", "2", "3"), "mixes v-parities"),
+], ids=["weyl-dimension", "freudenthal", "walked-product", "weyl-closure", "charsum-routes",
+        "v-parities"])
+def test_a_broken_invariant_behind_a_command_exits_3(capsys, monkeypatch, tamper, argv, message):
+    tamper(monkeypatch)
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("internal invariant violation: ") and message in err
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -617,6 +725,8 @@ def test_verify_cs_refuses_central_torus_before_any_check(capsys, monkeypatch, d
         '{"cartan": [[2]], "coroots": [["2"]], "roots": [[1]]}',
         '{"cartan": [[2, -2], [-2, 2]], "coroots": [[2, -2], [-2, 2]], "roots": [[1, 0], [0, 1]]}',
         '{nope',
+        '{"cartan": [[2]], "coroots": [[2], [1]], "roots": [[1]]}',
+        '{"cartan": [[2]], "coroots": [[2, 0]], "roots": [[1]]}',
     ],
 )
 def test_malformed_datum_file_is_usage_error(tmp_path, capsys, content):

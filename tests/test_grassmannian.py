@@ -7,7 +7,7 @@ from satake import grassmannian
 from satake.grassmannian import Grassmannian
 from satake.hecke import A_BASIS, HeckeAlgebra
 from satake.rep_ring import RepRing
-from satake.root_datum import TooLarge
+from satake.root_datum import InvariantError, TooLarge
 from satake.whittaker import WhittakerModule
 
 from conftest import cartan_datum
@@ -119,7 +119,7 @@ def test_degree_always_equals_frobenius_weight():
     box = g.datum.dominant_box(4)
     for lam in box:
         for mu in box:
-            for nu, _ in g.rep.weights_with_multiplicity(lam):
+            for nu in g.rep.weight_table(lam):
                 target = tuple(a + b for a, b in zip(mu, nu))
                 if not g.datum.is_dominant(target):
                     continue
@@ -138,7 +138,7 @@ def test_prediction_dimension_matches_whittaker_action():
     for lam in box:
         for mu in box:
             acted = module.act(module.phi(mu), algebra.monomial(A_BASIS, lam))
-            for nu, _ in g.rep.weights_with_multiplicity(lam):
+            for nu in g.rep.weight_table(lam):
                 target = tuple(a + b for a, b in zip(mu, nu))
                 if not g.datum.is_dominant(target):
                     continue
@@ -155,7 +155,7 @@ def test_contragredient_multiplicity_symmetry():
     box = datum.dominant_box(4)
     for lam in box:
         for mu in box:
-            for nu, _ in rep.weights_with_multiplicity(lam):
+            for nu in rep.weight_table(lam):
                 target = tuple(a + b for a, b in zip(mu, nu))
                 if not datum.is_dominant(target):
                     continue
@@ -183,6 +183,21 @@ def test_large_mu_identity_enforces_threshold():
     g = make("PGL2")
     with pytest.raises(ValueError, match="large"):
         g.mv_weight_multiplicity_check((4,), (0,), (2,))
+
+
+def test_large_mu_identity_off_the_dominant_cone_is_zero_on_both_sides(monkeypatch):
+    # μ + ν = (−2,) is not dominant: no tensor product is formed, and ν lies outside the hull
+    g = make("PGL2")
+    monkeypatch.setattr(RepRing, "tensor_decompose", lambda *args: pytest.fail("tensor product formed"))
+    assert g.mv_weight_multiplicity_check((2,), (-6,), (4,))
+
+
+def test_an_mv_bound_off_the_coset_raises():
+    # a weight (1,) spliced into the table of V^(2,) is off λ's coset, so ⟨λ+ν, ρ̌⟩ = 3/2
+    g = make("PGL2")
+    g.rep._full_weights[(2,)] = tuple(sorted({**g.rep.weight_table((2,)), (1,): 1}.items()))
+    with pytest.raises(InvariantError, match="1 \\+ 1/2 is not an integer"):
+        g.mv_dim_bound((2,), (1,))
 
 
 def test_vanishing_monotonicity_with_empty_intersection():

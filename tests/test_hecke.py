@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from satake.hecke import A_BASIS, C_BASIS, BasisElement, HeckeAlgebra
+from satake.hecke import A_BASIS, C_BASIS, PHI_BASIS, BasisElement, HeckeAlgebra
 from satake.laurent import LaurentPoly, ONE, ZERO
 from satake.rep_ring import torus_point
 from satake.root_datum import RootDatum
@@ -241,7 +241,7 @@ def test_triangularity_and_polynomial_shape():
                 # a polynomial in q with nonnegative coefficients
                 assert all(e >= 0 and e % 2 == 0 and c > 0 for e, c in p.items())
                 # mass at q = 1 is the weight multiplicity
-                assert p.eval_q(1) == rep.weight_multiplicity(lam, mu)
+                assert p.eval_q(1) == rep.weight_table(lam).get(mu, 0)
 
 
 def test_base_change_commutes_with_multiplication():
@@ -342,6 +342,28 @@ def test_monomial_refuses_a_non_integer_coweight():
         algebra.monomial(A_BASIS, (1.5, 0))
     with pytest.raises(ValueError, match="not an integer"):
         algebra.element(A_BASIS, {(1.0, 0): ONE})
+
+
+def test_an_unknown_basis_tag_is_refused():
+    with pytest.raises(ValueError, match="unknown basis tag 'B'"):
+        BasisElement("B", {(0,): ONE})
+
+
+@pytest.mark.parametrize("method, basis, args, message", [
+    ("satake_to_c", C_BASIS, (), "satake_to_c needs an A-basis element"),
+    ("c_to_satake", A_BASIS, (), "c_to_satake needs a C-basis element"),
+    ("star_involution", C_BASIS, (), "star_involution needs an A-basis element"),
+    ("eval_gamma", PHI_BASIS, ((2,),), "eval_gamma needs an A-basis element"),
+], ids=["satake_to_c", "c_to_satake", "star_involution", "eval_gamma"])
+def test_an_element_of_the_wrong_basis_is_refused(monkeypatch, method, basis, args, message):
+    algebra = HeckeAlgebra("PGL2")
+
+    def no_row(*_):
+        raise AssertionError("a row was read before the basis was checked")
+
+    monkeypatch.setattr(HeckeAlgebra, "satake_row", no_row)
+    with pytest.raises(ValueError, match=message):
+        getattr(algebra, method)(BasisElement(basis, {(2,): ONE}), *args)
 
 
 def test_element_json_round_trip():

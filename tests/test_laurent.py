@@ -55,6 +55,32 @@ def test_eval_q_rejects_odd_powers():
         V.eval_q(3)
 
 
+def test_constant_value_refuses_a_non_constant():
+    assert LaurentPoly.const(4).constant_value() == 4 and ZERO.constant_value() == 0
+    with pytest.raises(ValueError, match="is not constant"):
+        (ONE + V).constant_value()
+
+
+def test_evaluation_at_zero_refuses_a_negative_exponent():
+    assert (ONE + V).eval_v(0) == 1 and (ONE + Q).eval_q(0) == 1
+    with pytest.raises(ZeroDivisionError, match="at v = 0"):
+        LaurentPoly({-1: 1, 0: 1}).eval_v(0)
+    with pytest.raises(ZeroDivisionError, match="at q = 0"):
+        LaurentPoly({-2: 1, 0: 1}).eval_q(0)
+
+
+def test_a_laurent_poly_equals_only_a_laurent_poly():
+    # equal values hash equal, so no int may equal a LaurentPoly: hash(3) is not hash(const(3))
+    three = [LaurentPoly.const(3), LaurentPoly({0: 3, 1: 0}), ONE * 3, (ONE + ONE) + ONE]
+    assert len(set(three)) == 1 and len({hash(p) for p in three}) == 1
+    for n in range(-3, 4):
+        assert LaurentPoly.const(n) != n and n != LaurentPoly.const(n)
+    assert len({LaurentPoly.const(3), 3}) == 2
+    assert ONE * 3 == LaurentPoly.const(3)  # an int scales from the right only
+    with pytest.raises(TypeError):
+        3 * ONE
+
+
 @settings(max_examples=300, deadline=None)
 @given(a=polys, b=polys, c=polys)
 def test_ring_axioms_randomized(a, b, c):

@@ -8,11 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from satake.laurent import LaurentPoly, ONE, VMonomial
+from satake.laurent import LaurentPoly, ONE, V, VMonomial
 from satake.cli import main
 from satake import rank1_oracle
 from satake.rank1_oracle import Cyclotomic, Rank1Oracle, _cell_coordinates, half_power, is_prime
-from satake.root_datum import TooLarge
+from satake.root_datum import InvariantError, TooLarge
 
 
 @pytest.fixture(scope="module")
@@ -176,6 +176,18 @@ def test_lhs_rejects_inadmissible_characters(oracle):
         oracle.eq2_lhs(2, 0, 0, 4)
 
 
+@pytest.mark.parametrize("method, args, message", [
+    ("closed_cell_charsum", (3, 0, -1, 3), r"empty cell \(m = 3, n = 0\)"),
+    ("closed_cell_charsum", (1, 3, -1, 3), r"empty cell \(m = 1, n = 3\)"),
+    ("eq2_lhs", (-2, 0, 0, 3), "orbit label must be nonnegative"),
+    ("eq2_rhs", (2, -3, 2, 3), "inadmissible character"),
+], ids=["cell-off-parity", "cell-outside", "negative-label", "rhs-inadmissible"])
+def test_the_oracle_refuses_an_empty_cell_a_negative_label_and_an_inadmissible_character(
+        oracle, method, args, message):
+    with pytest.raises(ValueError, match=message):
+        getattr(oracle, method)(*args)
+
+
 def test_verify_trivial_battery(oracle):
     report = oracle.verify_eq2(0, [3])
     assert report.all_pass
@@ -208,7 +220,7 @@ def test_absent_coordinate_reduces_to_weighted_point_count(oracle):
     for m in range(5):
         for n in range(-m, m + 1, 2):
             lhs = oracle.eq2_lhs(m, mu, n, q)
-            mult = oracle.rep.weight_multiplicity((m,), (n,))
+            mult = oracle.rep.weight_table((m,)).get((n,), 0)
             eps = 1 if n % 2 else 0
             expected = half_power(mult * Fraction(q) ** ((-n - eps) // 2), bool(eps))
             assert lhs == expected
@@ -263,6 +275,26 @@ def test_corrupted_enumeration_raises_under_optimize():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("raised: evaluation paths disagree"), done.stdout
+
+
+def test_disagreeing_evaluation_routes_raise():
+    # the enumerated sum of cell (2, 0) with its ψ-coordinate live is 0; a tampered memo says 28
+    oracle = Rank1Oracle("PGL2")
+    oracle._closed_sums[(1, True, 3)] = 28
+    with pytest.raises(InvariantError, match=r"evaluation paths disagree on cell \(2,0\): 28 vs 0"):
+        oracle.closed_cell_charsum(2, 0, -1, 3)
+    with pytest.raises(InvariantError, match="evaluation paths disagree"):
+        oracle.verify_eq2(2, [3])
+
+
+def test_an_orbit_integral_of_mixed_v_parities_raises():
+    # every stalk weight of A_2 is an even power of v; adding v^{−1} at the orbit 0 mixes parities
+    oracle = Rank1Oracle("PGL2")
+    row = oracle.hecke.satake_row((2,))
+    oracle._rows[2] = {**row, (0,): row[(0,)] + V.shift(-2)}
+    assert oracle.eq2_lhs(2, 0, 2, 3) == half_power(Fraction(1, 3), False)  # ν = 2 reads orbit 2 only
+    with pytest.raises(InvariantError, match="mixes v-parities"):
+        oracle.eq2_lhs(2, 1, 0, 3)
 
 
 def test_oracle_requires_adjoint_rank1_datum():

@@ -22,7 +22,7 @@ from satake.rep_ring import RepRing, _coin_change, _power_sum, gamma_power, toru
 from satake.root_datum import PRESETS, InvariantError, RootDatum, TooLarge, build_root_datum
 from satake.whittaker import WhittakerModule
 
-from conftest import A3, B3, SKEWED_SL3, box_scan, cartan_datum
+from conftest import A3, B3, SKEWED_SL3, box_scan, cartan_datum, weyl_group
 
 
 def fresh_powers(point):
@@ -39,8 +39,8 @@ def power_value(terms, powers):
 def char_product_decompose(rep, lam, mu):
     """Independent tensor oracle: convolve full weight tables, strip highest weights."""
     prod = {}
-    for t1, m1 in rep.weights_with_multiplicity(lam):
-        for t2, m2 in rep.weights_with_multiplicity(mu):
+    for t1, m1 in rep.weight_table(lam).items():
+        for t2, m2 in rep.weight_table(mu).items():
             key = tuple(a + b for a, b in zip(t1, t2))
             prod[key] = prod.get(key, 0) + m1 * m2
     datum = rep.datum
@@ -54,7 +54,7 @@ def char_product_decompose(rep, lam, mu):
         count = prod[nu]
         assert count > 0
         result[nu] = count
-        for w, m in rep.weights_with_multiplicity(nu):
+        for w, m in rep.weight_table(nu).items():
             prod[w] = prod.get(w, 0) - count * m
     return result
 
@@ -65,19 +65,19 @@ def char_product_decompose(rep, lam, mu):
 def test_sl2_dual_weight_spaces_are_lines():
     rep = RepRing("PGL2")
     for nu in (-2, 0, 2):
-        assert rep.weight_multiplicity((2,), (nu,)) == 1
-    assert rep.weight_multiplicity((2,), (1,)) == 0
-    assert rep.weight_multiplicity((2,), (4,)) == 0
+        assert rep.weight_table((2,)).get((nu,), 0) == 1
+    assert rep.weight_table((2,)).get((1,), 0) == 0
+    assert rep.weight_table((2,)).get((4,), 0) == 0
 
 
 def test_sl3_adjoint_zero_weight_space():
     rep = RepRing("SL3")
-    assert rep.weight_multiplicity((1, 1), (0, 0)) == 2
+    assert rep.weight_table((1, 1)).get((0, 0), 0) == 2
 
 
 def test_sp4_second_fundamental_agrees_across_algorithms():
     rep = RepRing("Sp4")
-    freudenthal = rep.weight_multiplicity((0, 1), (0, 0))
+    freudenthal = rep.weight_table((0, 1)).get((0, 0), 0)
     kostant = _kostant_multiplicity(rep.datum, (0, 1), (0, 0))
     assert freudenthal == kostant == 1
 
@@ -91,10 +91,10 @@ def test_freudenthal_matches_kostant_on_boxes():
         rep = RepRing(spec)
         for lam in rep.datum.dominant_box(bound):
             for _, mu in rep.dominant_weights_below(lam):
-                mult = rep.weight_multiplicity(lam, mu)
+                mult = rep.weight_table(lam).get(mu, 0)
                 assert mult == _kostant_multiplicity(rep.datum, lam, mu)
                 assert rep.lusztig_q_analog(lam, mu).eval_q(1) == mult
-            mass = sum(mult for _, mult in rep.weights_with_multiplicity(lam))
+            mass = sum(rep.weight_table(lam).values())
             assert mass == rep.weyl_dim(lam)
 
 
@@ -128,7 +128,7 @@ def test_full_table_is_the_dominant_table_over_orbits(spec, bound):
     gamma = torus_point([Fraction(2, 3), Fraction(-5, 7), Fraction(3, 11)][: rep.datum.lattice_rank],
                         rep.datum)
     for lam in rep.datum.dominant_box(bound):
-        weights = rep.weights_with_multiplicity(lam)
+        weights = rep.weight_table(lam).items()
         dominant = rep.dominant_multiplicity_table(lam)
         expected = {nu: m for mu, m in dominant.items()
                     for nu in _signed_orbit(spec["roots"], spec["coroots"], mu)}
@@ -160,7 +160,6 @@ def test_tables_need_no_chamber_walk_and_one_orbit_per_dominant_weight(monkeypat
     batch = rep.datum.dominant_box(8)
     orbits.clear()
     for lam in batch + batch[::-1]:
-        rep.weights_with_multiplicity(lam)
         rep.dominant_multiplicity_table(lam)
         rep.weight_table(lam)
     distinct = {mu for lam in batch for _, mu in rep.dominant_weights_below(lam)}
@@ -188,7 +187,7 @@ def test_dominant_weights_below_is_a_filter_of_the_dominant_box(spec, bound):
 def test_weight_multiplicity_requires_dominant_highest_weight():
     rep = RepRing("SL3")
     with pytest.raises(ValueError):
-        rep.weight_multiplicity((-1, 0), (0, 0))
+        rep.weight_table((-1, 0))
 
 
 # -- dimensions ----------------------------------------------------------------
@@ -235,7 +234,6 @@ def test_weight_tables_are_weyl_invariant():
         for _ in range(rng.randint(1, 4)):
             image = datum.reflect(rng.randrange(datum.rank), image)
         assert table[image] == table[nu]
-        assert rep.weight_multiplicity(lam, image) == rep.weight_multiplicity(lam, nu)
 
 
 # -- tensor products ---------------------------------------------------------------
@@ -322,7 +320,7 @@ def test_tensor_dot_walks_of_several_steps_and_singular_weights(monkeypatch, nam
     assert rep.weyl_dim(lam) == rep.weyl_dim(mu)
     assert rep.tensor_decompose(lam, mu) == char_product_decompose(rep, lam, mu)
     walked = _walked(rep, mu, lam)
-    assert len(ends) == len(walked) < len(rep.weights_with_multiplicity(mu))
+    assert len(ends) == len(walked) < len(rep.weight_table(mu))
     assert max(len(word) for _, _, word in ends) >= 2
     assert any(0 in pairings for _, pairings, _ in ends)
     base = rep.datum._simple_pairings(lam)
@@ -377,7 +375,7 @@ def test_a_tampered_weight_table_makes_a_product_negative_and_raises():
 
     module = WhittakerModule(HeckeAlgebra("SL3"))
     rep = module.rep
-    table = rep.weights_with_multiplicity((1, 0))
+    table = rep.weight_table((1, 0)).items()
     rep._full_weights[(1, 0)] = tuple((tau, -m if tau == (1, 0) else m) for tau, m in table)
     with pytest.raises(InvariantError, match="negative tensor multiplicity"):
         rep.tensor_decompose((1, 0), (1, 1))
@@ -385,11 +383,46 @@ def test_a_tampered_weight_table_makes_a_product_negative_and_raises():
         module.eigen_residual(torus_point([2, 3], rep.datum), (1, 0), 4)
 
 
+def test_a_positive_tampered_table_makes_a_walked_product_negative_and_raises():
+    # every multiplicity of the tampered V^(1,1) stays positive, so the table passes its check,
+    # but with the zero weight at 1 instead of 2 the two walks onto (0, 0), each of sign −1, leave
+    # V^(1,1) ⊗ V^(0,0) holding −V^(0,0): refused by the product's own check, also in the residual
+    from satake.whittaker import WhittakerModule
+
+    module = WhittakerModule(HeckeAlgebra("SL3"))
+    rep = module.rep
+    table = rep.weight_table((1, 1))
+    assert table[(0, 0)] == 2
+    rep._full_weights[(1, 1)] = tuple(sorted({**table, (0, 0): 1}.items()))
+    with pytest.raises(InvariantError, match="negative tensor multiplicity"):
+        rep._brauer_klimyk((1, 1), {(0, 0): 1})
+    assert min(mult for _, _, mult in rep._rho_pairings[(1, 1)][0]) == 1
+    with pytest.raises(InvariantError, match="negative tensor multiplicity"):
+        module.eigen_residual(torus_point([2, 3], rep.datum), (1, 1), 4)
+
+
+def test_a_fractional_weyl_dimension_raises():
+    # 2ρ̌ tampered on a fresh datum to (2, 4): Π⟨2λ+2ρ̌, α⟩ / Π⟨2ρ̌, α⟩ = 128/48 at λ = (1, 0)
+    datum = build_root_datum("SL3")
+    datum.__dict__["two_rho_dual"] = (2, 4)
+    with pytest.raises(InvariantError, match="Weyl dimension of \\(1, 0\\) is 128/48"):
+        RepRing(datum).weyl_dim((1, 0))
+
+
+def test_a_freudenthal_step_that_is_not_a_positive_integer_raises():
+    # the form's covectors negated on a fresh datum: Freudenthal's numerator turns negative
+    datum = build_root_datum("SL3")
+    datum.__dict__["coroot_covectors"] = tuple((alpha, tuple(-x for x in covector))
+                                               for alpha, covector in datum.coroot_covectors)
+    with pytest.raises(InvariantError, match="Freudenthal gave -36/18"):
+        RepRing(datum).weight_table((1, 1))
+
+
 def _walked_product(rep, lam, mu):
     """V^λ ⊗ V^μ with every μ + τ walked into the dot chamber: Brauer–Klimyk with no shortcut."""
     datum, out = rep.datum, {}
     base = datum._simple_pairings(mu)
-    for tau, mult in rep.weights_with_multiplicity(lam):
+    for tau, mult in rep.weight_table(lam).items():
         pairings = [p + q + 1 for p, q in zip(base, datum._simple_pairings(tau))]
         nu, pairings, word = datum._chamber_walk(tuple(map(operator.add, mu, tau)), pairings)
         if 0 not in pairings:
@@ -466,7 +499,7 @@ def test_table_budget_bounds_the_weight_table(monkeypatch, spec, bound):
 
     rep = RepRing(spec)
     for lam in rep.datum.dominant_box(bound):
-        size = len(rep.weights_with_multiplicity(lam))  # admitted under the real LIMIT
+        size = len(rep.weight_table(lam))  # admitted under the real LIMIT
         monkeypatch.setattr(root_datum, "LIMIT", size - 1)
         fresh = RepRing(rep.datum)
         with pytest.raises(TooLarge, match="may hold"):
@@ -652,7 +685,7 @@ def test_a_regular_lambda_takes_weyl_formula_without_a_weyl_dimension(monkeypatc
         assert (1, 0, 0) in lams and (1, 0, 0) not in weyl_route
     for lam, trace in zip(lams, traces):
         powers = fresh_powers(gamma)  # not the lists the ring keeps at γ
-        assert trace == power_value(rep.weights_with_multiplicity(lam), powers), lam
+        assert trace == power_value(rep.weight_table(lam).items(), powers), lam
 
 
 def test_weyl_denominator_is_computed_once_per_point(monkeypatch):
@@ -756,7 +789,7 @@ def test_a_singular_point_keeps_no_term_and_takes_the_table():
     lams = datum.dominant_box(12)
     traces = [rep.character_eval(lam, singular) for lam in lams]
     assert rep._denominator[1][0] == 0 and rep._terms == {} and rep._steps == {}
-    assert traces == [power_value(rep.weights_with_multiplicity(lam), fresh_powers(singular)) for lam in lams]
+    assert traces == [power_value(rep.weight_table(lam).items(), fresh_powers(singular)) for lam in lams]
 
 
 # negative, unit-numerator and unit-denominator coordinates, mixed within each point
@@ -780,7 +813,7 @@ def test_power_sums_are_gamma_power_summed_weight_by_weight(spec):
         coroots = [gamma_power(gamma, alpha) for alpha in datum.simple_coroots]
         kept, t = fresh_powers(gamma), fresh_powers(coroots)
         for lam in lams:
-            table = rep.weights_with_multiplicity(lam)
+            table = rep.weight_table(lam).items()
             naive = sum((m * gamma_power(gamma, nu) for nu, m in table), Fraction(0))
             assert power_value(table, kept) == naive, lam
             assert power_value(((lam, 1),), kept) == gamma_power(gamma, lam), lam
@@ -1468,7 +1501,7 @@ def _lusztig_by_weyl_matrices(rep, lam, mu):
     shifted = [2 * x + r for x, r in zip(lam, two_rho)]
     target = [2 * x + r for x, r in zip(mu, two_rho)]
     total = LaurentPoly()
-    for matrix, length in datum.weyl_elements:
+    for matrix, length in weyl_group(datum):
         doubled = [sum(m * x for m, x in zip(row, shifted)) - t for row, t in zip(matrix, target)]
         if all(x % 2 == 0 for x in doubled):
             part = rep.q_kostant_partition(tuple(x // 2 for x in doubled))
@@ -1506,7 +1539,7 @@ def test_lusztig_at_one_is_weight_multiplicity():
         for lam in box:
             for _, mu in rep.dominant_weights_below(lam):
                 analog = rep.lusztig_q_analog(lam, mu)
-                assert analog.eval_q(1) == rep.weight_multiplicity(lam, mu)
+                assert analog.eval_q(1) == rep.weight_table(lam).get(mu, 0)
                 # a polynomial in q with nonnegative coefficients
                 assert all(e >= 0 and e % 2 == 0 and c > 0 for e, c in analog.items())
 
@@ -1543,7 +1576,7 @@ def test_multiplicity_table_is_not_aliased():
     rep = RepRing("PGL2")
     table = rep.dominant_multiplicity_table((4,))
     table[(0,)] = 99
-    assert rep.weight_multiplicity((4,), (0,)) == 1
+    assert rep.weight_table((4,)).get((0,), 0) == 1
 
 
 # -- pinned outputs ------------------------------------------------------------------

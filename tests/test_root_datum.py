@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from satake import root_datum
-from satake.root_datum import PRESETS, TooLarge, _adjugate, _closure, _det, build_root_datum
+from satake.root_datum import (PRESETS, InvariantError, TooLarge, _adjugate, _closure, _det,
+                               build_root_datum)
 
-from conftest import A3, B3, SKEWED_SL3, box_scan, cartan_datum
+from conftest import A3, B3, SKEWED_SL3, box_scan, cartan_datum, weyl_group
 
 # A1 × C2: reducible, with a rank-3 lattice
 REDUCIBLE = cartan_datum([[2, 0, 0], [0, 2, -2], [0, -1, 2]])
@@ -150,7 +151,7 @@ def test_dominant_representative_matches_weyl_group_search(name, coords):
     d = build_root_datum(name)
     lam = tuple(coords[: d.lattice_rank])
     orbit = {tuple(sum(m * x for m, x in zip(row, lam)) for row in matrix)
-             for matrix, _ in d.weyl_elements}
+             for matrix, _ in weyl_group(d)}
     dominant = {v for v in orbit if _is_dominant(d, v)}
     rep = d.dominant_representative(lam)
     assert dominant == {rep.coweight}
@@ -177,8 +178,9 @@ def test_apply_w0():
 def test_apply_w0_is_the_longest_weyl_element():
     for name in PRESETS:
         d = build_root_datum(name)
-        top = max(length for _, length in d.weyl_elements)
-        longest = [m for m, length in d.weyl_elements if length == top]
+        group = weyl_group(d)
+        top = max(length for _, length in group)
+        longest = [m for m, length in group if length == top]
         assert len(longest) == 1
         assert top == len(d.positive_roots)
         (w0,) = longest
@@ -316,6 +318,18 @@ def test_rejects_inconsistent_pairing():
         build_root_datum(
             {"cartan": [[2]], "coroots": [[2]], "roots": [[2]]}  # pairing would be 4
         )
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"cartan": [[2]], "coroots": [[2], [1]], "roots": [[1]]}, "must have matching rank"),
+    ({"cartan": [[2, -1], [-1, 2]], "coroots": [[2, -1]], "roots": [[1, 0]]}, "must have matching rank"),
+    ({"cartan": [[2]], "coroots": [[2, 0]], "roots": [[1]]}, "must have the same length"),
+    ({"cartan": [[2, -1], [-1, 2]], "coroots": [[2, -1], [-1]], "roots": [[1, 0], [0, 1]]},
+     "must have the same length"),
+], ids=["coroots-over-roots", "cartan-over-coroots", "root-short", "coroot-short"])
+def test_build_root_datum_refuses_mismatched_ranks_and_vector_lengths(spec, message):
+    with pytest.raises(ValueError, match=message):
+        build_root_datum(spec)
 
 
 def test_rejects_unknown_preset_and_bad_shapes():
@@ -560,7 +574,7 @@ def test_dot_orbit_is_the_weyl_group_with_its_signs(spec, level):
         two = tuple(2 * x + r for x, r in zip(lam, d.two_rho_dual))
         expected = {d.coroot_coordinates([(sum(m * x for m, x in zip(row, two)) - t) // 2
                                           for row, t in zip(matrix, two)]): (-1) ** length
-                    for matrix, length in d.weyl_elements}
+                    for matrix, length in weyl_group(d)}
         orbit = d.dot_orbit(lam)
         assert orbit[0] == ((0,) * d.rank, 1)
         assert len(orbit) == d.weyl_order and dict(orbit) == expected
@@ -715,6 +729,23 @@ def test_coroot_coordinates_are_the_integer_solutions_over_q(spec):
     # in the span but off the lattice: the SL3 fundamental coweight, and PGL2's generator
     assert build_root_datum("SL3").coroot_coordinates((1, 0)) is None
     assert build_root_datum("PGL2").coroot_coordinates((1,)) is None
+
+
+@pytest.mark.parametrize("spec", sorted(PRESETS) + [REDUCIBLE, A3, B3],
+                         ids=sorted(PRESETS) + ["A1xC2", "A3", "B3"])
+def test_weyl_elements_are_the_bfs_group_of_the_simple_reflections(spec):
+    d = build_root_datum(spec)
+    elements = d.weyl_elements
+    assert list(elements) == sorted(weyl_group(d), key=lambda kv: (kv[1], kv[0]))
+    assert len(elements) == d.weyl_order
+
+
+def test_a_closure_that_is_not_the_weyl_order_raises():
+    # |W| tampered on a fresh datum: the BFS of W closes on its 6 elements, not on 5
+    d = build_root_datum("SL3")
+    d.__dict__["weyl_order"] = 5
+    with pytest.raises(InvariantError, match="a closure of 6 elements for \\|W\\| = 5"):
+        d.dot_orbit((1, 1))
 
 
 def test_weyl_order_formula_does_not_build_the_group():

@@ -87,6 +87,12 @@ def test_act_rejects_mismatched_bases():
         module.act(module.phi_zero(), module.phi_zero())
 
 
+def test_f_transform_refuses_an_element_outside_the_a_basis():
+    _, module = make("PGL2")
+    with pytest.raises(ValueError, match="f_transform needs an A-basis element"):
+        module.f_transform(module.phi_zero())
+
+
 # -- Whittaker values ---------------------------------------------------------------
 
 
