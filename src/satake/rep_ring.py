@@ -1,16 +1,16 @@
 """The representation ring of the dual group over a fixed root datum.
 
-Freudenthal's recursion in the datum's W-invariant form fills the dominant and the full weight
-table of V^λ in one pass (Weyl orbits memoized per ring).  One Brauer–Klimyk core acts by V^λ
-on an integer combination Σ n_μ [V^μ] of dominant μ: the dot action w·x = w(x+ρ) − ρ moves each
-μ + τ, τ a weight of V^λ, into the dominant chamber by the datum's one chamber walk on the
-simple-root pairings of μ+τ+ρ (those of τ+ρ memoized per λ, with their least values ℓ_i), in
-integers on Λ; a deep μ, ⟨μ, α_i⟩ + ℓ_i > 0 for every i, needs no walk: its product is V^λ's
+Demazure's character formula over the datum's reduced word for w₀ fills the full weight table of
+V^λ one root string at a time, and the dominant table is read off it.  One Brauer–Klimyk core
+acts by V^λ on an integer combination Σ n_μ [V^μ] of dominant μ: the dot action w·x = w(x+ρ) − ρ
+moves each μ + τ, τ a weight of V^λ, into the dominant chamber by the datum's one chamber walk
+on the simple-root pairings of μ+τ+ρ (those of τ+ρ memoized per λ, with their least values ℓ_i),
+in integers on Λ; a deep μ, ⟨μ, α_i⟩ + ℓ_i > 0 for every i, needs no walk: its product is V^λ's
 table shifted by μ, and any other μ walks only a μ + τ + ρ with a negative pairing and none 0.
 A tensor product is a combination of one term; the Whittaker residual acts on its whole
-truncation in one pass.  One memo per ring holds the signed shifts of each λ, the
-coroot coordinates of w(λ+ρ) − (λ+ρ) with (−1)^{ℓ(w)}, walked on the datum's BFS tree of W from
-λ's simple-root pairings: the terms of both alternating Weyl sums.  A character is Weyl's
+truncation in one pass.  The signed shifts of λ, the coroot coordinates of w(λ+ρ) − (λ+ρ)
+with (−1)^{ℓ(w)}, are walked on the datum's BFS tree of W from λ's simple-root pairings where a
+sum needs them: the terms of both alternating Weyl sums.  A character is Weyl's
 character formula over them, in t_j = γ^{α̌_j}, where |W| ≤ dim V^λ (for a regular λ without
 weyl_dim: its orbit has |W| weights) and the torus point is regular, and the sum over the
 weight table otherwise.  Each sum is one _power_sum: its terms in integers over one scale, read
@@ -108,7 +108,6 @@ class RepRing:
         # the weight table of V^λ as (τ, the ⟨τ+ρ, α_i⟩ = ⟨τ, α_i⟩ + 1, multiplicity), and the
         # least ⟨τ+ρ, α_i⟩ over τ for each i
         self._rho_pairings: Dict[Coweight, Tuple[Tuple[Tuple[Coweight, Coweight, int], ...], Coweight]] = {}
-        self._orbits: Dict[Coweight, Tuple[Coweight, ...]] = {}
         self._tensor: Dict[Tuple[Coweight, Coweight], Dict[Coweight, int]] = {}
         # the q-Kostant table (box, row-major strides, packed entries, width K: q = 2^K) and
         # the flat offsets of λ's signed shifts
@@ -116,7 +115,6 @@ class RepRing:
         # per dominant λ, each dominant μ ≤ λ ↦ the coroot coordinates of λ − μ, depth-sorted
         self._walks: Dict[Coweight, Dict[Coweight, Coweight]] = {}
         self._offsets: Dict[Coweight, Tuple[Tuple[Coweight, int, int], ...]] = {}
-        self._shifts: Dict[Coweight, Tuple[Tuple[Coweight, int], ...]] = {}
         # the last torus point γ, its traces by dominant λ, the kept powers of each γ_i, (the
         # kept powers of each t_j = γ^{α̌_j}, the Weyl denominator as an (int, int) pair) once
         # Weyl's formula has run at γ, the Weyl terms of each λ it traced as (acc, num, den), and
@@ -189,53 +187,54 @@ class RepRing:
         return [(sum(coords), mu) for mu, coords in self._walks[lam].items()]
 
     def dominant_multiplicity_table(self, lam) -> Dict[Coweight, int]:
-        """Weight multiplicities of V^λ on dominant weights, by Freudenthal recursion.
+        """Weight multiplicities of V^λ on dominant weights, read off the full table in its order.
 
-        The form is the datum's W-invariant (x, y) = Σ_{β>0} ⟨x,β⟩⟨y,β⟩;
-        Freudenthal's formula holds for any W-invariant form that is
-        nondegenerate on the span of the coroots (Humphreys, Lie Algebras, §22.3).
-        The same depth-ordered pass fills the full table: μ's value goes onto its
-        orbit, memoized on the ring (the datum is shared and frozen), so a root-string
-        step μ + kα̌, in the orbit of a dominant weight above μ, is a dict lookup.  Only the full
-        table is kept, and every call reads it at the dominant μ ≤ λ of λ's walk, in walk order.
+        The full table is ch V^λ = D_{i_1} ⋯ D_{i_N} e^λ over the datum's reduced word for w₀
+        (Demazure, Ann. Sci. ÉNS 7, 1974; Andersen, Invent. Math. 79, 1985), each D_i applied one
+        α̌_i-string at a time.  A term c·e^β, n = ⟨β, α_i⟩, adds c at the string's pairings −n, …, n
+        when n ≥ 0, −c at n+2, …, −n−2 when n ≤ −2, and nothing at n = −1: ranges centred on the
+        string's pairing 0 or 1, so one bucket per (string, radius) and one suffix sum per string
+        give the new string, in O(N·entries) work.  Only the full table is kept; InvariantError
+        unless every multiplicity is positive and they sum to weyl_dim(λ).
 
         The guard (require_within) refuses a table before it is started when it could hold over
         LIMIT entries: at most dim V^λ, and at most |W| per dominant μ ≤ λ, whose λ − μ has
         coroot coordinates in the box datum.coroot_bound(λ).  The second bound is worked
         out only when the first is over LIMIT.
         """
-        lam = self.datum.dominant(lam)
-        full = dict(self._full_weights.get(lam, ()))
-        if not full:  # the first call: λ is a weight, so a filled table is never empty
-            datum = self.datum
+        datum = self.datum
+        lam = datum.dominant(lam)
+        if lam not in self._full_weights:
             if (dim := self.weyl_dim(lam)) > root_datum.LIMIT:
                 box = datum.coroot_bound(lam)
                 require_within(orbits := datum.weyl_order * prod(b + 1 for b in box),
                                "the weight table of V^%s may hold %d entries (dim V^λ = %d; |W| = %d "
                                "times the points of the box %s is %d)", lam, min(dim, orbits), dim,
                                datum.weyl_order, box, orbits)
-            two_rho = datum.two_rho_dual
-            for depth, mu in self.dominant_weights_below(lam):
-                numerator = 0
-                for alpha, covector in datum.coroot_covectors:  # (x, α̌) = ⟨x, covector⟩
-                    nu = tuple(m + a for m, a in zip(mu, alpha))
-                    mult = full.get(nu, 0)
-                    while mult:  # weights along a root string are contiguous
-                        numerator += mult * sum(map(operator.mul, nu, covector))
-                        nu = tuple(m + a for m, a in zip(nu, alpha))
-                        mult = full.get(nu, 0)
-                lam_mu_sum = tuple(a + b + r for a, b, r in zip(lam, mu, two_rho))
-                lam_mu_diff = tuple(a - b for a, b in zip(lam, mu))
-                denominator = datum.pairing(lam_mu_sum, datum.form_covector(lam_mu_diff))
-                value, rem = divmod(2 * numerator, denominator) if depth else (1, 0)
-                if rem or value <= 0:
-                    raise InvariantError("Freudenthal gave %d/%d" % (2 * numerator, denominator))
-                orbit = self._orbits.get(mu)
-                if orbit is None:
-                    orbit = self._orbits[mu] = datum.weyl_orbit(mu)
-                full.update(dict.fromkeys(orbit, value))
+            full = {lam: 1}
+            for i in datum._w0_word:
+                root, coroot = datum.simple_roots[i], datum.simple_coroots[i]
+                strings: Dict[Coweight, Dict[int, int]] = {}  # centre ↦ {radius r: coefficient}
+                for beta, c in full.items():
+                    n = sum(map(operator.mul, beta, root))
+                    k = n >> 1  # β = centre + kα̌_i, the centre pairing to ε = n − 2k ∈ {0, 1}
+                    r, c = (k, c) if k >= 0 else (~k - (n & 1), -c)  # c at the positions −r − ε … r
+                    if r >= 0:
+                        centre = tuple(b - k * a for b, a in zip(beta, coroot)) if k else beta
+                        radii = strings.setdefault(centre, {})
+                        radii[r] = radii.get(r, 0) + c
+                full = {}
+                for centre, radii in strings.items():
+                    low, total = -sum(map(operator.mul, centre, root)), 0  # −ε
+                    for r in range(max(radii), -1, -1):  # radii ≥ r cover the positions r and −r − ε
+                        if total := total + radii.get(r, 0):
+                            full[tuple(x + r * a for x, a in zip(centre, coroot))] = total
+                            full[tuple(x + (low - r) * a for x, a in zip(centre, coroot))] = total
+            if (least := min(full.values(), default=0)) <= 0 or sum(full.values()) != dim:
+                raise InvariantError("Demazure's formula gave V^%s multiplicities that sum to %d, the "
+                                     "least %d, for dim V^λ = %d" % (lam, sum(full.values()), least, dim))
             self._full_weights[lam] = tuple(sorted(full.items()))
-        return {mu: full[mu] for mu in self._walks[lam]}
+        return {mu: m for mu, m in self._full_weights[lam] if datum.is_dominant(mu)}
 
     def weight_table(self, lam) -> Dict[Coweight, int]:
         """The full (Weyl-invariant) weight multiplicity table of V^λ, as a fresh dict."""
@@ -313,17 +312,6 @@ class RepRing:
 
     # -- characters ------------------------------------------------------------
 
-    def _signed_shifts(self, lam: Coweight, pairings: Sequence[int]) -> Tuple[Tuple[Coweight, int], ...]:
-        """datum.dot_orbit(λ), memoized per λ: the terms of both alternating Weyl sums.
-
-        Each term is the coroot coordinates of w(λ+ρ) − (λ+ρ) and (−1)^{ℓ(w)}, identity first,
-        walked (datum._dot_walk) from λ's simple-root pairings, which the caller has in hand.
-        """
-        shifts = self._shifts.get(lam)
-        if shifts is None:
-            shifts = self._shifts[lam] = self.datum._dot_walk(pairings)
-        return shifts
-
     def character_eval(self, lam, gamma: TorusPoint) -> Fraction:
         """Tr(γ, V^λ), exact.
 
@@ -358,7 +346,7 @@ class RepRing:
                 t = [Fraction(a * n, d) for (a,), n, d in
                      (_power_sum(((alpha, 1),), self._powers) for alpha in datum.simple_coroots)]
                 t = [([1, x.numerator], [1, x.denominator]) for x in t]
-                acc, n, d = _power_sum(self._signed_shifts((0,) * datum.lattice_rank, [0] * datum.rank), t)
+                acc, n, d = _power_sum(datum._dot_walk([0] * datum.rank), t)
                 self._denominator = (t, (sum(acc) * n, d))
             t, (n0, d0) = self._denominator
             if n0:
@@ -388,7 +376,7 @@ class RepRing:
                     step = self._steps[k] = [f.numerator * (scale // f.denominator) for f in factors], scale
                 acc, n, d = near
                 return list(map(operator.mul, acc, step[0])), n, d * step[1]
-        acc, n, d = _power_sum(self._signed_shifts(lam, pairings), t)
+        acc, n, d = _power_sum(self.datum._dot_walk(pairings), t)
         (g,), gn, h = _power_sum(((lam, 1),), self._powers)
         return acc, n * g * gn, d * h
 
@@ -475,7 +463,7 @@ class RepRing:
 
         The alternating Weyl sum Σ_w (−1)^{ℓ(w)} P_q(w(λ+ρ) − (μ+ρ)) of the q-Kostant partition
         function P_q; its value at q = 1 is the weight multiplicity.  In coroot coordinates the
-        argument is (w(λ+ρ) − (λ+ρ)) + (λ − μ), the first part ≤ 0, a memoized signed shift.
+        argument is (w(λ+ρ) − (λ+ρ)) + (λ − μ), the first part ≤ 0, a signed shift.
         Every q-analog reads λ's memoized walk (dominant_weights_below), built on first use
         after check_row_budget(λ), which brings the coordinates of λ − μ; a dominant μ off the
         walk is ≰ λ or off λ's coset, so every argument is off the cone: 0.  Else each term
@@ -503,7 +491,7 @@ class RepRing:
                 raise InvariantError("λ − %r does not bound the walk of λ = %r" % (deepest, lam))
             if not all(map(operator.le, top, self._box)):
                 self.q_kostant_partition(tuple(map(operator.sub, lam, deepest)))
-            shifts = self._signed_shifts(lam, self.datum._simple_pairings(lam))[1:]  # each need = −shift ≥ 0
+            shifts = self.datum._dot_walk(self.datum._simple_pairings(lam))[1:]  # each need = −shift ≥ 0
             strides = self._strides
             width = max(self._box + tuple(-min(shift) for shift, _ in shifts)).bit_length() + 1
             fields = [1 << (width * j) for j in range(len(strides))]

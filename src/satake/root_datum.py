@@ -12,9 +12,9 @@ matrix or its transpose).  The ρ-shifted orbits in coroot coordinates share one
 W's BFS tree, which each λ walks with one reflection per element.  One walk of the
 dominant cone (_dominant_walk), over the central coordinates and simple-root
 pairings of one square system per datum, yields both dominant_box and
-dominant_count on every datum.  The datum also owns the one
-W-invariant form (x, y) = Σ_{β>0} ⟨x, β⟩⟨y, β⟩ and the one dominance check
-(dominant) that callers use on coweight arguments.  All arithmetic is exact.
+dominant_count on every datum.  The chamber walk from −2ρ spells one reduced word for w₀ per
+datum (_w0_word).  The datum also owns the one dominance check (dominant) that callers use on
+coweight arguments.  All arithmetic is exact.
 Every lattice vector is a tuple of ints; a half-integral vector such as ρ̌ or
 ρ of the dual group is only ever held doubled (two_rho_check, two_rho_dual),
 and callers halve a result after a parity check.  No Fraction appears:
@@ -264,16 +264,22 @@ class RootDatum:
         return DomRep(cur, tuple(word), -1 if len(word) % 2 else 1)
 
     @cached_property
-    def _w0_matrix(self) -> Matrix:
-        """The longest element w₀ as an integer matrix on Λ, without building the Weyl group.
+    def _w0_word(self) -> Tuple[int, ...]:
+        """A reduced word for the longest element w₀, in application order, without building W.
 
         2ρ of the dual group is strictly dominant, so −2ρ is strictly antidominant, and the
         chamber walk from it spells a reduced word for w₀, the unique element carrying it
-        into the dominant chamber.  Column j is that word applied to the j-th basis vector.
+        into the dominant chamber: one walk per datum, of one step per positive root.
         """
-        start, n = tuple(-x for x in self.two_rho_dual), self.lattice_rank
+        start = tuple(-x for x in self.two_rho_dual)
+        return tuple(self._chamber_walk(start, self._simple_pairings(start))[2])
+
+    @cached_property
+    def _w0_matrix(self) -> Matrix:
+        """w₀ as an integer matrix on Λ: column j is _w0_word applied to the j-th basis vector."""
+        n = self.lattice_rank
         columns = [tuple(int(k == j) for k in range(n)) for j in range(n)]
-        for i in self._chamber_walk(start, self._simple_pairings(start))[2]:
+        for i in self._w0_word:
             columns = [self.reflect(i, column) for column in columns]
         return tuple(zip(*columns))
 
@@ -356,26 +362,6 @@ class RootDatum:
             for k, x in enumerate(v):
                 total[k] += x
         return tuple(total)
-
-    @cached_property
-    def _form_matrix(self) -> Matrix:
-        """F = Σ_{β>0} β βᵀ over the positive roots: F[i][j] = Σ_β β_i β_j."""
-        columns = list(zip(*self.positive_roots))
-        return tuple(tuple(_dot(a, b) for b in columns) for a in columns)
-
-    def form_covector(self, x: Sequence) -> Vector:
-        """Σ_{β>0} ⟨x, β⟩ β = F·x: the dual-lattice vector with (x, y) = ⟨y, form_covector(x)⟩.
-
-        (x, y) = Σ_{β>0} ⟨x, β⟩⟨y, β⟩ is a W-invariant symmetric form on Λ ⊗ Q,
-        since W permutes the roots up to sign.  It vanishes on central
-        directions and is positive definite on the span of the coroots.
-        """
-        return tuple(_dot(row, x) for row in self._form_matrix)
-
-    @cached_property
-    def coroot_covectors(self) -> Tuple[Tuple[Vector, Vector], ...]:
-        """(α̌, form_covector(α̌)) for each positive coroot α̌."""
-        return tuple((alpha, self.form_covector(alpha)) for alpha, _ in self.positive_coroots)
 
     @cached_property
     def weyl_elements(self) -> Tuple[Tuple[Matrix, int], ...]:

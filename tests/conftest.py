@@ -62,6 +62,17 @@ def weyl_group(d):
     return list(lengths.items())
 
 
+def invariant_form(d):
+    """(x, y) ↦ Σ_{β>0} ⟨x, β⟩⟨y, β⟩ over d.positive_roots, as one integer matrix F: xᵀ F y.
+
+    W permutes the roots up to sign, so the form is W-invariant; it vanishes on central
+    directions and is positive definite on the span of the coroots.
+    """
+    columns = list(zip(*d.positive_roots))
+    matrix = [[sum(a * b for a, b in zip(u, v)) for v in columns] for u in columns]
+    return lambda x, y: sum(a * sum(f * b for f, b in zip(row, y)) for a, row in zip(x, matrix))
+
+
 def box_scan(d, pair_bound, coord_bound):
     """Every point of the box |λ_i| ≤ coord_bound that is dominant at level ≤ pair_bound, sorted."""
     found = []

@@ -18,7 +18,7 @@ from satake.cli import main
 from satake.hecke import A_BASIS, HeckeAlgebra
 from satake.laurent import LaurentPoly
 from satake.rep_ring import RepRing
-from satake.root_datum import PRESETS, build_root_datum
+from satake.root_datum import PRESETS, RootDatum, build_root_datum
 
 from conftest import SKEWED_SL3
 
@@ -611,10 +611,8 @@ def _fractional_weyl_dimension(monkeypatch):
     _tampered_datum(monkeypatch, "SL3", two_rho_dual=(2, 4))
 
 
-def _negated_form(monkeypatch):
-    covectors = build_root_datum("SL3").coroot_covectors
-    _tampered_datum(monkeypatch, "SL3", coroot_covectors=tuple(
-        (alpha, tuple(-x for x in covector)) for alpha, covector in covectors))
+def _truncated_w0_word(monkeypatch):
+    _tampered_datum(monkeypatch, "SL3", _w0_word=build_root_datum("SL3")._w0_word[:-1])
 
 
 def _wrong_weyl_order(monkeypatch):
@@ -654,14 +652,15 @@ def _mixed_parities(monkeypatch):
 @pytest.mark.parametrize("tamper, argv, message", [
     (_fractional_weyl_dimension, ("weights", "--datum", "SL3", "1,0"),
      "Weyl dimension of (1, 0) is 128/48"),
-    (_negated_form, ("weights", "--datum", "SL3", "1,1"), "Freudenthal gave -36/18"),
+    (_truncated_w0_word, ("weights", "--datum", "SL3", "1,1"),
+     "V^(1, 1) multiplicities that sum to 5, the least 1, for dim V^λ = 8"),
     (_zero_weight_once, ("verify-cs", "--datum", "SL3", "4", "--gammas", "1"),
      "negative tensor multiplicity"),
     (_wrong_weyl_order, ("whittaker-eval", "--datum", "SL3", "--gamma", "2,3", "--cutoff", "4"),
      "a closure of 6 elements for |W| = 5"),
     (_disagreeing_routes, ("verify-eq2", "--datum", "PGL2", "2", "3"), "evaluation paths disagree"),
     (_mixed_parities, ("verify-eq2", "--datum", "PGL2", "2", "3"), "mixes v-parities"),
-], ids=["weyl-dimension", "freudenthal", "walked-product", "weyl-closure", "charsum-routes",
+], ids=["weyl-dimension", "demazure", "walked-product", "weyl-closure", "charsum-routes",
         "v-parities"])
 def test_a_broken_invariant_behind_a_command_exits_3(capsys, monkeypatch, tamper, argv, message):
     tamper(monkeypatch)
@@ -908,12 +907,10 @@ def test_satake_refuses_an_oversized_weyl_group_while_parsing(tmp_path, capsys):
 
 
 def test_weights_and_tensor_refuse_an_oversized_table_while_parsing(tmp_path, capsys, monkeypatch):
-    from satake.rep_ring import RepRing
-
-    def unreachable(self, lam):
+    def unreachable(self):
         raise RuntimeError("a weight table was started before the refusal")
 
-    monkeypatch.setattr(RepRing, "dominant_weights_below", unreachable)
+    monkeypatch.setattr(RootDatum, "_w0_word", property(unreachable))  # every table reads it
     # E7 on Z^7 with the simple coroots as unit vectors, at λ = 2ρ̌: |W| = 2,903,040 alone
     cartan = [[2 * (i == j) for j in range(7)] for i in range(7)]
     for i, j in [(0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 3)]:
@@ -991,6 +988,7 @@ def test_every_subcommand_refuses_an_oversized_input(capsys, monkeypatch, argv, 
                         (grassmannian, "combinations"), (WhittakerModule, "act"),
                         (Rank1Oracle, "verify_eq2"), (rank1_oracle, "is_prime")]:
         monkeypatch.setattr(owner, name, no_work)
+    monkeypatch.setattr(RootDatum, "_w0_word", property(no_work))  # read by every weight table
     start = time.monotonic()
     code, out, err = run(capsys, *argv)
     assert time.monotonic() - start < 1

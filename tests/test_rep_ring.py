@@ -22,7 +22,7 @@ from satake.rep_ring import RepRing, _coin_change, _power_sum, gamma_power, toru
 from satake.root_datum import PRESETS, InvariantError, RootDatum, TooLarge, build_root_datum
 from satake.whittaker import WhittakerModule
 
-from conftest import A3, B3, SKEWED_SL3, box_scan, cartan_datum, weyl_group
+from conftest import A3, B3, SKEWED_SL3, box_scan, cartan_datum, invariant_form, weyl_group
 
 
 def fresh_powers(point):
@@ -77,9 +77,61 @@ def test_sl3_adjoint_zero_weight_space():
 
 def test_sp4_second_fundamental_agrees_across_algorithms():
     rep = RepRing("Sp4")
-    freudenthal = rep.weight_table((0, 1)).get((0, 0), 0)
+    demazure = rep.weight_table((0, 1)).get((0, 0), 0)
     kostant = _kostant_multiplicity(rep.datum, (0, 1), (0, 0))
-    assert freudenthal == kostant == 1
+    assert demazure == kostant == freudenthal_table(rep.datum, (0, 1), {})[(0, 0)] == 1
+
+
+def freudenthal_table(datum, lam, orbits):
+    """The full weight table of V^λ by Freudenthal's recursion, a second route to weight_table.
+
+    (λ+ρ, λ+ρ) − (μ+ρ, μ+ρ) = (λ − μ, λ + μ + 2ρ) times m(μ) is 2 Σ_{α̌>0} Σ_{k≥1} (μ + kα̌, α̌)
+    m(μ + kα̌), in the tests' invariant form (Humphreys, Lie Algebras, §22.3), over the dominant
+    μ ≤ λ by the height of λ − μ.  Those are reached from λ by steps −α̌ through dominant
+    weights (Stembridge, The partial order of dominant weights, 1998), and each value goes onto
+    μ's orbit under the simple reflections, kept in orbits.  Only the datum's simple roots and
+    coroots and its positive roots and coroots are read.
+    """
+    form = invariant_form(datum)
+    coroots = [(alpha, sum(coords)) for alpha, coords in datum.positive_coroots]
+    two_rho = [sum(column) for column in zip(*(alpha for alpha, _ in coroots))]
+    simple = list(zip(datum.simple_roots, datum.simple_coroots))
+
+    def dominant(x):
+        return all(sum(a * b for a, b in zip(x, root)) >= 0 for root, _ in simple)
+
+    depth, stack = {lam: 0}, [lam]
+    while stack:
+        mu = stack.pop()
+        for alpha, height in coroots:
+            nu = tuple(m - a for m, a in zip(mu, alpha))
+            if nu not in depth and dominant(nu):
+                depth[nu] = depth[mu] + height
+                stack.append(nu)
+    table = {}
+    for mu in sorted(depth, key=depth.get):
+        numerator = 0
+        for alpha, _ in coroots:
+            nu = tuple(m + a for m, a in zip(mu, alpha))
+            while table.get(nu):  # a root string through a weight is unbroken
+                numerator += table[nu] * form(nu, alpha)
+                nu = tuple(m + a for m, a in zip(nu, alpha))
+        denominator = form([l - m for l, m in zip(lam, mu)], [l + m + r for l, m, r in zip(lam, mu, two_rho)])
+        value, rem = divmod(2 * numerator, denominator) if depth[mu] else (1, 0)
+        assert rem == 0 and value > 0, (lam, mu, 2 * numerator, denominator)
+        if mu not in orbits:
+            orbit, frontier = {mu}, [mu]
+            while frontier:
+                x = frontier.pop()
+                for root, coroot in simple:
+                    c = sum(a * b for a, b in zip(x, root))
+                    y = tuple(a - c * b for a, b in zip(x, coroot))
+                    if y not in orbit:
+                        orbit.add(y)
+                        frontier.append(y)
+            orbits[mu] = orbit
+        table.update(dict.fromkeys(orbits[mu], value))
+    return table
 
 
 # A1 × C2: reducible, so the invariant form has a separate scale on each factor
@@ -88,14 +140,54 @@ REDUCIBLE = cartan_datum([[2, 0, 0], [0, 2, -2], [0, -1, 2]])
 
 def test_freudenthal_matches_kostant_on_boxes():
     for spec, bound in [("PGL2", 6), ("SL2", 3), ("SL3", 4), ("Sp4", 6), (REDUCIBLE, 10)]:
-        rep = RepRing(spec)
+        rep, orbits = RepRing(spec), {}
         for lam in rep.datum.dominant_box(bound):
+            freudenthal = freudenthal_table(rep.datum, lam, orbits)
+            assert rep.weight_table(lam) == freudenthal
             for _, mu in rep.dominant_weights_below(lam):
                 mult = rep.weight_table(lam).get(mu, 0)
                 assert mult == _kostant_multiplicity(rep.datum, lam, mu)
                 assert rep.lusztig_q_analog(lam, mu).eval_q(1) == mult
             mass = sum(rep.weight_table(lam).values())
             assert mass == rep.weyl_dim(lam)
+
+
+# every dominant λ up to these levels ⟨λ, 2ρ̌⟩, on every type of rank ≤ 4 but A3 and E
+_FREUDENTHAL_LEVELS = [
+    ("PGL2", PRESETS["PGL2"], 40), ("SL3", PRESETS["SL3"], 30), ("Sp4", PRESETS["Sp4"], 30),
+    ("G2", PRESETS["G2"], 40), ("GL3", PRESETS["GL3"], 6), ("B3", B3, 14),
+    ("C3", cartan_datum([[2, -1, 0], [-1, 2, -1], [0, -2, 2]]), 14),
+    ("D4", cartan_datum([[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]), 10),
+    ("F4", cartan_datum([[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]]), 22),
+]
+
+
+def _freudenthal_mismatches(datum, tables):
+    """The λ of tables whose table is not Freudenthal's, one orbit memo over them all."""
+    orbits = {}
+    return [lam for lam, table in tables.items() if table != freudenthal_table(datum, lam, orbits)]
+
+
+@pytest.mark.parametrize("spec, level", [(spec, level) for _, spec, level in _FREUDENTHAL_LEVELS],
+                         ids=[name for name, _, _ in _FREUDENTHAL_LEVELS])
+def test_weight_tables_match_freudenthal(spec, level):
+    rep = RepRing(spec)
+    lams = rep.datum.dominant_box(level)
+    assert len(lams) > 1
+    assert _freudenthal_mismatches(rep.datum, {lam: rep.weight_table(lam) for lam in lams}) == []
+
+
+def test_freudenthal_finds_a_tampered_table():
+    rep = RepRing("G2")
+    lam = (2, 1)
+    table = rep.weight_table(lam)
+    raised = dict(table)
+    raised[(0, 0)] += 1
+    dropped = dict(table)
+    del dropped[next(nu for nu in sorted(dropped) if nu != lam)]
+    assert _freudenthal_mismatches(rep.datum, {lam: table}) == []
+    for tampered in (raised, dropped):
+        assert _freudenthal_mismatches(rep.datum, {lam: tampered}) == [lam]
 
 
 def _signed_orbit(roots, coroots, start):
@@ -123,7 +215,8 @@ _BOX_BOUNDS = {"PGL2": 8, "SL2": 8, "GL2": 6, "SL3": 12, "GL3": 4, "Sp4": 16, "G
 @pytest.mark.parametrize("spec, bound", [(PRESETS[name], _BOX_BOUNDS[name]) for name in sorted(PRESETS)]
                          + [(REDUCIBLE, 10)], ids=sorted(PRESETS) + ["A1xC2"])
 def test_full_table_is_the_dominant_table_over_orbits(spec, bound):
-    # one ring for the whole box, so later tables reuse the orbits of earlier ones
+    # one ring for the whole box; the dominant table is the full table's dominant entries, and
+    # the full table is the dominant one spread over orbits closed here, by simple reflections
     rep = RepRing(spec)
     gamma = torus_point([Fraction(2, 3), Fraction(-5, 7), Fraction(3, 11)][: rep.datum.lattice_rank],
                         rep.datum)
@@ -145,25 +238,26 @@ def test_full_table_is_the_dominant_table_over_orbits(spec, bound):
         assert rep.character_eval(lam, gamma) == character
 
 
-def test_tables_need_no_chamber_walk_and_one_orbit_per_dominant_weight(monkeypatch):
-    walks, orbits = [], []
-    walk, orbit = RootDatum.dominant_representative, RootDatum.weyl_orbit
-    monkeypatch.setattr(RootDatum, "dominant_representative",
-                        lambda self, lam: walks.append(lam) or walk(self, lam))
-    monkeypatch.setattr(RootDatum, "weyl_orbit",
-                        lambda self, lam: orbits.append(tuple(lam)) or orbit(self, lam))
+def test_tables_walk_one_chamber_per_datum_and_no_orbit(monkeypatch):
+    ends = _recording_walks(monkeypatch)
+
+    def refuse(self, lam):
+        raise AssertionError("a table built an orbit or a walk of the dominant weights below λ")
+
+    monkeypatch.setattr(RootDatum, "weyl_orbit", refuse)
+    monkeypatch.setattr(RepRing, "dominant_weights_below", refuse)
     for name, lam in [("SL3", (4, 4)), ("G2", (3, 3)), ("Sp4", (4, 4))]:
-        RepRing(name).dominant_multiplicity_table(lam)
-    assert walks == []
-    # a batch of overlapping tables, each asked for more than once and in both forms
+        datum = build_root_datum(name)
+        RepRing(datum).dominant_multiplicity_table(lam)
+        assert len(ends) == 1 and ends[0][2] == list(datum._w0_word)  # the walk spells w₀'s word
+        ends.clear()
+    # a batch of overlapping tables on one datum, each asked for more than once, in both forms
     rep = RepRing("SL3")
     batch = rep.datum.dominant_box(8)
-    orbits.clear()
     for lam in batch + batch[::-1]:
         rep.dominant_multiplicity_table(lam)
         rep.weight_table(lam)
-    distinct = {mu for lam in batch for _, mu in rep.dominant_weights_below(lam)}
-    assert sorted(orbits) == sorted(distinct)
+    assert len(ends) == 1
 
 
 @pytest.mark.parametrize("spec, bound", [(PRESETS[name], _BOX_BOUNDS[name]) for name in sorted(PRESETS)]
@@ -315,8 +409,9 @@ def _recording_walks(monkeypatch):
 # (dropped unwalked) and off every simple wall (walked onto one)
 @pytest.mark.parametrize("name, lam, mu", [("Sp4", (4, 2), (9, 0)), ("G2", (2, 3), (8, 0))])
 def test_tensor_dot_walks_of_several_steps_and_singular_weights(monkeypatch, name, lam, mu):
-    ends = _recording_walks(monkeypatch)
     rep = RepRing(name)
+    rep.datum._w0_word  # the datum's one walk, which every table reads
+    ends = _recording_walks(monkeypatch)
     assert rep.weyl_dim(lam) == rep.weyl_dim(mu)
     assert rep.tensor_decompose(lam, mu) == char_product_decompose(rep, lam, mu)
     walked = _walked(rep, mu, lam)
@@ -329,11 +424,12 @@ def test_tensor_dot_walks_of_several_steps_and_singular_weights(monkeypatch, nam
 
 
 def test_tensor_decompose_and_dominant_representative_share_one_walk(monkeypatch):
+    rep = RepRing("G2")
+    rep.datum._w0_word  # the datum's one walk, which every table reads
     ends, reps = _recording_walks(monkeypatch), []
     dominant_representative = RootDatum.dominant_representative
     monkeypatch.setattr(RootDatum, "dominant_representative",
                         lambda self, lam: reps.append(lam) or dominant_representative(self, lam))
-    rep = RepRing("G2")
     rep.tensor_decompose((0, 1), (1, 0))  # V^(1,0) the smaller factor; one of its weights walks
     assert reps == []
     walks = len(_walked(rep, (1, 0), (0, 1)))
@@ -409,12 +505,13 @@ def test_a_fractional_weyl_dimension_raises():
         RepRing(datum).weyl_dim((1, 0))
 
 
-def test_a_freudenthal_step_that_is_not_a_positive_integer_raises():
-    # the form's covectors negated on a fresh datum: Freudenthal's numerator turns negative
+def test_a_truncated_w0_word_raises():
+    # w₀'s word without its last letter on a fresh datum: Demazure's formula then gives the
+    # character of a Demazure module, 5 of V^(1, 1)'s 8 dimensions
     datum = build_root_datum("SL3")
-    datum.__dict__["coroot_covectors"] = tuple((alpha, tuple(-x for x in covector))
-                                               for alpha, covector in datum.coroot_covectors)
-    with pytest.raises(InvariantError, match="Freudenthal gave -36/18"):
+    datum.__dict__["_w0_word"] = datum._w0_word[:-1]
+    with pytest.raises(InvariantError, match=r"V\^\(1, 1\) multiplicities that sum to 5, the least 1, "
+                                             "for dim V\\^λ = 8"):
         RepRing(datum).weight_table((1, 1))
 
 
@@ -512,19 +609,20 @@ def test_table_budget_is_checked_before_any_table_is_built(monkeypatch):
     class Started(Exception):
         pass
 
-    def started(self, lam):
-        raise Started(lam)  # the limit admitted λ: its table would be built now
+    def started(self):
+        raise Started()  # the limit admitted λ: its table reads w₀'s word now
 
-    monkeypatch.setattr(RepRing, "dominant_weights_below", started)
+    monkeypatch.setattr(RootDatum, "_w0_word", property(started))
     rep = RepRing("SL3")
     with pytest.raises(TooLarge, match="may hold 6024024 entries"):  # 6 · 1002²
         rep.dominant_multiplicity_table((1001, 1001))
     with pytest.raises(Started):
         rep.dominant_multiplicity_table((100, 100))  # 6 · 101² = 61,206
-    # Brauer–Klimyk reads the table of the smaller factor, (1, 0), not of (1001, 1001)
-    with pytest.raises(Started) as admitted:
+    # Brauer–Klimyk reads the table of the smaller factor, (1, 0): that of (1001, 1001) is
+    # refused above before it reads the word
+    with pytest.raises(Started):
         rep.tensor_decompose((1001, 1001), (1, 0))
-    assert admitted.value.args == ((1, 0),)
+    assert not rep._full_weights and set(rep._dims) == {(1001, 1001), (100, 100), (1, 0)}
     with pytest.raises(TooLarge, match=r"V\^\(1001, 1000\)"):
         rep.tensor_decompose((1001, 1001), (1001, 1000))
 
@@ -617,7 +715,7 @@ def test_character_eval_matches_weight_by_weight_sum(name, index, coords):
         # left side in the values γ^{α̌_j} at the simple coroots
         product = math.prod(1 - gamma_power(gamma, [-x for x in alpha]) for alpha in coroots)
         simple = fresh_powers(gamma_power(gamma, alpha) for alpha in datum.simple_coroots)
-        zero = rep._signed_shifts((0,) * n, [0] * datum.rank)
+        zero = datum.dot_orbit((0,) * n)
         assert power_value(zero, simple) == product
         assert (product == 0) == any(gamma_power(gamma, alpha) == 1 for alpha in coroots)
         assert product == 0 or k in (0, 2)
@@ -652,7 +750,7 @@ def test_a_small_lambda_on_a_large_weyl_group_takes_the_table_route(monkeypatch,
     assert datum.weyl_order == order and len(table) == rep.weyl_dim(lam) < order
     assert set(table.values()) == {1}
     assert rep.character_eval(lam, gamma) == sum(gamma_power(gamma, nu) for nu in table)
-    assert "weyl_elements" not in datum.__dict__ and not rep._shifts
+    assert "weyl_elements" not in datum.__dict__ and "_weyl_tree" not in datum.__dict__
 
 
 @pytest.mark.parametrize("spec, level", [("SL3", 12), ("G2", 30), (REDUCIBLE, 12), (A3, 14), (B3, 30)],
@@ -817,7 +915,7 @@ def test_power_sums_are_gamma_power_summed_weight_by_weight(spec):
             naive = sum((m * gamma_power(gamma, nu) for nu, m in table), Fraction(0))
             assert power_value(table, kept) == naive, lam
             assert power_value(((lam, 1),), kept) == gamma_power(gamma, lam), lam
-            shifts = rep._signed_shifts(lam, datum._simple_pairings(lam))
+            shifts = datum.dot_orbit(lam)
             weyl = sum((sign * gamma_power(coroots, shift) for shift, sign in shifts), Fraction(0))
             assert power_value(shifts, t) == weyl, lam
             assert rep.character_eval(lam, gamma) == naive, lam
@@ -882,11 +980,10 @@ def test_character_eval_reads_the_memoized_weight_table(monkeypatch):
     before += [(rep.character_eval(lam, singular), rep.dual_character_eval(lam, singular))
                for lam in lams]
 
-    def refuse(self, lam):
-        raise AssertionError("character_eval rebuilt a Weyl orbit")
+    def refuse(self):
+        raise AssertionError("character_eval refilled a weight table")
 
-    monkeypatch.setattr(RootDatum, "weyl_orbit", refuse)
-    monkeypatch.setattr(RootDatum, "_dot_walk", refuse)
+    monkeypatch.setattr(RootDatum, "_w0_word", property(refuse))
     after = [(rep.character_eval(lam, point), rep.dual_character_eval(lam, point))
              for point in (gamma, singular) for lam in lams]
     assert after == before
@@ -1237,7 +1334,7 @@ def _q_analog_by_coordinates(rep, lam, mu):
     key, strides = rep._walks[lam][mu], rep._strides
     base = sum(map(operator.mul, key, strides))
     total = rep._table[base]
-    for shift, sign in rep._shifts[lam][1:]:
+    for shift, sign in rep.datum.dot_orbit(lam)[1:]:
         if all(k >= -s for k, s in zip(key, shift)):
             total += sign * rep._table[base + sum(map(operator.mul, shift, strides))]
     return _decode_from_q0(total, rep._width)
@@ -1250,7 +1347,7 @@ def test_the_packed_cone_test_is_the_coordinate_test_on_every_point_of_the_box(n
     walk = [mu for _, mu in rep.dominant_weights_below(lam)]
     values = [rep.lusztig_q_analog(lam, mu) for mu in walk]
     assert rep._walks[lam][walk[-1]] == rep._box  # the deepest key is the box's corner
-    needs = [tuple(-c for c in shift) for shift, _ in rep._shifts[lam][1:]]
+    needs = [tuple(-c for c in shift) for shift, _ in rep.datum.dot_orbit(lam)[1:]]
     assert max(map(max, needs)) > max(rep._box)  # the widest need, not the box, sets the fields
     for refill in (False, True):
         if refill:  # a refill to a box of 31 = 2⁵ − 1 per coordinate, wider than every need

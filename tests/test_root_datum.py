@@ -11,7 +11,7 @@ from satake import root_datum
 from satake.root_datum import (PRESETS, InvariantError, TooLarge, _adjugate, _closure, _det,
                                build_root_datum)
 
-from conftest import A3, B3, SKEWED_SL3, box_scan, cartan_datum, weyl_group
+from conftest import A3, B3, SKEWED_SL3, box_scan, cartan_datum, invariant_form, weyl_group
 
 # A1 × C2: reducible, with a rank-3 lattice
 REDUCIBLE = cartan_datum([[2, 0, 0], [0, 2, -2], [0, -1, 2]])
@@ -453,20 +453,6 @@ def test_dominant_box_walk_equals_the_coordinate_box_scan(spec):
         assert d.dominant_box(pair_bound) == box_scan(d, pair_bound, coord_bound), pair_bound
 
 
-@pytest.mark.parametrize("spec", sorted(PRESETS) + [REDUCIBLE], ids=sorted(PRESETS) + ["A1xC2"])
-def test_form_covector_is_the_sum_over_positive_roots(spec):
-    d = build_root_datum(spec)
-    for x in iter_product(range(-2, 3), repeat=d.lattice_rank):
-        expected = [0] * d.lattice_rank
-        for root in d.positive_roots:
-            c = d.pairing(x, root)
-            expected = [e + c * r for e, r in zip(expected, root)]
-        assert d.form_covector(x) == tuple(expected), x
-    assert d.coroot_covectors == tuple((a, d.form_covector(a)) for a, _ in d.positive_coroots)
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        d.form_covector((0,) * (d.lattice_rank + 1))
-
-
 @pytest.mark.parametrize("spec", sorted(PRESETS) + [REDUCIBLE, SKEWED_SL3, SWAPPED_SL3],
                          ids=sorted(PRESETS) + ["A1xC2", "skewed-SL3", "swapped-SL3"])
 def test_dominant_count_is_the_size_of_the_dominant_box(spec):
@@ -624,14 +610,11 @@ def test_dot_orbit_refuses_a_group_over_the_limit_before_its_closure(monkeypatch
 @given(name=st.sampled_from(sorted(PRESETS)),
        coords=st.lists(st.integers(-20, 20), min_size=6, max_size=6))
 def test_invariant_form_is_weyl_invariant(name, coords):
+    # the form of the tests' Freudenthal recursion, built from d.positive_roots alone
     d = build_root_datum(name)
     n = d.lattice_rank
     x, y = tuple(coords[:n]), tuple(coords[3:3 + n])
-
-    def form(a, b):
-        value = d.pairing(b, d.form_covector(a))
-        assert type(value) is int
-        return value
+    form = invariant_form(d)
 
     assert form(x, y) == form(y, x)
     for i in range(d.rank):
