@@ -10,15 +10,14 @@ The base-change matrix takes the unitriangular form
     A_λ = v^{−⟨λ,2ρ̌⟩} ( c_λ + Σ_{μ<λ} p_{λμ}(q) c_μ ),
     p_{λμ}(q) = q^{⟨λ−μ,ρ̌⟩} · m_λ^q(μ)(q^{-1}),
 
-where m_λ^q is the Lusztig q-analog of the weight multiplicity, one signed sum
-of ints read from the ring's packed q-Kostant table and decoded once per μ of the
-walk below λ, and mapped to the row entry by one LaurentPoly.mirror step; the inverse peels
-the highest term, pairing each coweight with 2ρ̌ once and dropping a cancelled term by a
-comparison.  Three checks pin the q-powers in rank 1 or at q = 1 only (rank-1 closed forms,
-the finite-field character-sum oracle, and the q = 1 mass count), and the oracle test battery
-fails for any other twist.  tests/test_macdonald.py checks the full q-dependence on every
-preset against Macdonald's formula, a route that shares no code with the q-Kostant table or
-the Lusztig q-analogs.
+where m_λ^q is the Lusztig q-analog of the weight multiplicity: per μ of the walk below λ,
+one signed sum of the ring's packed q-Kostant table, its q^k digit decoded straight at
+v^{2·depth − ⟨λ,2ρ̌⟩ − 2k} (depth = ⟨λ−μ,ρ̌⟩).  The inverse peels the highest term, pairing
+each coweight with 2ρ̌ once and dropping a cancelled term by a comparison.  Three checks pin
+the q-powers in rank 1 or at q = 1 only (rank-1 closed forms, the finite-field character-sum
+oracle, and the q = 1 mass count), and the oracle test battery fails for any other twist.
+tests/test_macdonald.py checks the full q-dependence on every preset against Macdonald's
+formula, a route that shares no code with the q-Kostant table or the Lusztig q-analogs.
 """
 
 from __future__ import annotations
@@ -125,22 +124,15 @@ class HeckeAlgebra:
     # -- Satake base change -------------------------------------------------------
 
     def satake_row(self, lam) -> Dict[Coweight, LaurentPoly]:
-        """The c-basis expansion of A_λ as a map μ ↦ coefficient.
+        """The c-basis expansion of A_λ as a map μ ↦ coefficient, memoized per λ.
 
-        The coefficient of c_μ is v^{−⟨λ,2ρ̌⟩} p_{λμ}(q) for dominant μ ≤ λ,
-        with p_{λλ} = 1.  A row that rep.check_row_budget refuses (an oversized Weyl group or
-        q-Kostant table) raises TooLarge before it is started.
+        The coefficient of c_μ is v^{−⟨λ,2ρ̌⟩} p_{λμ}(q) for dominant μ ≤ λ, with p_{λλ} = 1, from
+        rep._satake_entries, which raises TooLarge before any work if rep.check_row_budget refuses λ.
         """
         lam = self.datum.dominant(lam)
-        if lam in self._satake_rows:
-            return dict(self._satake_rows[lam])
-        self.rep.check_row_budget(lam)
-        rep, prefactor = self.rep, -self.datum.pairing_2rho(lam)
-        # v^{−⟨λ,2ρ̌⟩} p(q) = v^{2·depth − ⟨λ,2ρ̌⟩} m^q(q^{-1}): ⟨λ−μ,ρ̌⟩ is the depth
-        row = {mu: (rep.lusztig_q_analog(lam, mu) if depth else ONE).mirror(2 * depth + prefactor)
-               for depth, mu in rep.dominant_weights_below(lam)}
-        self._satake_rows[lam] = row
-        return dict(row)
+        if lam not in self._satake_rows:
+            self._satake_rows[lam] = self.rep._satake_entries(lam)
+        return dict(self._satake_rows[lam])
 
     def satake_to_c(self, h: BasisElement) -> BasisElement:
         if h.basis != A_BASIS:

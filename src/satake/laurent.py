@@ -103,10 +103,6 @@ class LaurentPoly:
         """Multiply by v^exp."""
         return LaurentPoly._from_clean({e + exp: c for e, c in self._coeffs.items()})
 
-    def mirror(self, exp: int) -> "LaurentPoly":
-        """v^exp times the image under v ↦ v^{-1}."""
-        return LaurentPoly._from_clean({exp - e: c for e, c in self._coeffs.items()})
-
     # -- evaluation ----------------------------------------------------------
 
     def eval_v(self, v0) -> Fraction:

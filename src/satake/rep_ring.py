@@ -19,28 +19,25 @@ Fraction.  Weyl's numerator keeps its terms ε(w)·γ^{w(λ+ρ)−ρ} per λ, an
 λ − e_k (e_k a basis vector of Λ) kept them steps from them: |W| integer products with the
 factors γ^{w e_k}, kept per k, and no sum.  The traces, the powers, the terms, the step factors
 and the Weyl denominator at the last torus point are kept until a call at another point.
-Public methods check their coweights at the door; the private routes behind them
-(_weights, _brauer_klimyk, _character, _dual_character) take checked dominant coweights.  The q-side
-reads one coin-change table of the q-Kostant partition function per ring: a flat row-major list
-of ints over a box of coroot coordinates, each q-polynomial packed at q = 2^K (exact: no
-coefficient is negative), K one guard bit over the table's largest value at q = 1, and the box
-doubled on growth.  Each λ's walk of the dominant μ ≤ λ, built once after λ's row budget (its
-last coroot coordinate one interval per branch), keeps the coroot coordinates of each λ − μ,
-and every q-analog reads it: the signed sum of the entries at λ − μ plus one flat offset per
-w ≠ e whose argument passes a one-int cone test, decoded once from its lowest digit, or 0 off
-the walk.  Values are exact.  A weight table or q-Kostant table that could hold more than LIMIT
-entries is refused by root_datum.require_within before it is started.
+Public methods check their coweights at the door; the private routes behind them (_weights,
+_brauer_klimyk, _character, _dual_character, _walk, _satake_entries) take checked dominant
+coweights.  The q-side reads one coin-change table of the q-Kostant partition function per ring: a
+flat row-major list of ints over a box of coroot coordinates, each q-polynomial packed at q = 2^K
+(exact: no coefficient is negative), K one guard bit over the table's largest value at q = 1, and
+the box doubled on growth.  A q-analog m^q_λ(μ) is one signed sum of its entries, decoded once with
+q^k at v^{2k}, or at v^{2·depth − ⟨λ,2ρ̌⟩ − 2k} for λ's Satake row.  Values are exact.  A weight
+or q-Kostant table that could hold over LIMIT entries is refused by root_datum.require_within first.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from itertools import product as iter_product
+from itertools import islice, product as iter_product
 from math import lcm, prod
 from typing import Dict, List, Sequence, Tuple
 
-from .laurent import LaurentPoly, ZERO
+from .laurent import LaurentPoly, ONE, ZERO
 from . import root_datum
 from .root_datum import InvariantError, RootDatum, build_root_datum, require_within
 
@@ -109,10 +106,9 @@ class RepRing:
         # least ⟨τ+ρ, α_i⟩ over τ for each i
         self._rho_pairings: Dict[Coweight, Tuple[Tuple[Tuple[Coweight, Coweight, int], ...], Coweight]] = {}
         self._tensor: Dict[Tuple[Coweight, Coweight], Dict[Coweight, int]] = {}
-        # the q-Kostant table (box, row-major strides, packed entries, width K: q = 2^K) and
-        # the flat offsets of λ's signed shifts
+        # the q-Kostant table (box, row-major strides, packed entries, width K: q = 2^K), and per
+        # dominant λ its _walk and the flat offsets of its signed shifts
         self._box, self._strides, self._table, self._width = (-1,) * self.datum.rank, [], [], 0
-        # per dominant λ, each dominant μ ≤ λ ↦ the coroot coordinates of λ − μ, depth-sorted
         self._walks: Dict[Coweight, Dict[Coweight, Coweight]] = {}
         self._offsets: Dict[Coweight, Tuple[Tuple[Coweight, int, int], ...]] = {}
         # the last torus point γ, its traces by dominant λ, the kept powers of each γ_i, (the
@@ -146,45 +142,45 @@ class RepRing:
         self._dims[lam] = dim
         return dim
 
-    def dominant_weights_below(self, lam) -> List[Tuple[int, Coweight]]:
-        """All dominant μ ≤ λ as (depth, μ), depth-sorted; the depth is the height of λ − μ.
+    def _walk(self, lam: Coweight) -> Dict[Coweight, Coweight]:
+        """Each dominant μ ≤ λ ↦ the coroot coordinates (c_j) of λ − μ, sorted by depth Σ c_j and μ.
 
-        Built one c_j of λ − μ = Σ c_j α̌_j at a time, carrying μ's simple-root pairings p_i; a
-        unit of height on α̌_k, α̌_{k+1}, … lifts a pairing by ≤ lift[k], so dead branches are
-        cut.  The last c_j is one interval: ⟨μ, α_i⟩ = p_i − c_j·C[i][j] ≥ 0 bounds it below
-        where C[i][j] < 0, by ⌊p_j/2⌋ and the height left above, and empties it where a p_i < 0
-        has C[i][j] = 0.  The walk is memoized per λ as μ ↦ (c_j), which every q-analog reads.
+        Built once per λ, one c_j at a time, carrying μ's simple-root pairings p_i; a unit of height
+        on α̌_k, α̌_{k+1}, … lifts a pairing by ≤ lift[k], so a branch no lift can bring back to ≥ 0
+        is cut before it is entered.  The last c_j is one interval: p_i − c_j·C[i][j] ≥ 0 bounds it
+        below where C[i][j] < 0, by ⌊p_j/2⌋ and the height left, and empties it if p_i < 0 = C[i][j].
         """
-        lam = self.datum.dominant(lam)
         if lam not in self._walks:
             datum = self.datum
-            cartan, rank = datum.cartan_matrix, datum.rank
-            max_depth = datum.pairing_2rho(lam) // 2
-            lift = [max([0] + [-x for row in cartan for x in row[k:]]) for k in range(rank + 1)]
-            columns = [[row[j] for row in cartan] for j in range(rank)]
+            cartan, last, max_depth = datum.cartan_matrix, datum.rank - 1, datum.pairing_2rho(lam) // 2
+            lift = [max([0] + [-x for row in cartan for x in row[k:]]) for k in range(last + 2)]
+            columns = [[row[j] for row in cartan] for j in range(last + 1)]
+            below = [(i, -k) for i, k in enumerate(columns[last]) if k < 0]  # the last column's
+            flat = [i for i, k in enumerate(columns[last]) if not k]  # filters, read once
             out = []
 
             def rec(idx: int, remaining: int, vec: List[int], pairings: List[int], coords=()):
-                if min(pairings) + remaining * lift[idx] < 0:
-                    return
                 alpha, column = datum.simple_coroots[idx], columns[idx]
-                if idx == rank - 1:  # each ⟨μ, α_i⟩ = p_i − c·C[i][idx] ≥ 0 cuts one interval of c
-                    lo = max([0] + [-(p // -k) for p, k in zip(pairings, column) if k < 0])
-                    hi = min([remaining, pairings[idx] // 2]
-                             + [-1 for p, k in zip(pairings, column) if not k and p < 0])
-                    out.extend((max_depth - remaining + c, tuple(v - c * a for v, a in zip(vec, alpha)),
-                                coords + (c,)) for c in range(lo, hi + 1))
+                if idx == last:  # each ⟨μ, α_i⟩ = p_i − c·C[i][idx] ≥ 0 cuts one interval of c
+                    lo = max([0] + [-(pairings[i] // k) for i, k in below])
+                    hi = min([remaining, pairings[idx] // 2] + [-1 for i in flat if pairings[i] < 0])
+                    mu, depth = tuple(v - lo * a for v, a in zip(vec, alpha)), max_depth - remaining
+                    for c in range(lo, hi + 1):
+                        out.append((depth + c, mu, coords + (c,)))
+                        mu = tuple(map(operator.sub, mu, alpha))
                     return
                 for c in range(remaining + 1):
                     child = [p - c * k for p, k in zip(pairings, column)]
-                    if child[idx] + (remaining - c) * lift[idx + 1] < 0:
+                    floor = (remaining - c) * lift[idx + 1]
+                    if child[idx] + floor < 0:
                         break  # ⟨μ, α_idx⟩ only falls as c grows
-                    rec(idx + 1, remaining - c, [v - c * a for v, a in zip(vec, alpha)], child,
-                        coords + (c,))
+                    if min(child) + floor >= 0:
+                        rec(idx + 1, remaining - c, [v - c * a for v, a in zip(vec, alpha)], child,
+                            coords + (c,))
 
             rec(0, max_depth, list(lam), [datum.pairing(lam, root) for root in datum.simple_roots])
             self._walks[lam] = {mu: coords for _, mu, coords in sorted(out)}
-        return [(sum(coords), mu) for mu, coords in self._walks[lam].items()]
+        return self._walks[lam]
 
     def dominant_multiplicity_table(self, lam) -> Dict[Coweight, int]:
         """Weight multiplicities of V^λ on dominant weights, read off the full table in its order.
@@ -427,32 +423,28 @@ class RepRing:
         self._table = _coin_change(box, strides, self.datum.positive_coroots, width)
         self._box, self._strides, self._width, self._offsets = box, strides, width, {}
 
-    def _decode(self, packed: int) -> LaurentPoly:
-        """The q-polynomial packed at q = 2^K, as a LaurentPoly in v.
+    def _decode(self, packed: int, origin: int = 0, step: int = 2) -> LaurentPoly:
+        """The q-polynomial packed at q = 2^K as a LaurentPoly in v, q^k at v^{origin + step·k}.
 
         The zero digits below the lowest set bit are skipped in one shift.  A digit in the guard
         bit (a negative int has one) is a negative coefficient, which no q-Kostant value or
         q-analog has (Lusztig 1983; Kato 1982): InvariantError.
         """
         mask, guard, coeffs, width = (1 << self._width) - 1, 1 << (self._width - 1), {}, self._width
-        exp = ((packed & -packed).bit_length() - 1) // width if packed else 0  # zero digits
-        packed, exp = packed >> exp * width, 2 * exp
+        k = ((packed & -packed).bit_length() - 1) // width if packed else 0  # zero digits
+        packed >>= k * width
         while packed:
             digit = packed & mask
             if digit & guard:
-                raise InvariantError("a q-polynomial has a negative coefficient at q^%d" % (exp // 2))
+                raise InvariantError("a q-polynomial has a negative coefficient at q^%d" % k)
             if digit:
-                coeffs[exp] = digit
+                coeffs[origin + step * k] = digit
             packed >>= width
-            exp += 2
+            k += 1
         return LaurentPoly._from_clean(coeffs)
 
     def check_row_budget(self, lam) -> None:
-        """Raise TooLarge, before any work, if λ's Satake row is oversized.
-
-        Its q-analogs sum over the Weyl group, checked first, and read the q-Kostant table at
-        λ − μ for dominant μ ≤ λ and below, all inside the box datum.coroot_bound(λ).
-        """
+        """Raise TooLarge before any work if λ's row is oversized: |W| first, then its box coroot_bound(λ)."""
         self.datum.check_weyl_order()
         box = self.datum.coroot_bound(self.datum.dominant(lam))
         require_within(points := prod(b + 1 for b in box),
@@ -463,49 +455,68 @@ class RepRing:
 
         The alternating Weyl sum Σ_w (−1)^{ℓ(w)} P_q(w(λ+ρ) − (μ+ρ)) of the q-Kostant partition
         function P_q; its value at q = 1 is the weight multiplicity.  In coroot coordinates the
-        argument is (w(λ+ρ) − (λ+ρ)) + (λ − μ), the first part ≤ 0, a signed shift.
-        Every q-analog reads λ's memoized walk (dominant_weights_below), built on first use
-        after check_row_budget(λ), which brings the coordinates of λ − μ; a dominant μ off the
-        walk is ≰ λ or off λ's coset, so every argument is off the cone: 0.  Else each term
-        reads the packed table at a flat offset memoized per λ: one signed sum of ints,
-        decoded once.  A term's argument is on the cone iff λ − μ ≥ need = −shift, tested as
-        ((K | H) − N) & H == H on both packed in fields of F bits, H their top (guard) bits:
-        exact while F − 1 bits hold every box and need coordinate, F derived per λ and refill.
-        A walked λ or μ is read without validation only when all its coordinates are ints.
+        argument is (w(λ+ρ) − (λ+ρ)) + (λ − μ), the first part ≤ 0, a signed shift.  λ's _walk,
+        built after check_row_budget(λ), brings the coordinates of λ − μ; a dominant μ off it is
+        ≰ λ or off λ's coset: 0.  Else each term reads the packed table at a flat offset memoized
+        per λ: one signed sum of ints, decoded once.  A term's argument is on the cone iff
+        λ − μ ≥ need = −shift, tested as ((K | H) − N) & H == H on both packed in fields of F
+        bits, H their top (guard) bits: exact while F − 1 bits hold every box and need coordinate,
+        F derived per λ and refill.  A walked λ or μ of int coordinates is read unvalidated.
         """
         if type(lam) is not tuple or lam not in self._walks or not _INT.issuperset(map(type, lam)):
             lam = self.datum.dominant(lam)
             if lam not in self._walks:
                 self.check_row_budget(lam)
-                self.dominant_weights_below(lam)
+                self._walk(lam)
         walk = self._walks[lam]
         key = walk.get(mu) if type(mu) is tuple and _INT.issuperset(map(type, mu)) else None
         if key is None and (key := walk.get(self.datum.dominant(mu))) is None:
             return ZERO
-        if (offsets := self._offsets.get(lam)) is None:
+        if lam not in self._offsets:
             # a refill drops every λ's offsets, so λ settles its cover here, once: the table must
             # cover λ − (its walk's deepest μ), which lies below every dominant weight of its
             # coset (Stembridge, The partial order of dominant weights, 1998)
             deepest, top = next(reversed(walk.items()))
-            if not all(all(map(operator.le, c, top)) for c in walk.values()):
+            if tuple(map(max, top, *walk.values())) != top:  # top is the coordinatewise maximum
                 raise InvariantError("λ − %r does not bound the walk of λ = %r" % (deepest, lam))
             if not all(map(operator.le, top, self._box)):
                 self.q_kostant_partition(tuple(map(operator.sub, lam, deepest)))
             shifts = self.datum._dot_walk(self.datum._simple_pairings(lam))[1:]  # each need = −shift ≥ 0
-            strides = self._strides
             width = max(self._box + tuple(-min(shift) for shift, _ in shifts)).bit_length() + 1
-            fields = [1 << (width * j) for j in range(len(strides))]
-            offsets = self._offsets[lam] = (fields, sum(fields) << (width - 1), tuple(
-                (-sum(map(operator.mul, shift, fields)), sum(map(operator.mul, shift, strides)), sign)
+            fields = [1 << (width * j) for j in range(len(self._box))]
+            self._offsets[lam] = (fields, sum(fields) << (width - 1), tuple(
+                (-sum(map(operator.mul, shift, fields)), sum(map(operator.mul, shift, self._strides)), sign)
                 for shift, sign in shifts))
-        table, strides, (fields, guard, terms) = self._table, self._strides, offsets
-        base = sum(map(operator.mul, key, strides))
-        guarded = sum(map(operator.mul, key, fields)) | guard
-        total = table[base]
-        for need, offset, sign in terms:
-            if (guarded - need) & guard == guard:
-                total += sign * table[base + offset]
-        return self._decode(total)
+        return self._decode(self._signed_sums(lam, (key,))[0])
+
+    def _signed_sums(self, lam: Coweight, keys) -> List[int]:
+        """Each packed Σ_w (−1)^{ℓ(w)} P_q(shift_w + key) over λ's offsets, key that of a λ − μ."""
+        (fields, guard, terms), table, strides, sums = self._offsets[lam], self._table, self._strides, []
+        for key in keys:
+            base = sum(map(operator.mul, key, strides))
+            guarded = sum(map(operator.mul, key, fields)) | guard
+            total = table[base]
+            for need, offset, sign in terms:
+                if (guarded - need) & guard == guard:
+                    total += sign * table[base + offset]
+            sums.append(total)
+        return sums
+
+    def _satake_entries(self, lam: Coweight) -> Dict[Coweight, LaurentPoly]:
+        """The c-basis row of A_λ, v^{−⟨λ,2ρ̌⟩} p_{λμ}(q) = v^{2·depth − ⟨λ,2ρ̌⟩} m^q_λ(μ)(v⁻²), by μ.
+
+        After check_row_budget(λ) and λ's walk, lusztig_q_analog(λ, λ) settles the table's cover
+        and λ's offsets and reads m_λ(λ), InvariantError unless 1; each other sum is decoded once.
+        """
+        self.check_row_budget(lam)
+        walk = self._walk(lam)  # built here, after the budget, so lusztig_q_analog checks λ no more
+        if (diagonal := self.lusztig_q_analog(lam, lam)) != ONE:
+            raise InvariantError("the q-analog m_λ(λ) of λ = %r is %s, not 1" % (lam, diagonal))
+        level = self.datum.pairing_2rho(lam)
+        row, keys = {lam: LaurentPoly._from_clean({-level: 1})}, list(walk.values())[1:]
+        for mu, key, packed in zip(islice(walk, 1, None), keys, self._signed_sums(lam, keys)):
+            row[mu] = self._decode(packed, 2 * sum(key) - level, -2)
+        return row
 
 
 def _coin_change(box: Coweight, strides: Sequence[int], coroots, width: int) -> List[int]:

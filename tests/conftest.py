@@ -73,6 +73,19 @@ def invariant_form(d):
     return lambda x, y: sum(a * sum(f * b for f, b in zip(row, y)) for a, row in zip(x, matrix))
 
 
+def bar(p):
+    """The image of a LaurentPoly under the substitution v ↦ v⁻¹."""
+    return LaurentPoly({-e: c for e, c in p.items()})
+
+
+def dominant_weights_below(rep, lam):
+    """Each dominant μ ≤ λ as (depth, μ) in the order of λ's memoized walk, RepRing._walk.
+
+    The depth is the height of λ − μ, the sum of the coroot coordinates the walk keeps.
+    """
+    return [(sum(coords), mu) for mu, coords in rep._walk(rep.datum.dominant(lam)).items()]
+
+
 def box_scan(d, pair_bound, coord_bound):
     """Every point of the box |λ_i| ≤ coord_bound that is dominant at level ≤ pair_bound, sorted."""
     found = []

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import operator
 import random
 from fractions import Fraction
 
@@ -8,8 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from satake.hecke import A_BASIS, C_BASIS, PHI_BASIS, BasisElement, HeckeAlgebra
 from satake.laurent import LaurentPoly, ONE, ZERO
-from satake.rep_ring import torus_point
-from satake.root_datum import RootDatum
+from satake.rep_ring import RepRing, torus_point
+from satake.root_datum import InvariantError, RootDatum, build_root_datum
+
+from conftest import bar, dominant_weights_below
 
 
 def rand_a_element(algebra, rng, bound=6, max_terms=3, poly=False):
@@ -344,6 +347,17 @@ def test_monomial_refuses_a_non_integer_coweight():
         algebra.element(A_BASIS, {(1.0, 0): ONE})
 
 
+def test_a_basis_element_equals_only_basis_elements_and_is_false_when_zero():
+    h = BasisElement(A_BASIS, {(2,): LaurentPoly({-1: 2}), (0,): 0})
+    zero = BasisElement(A_BASIS)
+    assert h and not zero and not BasisElement(C_BASIS, {(1,): ZERO})
+    assert h == BasisElement(A_BASIS, {(2,): LaurentPoly({-1: 2})}) != BasisElement(C_BASIS, h.terms)
+    # __eq__ answers NotImplemented for any other type, so the comparison is False both ways
+    for other in (h.terms, {}, 0, None):
+        assert h != other and other != h and zero != other
+    assert repr(h) == "BasisElement(A, {(2,): 2*v^-1})" and repr(zero) == "BasisElement(A, {})"
+
+
 def test_an_unknown_basis_tag_is_refused():
     with pytest.raises(ValueError, match="unknown basis tag 'B'"):
         BasisElement("B", {(0,): ONE})
@@ -417,3 +431,98 @@ def test_satake_rows_match_pinned_digests(name):
         ])
     text = json.dumps(payload, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# -- rows against the public q-analogs -----------------------------------------------
+
+# every dominant λ up to these levels ⟨λ, 2ρ̌⟩ (on GL2 and GL3, those with last coordinate 0)
+ROW_LEVELS = {"PGL2": 60, "SL2": 60, "GL2": 40, "SL3": 30, "GL3": 30, "Sp4": 30, "G2": 40}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_LEVELS))
+def test_satake_rows_are_the_mirrored_q_analogs(name):
+    # A_λ's coefficient at c_μ is v^{−⟨λ,2ρ̌⟩} q^{depth} m^q_λ(μ)(q⁻¹) = v^{2·depth − ⟨λ,2ρ̌⟩} ·
+    # bar(m^q_λ(μ)), bar the tests' own v ↦ v⁻¹ and m^q read from a second ring by the public door
+    datum = build_root_datum(name)
+    lams = [lam for lam in datum.dominant_box(ROW_LEVELS[name])
+            if datum.rank == datum.lattice_rank or lam[-1] == 0]
+    for order in (lams, lams[::-1]):  # ascending, refills at wider K land mid-sweep
+        algebra, reference, widths = HeckeAlgebra(name), RepRing(name), set()
+        for lam in order:
+            level = datum.pairing_2rho(lam)
+            row = algebra.satake_row(lam)
+            widths.add(algebra.rep._width)
+            assert list(row) == [mu for _, mu in dominant_weights_below(reference, lam)], lam
+            for mu, entry in row.items():
+                depth = (level - datum.pairing_2rho(mu)) // 2
+                assert entry == bar(reference.lusztig_q_analog(lam, mu)).shift(2 * depth - level), (lam, mu)
+        if order is lams and datum.rank > 1:  # in rank 1 every P_q(β) is one power of q: K = 2
+            assert len(widths) > 1
+    # v^4 · p(v⁻¹) for p = 1 + 3v²: a row entry at depth 2, v^{2·2 − ⟨λ,2ρ̌⟩} · bar(m), at ⟨λ,2ρ̌⟩ = 0
+    assert bar(LaurentPoly({0: 1, 2: 3})).shift(4) == LaurentPoly({4: 1, 2: 3})
+
+
+def _counting(monkeypatch, counts, owner, name):
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return original(*args, **kwargs)
+    monkeypatch.setattr(owner, name, wrapper)
+
+
+def test_a_computed_row_decodes_each_entry_once_and_a_served_row_nothing(monkeypatch):
+    counts = dict.fromkeys(["_decode", "lusztig_q_analog", "q_kostant_partition", "_walk"], 0)
+    for name in counts:
+        _counting(monkeypatch, counts, RepRing, name)
+    algebra = HeckeAlgebra("G2")
+    # a cold ring: the diagonal's q-analog grows the table once, through q_kostant_partition,
+    # whose own decode nobody reads; then a row that the table covers, and one served
+    for lam, growth in [((6, 5), 1), ((4, 4), 0), ((6, 5), None)]:
+        row = algebra.satake_row(lam)
+        if growth is None:
+            assert counts == dict.fromkeys(counts, 0)
+        else:
+            assert counts == {"_decode": len(row) + growth, "lusztig_q_analog": 1,
+                              "q_kostant_partition": growth, "_walk": 1}, lam
+        counts.update(dict.fromkeys(counts, 0))
+    monkeypatch.undo()
+    assert algebra.satake_row((4, 4)) == HeckeAlgebra("G2").satake_row((4, 4))
+
+
+@pytest.mark.parametrize("name, lam", [("SL3", (6, 3)), ("GL3", (9, 3, 0)), ("Sp4", (4, 3)), ("G2", (3, 3))])
+def test_a_tampered_table_digit_changes_exactly_the_row_entries_that_read_it(name, lam):
+    algebra = HeckeAlgebra(name)
+    rep, datum = algebra.rep, algebra.datum
+    row, level = algebra.satake_row(lam), datum.pairing_2rho(lam)
+    # the entry at μ reads P_q at w(λ+ρ) − (μ+ρ) = (λ − μ) + (w(λ+ρ) − (λ+ρ)) with the sign
+    # (−1)^{ℓ(w)}, for each w where those coroot coordinates are ≥ 0
+    readers = {}
+    for mu in row:
+        key = datum.coroot_coordinates(tuple(map(operator.sub, lam, mu)))
+        for shift, sign in datum.dot_orbit(lam):
+            if min(point := tuple(map(operator.add, key, shift))) >= 0:
+                readers.setdefault(point, {})[mu] = sign
+    assert len(readers) > len(row)  # some entry reads a point through a w ≠ e
+    one = 1 << rep._width  # one more q¹ in P_q(point)
+    for point, signs in readers.items():
+        index = sum(map(operator.mul, point, rep._strides))
+        sign = next(iter(signs.values()))
+        if set(signs.values()) != {sign}:
+            continue  # each reader gains sign·q¹ only when all read the point with one sign
+        rep._table[index] += sign * one
+        try:
+            if not any(point):  # P_q(0) = 1 is the diagonal's m_λ(λ), read by λ alone
+                assert list(signs) == [lam]
+                with pytest.raises(InvariantError, match="not 1"):
+                    rep._satake_entries(lam)
+                continue
+            tampered = rep._satake_entries(lam)
+        finally:
+            rep._table[index] -= sign * one
+        changed = {mu for mu in row if tampered[mu] != row[mu]}
+        assert changed == set(signs), point
+        for mu in changed:  # m gains q¹: the entry gains v^{2·depth − ⟨λ,2ρ̌⟩ − 2}
+            depth = (level - datum.pairing_2rho(mu)) // 2
+            assert tampered[mu] - row[mu] == LaurentPoly({2 * depth - level - 2: 1}), (point, mu)
+    assert rep._satake_entries(lam) == row

@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from satake.laurent import LaurentPoly, ONE, Q, V, VMonomial, ZERO, as_poly
 
+from conftest import bar
+
 # up to four terms, zero coefficients included, so normalization is exercised too
 polys = st.dictionaries(st.integers(-5, 5), st.integers(-9, 9), max_size=4).map(LaurentPoly)
 nonzero_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool)
@@ -106,10 +108,8 @@ def test_evaluation_is_ring_homomorphism(a, b, v0):
 def test_shift_and_inverse_substitution():
     p = LaurentPoly({0: 1, 2: 3})
     assert p.shift(-2) == LaurentPoly({-2: 1, 0: 3})
-    assert p.mirror(0) == LaurentPoly({0: 1, -2: 3})
-    assert p.mirror(0).mirror(0) == p
-    # v^4 · p(v^{-1}) = v^4 + 3v^2: the Satake row's step from m(q) to q^2 · m(q^{-1})
-    assert p.mirror(4) == LaurentPoly({4: 1, 2: 3}) == p.mirror(0).shift(4)
+    assert bar(p) == LaurentPoly({0: 1, -2: 3})
+    assert bar(bar(p)) == p
 
 
 @settings(max_examples=200, deadline=None)
@@ -122,18 +122,16 @@ def test_shift_is_multiplication_by_a_v_power(p, a, b):
 @settings(max_examples=200, deadline=None)
 @given(a=polys, b=polys, v0=nonzero_rationals, k=st.integers(-6, 6))
 def test_inverse_substitution_is_an_involutive_ring_automorphism(a, b, v0, k):
-    def bar(p):
-        return p.mirror(0)
-
+    # bar is the tests' own v ↦ v⁻¹, the reference for the Satake row's exponents
     assert bar(a + b) == bar(a) + bar(b)
     assert bar(a * b) == bar(a) * bar(b)
     assert bar(ONE) == ONE
     assert bar(bar(a)) == a
     assert bar(a).eval_v(v0) == a.eval_v(1 / v0)
-    # mirror(k) is the substitution followed by a shift, and is an involution too
-    assert a.mirror(k) == bar(a).shift(k) == bar(a.shift(-k))
-    assert a.mirror(k).mirror(k) == a
-    assert a.mirror(k).eval_v(v0) == v0 ** k * a.eval_v(1 / v0)
+    # the substitution followed by a shift by k is an involution too
+    assert bar(a).shift(k) == bar(a.shift(-k))
+    assert bar(bar(a).shift(k)).shift(k) == a
+    assert bar(a).shift(k).eval_v(v0) == v0 ** k * a.eval_v(1 / v0)
 
 
 # products whose terms cancel: (1 + v)(1 − v) = 1 − v², (v − v⁻¹)(v + v⁻¹) = v² − v⁻²
@@ -183,6 +181,27 @@ def test_canonical_string_is_ascending():
     assert str(p) == "v^-1 + 2 - 3*v^2"
     assert str(ZERO) == "0"
     assert str(LaurentPoly({1: -1})) == "-v"
+
+
+def test_a_laurent_poly_adds_only_laurent_polys_and_scales_only_by_ints():
+    # the operators answer NotImplemented, so the other operand's reflected method is asked and
+    # refuses too: an int is not a constant LaurentPoly, and a Fraction is not a coefficient
+    p = LaurentPoly({3: 1, -1: 2})
+    for other in (1, Fraction(1, 2), "v"):
+        with pytest.raises(TypeError):
+            p + other
+        with pytest.raises(TypeError):
+            p - other
+    for other in (Fraction(1, 2), 0.5, "v"):
+        with pytest.raises(TypeError):
+            p * other
+    assert p * 2 == p + p and p * LaurentPoly.const(2) == p + p
+
+
+def test_repr_rebuilds_the_value():
+    p = LaurentPoly({3: 1, -1: 2, 0: 0})
+    assert repr(p) == "LaurentPoly({-1: 2, 3: 1})" and repr(ZERO) == "LaurentPoly({})"
+    assert eval(repr(p)) == p
 
 
 def test_normalization_drops_zero_coefficients():

@@ -22,7 +22,8 @@ from satake.rep_ring import RepRing, _coin_change, _power_sum, gamma_power, toru
 from satake.root_datum import PRESETS, InvariantError, RootDatum, TooLarge, build_root_datum
 from satake.whittaker import WhittakerModule
 
-from conftest import A3, B3, SKEWED_SL3, box_scan, cartan_datum, invariant_form, weyl_group
+from conftest import (A3, B3, SKEWED_SL3, box_scan, cartan_datum, dominant_weights_below, invariant_form,
+                      weyl_group)
 
 
 def fresh_powers(point):
@@ -144,7 +145,7 @@ def test_freudenthal_matches_kostant_on_boxes():
         for lam in rep.datum.dominant_box(bound):
             freudenthal = freudenthal_table(rep.datum, lam, orbits)
             assert rep.weight_table(lam) == freudenthal
-            for _, mu in rep.dominant_weights_below(lam):
+            for _, mu in dominant_weights_below(rep, lam):
                 mult = rep.weight_table(lam).get(mu, 0)
                 assert mult == _kostant_multiplicity(rep.datum, lam, mu)
                 assert rep.lusztig_q_analog(lam, mu).eval_q(1) == mult
@@ -245,7 +246,7 @@ def test_tables_walk_one_chamber_per_datum_and_no_orbit(monkeypatch):
         raise AssertionError("a table built an orbit or a walk of the dominant weights below λ")
 
     monkeypatch.setattr(RootDatum, "weyl_orbit", refuse)
-    monkeypatch.setattr(RepRing, "dominant_weights_below", refuse)
+    monkeypatch.setattr(RepRing, "_walk", refuse)
     for name, lam in [("SL3", (4, 4)), ("G2", (3, 3)), ("Sp4", (4, 4))]:
         datum = build_root_datum(name)
         RepRing(datum).dominant_multiplicity_table(lam)
@@ -275,7 +276,7 @@ def test_dominant_weights_below_is_a_filter_of_the_dominant_box(spec, bound):
         box = box_scan(datum, level, level + max(map(abs, lam)))
         expected = sorted(((level - datum.pairing_2rho(mu)) // 2, mu)
                           for mu in box if datum.dominance_leq(mu, lam))
-        assert rep.dominant_weights_below(lam) == expected, lam
+        assert dominant_weights_below(rep, lam) == expected, lam
 
 
 def test_weight_multiplicity_requires_dominant_highest_weight():
@@ -1180,7 +1181,7 @@ def _q_side(rep, queries):
 def test_packed_table_values_do_not_depend_on_the_order_of_queries(name):
     datum = build_root_datum(name)
     lams = box_scan(datum, 14, 4)
-    queries = [(lam, mu) for lam in lams for _, mu in RepRing(name).dominant_weights_below(lam)]
+    queries = [(lam, mu) for lam in lams for _, mu in dominant_weights_below(RepRing(name), lam)]
     cold = [_q_side(RepRing(name), [query])[0] for query in queries]
     assert _q_side(RepRing(name), queries) == cold
     assert _q_side(RepRing(name), queries[::-1]) == cold[::-1]
@@ -1249,7 +1250,7 @@ def test_q_analog_of_a_walked_row_matches_the_validated_route(name):
     box = box_scan(datum, 20, 3)
     for lam in box:
         before = {mu: rep.lusztig_q_analog(list(lam), list(mu)) for mu in box}  # no walk yet
-        walked = [mu for _, mu in rep.dominant_weights_below(lam)]
+        walked = [mu for _, mu in dominant_weights_below(rep, lam)]
         for mu, value in before.items():
             assert rep.lusztig_q_analog(lam, mu) == value, (lam, mu)
             assert rep.lusztig_q_analog(list(lam), list(mu)) == value, (lam, mu)
@@ -1262,7 +1263,7 @@ def test_q_analog_refuses_bad_weights_before_and_after_the_walk():
     lam = (2, 2)
     for walked in (False, True):
         if walked:
-            rep.dominant_weights_below(lam)
+            dominant_weights_below(rep, lam)
         for bad_lam, bad_mu in [((2, 2), (3, -1)), ((2, 2), [3, -1]), ((3, -1), (0, 0)),
                                 ([3, -1], (0, 0)), ((2, 2), (0, 0, 0)), ((2, 2, 0), (0, 0)),
                                 ((2, 2), (0,)), ((2, 2), 0)]:
@@ -1279,10 +1280,10 @@ def test_a_warm_walk_refuses_a_float_or_bool_coordinate(name):
     # ring refuses them as RootDatum.coweight, and a cold ring, do
     datum = build_root_datum(name)
     lam, mu = next((lam, mu) for lam in reversed(datum.dominant_box(6))
-                   for _, mu in RepRing(name).dominant_weights_below(lam)
+                   for _, mu in dominant_weights_below(RepRing(name), lam)
                    if mu != lam and set(mu) <= {0, 1})
     warm = RepRing(name)
-    warm.dominant_weights_below(lam)
+    dominant_weights_below(warm, lam)
     assert warm.lusztig_q_analog(lam, mu)
     for bad_lam, bad_mu in [((float(lam[0]),) + lam[1:], mu), (lam, (float(mu[0]),) + mu[1:]),
                             (lam, tuple(map(bool, mu)))]:
@@ -1298,7 +1299,7 @@ def test_a_warm_walk_refuses_a_float_under_python_O():
         "import sys",
         "from satake.rep_ring import RepRing",
         "rep = RepRing('SL3')",
-        "rep.dominant_weights_below((2, 2))",
+        "rep._walk((2, 2))",
         "print('optimize', sys.flags.optimize)",
         "for lam, mu in [((2.0, 2), (0, 0)), ((2, 2), (0.0, 0)), ((2, 2), (True, True))]:",
         "    try:",
@@ -1344,7 +1345,7 @@ def _q_analog_by_coordinates(rep, lam, mu):
 def test_the_packed_cone_test_is_the_coordinate_test_on_every_point_of_the_box(name):
     rep = RepRing(name)
     lam = box_scan(rep.datum, 12, 4)[-1]
-    walk = [mu for _, mu in rep.dominant_weights_below(lam)]
+    walk = [mu for _, mu in dominant_weights_below(rep, lam)]
     values = [rep.lusztig_q_analog(lam, mu) for mu in walk]
     assert rep._walks[lam][walk[-1]] == rep._box  # the deepest key is the box's corner
     needs = [tuple(-c for c in shift) for shift, _ in rep.datum.dot_orbit(lam)[1:]]
@@ -1385,9 +1386,10 @@ def test_the_decode_from_the_lowest_digit_is_the_decode_from_q0():
 def test_q_analog_of_a_walked_row_needs_no_validation_and_one_decode(monkeypatch):
     rep = RepRing("G2")
     lam = (6, 5)
-    row = [mu for _, mu in rep.dominant_weights_below(lam)]
+    row = [mu for _, mu in dominant_weights_below(rep, lam)]
     rep.lusztig_q_analog(lam, row[-1])  # the one growth of the table for λ
-    counts = {"dominant": 0, "coroot_coordinates": 0, "_decode": 0, "q_kostant_partition": 0}
+    counts = dict.fromkeys(["dominant", "coroot_coordinates", "_decode", "q_kostant_partition",
+                            "lusztig_q_analog"], 0)
 
     def counting(owner, name):
         original = getattr(owner, name)
@@ -1398,14 +1400,22 @@ def test_q_analog_of_a_walked_row_needs_no_validation_and_one_decode(monkeypatch
         monkeypatch.setattr(owner, name, wrapper)
 
     for owner, name in [(RootDatum, "dominant"), (RootDatum, "coroot_coordinates"),
-                        (RepRing, "_decode"), (RepRing, "q_kostant_partition")]:
+                        (RepRing, "_decode"), (RepRing, "q_kostant_partition"),
+                        (RepRing, "lusztig_q_analog")]:
         counting(owner, name)
     values = [rep.lusztig_q_analog(lam, mu) for mu in row]
     assert counts == {"dominant": 0, "coroot_coordinates": 0, "_decode": len(row),
-                      "q_kostant_partition": 0}
+                      "q_kostant_partition": 0, "lusztig_q_analog": len(row)}
+    # the Satake row reads the same walk and offsets: one dominant check, the row budget's, the
+    # diagonal through the door, and one decode for each other entry
+    counts.update(dict.fromkeys(counts, 0))
+    entries = rep._satake_entries(lam)
+    assert counts == {"dominant": 1, "coroot_coordinates": 0, "_decode": len(row),
+                      "q_kostant_partition": 0, "lusztig_q_analog": 1}
     monkeypatch.undo()
     cold = RepRing("G2")
     assert values == [cold.lusztig_q_analog(list(lam), list(mu)) for mu in row]
+    assert list(entries) == row
 
 
 @pytest.mark.parametrize("name", ["SL3", "Sp4", "G2"])
@@ -1413,7 +1423,7 @@ def test_q_analogs_of_rows_in_descending_order_match_a_cold_ring(name):
     rep = RepRing(name)
     datum = rep.datum
     lams = sorted(datum.dominant_box(24), key=lambda lam: (-datum.pairing_2rho(lam), lam))
-    queries = [(lam, mu) for lam in lams for _, mu in rep.dominant_weights_below(lam)]
+    queries = [(lam, mu) for lam in lams for _, mu in dominant_weights_below(rep, lam)]
     cold = [RepRing(name).lusztig_q_analog(lam, mu) for lam, mu in queries]
     assert [rep.lusztig_q_analog(lam, mu) for lam, mu in queries] == cold
     # a refill over a wider box changes the strides, so each λ's flat offsets are rebuilt
@@ -1432,7 +1442,7 @@ def test_q_analogs_regrow_a_table_that_a_narrow_refill_left_short(monkeypatch):
     monkeypatch.setattr(root_datum, "LIMIT", 60)
     rep = RepRing("SL3")
     for lam in [(0, 11), (11, 0)] * 2:
-        row = [mu for _, mu in rep.dominant_weights_below(lam)]
+        row = [mu for _, mu in dominant_weights_below(rep, lam)]
         assert [rep.lusztig_q_analog(lam, mu) for mu in row] == [
             RepRing("SL3").lusztig_q_analog(lam, mu) for mu in row], lam
         assert rep._box == rep.datum.coroot_bound(lam)
@@ -1444,7 +1454,7 @@ def test_a_first_q_analog_settles_the_table_cover_of_its_row_in_one_growth():
     rep.q_kostant_partition((1, 1))
     assert rep._box == (1, 1)
     lam, tables = (4, 4), [rep._table]
-    walk = rep.dominant_weights_below(lam)
+    walk = dominant_weights_below(rep, lam)
     assert walk[0] == (0, lam) and walk[-1] == (8, (0, 0))
     for _, mu in walk:
         assert rep.lusztig_q_analog(lam, mu) == RepRing("SL3").lusztig_q_analog(lam, mu), mu
@@ -1466,7 +1476,7 @@ def test_the_corner_of_a_table_at_q_1_is_its_largest_entry(spec):
 def test_a_walk_whose_deepest_weight_is_not_lowest_raises():
     rep = RepRing("SL3")
     lam = (2, 2)
-    walk = rep.dominant_weights_below(lam)
+    walk = dominant_weights_below(rep, lam)
     assert walk[-1] == (4, (0, 0))
     # move μ = (3, 0), λ − μ = (0, 1) in coroot coordinates, to the end: (0, 1) bounds neither
     # the (1, 1) of μ = (1, 1) nor the (2, 2) of μ = (0, 0)
@@ -1479,7 +1489,7 @@ def test_a_q_analog_is_refused_as_its_row_is_before_the_walk(monkeypatch):
     def no_walk(self, lam):
         raise AssertionError("the walk started before the refusal")
 
-    monkeypatch.setattr(RepRing, "dominant_weights_below", no_walk)
+    monkeypatch.setattr(RepRing, "_walk", no_walk)
     # SL3 at (1001, 1001) with μ = λ − α̌_1: the row's box is (1001, 1001), 1002² points, though
     # λ − μ alone needs a box of 2 × 1; then E7, whose Weyl group is checked first
     for datum, lam, mu, message in [
@@ -1495,19 +1505,24 @@ def test_a_q_analog_is_refused_as_its_row_is_before_the_walk(monkeypatch):
 
 def test_a_list_lambda_builds_its_walk_once(monkeypatch):
     cold = RepRing("Sp4")
-    expected = {mu: cold.lusztig_q_analog((3, 2), mu) for _, mu in cold.dominant_weights_below((3, 2))}
+    expected = {mu: cold.lusztig_q_analog((3, 2), mu) for _, mu in dominant_weights_below(cold, (3, 2))}
     rep, walks = RepRing("Sp4"), []
-    original = RepRing.dominant_weights_below
+    original = RepRing._walk
 
     def recording(self, lam):
-        walks.append(lam)
+        if lam not in self._walks:  # a build, not a read of the memo
+            walks.append(lam)
         return original(self, lam)
 
-    monkeypatch.setattr(RepRing, "dominant_weights_below", recording)
+    monkeypatch.setattr(RepRing, "_walk", recording)
     for mu, value in expected.items():
         assert rep.lusztig_q_analog([3, 2], list(mu)) == value
         assert rep.lusztig_q_analog((3, 2), mu) == value
     assert walks == [(3, 2)] and list(rep._walks) == [(3, 2)]
+    entries = rep._satake_entries((3, 2))  # the Satake row reads the same walk
+    algebra = HeckeAlgebra("Sp4")
+    assert algebra.satake_row([3, 2]) == entries == algebra.satake_row((3, 2))
+    assert walks == [(3, 2)] * 2  # one more, by the algebra's own ring
 
 
 def test_a_q_analog_solves_for_no_coroot_coordinates(monkeypatch):
@@ -1536,7 +1551,7 @@ def test_coroot_bound_covers_every_step_of_a_row(name):
     datum = rep.datum
     for lam in datum.dominant_box(24):
         bound = datum.coroot_bound(lam)
-        for _, mu in rep.dominant_weights_below(lam):
+        for _, mu in dominant_weights_below(rep, lam):
             coords = datum.coroot_coordinates(tuple(l - m for l, m in zip(lam, mu)))
             assert all(c <= b for c, b in zip(coords, bound)), (lam, mu, bound)
 
@@ -1610,7 +1625,7 @@ def _lusztig_by_weyl_matrices(rep, lam, mu):
 def test_lusztig_matches_the_plain_weyl_matrix_sum(name):
     rep, reference = RepRing(name), RepRing(name)
     for lam in rep.datum.dominant_box(24):
-        for _, mu in rep.dominant_weights_below(lam):
+        for _, mu in dominant_weights_below(rep, lam):
             assert rep.lusztig_q_analog(lam, mu) == _lusztig_by_weyl_matrices(reference, lam, mu)
 
 
@@ -1634,7 +1649,7 @@ def test_lusztig_at_one_is_weight_multiplicity():
         rep = RepRing(name)
         box = rep.datum.dominant_box(bound)
         for lam in box:
-            for _, mu in rep.dominant_weights_below(lam):
+            for _, mu in dominant_weights_below(rep, lam):
                 analog = rep.lusztig_q_analog(lam, mu)
                 assert analog.eval_q(1) == rep.weight_table(lam).get(mu, 0)
                 # a polynomial in q with nonnegative coefficients
